@@ -77,9 +77,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -87,17 +84,6 @@ class Tensor:
         if not np.all(np.isfinite(self.data)):
             raise NumericError("tensor contains NaN or Inf")
         return self
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def astype(self, dtype) -> "Tensor":
-        out = _node(self.data.astype(dtype), (self,))
-        if out.requires_grad:
-            def bwd(g, self=self):
-                _accum(self, g.astype(self.dtype))
-            out._backward = bwd
-        return out
 
     # -- autodiff ------------------------------------------------------------
 
@@ -204,18 +190,6 @@ def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
     return Tensor(data, requires_grad=req, _parents=tuple(p for p in parents if p.requires_grad))
 
 
-def tensor(data, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
-
-
-def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, dtype=DEFAULT_DTYPE, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
 # -- elementwise ops ---------------------------------------------------------
 
 
@@ -275,10 +249,6 @@ def log(a: Tensor) -> Tensor:
             _accum(a, g / a.data)
         out._backward = bwd
     return out
-
-
-def sqrt(a: Tensor) -> Tensor:
-    return power(a, 0.5)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -356,12 +326,6 @@ def transpose(a: Tensor, axes=None) -> Tensor:
             _accum(a, np.transpose(g, inv))
         out._backward = bwd
     return out
-
-
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    axes = list(range(a.ndim))
-    axes[ax1], axes[ax2] = axes[ax2], axes[ax1]
-    return transpose(a, axes)
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:

@@ -19,7 +19,6 @@ import json
 import subprocess
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -31,41 +30,19 @@ from . import pipeline as pl
 from .corpus import (TextBox, TranscriptWord, crop_search, detect_static,
                      median_filter_validity, project_labels, split_clips)
 from .errors import ConfigError, SurgflowError
-from .metrics import MetricReport, evaluate_timelines
+from .metrics import evaluate_timelines
 from .models import CAPTION_PROMPT, MGA_PROMPT, ModelConfig, Stage1Model
 from .objectives import ClipStore, PretrainConfig, load_manifest, pretrain
 from .rng import SessionRng
-from .serialization import (read_checkpoint, read_features, read_frame_grid,
-                            write_checkpoint, write_features)
-from .temporal import (FeatureSequence, TemporalConfig, TrainTemporalConfig,
-                       build_temporal_model, train_temporal)
+from .serialization import read_features, read_frame_grid, write_features
 from .vocab import Vocabulary
 
 
 # -- plumbing -----------------------------------------------------------------
 
 
-def pipeline_command(fn):
-    """Map failures to exit codes: bad config 2, runtime failure 1."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ConfigError, FileNotFoundError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except (SurgflowError, OSError, ValueError, KeyError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
-
-
-def ensure_fresh(path, force: bool) -> None:
-    path = Path(path)
-    if path.exists() and not force:
-        raise ConfigError(f"refusing to overwrite {path} (use --force)")
+IN = click.Path(exists=True, path_type=Path)
+OUT = click.Path(path_type=Path)
 
 
 def _git_describe() -> str:
@@ -81,17 +58,16 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def write_run_manifest(target, command: str, config: dict, seed: int,
-                       t0: float) -> None:
+def _write_run_manifest(target: Path, command: str, config: dict,
+                        seed: int, t0: float) -> None:
     """One JSON per run: config hash, seed, git describe, wall time."""
-    target = Path(target)
     path = (target / "run_manifest.json" if target.is_dir()
             else target.with_name(target.name + ".run.json"))
     blob = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
     payload = {
         "command": command,
         "version": __version__,
-        "config": config,
+        "config": dict(sorted(config.items())),
         "config_hash": hashlib.sha256(blob).hexdigest(),
         "seed": seed,
         "git_describe": _git_describe(),
@@ -100,68 +76,46 @@ def write_run_manifest(target, command: str, config: dict, seed: int,
     path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
 
 
-def _read_meta(corpus: Path) -> dict:
-    return json.loads((Path(corpus) / "meta.json").read_text())
+def command(name: str):
+    """Register a subcommand with the run bookkeeping every command shares.
 
+    Failures map to exit codes: bad config 2, runtime failure 1.  Path
+    options that need not exist (type OUT) are outputs: a command with
+    outputs gains --force and refuses an existing output without it, and
+    after an --out command succeeds its run manifest records the invoked
+    parameters, the seed and the wall time (run_manifest.json inside a
+    directory output, <file>.run.json beside a file output).
+    """
 
-def _save_stage1_bundle(out: Path, model: Stage1Model) -> None:
-    model.vocab.save(out / "vocab.txt")
-    cfg = asdict(model.cfg)
-    cfg["feature_dim"] = model.bridge.proj.d_out
-    (out / "model.json").write_text(json.dumps(cfg, indent=2))
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(force: bool = False, **params):
+            t0 = time.time()
+            try:
+                existing = [params[k] for k in outputs
+                            if params[k] is not None and params[k].exists()]
+                if existing and not force:
+                    raise ConfigError(f"refusing to overwrite {existing[0]} "
+                                      "(use --force)")
+                fn(**params)
+                if "out" in params:
+                    _write_run_manifest(params["out"], name, params,
+                                        params.get("seed", 0), t0)
+            except (ConfigError, FileNotFoundError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            except (SurgflowError, OSError, ValueError, KeyError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(1)
 
+        cmd = main.command(name)(run)
+        outputs = [p.name for p in cmd.params if p.type is OUT]
+        if outputs:
+            cmd.params.append(click.Option(
+                ["--force"], is_flag=True, help="Overwrite existing outputs."))
+        return cmd
 
-def _load_stage1_bundle(stage1: str, lora: str | None = None) -> Stage1Model:
-    stage1 = Path(stage1)
-    vocab = Vocabulary.load(stage1 / "vocab.txt")
-    cfg = json.loads((stage1 / "model.json").read_text())
-    feature_dim = cfg.pop("feature_dim")
-    cfg.pop("vocab_size", None)
-    model = Stage1Model(ModelConfig(**cfg), vocab, SessionRng(0), feature_dim)
-    model.load_state_dict(read_checkpoint(stage1 / "stage1.wlcp"))
-    if lora is not None:
-        lora_dir = Path(lora)
-        spec = json.loads((lora_dir / "lora.json").read_text())
-        lora_mod.attach(model, r=spec["rank"], alpha=spec["alpha"])
-        lora_mod.load_adapter_checkpoint(
-            model, read_checkpoint(lora_dir / "lora.wlcp"))
-    return model
-
-
-def _load_temporal_bundle(temporal: str):
-    temporal = Path(temporal)
-    spec = json.loads((temporal / "temporal.json").read_text())
-    cfg = TemporalConfig(**spec["config"])
-    model = build_temporal_model(spec["variant"], cfg, SessionRng(0))
-    model.load_state_dict(read_checkpoint(temporal / "temporal.wlcp"))
-    return model, spec["classes"]
-
-
-def _labels_for(timeline: pl.PhaseTimeline, classes, length: int,
-                idle_label: str = "idle") -> np.ndarray:
-    filled = timeline.fill_gaps(idle_label)
-    return np.array([classes.index(filled.label_at(min(i + 0.5,
-                                                       filled.duration - 1e-6)))
-                     for i in range(length)])
-
-
-def _build_vocab(meta: dict, manifest: list) -> Vocabulary:
-    texts = [r["text"] for r in manifest]
-    texts += list(meta.get("prototypes", {}).values())
-    texts += [MGA_PROMPT, CAPTION_PROMPT]
-    return Vocabulary.build(texts)
-
-
-def _dataset_from_dirs(features_dir: Path, corpus: Path, classes,
-                       video_ids) -> list:
-    dataset = []
-    for vid in video_ids:
-        feats = read_features(features_dir / f"{vid}.wlft")
-        gt = pl.PhaseTimeline.from_dict(
-            pl.read_json(corpus / "timelines" / f"{vid}.json"))
-        labels = _labels_for(gt, classes, feats.shape[0])
-        dataset.append((FeatureSequence(feats, vid), labels))
-    return dataset
+    return decorate
 
 
 def _split_videos(meta: dict, train: str | None, test: str | None) -> tuple:
@@ -181,36 +135,21 @@ def _split_videos(meta: dict, train: str | None, test: str | None) -> tuple:
     return ids[:cut], ids[cut:]
 
 
-def _evaluate_split(model, features_dir: Path, corpus: Path, classes,
-                    video_ids) -> MetricReport:
-    pred = {}
-    gt = {}
-    for vid in video_ids:
-        feats = read_features(features_dir / f"{vid}.wlft")
-        final = model(FeatureSequence(feats, vid))[-1]
-        labels = [classes[k] for k in final.labels]
-        pred[vid] = pl.merge_labels(labels, 1.0)
-        gt[vid] = pl.PhaseTimeline.from_dict(
-            pl.read_json(corpus / "timelines" / f"{vid}.json")).fill_gaps("idle")
-    return evaluate_timelines(pred, gt, fps=1.0)
-
-
 def _load_config_file(ctx, param, value):
     if value is None:
         return None
-    path = Path(value)
-    if path.suffix == ".toml":
+    if value.suffix == ".toml":
         import tomllib
-        data = tomllib.loads(path.read_text())
+        data = tomllib.loads(value.read_text())
     else:
-        data = json.loads(path.read_text())
+        data = json.loads(value.read_text())
     ctx.default_map = data
     return value
 
 
 @click.group()
 @click.option("--config", callback=_load_config_file, expose_value=False,
-              is_eager=True, type=click.Path(exists=True),
+              is_eager=True, type=IN,
               help="JSON/TOML file of {subcommand: {option: value}} defaults.")
 @click.version_option(__version__)
 def main():
@@ -220,43 +159,32 @@ def main():
 # -- corpus -------------------------------------------------------------------
 
 
-@main.command("gen-synth")
-@click.option("--out", required=True, type=click.Path())
+@command("gen-synth")
+@click.option("--out", required=True, type=OUT)
 @click.option("--videos", default=40, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--shifted", is_flag=True,
               help="Color-remapped target-domain variant.")
-@click.option("--force", is_flag=True)
-@pipeline_command
-def gen_synth(out, videos, seed, shifted, force):
+def gen_synth(out, videos, seed, shifted):
     """Generate a seeded synthetic corpus of phase-patterned videos."""
     from . import synthetic as syn
-    t0 = time.time()
-    ensure_fresh(out, force)
     spec = syn.SyntheticSpec(seed=seed)
     if shifted:
         spec = syn.shift_colors(spec)
     syn.generate_corpus(spec, videos, out)
-    write_run_manifest(out, "gen-synth",
-                       {"out": out, "videos": videos, "shifted": shifted},
-                       seed, t0)
     click.echo(f"wrote {videos} videos to {out}")
 
 
-@main.command("filter")
-@click.option("--video", required=True, type=click.Path(exists=True))
-@click.option("--out", required=True, type=click.Path())
+@command("filter")
+@click.option("--video", required=True, type=IN)
+@click.option("--out", required=True, type=OUT)
 @click.option("--fps", default=8.0, show_default=True)
-@click.option("--boxes", type=click.Path(exists=True),
+@click.option("--boxes", type=IN,
               help="JSON list of [x0, y0, x1, y1] text boxes.")
 @click.option("--min-size", default=224, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--force", is_flag=True)
-@pipeline_command
-def filter_cmd(video, out, fps, boxes, min_size, seed, force):
+def filter_cmd(video, out, fps, boxes, min_size, seed):
     """Mark static frames invalid (median-filtered) and find a text-free crop."""
-    t0 = time.time()
-    ensure_fresh(out, force)
     frames = read_frame_grid(video)
     valid = np.ones(len(frames), bool)
     for i in range(1, len(frames)):
@@ -266,99 +194,79 @@ def filter_cmd(video, out, fps, boxes, min_size, seed, force):
     valid = median_filter_validity(valid, fps)
     crop = None
     if boxes is not None:
-        box_list = [TextBox(*b) for b in json.loads(Path(boxes).read_text())]
+        box_list = [TextBox(*b) for b in json.loads(boxes.read_text())]
         found = crop_search(frames.shape[2], frames.shape[1], box_list,
                             min_size=min_size, seed=seed)
         crop = [found.x0, found.y0, found.x1, found.y1] if found else None
     payload = {"video": str(video), "valid": valid.tolist(),
                "fraction_valid": float(valid.mean()), "crop": crop}
-    Path(out).write_text(json.dumps(payload, indent=2))
-    write_run_manifest(Path(out), "filter",
-                       {"video": video, "fps": fps, "min_size": min_size},
-                       seed, t0)
+    out.write_text(json.dumps(payload, indent=2))
 
 
-@main.command("split-clips")
-@click.option("--words", required=True, type=click.Path(exists=True),
+@command("split-clips")
+@click.option("--words", required=True, type=IN,
               help="JSON list of {text, start_s, end_s} transcript words.")
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=OUT)
 @click.option("--min-seconds", default=2.0, show_default=True)
-@click.option("--force", is_flag=True)
-@pipeline_command
-def split_clips_cmd(words, out, min_seconds, force):
+def split_clips_cmd(words, out, min_seconds):
     """Split a word-level transcript into sentence-aligned clips."""
-    t0 = time.time()
-    ensure_fresh(out, force)
     entries = [TranscriptWord(w["text"], w["start_s"], w["end_s"])
-               for w in json.loads(Path(words).read_text())]
+               for w in json.loads(words.read_text())]
     clips = split_clips(entries, min_s=min_seconds)
-    Path(out).write_text(json.dumps(
+    out.write_text(json.dumps(
         [{"start_s": c.start_s, "end_s": c.end_s, "text": c.text}
          for c in clips], indent=2))
-    write_run_manifest(Path(out), "split-clips",
-                       {"words": words, "min_seconds": min_seconds}, 0, t0)
 
 
-@main.command("project-labels")
-@click.option("--records", required=True, type=click.Path(exists=True),
+@command("project-labels")
+@click.option("--records", required=True, type=IN,
               help="JSONL of label records.")
 @click.option("--template", "template_id", required=True)
-@click.option("--out", required=True, type=click.Path())
-@click.option("--force", is_flag=True)
-@pipeline_command
-def project_labels_cmd(records, template_id, out, force):
+@click.option("--out", required=True, type=OUT)
+def project_labels_cmd(records, template_id, out):
     """Fill a language template from structured label records."""
-    t0 = time.time()
-    ensure_fresh(out, force)
     with open(out, "w", encoding="utf-8") as fh:
         for record in load_manifest(records):
             record["text"] = project_labels(record, template_id)
             fh.write(json.dumps(record) + "\n")
-    write_run_manifest(Path(out), "project-labels",
-                       {"records": records, "template": template_id}, 0, t0)
 
 
 # -- stage 1 ------------------------------------------------------------------
 
 
-@main.command("pretrain")
-@click.option("--corpus", required=True, type=click.Path(exists=True))
-@click.option("--out", required=True, type=click.Path())
+@command("pretrain")
+@click.option("--corpus", required=True, type=IN)
+@click.option("--out", required=True, type=OUT)
 @click.option("--epochs", default=5, show_default=True)
 @click.option("--batch-size", default=8, show_default=True)
 @click.option("--lr-max", default=1e-4, show_default=True)
 @click.option("--lr-min", default=1e-9, show_default=True)
 @click.option("--max-steps", default=None, type=int)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--force", is_flag=True)
-@pipeline_command
 def pretrain_cmd(corpus, out, epochs, batch_size, lr_max, lr_min, max_steps,
-                 seed, force):
+                 seed):
     """Train the short-range video-language model on a clip manifest."""
-    t0 = time.time()
-    corpus = Path(corpus)
-    out = Path(out)
-    ensure_fresh(out, force)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _read_meta(corpus)
+    meta = pl.read_json(corpus / "meta.json")
     manifest = load_manifest(corpus / "manifest.jsonl")
-    vocab = _build_vocab(meta, manifest)
+    vocab = Vocabulary.build([r["text"] for r in manifest]
+                             + list(meta.get("prototypes", {}).values())
+                             + [MGA_PROMPT, CAPTION_PROMPT])
     model = Stage1Model(ModelConfig(), vocab, SessionRng(seed))
     cfg = PretrainConfig(epochs=epochs, batch_size=batch_size, lr_max=lr_max,
                          lr_min=lr_min, seed=seed, max_steps=max_steps)
     store = ClipStore(corpus / "videos", meta["fps"])
     rows = pretrain(model, corpus / "manifest.jsonl", store, cfg,
                     out / "stage1.wlcp", out / "curve.csv")
-    _save_stage1_bundle(out, model)
-    write_run_manifest(out, "pretrain", asdict(cfg), seed, t0)
+    pl.save_stage1_bundle(out, model)
     click.echo(f"{len(rows)} steps, final loss {rows[-1]['L_total']:.4f}")
 
 
-@main.command("finetune-lora")
-@click.option("--corpus", required=True, type=click.Path(exists=True),
+@command("finetune-lora")
+@click.option("--corpus", required=True, type=IN,
               help="Target-domain corpus.")
-@click.option("--stage1", required=True, type=click.Path(exists=True))
-@click.option("--out", required=True, type=click.Path())
+@click.option("--stage1", required=True, type=IN)
+@click.option("--out", required=True, type=OUT)
 @click.option("--rank", default=8, show_default=True)
 @click.option("--alpha", default=None, type=float)
 @click.option("--epochs", default=3, show_default=True)
@@ -367,19 +275,12 @@ def pretrain_cmd(corpus, out, epochs, batch_size, lr_max, lr_min, max_steps,
 @click.option("--lr-min", default=1e-4, show_default=True)
 @click.option("--max-steps", default=None, type=int)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--force", is_flag=True)
-@pipeline_command
 def finetune_lora_cmd(corpus, stage1, out, rank, alpha, epochs, batch_size,
-                      lr_max, lr_min, max_steps, seed, force):
+                      lr_max, lr_min, max_steps, seed):
     """Adapt a frozen stage-1 model to a new domain with low-rank adapters."""
-    t0 = time.time()
-    corpus = Path(corpus)
-    out = Path(out)
-    ensure_fresh(out, force)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _read_meta(corpus)
-    model = _load_stage1_bundle(stage1)
-    alpha = float(rank) if alpha is None else alpha
+    meta = pl.read_json(corpus / "meta.json")
+    model = pl.load_stage1_bundle(stage1)
     lora_mod.attach(model, r=rank, alpha=alpha, seed=seed)
     lora_mod.freeze_base(model)
     cfg = PretrainConfig(epochs=epochs, batch_size=batch_size, lr_max=lr_max,
@@ -387,203 +288,146 @@ def finetune_lora_cmd(corpus, stage1, out, rank, alpha, epochs, batch_size,
     store = ClipStore(corpus / "videos", meta["fps"])
     rows = pretrain(model, corpus / "manifest.jsonl", store, cfg,
                     out / "lora.wlcp", out / "curve.csv", lora_only=True)
-    (out / "lora.json").write_text(json.dumps(
-        {"rank": rank, "alpha": alpha, "stage1": str(stage1)}, indent=2))
-    write_run_manifest(out, "finetune-lora", asdict(cfg), seed, t0)
+    pl.save_lora_bundle(out, model, stage1)
     click.echo(f"{len(rows)} steps, final loss {rows[-1]['L_total']:.4f}")
 
 
-@main.command("extract-features")
-@click.option("--corpus", required=True, type=click.Path(exists=True))
-@click.option("--stage1", required=True, type=click.Path(exists=True))
-@click.option("--out", required=True, type=click.Path())
-@click.option("--lora", default=None, type=click.Path(exists=True))
+@command("extract-features")
+@click.option("--corpus", required=True, type=IN)
+@click.option("--stage1", required=True, type=IN)
+@click.option("--out", required=True, type=OUT)
+@click.option("--lora", default=None, type=IN)
 @click.option("--clip-seconds", default=1.0, show_default=True)
-@click.option("--force", is_flag=True)
-@pipeline_command
-def extract_features_cmd(corpus, stage1, out, lora, clip_seconds, force):
+def extract_features_cmd(corpus, stage1, out, lora, clip_seconds):
     """Write one feature file per corpus video."""
-    t0 = time.time()
-    corpus = Path(corpus)
-    out = Path(out)
-    ensure_fresh(out, force)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _read_meta(corpus)
-    model = _load_stage1_bundle(stage1, lora)
+    meta = pl.read_json(corpus / "meta.json")
+    model = pl.load_stage1_bundle(stage1, lora)
     for vid in meta["video_ids"]:
         frames = read_frame_grid(corpus / "videos" / f"{vid}.wlfg")
         part = pl.partition(len(frames) / meta["fps"], clip_seconds,
                             meta["fps"])
         seq = pl.extract_features(frames, model, part, vid)
         write_features(out / f"{vid}.wlft", seq.features)
-    write_run_manifest(out, "extract-features",
-                       {"corpus": str(corpus), "stage1": str(stage1),
-                        "lora": lora, "clip_seconds": clip_seconds}, 0, t0)
 
 
 # -- stage 2 ------------------------------------------------------------------
 
 
-@main.command("train-temporal")
-@click.option("--features", "features_dir", required=True,
-              type=click.Path(exists=True))
-@click.option("--corpus", required=True, type=click.Path(exists=True))
+@command("train-temporal")
+@click.option("--features", "features_dir", required=True, type=IN)
+@click.option("--corpus", required=True, type=IN)
 @click.option("--variant", type=click.Choice(["tcn", "asformer"]),
               default="tcn", show_default=True)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=OUT)
 @click.option("--epochs", default=150, show_default=True)
 @click.option("--videos", default=None,
               help="Comma-separated training video ids (default: all).")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--force", is_flag=True)
-@pipeline_command
 def train_temporal_cmd(features_dir, corpus, variant, out, epochs, videos,
-                       seed, force):
+                       seed):
     """Train a long-range temporal segmentation model on features."""
-    t0 = time.time()
-    corpus = Path(corpus)
-    out = Path(out)
-    ensure_fresh(out, force)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _read_meta(corpus)
+    meta = pl.read_json(corpus / "meta.json")
     classes = meta["class_names"]
     video_ids = videos.split(",") if videos else meta["video_ids"]
-    dataset = _dataset_from_dirs(Path(features_dir), corpus, classes,
-                                 video_ids)
-    tcfg = TemporalConfig(num_classes=len(classes),
-                          feature_dim=dataset[0][0].features.shape[1])
-    model = build_temporal_model(variant, tcfg, SessionRng(seed))
-    curve = train_temporal(model, dataset,
-                           TrainTemporalConfig(epochs=epochs, seed=seed))
-    write_checkpoint(out / "temporal.wlcp", model.state_dict())
-    (out / "temporal.json").write_text(json.dumps(
-        {"variant": variant, "classes": classes, "config": asdict(tcfg)},
-        indent=2))
+    dataset = pl.dataset_from_dirs(features_dir, corpus, classes, video_ids)
+    model, curve = pl.fit_temporal(dataset, len(classes), variant, epochs, seed)
+    pl.save_temporal_bundle(out, model, classes)
     with open(out / "curve.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss"])
         writer.writerows(enumerate(curve))
-    write_run_manifest(out, "train-temporal",
-                       {"variant": variant, "epochs": epochs,
-                        "videos": video_ids}, seed, t0)
     click.echo(f"final epoch loss {curve[-1]:.4f}")
 
 
 # -- inference ----------------------------------------------------------------
 
 
-@main.command("segment")
-@click.option("--video", required=True, type=click.Path(exists=True))
-@click.option("--stage1", required=True, type=click.Path(exists=True))
-@click.option("--temporal", required=True, type=click.Path(exists=True))
-@click.option("--lora", default=None, type=click.Path(exists=True))
+@command("segment")
+@click.option("--video", required=True, type=IN)
+@click.option("--stage1", required=True, type=IN)
+@click.option("--temporal", required=True, type=IN)
+@click.option("--lora", default=None, type=IN)
 @click.option("--fps", default=8.0, show_default=True)
-@click.option("--out", required=True, type=click.Path())
-@click.option("--force", is_flag=True)
-@pipeline_command
-def segment_cmd(video, stage1, temporal, lora, fps, out, force):
+@click.option("--out", required=True, type=OUT)
+def segment_cmd(video, stage1, temporal, lora, fps, out):
     """Two-stage phase segmentation of one video into a timeline JSON."""
-    t0 = time.time()
-    ensure_fresh(out, force)
     frames = read_frame_grid(video)
-    model = _load_stage1_bundle(stage1, lora)
-    temporal_model, classes = _load_temporal_bundle(temporal)
+    model = pl.load_stage1_bundle(stage1, lora)
+    temporal_model, classes = pl.load_temporal_bundle(temporal)
     timeline, _ = pl.segment(frames, model, temporal_model, classes, fps)
-    pl.write_json(out, timeline.to_dict(Path(video).stem))
-    write_run_manifest(Path(out), "segment",
-                       {"video": video, "fps": fps}, 0, t0)
+    pl.write_json(out, timeline.to_dict(video.stem))
 
 
-@main.command("zeroshot")
-@click.option("--video", required=True, type=click.Path(exists=True))
-@click.option("--stage1", required=True, type=click.Path(exists=True))
-@click.option("--prototypes", required=True, type=click.Path(exists=True),
+@command("zeroshot")
+@click.option("--video", required=True, type=IN)
+@click.option("--stage1", required=True, type=IN)
+@click.option("--prototypes", required=True, type=IN,
               help="JSON dict of class -> prototype sentence.")
-@click.option("--lora", default=None, type=click.Path(exists=True))
+@click.option("--lora", default=None, type=IN)
 @click.option("--fps", default=8.0, show_default=True)
-@click.option("--out", required=True, type=click.Path())
-@click.option("--force", is_flag=True)
-@pipeline_command
-def zeroshot_cmd(video, stage1, prototypes, lora, fps, out, force):
+@click.option("--out", required=True, type=OUT)
+def zeroshot_cmd(video, stage1, prototypes, lora, fps, out):
     """Per-clip phase prediction by similarity to prototype sentences."""
-    t0 = time.time()
-    ensure_fresh(out, force)
     frames = read_frame_grid(video)
-    model = _load_stage1_bundle(stage1, lora)
-    protos = json.loads(Path(prototypes).read_text())
+    model = pl.load_stage1_bundle(stage1, lora)
+    protos = json.loads(prototypes.read_text())
     timeline = pl.zero_shot(frames, model, protos, fps)
-    pl.write_json(out, timeline.to_dict(Path(video).stem))
-    write_run_manifest(Path(out), "zeroshot",
-                       {"video": video, "fps": fps}, 0, t0)
+    pl.write_json(out, timeline.to_dict(video.stem))
 
 
-@main.command("caption")
-@click.option("--video", required=True, type=click.Path(exists=True))
-@click.option("--stage1", required=True, type=click.Path(exists=True))
-@click.option("--temporal", required=True, type=click.Path(exists=True))
-@click.option("--lora", default=None, type=click.Path(exists=True))
+@command("caption")
+@click.option("--video", required=True, type=IN)
+@click.option("--stage1", required=True, type=IN)
+@click.option("--temporal", required=True, type=IN)
+@click.option("--lora", default=None, type=IN)
 @click.option("--fps", default=8.0, show_default=True)
-@click.option("--out", required=True, type=click.Path())
-@click.option("--force", is_flag=True)
-@pipeline_command
-def caption_cmd(video, stage1, temporal, lora, fps, out, force):
+@click.option("--out", required=True, type=OUT)
+def caption_cmd(video, stage1, temporal, lora, fps, out):
     """Dense captioning of predicted non-idle segments."""
-    t0 = time.time()
-    ensure_fresh(out, force)
     frames = read_frame_grid(video)
-    model = _load_stage1_bundle(stage1, lora)
-    temporal_model, classes = _load_temporal_bundle(temporal)
+    model = pl.load_stage1_bundle(stage1, lora)
+    temporal_model, classes = pl.load_temporal_bundle(temporal)
     captions = pl.dense_caption(frames, model, temporal_model, classes, fps)
-    pl.write_json(out, pl.captions_to_dict(Path(video).stem, captions))
-    write_run_manifest(Path(out), "caption",
-                       {"video": video, "fps": fps}, 0, t0)
+    pl.write_json(out, pl.captions_to_dict(video.stem, captions))
 
 
 # -- evaluation ---------------------------------------------------------------
 
 
 def _load_timelines(path: Path) -> dict:
-    path = Path(path)
-    if path.is_dir():
-        out = {}
-        for item in sorted(path.glob("*.json")):
-            payload = pl.read_json(item)
-            out[payload.get("video_id", item.stem)] = \
-                pl.PhaseTimeline.from_dict(payload)
-        return out
-    payload = pl.read_json(path)
-    return {payload.get("video_id", path.stem):
-            pl.PhaseTimeline.from_dict(payload)}
+    out = {}
+    for item in sorted(path.glob("*.json")) if path.is_dir() else [path]:
+        payload = pl.read_json(item)
+        out[payload.get("video_id", item.stem)] = \
+            pl.PhaseTimeline.from_dict(payload)
+    return out
 
 
-@main.command("evaluate")
-@click.option("--pred", required=True, type=click.Path(exists=True),
+@command("evaluate")
+@click.option("--pred", required=True, type=IN,
               help="Timeline JSON or directory of them.")
-@click.option("--gt", required=True, type=click.Path(exists=True))
+@click.option("--gt", required=True, type=IN)
 @click.option("--fps", default=1.0, show_default=True)
-@click.option("--out-csv", default=None, type=click.Path())
-@click.option("--out-svg", default=None, type=click.Path())
-@click.option("--force", is_flag=True)
-@pipeline_command
-def evaluate_cmd(pred, gt, fps, out_csv, out_svg, force):
+@click.option("--out-csv", default=None, type=OUT)
+@click.option("--out-svg", default=None, type=OUT)
+def evaluate_cmd(pred, gt, fps, out_csv, out_svg):
     """Score predicted timelines against ground truth."""
     pred_tl = _load_timelines(pred)
     gt_tl = {vid: tl.fill_gaps("idle") for vid, tl in
              _load_timelines(gt).items()}
     report = evaluate_timelines(pred_tl, gt_tl, fps=fps)
     if out_csv:
-        ensure_fresh(out_csv, force)
         report.write_csv(out_csv)
     if out_svg:
-        ensure_fresh(out_svg, force)
         report.write_svg(out_svg)
     click.echo(report.to_json())
 
 
-@main.command("ablate-subset")
-@click.option("--features", "features_dir", required=True,
-              type=click.Path(exists=True))
-@click.option("--corpus", required=True, type=click.Path(exists=True))
+@command("ablate-subset")
+@click.option("--features", "features_dir", required=True, type=IN)
+@click.option("--corpus", required=True, type=IN)
 @click.option("--variant", type=click.Choice(["tcn", "asformer"]),
               default="tcn", show_default=True)
 @click.option("--fractions", default="0.1,0.5,1.0", show_default=True)
@@ -593,111 +437,53 @@ def evaluate_cmd(pred, gt, fps, out_csv, out_svg, force):
               help="Comma-separated held-out video ids.")
 @click.option("--epochs", default=150, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--out", required=True, type=click.Path())
-@click.option("--force", is_flag=True)
-@pipeline_command
+@click.option("--out", required=True, type=OUT)
 def ablate_subset_cmd(features_dir, corpus, variant, fractions, train, test,
-                      epochs, seed, out, force):
+                      epochs, seed, out):
     """Retrain stage 2 on growing training subsets; one metric row each."""
-    t0 = time.time()
-    ensure_fresh(out, force)
-    corpus = Path(corpus)
-    features_dir = Path(features_dir)
-    meta = _read_meta(corpus)
-    classes = meta["class_names"]
+    meta = pl.read_json(corpus / "meta.json")
     train_ids, test_ids = _split_videos(meta, train, test)
-    fracs = [float(f) for f in fractions.split(",") if f]
-    if not fracs or any(not 0.0 < f <= 1.0 for f in fracs):
-        raise ConfigError("fractions must lie in (0, 1]")
-    rows = ablate_subset(features_dir, corpus, classes, train_ids, test_ids,
-                         fracs, variant, epochs, seed)
+    rows = pl.ablate_subset(features_dir, corpus, meta["class_names"],
+                            train_ids, test_ids,
+                            [float(f) for f in fractions.split(",") if f],
+                            variant, epochs, seed)
     with open(out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    write_run_manifest(Path(out), "ablate-subset",
-                       {"variant": variant, "fractions": fracs,
-                        "epochs": epochs}, seed, t0)
     for row in rows:
         click.echo(f"fraction {row['fraction']}: "
                    f"accuracy {row['accuracy']:.2f}")
 
 
-def ablate_subset(features_dir, corpus, classes, train_ids, test_ids,
-                  fractions, variant: str, epochs: int, seed: int) -> list:
-    """Train on seeded nested subsets of the training videos and evaluate
-    each model on the fixed held-out split."""
-    features_dir, corpus = Path(features_dir), Path(corpus)
-    order = SessionRng(seed).permutation(len(train_ids))
-    rows = []
-    for fraction in fractions:
-        count = int(round(fraction * len(train_ids)))
-        if count < 1:
-            raise ConfigError(f"fraction {fraction} selects zero videos")
-        chosen = [train_ids[i] for i in sorted(order[:count])]
-        dataset = _dataset_from_dirs(features_dir, corpus, classes, chosen)
-        tcfg = TemporalConfig(num_classes=len(classes),
-                              feature_dim=dataset[0][0].features.shape[1])
-        model = build_temporal_model(variant, tcfg, SessionRng(seed))
-        train_temporal(model, dataset,
-                       TrainTemporalConfig(epochs=epochs, seed=seed))
-        report = _evaluate_split(model, features_dir, corpus, classes,
-                                 test_ids)
-        rows.append({
-            "fraction": fraction,
-            "videos": count,
-            "accuracy": report.aggregate["accuracy"],
-            "edit": report.aggregate["edit"],
-            "overlap_f1@0.50": report.aggregate["overlap_f1@0.50"],
-            "acc_micro": report.aggregate["acc_micro"],
-        })
-    return rows
-
-
-@main.command("pca-plot")
-@click.option("--features", "features_dir", required=True,
-              type=click.Path(exists=True))
-@click.option("--out", required=True, type=click.Path())
-@click.option("--coords-csv", default=None, type=click.Path())
+@command("pca-plot")
+@click.option("--features", "features_dir", required=True, type=IN)
+@click.option("--out", required=True, type=OUT)
+@click.option("--coords-csv", default=None, type=OUT)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--force", is_flag=True)
-@pipeline_command
-def pca_plot_cmd(features_dir, out, coords_csv, seed, force):
+def pca_plot_cmd(features_dir, out, coords_csv, seed):
     """Project all feature rows to 2-D principal components as an SVG."""
-    t0 = time.time()
-    ensure_fresh(out, force)
-    files = sorted(Path(features_dir).glob("*.wlft"))
+    files = sorted(features_dir.glob("*.wlft"))
     if not files:
         raise ConfigError(f"no feature files in {features_dir}")
     blocks = [(f.stem, read_features(f)) for f in files]
     rows = np.concatenate([b for _, b in blocks], axis=0)
     _, coords, ratios = pl.pca_export(rows, k=2, seed=seed)
-    _write_scatter_svg(out, coords, [vid for vid, b in blocks
-                                     for _ in range(b.shape[0])], ratios)
+    keys = [vid for vid, b in blocks for _ in range(b.shape[0])]
+    _write_scatter_svg(out, coords, keys, ratios)
     if coords_csv:
-        ensure_fresh(coords_csv, force)
         with open(coords_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["video", "pc1", "pc2"])
-            for (vid, block), span in zip(blocks, _spans(blocks)):
-                for row in coords[span]:
-                    writer.writerow([vid, f"{row[0]:.6f}", f"{row[1]:.6f}"])
-    write_run_manifest(Path(out), "pca-plot",
-                       {"features": str(features_dir),
-                        "explained": ratios.tolist()}, seed, t0)
-
-
-def _spans(blocks):
-    start = 0
-    for _, block in blocks:
-        yield slice(start, start + block.shape[0])
-        start += block.shape[0]
+            writer.writerows([vid, f"{x:.6f}", f"{y:.6f}"]
+                             for vid, (x, y) in zip(keys, coords))
+    click.echo(f"explained variance ratios: {ratios.tolist()}")
 
 
 _PALETTE = ["#4878a8", "#a84848", "#48a878", "#a8a048", "#7848a8", "#48a0a8"]
 
 
-def _write_scatter_svg(path, coords: np.ndarray, keys: list,
+def _write_scatter_svg(path: Path, coords: np.ndarray, keys: list,
                        ratios: np.ndarray, size: int = 420) -> None:
     lo = coords.min(axis=0)
     span = np.maximum(coords.max(axis=0) - lo, 1e-9)
@@ -715,17 +501,16 @@ def _write_scatter_svg(path, coords: np.ndarray, keys: list,
     parts.append(f'<text x="{margin}" y="{size - 4}" font-size="11">'
                  f'explained: {ratios[0]:.2f}, {ratios[1]:.2f}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts))
+    path.write_text("\n".join(parts))
 
 
 # -- diagnostics --------------------------------------------------------------
 
 
-@main.command("gradcheck")
+@command("gradcheck")
 @click.option("--mode", type=click.Choice(["f32", "f64", "both"]),
               default="both", show_default=True)
 @click.option("--seed", default=95, show_default=True)
-@pipeline_command
 def gradcheck_cmd(mode, seed):
     """Verify every loss against central finite differences."""
     from .diagnostics import gradient_suite

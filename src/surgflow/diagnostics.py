@@ -90,8 +90,7 @@ def gradient_suite(dtype=np.float32, seed: int = 95) -> Dict[str, float]:
 
     seqs = [cap_prompt + ids + [vocab.eos_id] for ids in caption_ids]
     ids, pad = model.pad_batch(seqs)
-    maskable = ~pad & ~np.isin(ids, sorted(vocab.reserved_ids))
-    maskable[:, :len(cap_prompt)] = False
+    maskable = model.maskable(ids, pad, len(cap_prompt))
     plan_mgc = make_masking_plan(ids, maskable, vocab.mask_id, 0.6, rng)
     plan_mlm = make_masking_plan(ids, maskable, vocab.mask_id, 0.1, rng)
 
@@ -114,8 +113,7 @@ def gradient_suite(dtype=np.float32, seed: int = 95) -> Dict[str, float]:
     tcfg = TemporalConfig(num_classes=3, feature_dim=4, hidden=4,
                           tcn_layers=2, tcn_refinements=1,
                           asf_encoder_layers=2, asf_decoder_layers=1)
-    features = rng.uniform(-1.0, 1.0, (6, 4), np.float32).astype(
-        np.float64 if dtype == np.float64 else np.float32)
+    features = rng.uniform(-1.0, 1.0, (6, 4), np.float32).astype(dtype)
     labels = np.array([0, 0, 1, 1, 2, 2])
 
     tcn = build_temporal_model("tcn", tcfg, SessionRng(seed + 2))
@@ -137,15 +135,8 @@ def gradient_suite(dtype=np.float32, seed: int = 95) -> Dict[str, float]:
                    for t in tcn.forward(features)]
 
     def f_tcn():
-        total = None
-        for logits, prev in zip(tcn.forward(features), center_prev):
-            ce = ad.cross_entropy(logits, labels)
-            diff = ad.log_softmax(logits, axis=1)[1:] - Tensor(prev)
-            sq = diff * diff
-            capped = tcfg.smoothing_clamp - ad.relu(tcfg.smoothing_clamp - sq)
-            term = ce + tcfg.smoothing_weight * ad.reduce_mean(capped)
-            total = term if total is None else total + term
-        return total
+        return stage2_loss(tcn.forward(features), labels, "tcn", tcfg,
+                           prev=center_prev)
 
     results["tcn_loss"] = grad_check(f_tcn, tcn_params, eps)
 
@@ -167,8 +158,8 @@ def gradient_suite(dtype=np.float32, seed: int = 95) -> Dict[str, float]:
 
     results["ce_dice_loss"] = grad_check(f_asf, asf_params, eps)
 
-    logits = Tensor(rng.uniform(-1.0, 1.0, (6, 3), np.float32).astype(
-        np.float64 if dtype == np.float64 else np.float32), requires_grad=True)
+    logits = Tensor(rng.uniform(-1.0, 1.0, (6, 3), np.float32).astype(dtype),
+                    requires_grad=True)
 
     def f_dice():
         return soft_dice(logits, labels)

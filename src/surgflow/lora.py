@@ -128,13 +128,23 @@ def freeze_base(model: Module) -> None:
         p.requires_grad = id(p) in adapter_params
 
 
+_PREFIX = "lora."
+
+
+def adapter_checkpoint(model: Module) -> dict:
+    """The adapter factors of `model` as a "lora."-prefixed checkpoint; the
+    inverse of load_adapter_checkpoint."""
+    return {f"{_PREFIX}{k}": v for k, v in model.state_dict().items()
+            if ".lora_" in k}
+
+
 def load_adapter_checkpoint(model: Module, entries: dict) -> None:
     """Load a "lora."-prefixed adapter checkpoint into an adapted model."""
     params = model.parameters()
     for key, value in entries.items():
-        if not key.startswith("lora."):
+        if not key.startswith(_PREFIX):
             raise StateError(f"not an adapter entry: {key}")
-        name = key[len("lora."):]
+        name = key[len(_PREFIX):]
         if name not in params:
             raise KeyError(f"adapter parameter {name} not found in model")
         params[name].data = np.asarray(value, params[name].dtype).copy()

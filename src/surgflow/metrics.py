@@ -189,7 +189,6 @@ class MetricReport:
 
 def rasterize(timeline: "object", fps: float = 1.0) -> List[str]:
     """Sample a PhaseTimeline into a per-frame label list at `fps`."""
-    # local import to avoid a cycle with pipeline
     labels = []
     duration = timeline.duration
     n = int(round(duration * fps))

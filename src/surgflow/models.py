@@ -296,14 +296,16 @@ class Stage1Model(Module):
                           prompt_len: int) -> TextTokens:
         ids, pad = self.pad_batch(ids_list)
         tokens = self.text_encoder(ids, pad)
-        reserved = self._vocab.reserved_ids
-        maskable = ~pad & ~np.isin(ids, sorted(reserved))
-        maskable[:, :prompt_len] = False
-        return TextTokens(tokens, ids, pad, prompt_len, maskable)
+        return TextTokens(tokens, ids, pad, prompt_len,
+                          self.maskable(ids, pad, prompt_len))
 
-    def encode_text(self, ids: Sequence[int], prompt_ids: Sequence[int]) -> TextTokens:
-        full = list(prompt_ids) + list(ids)
-        return self.encode_text_batch([full], prompt_len=len(prompt_ids))
+    def maskable(self, ids: np.ndarray, pad: np.ndarray,
+                 prompt_len: int) -> np.ndarray:
+        """True where a token may be masked: not padding, not a reserved
+        id, and not in the leading prompt."""
+        flags = ~pad & ~np.isin(ids, sorted(self._vocab.reserved_ids))
+        flags[:, :prompt_len] = False
+        return flags
 
     def decode_multimodal(self, ids: np.ndarray, pad_mask: np.ndarray,
                           video: VideoTokens, causal: bool) -> tuple:

@@ -55,15 +55,14 @@ class Module:
         missing = set(params) - set(state)
         if missing:
             raise KeyError(f"missing parameters in state dict: {sorted(missing)[:5]}")
+        unexpected = set(state) - set(params)
+        if unexpected:
+            raise KeyError(f"unexpected keys in state dict: {sorted(unexpected)[:5]}")
         for name, p in params.items():
             arr = np.asarray(state[name], dtype=p.dtype)
             if arr.shape != p.shape:
                 raise ValueError(f"{name}: shape {arr.shape} != {p.shape}")
             p.data = arr.copy()
-
-    def freeze(self) -> None:
-        for p in self.parameters().values():
-            p.requires_grad = False
 
 
 class Linear(Module):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence
 
@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, InputError
+from .lora import adapter_checkpoint
 from .models import (CAPTION_PROMPT, MGA_PROMPT, Stage1Model, TextTokens,
                      VideoTokens)
 from .optim import AdamW, CosineWarmupSchedule, clip_global_norm
@@ -82,14 +83,6 @@ def similarity_matrix(e_t: Tensor, w_t: Tensor, text_pad: np.ndarray | None,
     video_best = ad.reduce_max(dots, axis=2)           # [B, B2, M]
     video_side = ad.reduce_sum(video_best * ad.reshape(w_v, (1, b2, m)), axis=2)
     return 0.5 * text_side + 0.5 * video_side
-
-
-def similarity(model: Stage1Model, text: TextTokens, video: VideoTokens) -> Tensor:
-    """Scalar fine-grained similarity for one (text, video) pair."""
-    e_t, w_t = model.head.pool_text(text)
-    e_v, w_v = model.head.pool_video(video)
-    s = similarity_matrix(e_t, w_t, text.pad_mask, e_v, w_v)
-    return ad.reshape(s, ())
 
 
 # -- losses ------------------------------------------------------------------
@@ -174,9 +167,7 @@ def valor_loss(model: Stage1Model, clips: Sequence[np.ndarray],
     cap_prompt = model.prompt_ids(CAPTION_PROMPT)
     seqs = [cap_prompt + list(ids) + [vocab.eos_id] for ids in caption_ids]
     ids, pad = model.pad_batch(seqs)
-    reserved = sorted(vocab.reserved_ids)
-    maskable = ~pad & ~np.isin(ids, reserved)
-    maskable[:, :len(cap_prompt)] = False
+    maskable = model.maskable(ids, pad, len(cap_prompt))
     if plans is None:
         plan_mgc = make_masking_plan(ids, maskable, vocab.mask_id, mgc_ratio, rng)
         plan_mlm = make_masking_plan(ids, maskable, vocab.mask_id, mlm_ratio, rng)
@@ -294,10 +285,8 @@ def pretrain(model: Stage1Model, manifest_path, clip_store: ClipStore,
                 done = True
                 break
 
-    state = model.state_dict()
-    if lora_only:
-        state = {f"lora.{k}": v for k, v in state.items() if ".lora_" in k}
-    write_checkpoint(checkpoint_path, state)
+    write_checkpoint(checkpoint_path, adapter_checkpoint(model) if lora_only
+                     else model.state_dict())
     with open(curve_path, "w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["step", "lr", "L_MGA", "L_MGC", "L_MLM", "L_total"])

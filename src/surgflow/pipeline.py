@@ -1,20 +1,27 @@
 """End-to-end orchestration: clip partitioning, feature extraction, two-stage
-segmentation, zero-shot phase prediction, dense captioning, and PCA export."""
+segmentation, zero-shot phase prediction, dense captioning, PCA export, the
+stage-1 and temporal model bundles, and the training-subset ablation."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError
-from .models import MGA_PROMPT, CAPTION_PROMPT, Stage1Model
+from . import lora as lora_mod
+from .errors import ConfigError, InputError, StateError
+from .metrics import MetricReport, evaluate_timelines
+from .models import MGA_PROMPT, CAPTION_PROMPT, ModelConfig, Stage1Model
 from .objectives import similarity_matrix
 from .rng import SessionRng
-from .temporal import FeatureSequence
+from .serialization import read_checkpoint, read_features, write_checkpoint
+from .temporal import (FeatureSequence, TemporalConfig, TrainTemporalConfig,
+                       build_temporal_model, train_temporal)
+from .vocab import Vocabulary
 
 
 @dataclass(frozen=True)
@@ -275,3 +282,146 @@ def write_json(path, payload: dict) -> None:
 def read_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+# -- model bundles ------------------------------------------------------------
+
+
+def save_stage1_bundle(out, model: Stage1Model) -> None:
+    """Write vocab.txt, model.json and stage1.wlcp into directory `out`."""
+    out = Path(out)
+    model.vocab.save(out / "vocab.txt")
+    cfg = asdict(model.cfg)
+    cfg["feature_dim"] = model.bridge.proj.d_out
+    (out / "model.json").write_text(json.dumps(cfg, indent=2))
+    write_checkpoint(out / "stage1.wlcp", model.state_dict())
+
+
+def save_lora_bundle(out, model: Stage1Model, stage1) -> None:
+    """Write lora.json and lora.wlcp for the adapters attached to `model`,
+    which was loaded from the stage-1 bundle `stage1`."""
+    out = Path(out)
+    adapters = lora_mod.iter_adapters(model)
+    if not adapters:
+        raise StateError("no adapters attached")
+    (out / "lora.json").write_text(json.dumps(
+        {"rank": adapters[0].rank, "alpha": adapters[0].alpha,
+         "stage1": str(stage1)}, indent=2))
+    write_checkpoint(out / "lora.wlcp", lora_mod.adapter_checkpoint(model))
+
+
+def load_stage1_bundle(stage1, lora=None) -> Stage1Model:
+    """Rebuild the model of a stage-1 bundle, with the adapters of the LoRA
+    bundle `lora` attached when one is given."""
+    stage1 = Path(stage1)
+    vocab = Vocabulary.load(stage1 / "vocab.txt")
+    cfg = read_json(stage1 / "model.json")
+    feature_dim = cfg.pop("feature_dim")
+    cfg.pop("vocab_size", None)
+    model = Stage1Model(ModelConfig(**cfg), vocab, SessionRng(0), feature_dim)
+    model.load_state_dict(read_checkpoint(stage1 / "stage1.wlcp"))
+    if lora is not None:
+        lora = Path(lora)
+        spec = read_json(lora / "lora.json")
+        lora_mod.attach(model, r=spec["rank"], alpha=spec["alpha"])
+        lora_mod.load_adapter_checkpoint(
+            model, read_checkpoint(lora / "lora.wlcp"))
+    return model
+
+
+def save_temporal_bundle(out, model, classes: Sequence[str]) -> None:
+    """Write temporal.json and temporal.wlcp into directory `out`."""
+    out = Path(out)
+    write_checkpoint(out / "temporal.wlcp", model.state_dict())
+    (out / "temporal.json").write_text(json.dumps(
+        {"variant": model.variant, "classes": list(classes),
+         "config": asdict(model.cfg)}, indent=2))
+
+
+def load_temporal_bundle(temporal) -> tuple:
+    """Rebuild (model, class names) from a temporal bundle directory."""
+    temporal = Path(temporal)
+    spec = read_json(temporal / "temporal.json")
+    cfg = TemporalConfig(**spec["config"])
+    model = build_temporal_model(spec["variant"], cfg, SessionRng(0))
+    model.load_state_dict(read_checkpoint(temporal / "temporal.wlcp"))
+    return model, spec["classes"]
+
+
+# -- stage-2 datasets and the subset ablation ---------------------------------
+
+
+def labels_for(timeline: PhaseTimeline, classes: Sequence[str], length: int,
+               idle_label: str = "idle") -> np.ndarray:
+    """Class index of each second's midpoint, gaps filled with idle."""
+    filled = timeline.fill_gaps(idle_label)
+    return np.array([classes.index(filled.label_at(min(i + 0.5,
+                                                       filled.duration - 1e-6)))
+                     for i in range(length)])
+
+
+def dataset_from_dirs(features_dir, corpus, classes: Sequence[str],
+                      video_ids) -> list:
+    """(FeatureSequence, labels) pairs from feature files and a corpus's
+    ground-truth timelines."""
+    dataset = []
+    for vid in video_ids:
+        feats = read_features(Path(features_dir) / f"{vid}.wlft")
+        gt = PhaseTimeline.from_dict(
+            read_json(Path(corpus) / "timelines" / f"{vid}.json"))
+        labels = labels_for(gt, classes, feats.shape[0])
+        dataset.append((FeatureSequence(feats, vid), labels))
+    return dataset
+
+
+def evaluate_split(model, features_dir, corpus, classes: Sequence[str],
+                   video_ids) -> MetricReport:
+    """Score a temporal model's final stage on the given corpus videos."""
+    pred = {}
+    gt = {}
+    for vid in video_ids:
+        feats = read_features(Path(features_dir) / f"{vid}.wlft")
+        final = model(FeatureSequence(feats, vid))[-1]
+        labels = [classes[k] for k in final.labels]
+        pred[vid] = merge_labels(labels, 1.0)
+        gt[vid] = PhaseTimeline.from_dict(
+            read_json(Path(corpus) / "timelines" / f"{vid}.json")
+        ).fill_gaps("idle")
+    return evaluate_timelines(pred, gt, fps=1.0)
+
+
+def fit_temporal(dataset: list, num_classes: int, variant: str, epochs: int,
+                 seed: int) -> tuple:
+    """Train a seeded temporal model sized to `dataset`; returns the model
+    and its per-epoch loss curve."""
+    cfg = TemporalConfig(num_classes=num_classes,
+                         feature_dim=dataset[0][0].features.shape[1])
+    model = build_temporal_model(variant, cfg, SessionRng(seed))
+    curve = train_temporal(model, dataset,
+                           TrainTemporalConfig(epochs=epochs, seed=seed))
+    return model, curve
+
+
+ABLATION_METRICS = ("accuracy", "edit", "overlap_f1@0.50", "acc_micro")
+
+
+def ablate_subset(features_dir, corpus, classes, train_ids, test_ids,
+                  fractions, variant: str, epochs: int, seed: int) -> list:
+    """Train on seeded nested subsets of the training videos and evaluate
+    each model on the fixed held-out split."""
+    if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
+        raise ConfigError("fractions must lie in (0, 1]")
+    order = SessionRng(seed).permutation(len(train_ids))
+    rows = []
+    for fraction in fractions:
+        count = int(round(fraction * len(train_ids)))
+        if count < 1:
+            raise ConfigError(f"fraction {fraction} selects zero videos")
+        chosen = [train_ids[i] for i in sorted(order[:count])]
+        dataset = dataset_from_dirs(features_dir, corpus, classes, chosen)
+        model, _ = fit_temporal(dataset, len(classes), variant, epochs, seed)
+        report = evaluate_split(model, features_dir, corpus, classes,
+                                test_ids)
+        rows.append({"fraction": fraction, "videos": count,
+                     **{k: report.aggregate[k] for k in ABLATION_METRICS}})
+    return rows

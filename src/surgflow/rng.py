@@ -35,6 +35,3 @@ class SessionRng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._rng.permutation(n)
-
-    def shuffle(self, seq: list) -> None:
-        self._rng.shuffle(seq)

@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, InputError
-from .nn import Linear, Module, MultiHeadAttention
+from .nn import Module, MultiHeadAttention
 from .optim import AdamW, CosineWarmupSchedule, clip_global_norm
 from .rng import SessionRng
 
@@ -252,30 +252,42 @@ def soft_dice(logits: Tensor, labels: np.ndarray, eps: float = 1e-6) -> Tensor:
     return ad.reduce_mean(dice)
 
 
-def smoothing_penalty(logits: Tensor, clamp: float) -> Tensor:
-    """Truncated MSE between consecutive frame log-probabilities."""
+def smoothing_penalty(logits: Tensor, clamp: float,
+                      prev: np.ndarray | None = None) -> Tensor:
+    """Truncated MSE between consecutive frame log-probabilities.
+
+    The previous frame is detached, as in the cited formulation; `prev`
+    fixes its log-probabilities instead of taking them from `logits`.
+    """
     logp = ad.log_softmax(logits, axis=1)
-    prev = Tensor(logp.data[:-1])  # detached, as in the cited formulation
-    diff = logp[1:] - prev
+    if prev is None:
+        prev = logp.data[:-1]
+    diff = logp[1:] - Tensor(prev)
     sq = diff * diff
     capped = clamp - ad.relu(clamp - sq)
     return ad.reduce_mean(capped)
 
 
 def stage2_loss(outputs: Sequence[Tensor], labels: np.ndarray, variant: str,
-                cfg: TemporalConfig | None = None) -> Tensor:
+                cfg: TemporalConfig | None = None,
+                prev: Sequence[np.ndarray] | None = None) -> Tensor:
     """TCN: summed frame-wise CE plus truncated-MSE smoothing.
-    ASFormer: summed equally weighted CE and soft dice."""
+    ASFormer: summed equally weighted CE and soft dice.
+
+    `prev` holds one fixed previous-frame log-probability array per stage
+    for the TCN smoothing term (see smoothing_penalty).
+    """
     cfg = cfg or TemporalConfig()
     labels = np.asarray(labels)
+    prev = [None] * len(outputs) if prev is None else prev
     total = None
-    for logits in outputs:
+    for logits, stage_prev in zip(outputs, prev, strict=True):
         if logits.shape[0] != len(labels):
             raise InputError("prediction/label length mismatch")
         ce = ad.cross_entropy(logits, labels)
         if variant == "tcn":
             term = ce + cfg.smoothing_weight * smoothing_penalty(
-                logits, cfg.smoothing_clamp)
+                logits, cfg.smoothing_clamp, stage_prev)
         elif variant == "asformer":
             term = 0.5 * ce + 0.5 * soft_dice(logits, labels)
         else:

@@ -25,7 +25,7 @@ from surgflow import lora
 from surgflow import pipeline as pl
 from surgflow import synthetic as syn
 from surgflow.autodiff import Tensor
-from surgflow.cli import ablate_subset
+from surgflow.pipeline import ablate_subset
 from surgflow.corpus import TextBox, crop_search
 from surgflow.diagnostics import gradient_suite
 from surgflow.metrics import (edit_score, evaluate_timelines, frame_accuracy,

@@ -2,13 +2,16 @@
 small end-to-end artifact chain."""
 
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from surgflow.cli import main
-from surgflow.serialization import read_features, write_frame_grid
+from surgflow.serialization import (read_checkpoint, read_features,
+                                    write_checkpoint, write_frame_grid)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +103,98 @@ class TestRunManifests:
         assert (tmp_path / "clips.json.run.json").exists()
         clips = json.loads(out.read_text())
         assert [c["text"] for c in clips] == ["a sentence."]
+
+
+VIDEO = "{ws}/corpus/videos/video_000.wlfg"
+
+# Every command with --out: (seed recorded in its manifest, arguments).
+OUT_COMMANDS = {
+    "gen-synth": (3, ["--videos", "1", "--seed", "3"]),
+    "filter": (2, ["--video", VIDEO, "--min-size", "8", "--seed", "2"]),
+    "split-clips": (0, ["--words", "{ws}/inputs/words.json"]),
+    "project-labels": (0, ["--records", "{ws}/inputs/records.jsonl",
+                           "--template", "triplet"]),
+    "pretrain": (4, ["--corpus", "{ws}/corpus", "--epochs", "1",
+                     "--max-steps", "1", "--batch-size", "2", "--seed", "4"]),
+    "finetune-lora": (5, ["--corpus", "{ws}/corpus", "--stage1",
+                          "{ws}/stage1", "--rank", "2", "--epochs", "1",
+                          "--max-steps", "1", "--batch-size", "2",
+                          "--seed", "5"]),
+    "extract-features": (0, ["--corpus", "{ws}/corpus", "--stage1",
+                             "{ws}/stage1"]),
+    "train-temporal": (6, ["--features", "{ws}/features", "--corpus",
+                           "{ws}/corpus", "--epochs", "1", "--seed", "6"]),
+    "segment": (0, ["--video", VIDEO, "--stage1", "{ws}/stage1",
+                    "--temporal", "{ws}/tcn"]),
+    "zeroshot": (0, ["--video", VIDEO, "--stage1", "{ws}/stage1",
+                     "--prototypes", "{ws}/inputs/protos.json"]),
+    "caption": (0, ["--video", VIDEO, "--stage1", "{ws}/stage1",
+                    "--temporal", "{ws}/tcn"]),
+    "ablate-subset": (7, ["--features", "{ws}/features", "--corpus",
+                          "{ws}/corpus", "--train", "video_000", "--test",
+                          "video_001", "--fractions", "1.0", "--epochs", "1",
+                          "--seed", "7"]),
+    "pca-plot": (8, ["--features", "{ws}/features", "--seed", "8"]),
+}
+
+
+@pytest.fixture(scope="module")
+def out_inputs(workspace):
+    """Input files for the commands that do not read the pipeline chain."""
+    inputs = workspace / "inputs"
+    inputs.mkdir(exist_ok=True)
+    (inputs / "words.json").write_text(json.dumps(
+        [{"text": "a", "start_s": 0.0, "end_s": 1.0},
+         {"text": "sentence.", "start_s": 1.0, "end_s": 3.0}]))
+    (inputs / "records.jsonl").write_text(json.dumps(
+        {"tools": ["grasper"], "verb": "retract",
+         "target": "gallbladder"}) + "\n")
+    meta = json.loads((workspace / "corpus" / "meta.json").read_text())
+    (inputs / "protos.json").write_text(json.dumps(meta["prototypes"]))
+    return workspace
+
+
+def _snapshot(path):
+    if path.is_dir():
+        return {p.relative_to(path): p.read_bytes()
+                for p in sorted(path.rglob("*")) if p.is_file()}
+    return path.read_bytes()
+
+
+class TestRunWrapper:
+    def test_every_out_command_is_covered(self):
+        with_out = {name for name, cmd in main.commands.items()
+                    if any(p.name == "out" for p in cmd.params)}
+        assert set(OUT_COMMANDS) == with_out
+        with_force = {name for name, cmd in main.commands.items()
+                      if any(p.name == "force" for p in cmd.params)}
+        assert with_force == with_out | {"evaluate"}
+
+    @pytest.mark.parametrize("name", sorted(OUT_COMMANDS))
+    def test_manifest_and_overwrite_refusal(self, runner, out_inputs,
+                                            tmp_path, name):
+        seed, template = OUT_COMMANDS[name]
+        out = tmp_path / ("result" if name in {
+            "gen-synth", "pretrain", "finetune-lora", "extract-features",
+            "train-temporal"} else "result.out")
+        args = [name] + [a.format(ws=out_inputs) for a in template] \
+            + ["--out", str(out)]
+        first = runner.invoke(main, args)
+        assert first.exit_code == 0, first.output
+        manifest_path = (out / "run_manifest.json" if out.is_dir()
+                         else tmp_path / "result.out.run.json")
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["command"] == name
+        assert manifest["seed"] == seed
+        assert re.fullmatch(r"[0-9a-f]{64}", manifest["config_hash"])
+        assert "force" not in manifest["config"]
+        assert manifest["config"]["out"] == str(out)
+
+        before = _snapshot(out)
+        second = runner.invoke(main, args)
+        assert second.exit_code == 2
+        assert "--force" in second.output
+        assert _snapshot(out) == before
 
 
 class TestCorpusCommands:
@@ -227,3 +322,19 @@ class TestPipelineChain:
         assert out.read_text().startswith("<svg")
         header = coords.read_text().splitlines()[0]
         assert header == "video,pc1,pc2"
+        assert "explained variance ratios" in result.output
+
+    def test_segment_rejects_checkpoint_with_extra_key(self, runner,
+                                                       workspace, tmp_path):
+        stage1 = tmp_path / "stage1"
+        shutil.copytree(workspace / "stage1", stage1)
+        state = read_checkpoint(stage1 / "stage1.wlcp")
+        state["extra.weight"] = np.zeros(3, np.float32)
+        write_checkpoint(stage1 / "stage1.wlcp", state)
+        result = runner.invoke(main, [
+            "segment", "--video",
+            str(workspace / "corpus" / "videos" / "video_000.wlfg"),
+            "--stage1", str(stage1), "--temporal", str(workspace / "tcn"),
+            "--out", str(tmp_path / "pred.json")])
+        assert result.exit_code == 1
+        assert "extra.weight" in result.output

@@ -1,17 +1,23 @@
 """Pipeline orchestration: clip partitioning, timelines, feature extraction,
-zero-shot prediction, dense captioning, and the PCA export."""
+zero-shot prediction, dense captioning, the PCA export, and model bundles."""
 
 import numpy as np
 import pytest
 
 from conftest import make_tiny_model
-from surgflow.errors import ConfigError, InputError
+from surgflow import lora
+from surgflow.errors import ConfigError, InputError, StateError
 from surgflow.pipeline import (Caption, PhaseTimeline, Segment,
                                captions_to_dict, dense_caption,
-                               extract_features, merge_labels, partition,
-                               pca_export, read_json, write_json, zero_shot)
+                               extract_features, load_stage1_bundle,
+                               load_temporal_bundle, merge_labels, partition,
+                               pca_export, read_json, save_lora_bundle,
+                               save_stage1_bundle, save_temporal_bundle,
+                               write_json, zero_shot)
 from surgflow.rng import SessionRng
-from surgflow.temporal import FramePrediction
+from surgflow.serialization import read_checkpoint, write_checkpoint
+from surgflow.temporal import (FramePrediction, TemporalConfig,
+                               build_temporal_model)
 
 
 class TestPartition:
@@ -229,3 +235,62 @@ class TestPca:
     def test_too_few_rows(self):
         with pytest.raises(InputError):
             pca_export(np.zeros((1, 3)))
+
+
+def _assert_same_state(a, b):
+    sa, sb = a.state_dict(), b.state_dict()
+    assert list(sa) == list(sb)
+    for name in sa:
+        assert sa[name].dtype == sb[name].dtype, name
+        np.testing.assert_array_equal(sa[name], sb[name], err_msg=name)
+
+
+class TestBundles:
+    def test_stage1_round_trip(self, tmp_path):
+        model = make_tiny_model(seed=3)
+        save_stage1_bundle(tmp_path, model)
+        loaded = load_stage1_bundle(tmp_path)
+        _assert_same_state(model, loaded)
+        assert loaded.vocab.encode("a blue probe") == \
+            model.vocab.encode("a blue probe")
+        assert loaded.bridge.proj.d_out == model.bridge.proj.d_out
+
+    def test_stage1_round_trip_with_lora(self, tmp_path):
+        stage1, adapters = tmp_path / "stage1", tmp_path / "lora"
+        stage1.mkdir()
+        adapters.mkdir()
+        model = make_tiny_model(seed=4)
+        save_stage1_bundle(stage1, model)
+        lora.attach(model, r=2, alpha=3.0, seed=1)
+        for a in lora.iter_adapters(model):
+            a.lora_b.data = SessionRng(5).normal(0.3, a.lora_b.shape)
+        save_lora_bundle(adapters, model, stage1)
+        loaded = load_stage1_bundle(stage1, adapters)
+        _assert_same_state(model, loaded)
+        assert [(a.rank, a.alpha) for a in lora.iter_adapters(loaded)] == \
+            [(2, 3.0)] * len(lora.iter_adapters(model))
+
+    def test_lora_bundle_needs_adapters(self, tmp_path):
+        with pytest.raises(StateError, match="no adapters"):
+            save_lora_bundle(tmp_path, make_tiny_model(), tmp_path)
+
+    def test_stage1_checkpoint_with_extra_key_rejected(self, tmp_path):
+        save_stage1_bundle(tmp_path, make_tiny_model())
+        state = read_checkpoint(tmp_path / "stage1.wlcp")
+        state["extra"] = np.zeros(2, np.float32)
+        write_checkpoint(tmp_path / "stage1.wlcp", state)
+        with pytest.raises(KeyError, match="unexpected"):
+            load_stage1_bundle(tmp_path)
+
+    @pytest.mark.parametrize("variant", ["tcn", "asformer"])
+    def test_temporal_round_trip(self, tmp_path, variant):
+        cfg = TemporalConfig(num_classes=3, feature_dim=4, hidden=4,
+                             tcn_layers=2, tcn_refinements=1,
+                             asf_encoder_layers=2, asf_decoder_layers=1)
+        model = build_temporal_model(variant, cfg, SessionRng(6))
+        classes = ["idle", "dissect", "clip"]
+        save_temporal_bundle(tmp_path, model, classes)
+        loaded, loaded_classes = load_temporal_bundle(tmp_path)
+        assert loaded_classes == classes
+        assert loaded.variant == variant and loaded.cfg == cfg
+        _assert_same_state(model, loaded)

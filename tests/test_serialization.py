@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surgflow.errors import InputError
+from surgflow.nn import Linear
 from surgflow.rng import SessionRng
 from surgflow.serialization import (read_checkpoint, read_features,
                                     read_frame_grid, write_checkpoint,
@@ -54,6 +55,35 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(InputError):
             read_checkpoint(path)
+
+
+class TestLoadStateDict:
+    def layer(self):
+        return Linear(3, 2, SessionRng(1))
+
+    def test_round_trip(self):
+        src = self.layer()
+        dst = Linear(3, 2, SessionRng(2))
+        dst.load_state_dict(src.state_dict())
+        np.testing.assert_array_equal(dst.weight.data, src.weight.data)
+
+    def test_missing_key_rejected(self):
+        state = self.layer().state_dict()
+        del state["bias"]
+        with pytest.raises(KeyError, match=r"missing.*'bias'"):
+            self.layer().load_state_dict(state)
+
+    def test_unexpected_key_rejected(self):
+        state = self.layer().state_dict()
+        state["extra"] = np.zeros(2, np.float32)
+        with pytest.raises(KeyError, match=r"unexpected.*'extra'"):
+            self.layer().load_state_dict(state)
+
+    def test_shape_mismatch_rejected(self):
+        state = self.layer().state_dict()
+        state["weight"] = np.zeros((2, 3), np.float32)
+        with pytest.raises(ValueError, match="weight"):
+            self.layer().load_state_dict(state)
 
 
 class TestFeatures:

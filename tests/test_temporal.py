@@ -122,6 +122,24 @@ class TestLosses:
                    for o in outputs)
         assert got == pytest.approx(want, abs=1e-5)
 
+    def test_fixed_prev_frames(self):
+        rng = SessionRng(12)
+        outputs = [Tensor(rng.normal(1.0, (5, 3)), requires_grad=True)
+                   for _ in range(2)]
+        labels = np.array([0, 1, 2, 1, 0])
+        own = [ad.log_softmax(o, axis=1).data[:-1] for o in outputs]
+        assert stage2_loss(outputs, labels, "tcn", TOY, prev=own).item() == \
+            stage2_loss(outputs, labels, "tcn", TOY).item()
+        # A fixed previous frame replaces the detached one of the logits.
+        shifted = [p + 1.0 for p in own]
+        for o, p in zip(outputs, shifted):
+            diff = ad.log_softmax(o, axis=1).data[1:] - p
+            want = np.minimum(diff * diff, TOY.smoothing_clamp).mean()
+            assert smoothing_penalty(o, TOY.smoothing_clamp, p).item() == \
+                pytest.approx(want, rel=1e-6)
+        with pytest.raises(ValueError):
+            stage2_loss(outputs, labels, "tcn", TOY, prev=own[:1])
+
     def test_asformer_loss_composition(self):
         rng = SessionRng(11)
         outputs = [Tensor(rng.normal(1.0, (5, 3))) for _ in range(2)]
