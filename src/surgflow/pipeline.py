@@ -288,18 +288,19 @@ def read_json(path) -> dict:
 
 
 def save_stage1_bundle(out, model: Stage1Model) -> None:
-    """Write vocab.txt, model.json and stage1.wlcp into directory `out`."""
+    """Write vocab.txt and model.json into directory `out`; the weights,
+    stage1.wlcp, are the checkpoint objectives.pretrain writes."""
     out = Path(out)
     model.vocab.save(out / "vocab.txt")
     cfg = asdict(model.cfg)
     cfg["feature_dim"] = model.bridge.proj.d_out
     (out / "model.json").write_text(json.dumps(cfg, indent=2))
-    write_checkpoint(out / "stage1.wlcp", model.state_dict())
 
 
 def save_lora_bundle(out, model: Stage1Model, stage1) -> None:
-    """Write lora.json and lora.wlcp for the adapters attached to `model`,
-    which was loaded from the stage-1 bundle `stage1`."""
+    """Write lora.json for the adapters attached to `model`, which was loaded
+    from the stage-1 bundle `stage1`; the adapter weights, lora.wlcp, are the
+    checkpoint objectives.pretrain writes with lora_only=True."""
     out = Path(out)
     adapters = lora_mod.iter_adapters(model)
     if not adapters:
@@ -307,7 +308,6 @@ def save_lora_bundle(out, model: Stage1Model, stage1) -> None:
     (out / "lora.json").write_text(json.dumps(
         {"rank": adapters[0].rank, "alpha": adapters[0].alpha,
          "stage1": str(stage1)}, indent=2))
-    write_checkpoint(out / "lora.wlcp", lora_mod.adapter_checkpoint(model))
 
 
 def load_stage1_bundle(stage1, lora=None) -> Stage1Model:

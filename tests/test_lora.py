@@ -156,8 +156,12 @@ class TestCheckpointing:
             a.lora_b.data = rng.normal(0.3, a.lora_b.shape)
         x = Tensor(rng.normal(1.0, (1, 4, 8)))
         trained_out = host(x).data.copy()
-        entries = lora.adapter_checkpoint(host)
-        assert entries and all(k.startswith("lora.") for k in entries)
+        entries = {f"lora.{k}": v for k, v in host.state_dict().items()
+                   if ".lora_" in k}
+        written = lora.adapter_checkpoint(host)
+        assert list(written) == list(entries)
+        for k in entries:
+            np.testing.assert_array_equal(written[k], entries[k])
 
         fresh = Host(8, 2, 2, SessionRng(9))
         lora.attach(fresh, r=3, seed=99)
