@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import DimensionError, InputError, NumericError
+from .errors import ConfigError, DimensionError, InputError, NumericError
 
 DEFAULT_DTYPE = np.float32
 
@@ -181,8 +181,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     g = _unbroadcast(g, t.shape)
     if t.grad is None:
         t.grad = g.astype(t.dtype, copy=True)
+    elif g.dtype == t.grad.dtype:
+        t.grad = t.grad + g
     else:
-        t.grad = t.grad + g.astype(t.dtype)
+        t.grad = t.grad + g.astype(t.grad.dtype)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
@@ -366,13 +368,25 @@ def pad(a: Tensor, pad_width) -> Tensor:
     return out
 
 
+def _is_basic(index) -> bool:
+    """True for a slice, an int, or a tuple of those: such an index selects
+    each element at most once."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(i, slice) or
+               (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+               for i in parts)
+
+
 def getitem(a: Tensor, index) -> Tensor:
     a = _wrap(a)
     out = _node(a.data[index], (a,))
     if out.requires_grad:
         def bwd(g, a=a, index=index):
             full = np.zeros_like(a.data)
-            np.add.at(full, index, g)
+            if _is_basic(index):
+                full[index] = g
+            else:  # integer arrays may repeat an index: accumulate
+                np.add.at(full, index, g)
             _accum(a, full)
         out._backward = bwd
     return out
@@ -493,26 +507,48 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
            dilation: int = 1) -> Tensor:
-    """Same-padded dilated 1-D convolution.
+    """Same-padded dilated 1-D convolution, recorded as one tape node.
 
     x: [T, C_in]; kernel: [k, C_in, C_out] with odd k.  Output [T, C_out]
-    has the same length as the input (zero padding).
+    has the same length as the input (zero padding).  The forward pass is
+    one matmul of the [T, k*C_in] tap matrix with the flattened kernel; the
+    backward pass gives the kernel, bias and input gradients in closed form.
     """
-    from .errors import ConfigError
     k = kernel.shape[0]
     if k % 2 == 0:
         raise ConfigError("conv1d kernel length must be odd")
     if x.ndim != 2 or kernel.ndim != 3 or x.shape[1] != kernel.shape[1]:
         raise DimensionError(f"conv1d shape mismatch: {x.shape} vs {kernel.shape}")
+    t, c_in = x.shape
     half = (k // 2) * dilation
-    xp = pad(x, ((half, half), (0, 0)))
-    t = x.shape[0]
-    taps = [getitem(xp, slice(i * dilation, i * dilation + t)) for i in range(k)]
-    stacked = concat(taps, axis=1)  # [T, k*C_in]
-    w = reshape(kernel, (k * kernel.shape[1], kernel.shape[2]))
-    out = matmul(stacked, w)
+    if k == 1:
+        taps = x.data
+    else:
+        xp = np.pad(x.data, ((half, half), (0, 0)))
+        taps = np.concatenate(
+            [xp[i * dilation:i * dilation + t] for i in range(k)], axis=1)
+    w = kernel.data.reshape(k * c_in, kernel.shape[2])
+    val = taps @ w
     if bias is not None:
-        out = out + bias
+        val = val + bias.data
+    out = _node(val, (x, kernel) if bias is None else (x, kernel, bias))
+    if out.requires_grad:
+        def bwd(g, x=x, kernel=kernel, bias=bias):
+            if kernel.requires_grad:
+                _accum(kernel, (taps.T @ g).reshape(kernel.shape))
+            if bias is not None and bias.requires_grad:
+                _accum(bias, g)
+            if x.requires_grad:
+                g_taps = g @ w.T  # [T, k*C_in]
+                if k == 1:
+                    _accum(x, g_taps)
+                    return
+                full = np.zeros((t + 2 * half, c_in), g_taps.dtype)
+                for i in range(k):
+                    lo = i * dilation
+                    full[lo:lo + t] += g_taps[:, i * c_in:(i + 1) * c_in]
+                _accum(x, full[half:half + t])
+        out._backward = bwd
     return out
 
 

@@ -18,7 +18,8 @@ from .errors import ConfigError, InputError
 from .lora import adapter_checkpoint
 from .models import (CAPTION_PROMPT, MGA_PROMPT, Stage1Model, TextTokens,
                      VideoTokens)
-from .optim import AdamW, CosineWarmupSchedule, clip_global_norm
+from .optim import (AdamW, CosineWarmupSchedule, check_finite_step,
+                    clip_global_norm)
 from .rng import SessionRng
 from .serialization import read_frame_grid, write_checkpoint
 
@@ -232,7 +233,9 @@ def pretrain(model: Stage1Model, manifest_path, clip_store: ClipStore,
     """Train stage-1 on a clip manifest; writes checkpoint + loss-curve CSV.
 
     With lora_only=True only adapter parameters are updated (the caller is
-    responsible for having attached and frozen appropriately).
+    responsible for having attached and frozen appropriately).  Raises
+    NumericError naming the step when the loss or the pre-clip gradient norm
+    is not finite.
     """
     records = load_manifest(manifest_path)
     if not records:
@@ -269,7 +272,8 @@ def pretrain(model: Stage1Model, manifest_path, clip_store: ClipStore,
             report = valor_loss(model, clips, ids, rng,
                                 mgc_ratio=cfg.mgc_ratio, mlm_ratio=cfg.mlm_ratio)
             report.total.backward()
-            clip_global_norm(params, cfg.clip_norm)
+            check_finite_step(step, float(report.total.data),
+                              clip_global_norm(params, cfg.clip_norm))
             opt.lr = schedule.lr(step) if schedule else cfg.lr_max
             opt.step()
             rows.append({

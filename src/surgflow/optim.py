@@ -8,7 +8,7 @@ from typing import Dict
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 
 def clip_global_norm(params: Dict[str, Tensor], max_norm: float = 5.0) -> float:
@@ -27,6 +27,14 @@ def clip_global_norm(params: Dict[str, Tensor], max_norm: float = 5.0) -> float:
             if p.grad is not None:
                 p.grad = p.grad * np.asarray(scale, dtype=p.grad.dtype)
     return norm
+
+
+def check_finite_step(step: int, loss: float, grad_norm: float) -> None:
+    """Stop a training loop before it updates weights from a non-finite
+    loss or pre-clip gradient norm."""
+    if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+        raise NumericError(f"step {step}: non-finite loss ({loss}) or "
+                           f"gradient norm ({grad_norm})")
 
 
 class CosineWarmupSchedule:

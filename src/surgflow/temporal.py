@@ -14,7 +14,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, InputError
 from .nn import Module, MultiHeadAttention
-from .optim import AdamW, CosineWarmupSchedule, clip_global_norm
+from .optim import (AdamW, CosineWarmupSchedule, check_finite_step,
+                    clip_global_norm)
 from .rng import SessionRng
 
 
@@ -118,13 +119,31 @@ class RefinementStage(Module):
         return self.conv_out(f)
 
 
-class MSTCN(Module):
+class TemporalModel(Module):
+    """A stage-2 model: per-stage frame logits over a [L, D] feature table.
+
+    Subclasses set `variant` (the stage2_loss variant) and define `forward`.
+    """
+
+    variant: str
+
+    def __init__(self, cfg: TemporalConfig):
+        self.cfg = cfg
+
+    def forward(self, features: np.ndarray) -> List[Tensor]:
+        raise NotImplementedError
+
+    def __call__(self, seq: FeatureSequence) -> List[FramePrediction]:
+        return [FramePrediction(t.data.copy()) for t in self.forward(seq.features)]
+
+
+class MSTCN(TemporalModel):
     """Prediction stage plus refinement stages consuming previous softmax."""
 
     variant = "tcn"
 
     def __init__(self, cfg: TemporalConfig, rng: SessionRng):
-        self.cfg = cfg
+        super().__init__(cfg)
         self.prediction = PredictionStage(cfg, rng)
         self.refinements = [RefinementStage(cfg, rng)
                             for _ in range(cfg.tcn_refinements)]
@@ -137,9 +156,6 @@ class MSTCN(Module):
             out = stage(ad.softmax(out, axis=1))
             outputs.append(out)
         return outputs
-
-    def __call__(self, seq: FeatureSequence) -> List[FramePrediction]:
-        return [FramePrediction(t.data.copy()) for t in self.forward(seq.features)]
 
 
 class WindowedSelfAttention(Module):
@@ -191,13 +207,13 @@ class AsfDecoderLayer(Module):
         return x + ad.reshape(self.attn(q, kv), (t, c))
 
 
-class ASFormer(Module):
+class ASFormer(TemporalModel):
     """Encoder-decoder temporal transformer with dilated convolutions."""
 
     variant = "asformer"
 
     def __init__(self, cfg: TemporalConfig, rng: SessionRng):
-        self.cfg = cfg
+        super().__init__(cfg)
         self.embed = Conv1d(1, cfg.feature_dim, cfg.hidden, 1, rng)
         self.encoder = [AsfEncoderLayer(cfg, i, rng)
                         for i in range(cfg.asf_encoder_layers)]
@@ -222,12 +238,9 @@ class ASFormer(Module):
             outputs.append(out)
         return outputs
 
-    def __call__(self, seq: FeatureSequence) -> List[FramePrediction]:
-        return [FramePrediction(t.data.copy()) for t in self.forward(seq.features)]
-
 
 def build_temporal_model(variant: str, cfg: TemporalConfig,
-                         rng: SessionRng) -> Module:
+                         rng: SessionRng) -> TemporalModel:
     if variant == "tcn":
         return MSTCN(cfg, rng)
     if variant == "asformer":
@@ -309,11 +322,12 @@ class TrainTemporalConfig:
     seed: int = 0
 
 
-def train_temporal(model: Module, dataset: Sequence[tuple],
+def train_temporal(model: TemporalModel, dataset: Sequence[tuple],
                    cfg: TrainTemporalConfig) -> List[float]:
     """Train on (FeatureSequence, labels) pairs, one full video per batch.
 
-    Returns the per-epoch mean loss curve.
+    Returns the per-epoch mean loss curve.  Raises NumericError naming the
+    step when the loss or the pre-clip gradient norm is not finite.
     """
     if not dataset:
         raise ConfigError("empty training dataset")
@@ -344,7 +358,8 @@ def train_temporal(model: Module, dataset: Sequence[tuple],
             outputs = model.forward(seq.features)
             loss = stage2_loss(outputs, labels, model.variant, model.cfg)
             loss.backward()
-            clip_global_norm(params, cfg.clip_norm)
+            check_finite_step(step, float(loss.data),
+                              clip_global_norm(params, cfg.clip_norm))
             opt.lr = schedule.lr(step) if schedule else cfg.lr_max
             opt.step()
             epoch_losses.append(float(loss.data))

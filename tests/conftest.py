@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from surgflow.models import (CAPTION_PROMPT, MGA_PROMPT, ModelConfig,
                              Stage1Model)
 from surgflow.rng import SessionRng
 from surgflow.vocab import Vocabulary
+
+# Property tests draw the same examples on every run, and have no deadline
+# because interpreter speed varies between runs on a shared machine.
+settings.register_profile("surgflow", derandomize=True, deadline=None,
+                          database=None, max_examples=200)
+settings.load_profile("surgflow")
 
 TINY_TEXTS = [
     "a small red square moves",

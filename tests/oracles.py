@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from surgflow.autodiff import (Tensor, concat, getitem, matmul, pad,
+                               reshape)
+from surgflow.errors import ConfigError, DimensionError
+
 
 def max_empty_rect_area(width, height, boxes):
     """Exhaustive maximal empty rectangle via coordinate compression.
@@ -43,3 +47,25 @@ def brute_similarity(e_t, w_t, e_v, w_v):
             best = max(best, float(e_v[j] @ e_t[i]))
         v2t += w_v[j] * best
     return 0.5 * (t2v + v2t)
+
+
+def unfused_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
+                   dilation: int = 1) -> Tensor:
+    """Same-padded dilated 1-D convolution composed from tape ops (pad, one
+    getitem per tap, concat, reshape, matmul, bias add): the multi-node
+    formulation that autodiff.conv1d computes as a single node."""
+    k = kernel.shape[0]
+    if k % 2 == 0:
+        raise ConfigError("conv1d kernel length must be odd")
+    if x.ndim != 2 or kernel.ndim != 3 or x.shape[1] != kernel.shape[1]:
+        raise DimensionError(f"conv1d shape mismatch: {x.shape} vs {kernel.shape}")
+    half = (k // 2) * dilation
+    xp = pad(x, ((half, half), (0, 0)))
+    t = x.shape[0]
+    taps = [getitem(xp, slice(i * dilation, i * dilation + t)) for i in range(k)]
+    stacked = concat(taps, axis=1)  # [T, k*C_in]
+    w = reshape(kernel, (k * kernel.shape[1], kernel.shape[2]))
+    out = matmul(stacked, w)
+    if bias is not None:
+        out = out + bias
+    return out

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from oracles import unfused_conv1d
 from surgflow import autodiff as ad
 from surgflow.autodiff import Tensor, grad_check
 from surgflow.errors import ConfigError, DimensionError, InputError, NumericError
@@ -253,3 +255,65 @@ class TestBackward:
         x = t64([0.0])
         with np.errstate(divide="ignore"), pytest.raises(NumericError):
             grad_check(lambda: ad.log(x), [x])
+
+
+class TestFusedConv1d:
+    """conv1d is one tape node whose closed-form backward matches the
+    unfused pad / getitem / concat / matmul composition."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12),
+                                            (np.float32, 1e-5)])
+    @given(t=st.integers(1, 50), c_in=st.integers(1, 8),
+           c_out=st.integers(1, 8), k=st.sampled_from([1, 3, 5]),
+           dilation=st.integers(1, 12), with_bias=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @example(t=1, c_in=2, c_out=3, k=5, dilation=12, with_bias=True, seed=0)
+    @example(t=9, c_in=1, c_out=2, k=3, dilation=12, with_bias=False, seed=1)
+    @example(t=50, c_in=8, c_out=8, k=5, dilation=12, with_bias=True, seed=2)
+    def test_matches_unfused(self, dtype, tol, t, c_in, c_out, k, dilation,
+                             with_bias, seed):
+        rng = SessionRng(seed)
+        arrays = [rng.normal(1.0, (t, c_in), dtype),
+                  rng.normal(1.0, (k, c_in, c_out), dtype)]
+        if with_bias:
+            arrays.append(rng.normal(1.0, (c_out,), dtype))
+        weights = Tensor(rng.normal(1.0, (t, c_out), dtype))
+        results = []
+        for conv in (ad.conv1d, unfused_conv1d):
+            params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            bias = params[2] if with_bias else None
+            out = conv(params[0], params[1], bias, dilation)
+            ad.reduce_sum(out * weights).backward()
+            results.append([out.data] + [p.grad for p in params])
+        for fused, unfused in zip(*results):
+            assert fused.dtype == unfused.dtype == dtype
+            np.testing.assert_allclose(fused, unfused, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_one_tape_node(self, with_bias):
+        rng = SessionRng(40)
+        x, kernel = rand64(rng, (6, 2)), rand64(rng, (3, 2, 4))
+        bias = rand64(rng, (4,)) if with_bias else None
+        out = ad.conv1d(x, kernel, bias, dilation=2)
+        expected = (x, kernel, bias) if with_bias else (x, kernel)
+        assert len(out._parents) == len(expected)
+        assert all(p is e for p, e in zip(out._parents, expected))
+
+
+class TestGetitemGradient:
+    @pytest.mark.parametrize("index", [
+        slice(1, 4), slice(None, None, -2), 2, -1, np.int64(3),
+        (slice(0, 2), 1), (1, slice(None, None, 2)), (-2, -1),
+        np.array([0, 0, 3]), (np.array([1, 1, 4]), np.array([2, 2, 0])),
+    ], ids=repr)
+    def test_matches_add_at(self, index):
+        """Basic indices assign the upstream gradient into place; integer
+        arrays accumulate repeats.  Both equal np.add.at."""
+        rng = SessionRng(41)
+        x = rand64(rng, (5, 4))
+        out = ad.getitem(x, index)
+        g = rng.normal(1.0, out.shape, np.float64)
+        ad.reduce_sum(out * Tensor(g)).backward()
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, index, g)
+        np.testing.assert_array_equal(x.grad, expected)

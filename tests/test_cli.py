@@ -11,7 +11,8 @@ from click.testing import CliRunner
 
 from surgflow.cli import main
 from surgflow.serialization import (read_checkpoint, read_features,
-                                    write_checkpoint, write_frame_grid)
+                                    write_checkpoint, write_features,
+                                    write_frame_grid)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,22 @@ class TestExitCodes:
         result = runner.invoke(main, ["filter", "--video", str(bad),
                                       "--out", str(tmp_path / "o.json")])
         assert result.exit_code == 1
+
+    def test_nan_features_is_runtime_error(self, runner, workspace, tmp_path):
+        meta = json.loads((workspace / "corpus" / "meta.json").read_text())
+        vid = meta["video_ids"][0]
+        features = tmp_path / "features"
+        shutil.copytree(workspace / "features", features)
+        rows = read_features(features / f"{vid}.wlft")
+        rows[0] = np.nan
+        write_features(features / f"{vid}.wlft", rows)
+        result = runner.invoke(main, [
+            "train-temporal", "--features", str(features), "--corpus",
+            str(workspace / "corpus"), "--videos", vid, "--out",
+            str(tmp_path / "tcn"), "--epochs", "1"])
+        assert result.exit_code == 1
+        assert "step 0" in result.output
+        assert not (tmp_path / "tcn" / "temporal.wlcp").exists()
 
 
 class TestRunManifests:

@@ -9,7 +9,7 @@ import pytest
 from conftest import TINY_TEXTS, make_tiny_model, tiny_clips
 from oracles import brute_similarity
 from surgflow.autodiff import Tensor
-from surgflow.errors import ConfigError, InputError
+from surgflow.errors import ConfigError, InputError, NumericError
 from surgflow.models import CAPTION_PROMPT, MGA_PROMPT
 from surgflow.objectives import (ClipStore, MaskingPlan, PretrainConfig,
                                  load_manifest, make_masking_plan, mga_loss,
@@ -255,6 +255,15 @@ class TestPretrainLoop:
             results.append((rows, (tmp_path / f"r{run}" / "s1.wlcp").read_bytes()))
         assert results[0][0] == results[1][0]
         assert results[0][1] == results[1][1]
+
+    def test_nan_weight_stops_at_step_zero(self, tmp_path, tiny_model):
+        manifest, store = self.build_corpus(tmp_path, tiny_model)
+        next(iter(tiny_model.parameters().values())).data[...] = np.nan
+        with pytest.raises(NumericError, match="step 0"):
+            pretrain(tiny_model, manifest, store,
+                     PretrainConfig(epochs=1, batch_size=2, seed=0),
+                     tmp_path / "s1.wlcp", tmp_path / "curve.csv")
+        assert not (tmp_path / "s1.wlcp").exists()
 
     def test_empty_manifest_rejected(self, tmp_path, tiny_model):
         manifest = tmp_path / "manifest.jsonl"

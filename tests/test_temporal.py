@@ -6,7 +6,7 @@ import pytest
 
 from surgflow import autodiff as ad
 from surgflow.autodiff import Tensor
-from surgflow.errors import ConfigError, InputError
+from surgflow.errors import ConfigError, InputError, NumericError
 from surgflow.rng import SessionRng
 from surgflow.temporal import (ASFormer, Conv1d, FeatureSequence,
                                FramePrediction, MSTCN, TemporalConfig,
@@ -196,6 +196,16 @@ class TestTraining:
         model = build_temporal_model("tcn", TOY, SessionRng(15))
         with pytest.raises(ConfigError):
             train_temporal(model, [], TrainTemporalConfig())
+
+    def test_nan_feature_row_stops_at_step_zero(self):
+        dataset = self.make_dataset(n_videos=1)
+        dataset[0][0].features[3] = np.nan
+        model = build_temporal_model("tcn", TOY, SessionRng(18))
+        before = model.state_dict()
+        with pytest.raises(NumericError, match="step 0"):
+            train_temporal(model, dataset, TrainTemporalConfig(epochs=2))
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
 
     def test_label_length_checked(self):
         model = build_temporal_model("tcn", TOY, SessionRng(16))
