@@ -297,16 +297,14 @@ def finetune_lora_cmd(corpus, stage1, out, rank, alpha, epochs, batch_size,
 @click.option("--stage1", required=True, type=IN)
 @click.option("--out", required=True, type=OUT)
 @click.option("--lora", default=None, type=IN)
-@click.option("--clip-seconds", default=1.0, show_default=True)
-def extract_features_cmd(corpus, stage1, out, lora, clip_seconds):
-    """Write one feature file per corpus video."""
+def extract_features_cmd(corpus, stage1, out, lora):
+    """Write one feature file per corpus video, one row per second."""
     out.mkdir(parents=True, exist_ok=True)
     meta = pl.read_json(corpus / "meta.json")
     model = pl.load_stage1_bundle(stage1, lora)
     for vid in meta["video_ids"]:
         frames = read_frame_grid(corpus / "videos" / f"{vid}.wlfg")
-        part = pl.partition(len(frames) / meta["fps"], clip_seconds,
-                            meta["fps"])
+        part = pl.partition(len(frames) / meta["fps"], fps=meta["fps"])
         seq = pl.extract_features(frames, model, part, vid)
         write_features(out / f"{vid}.wlft", seq.features)
 
@@ -414,10 +412,8 @@ def _load_timelines(path: Path) -> dict:
 @click.option("--out-svg", default=None, type=OUT)
 def evaluate_cmd(pred, gt, fps, out_csv, out_svg):
     """Score predicted timelines against ground truth."""
-    pred_tl = _load_timelines(pred)
-    gt_tl = {vid: tl.fill_gaps("idle") for vid, tl in
-             _load_timelines(gt).items()}
-    report = evaluate_timelines(pred_tl, gt_tl, fps=fps)
+    report = evaluate_timelines(_load_timelines(pred), _load_timelines(gt),
+                                fps=fps)
     if out_csv:
         report.write_csv(out_csv)
     if out_svg:

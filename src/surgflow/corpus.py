@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import InputError
 from .rng import SessionRng
+from .timeline import to_frames
 
 log = logging.getLogger(__name__)
 
@@ -147,12 +148,12 @@ def crop_search(width: int, height: int, boxes: Sequence[TextBox],
 
 def median_filter_validity(signal: np.ndarray, fps: float,
                            window_s: float = 3.0) -> np.ndarray:
-    """Sliding boolean median with edge replication; the window length is
-    round(window_s * fps), forced odd."""
+    """Sliding boolean median with edge replication over a window of
+    window_s seconds in whole frames, forced odd."""
     if fps <= 0:
         raise InputError("fps must be positive")
     signal = np.asarray(signal, bool)
-    w = int(round(window_s * fps))
+    w = to_frames(window_s, fps)
     if w % 2 == 0:
         w += 1
     if w <= 1 or len(signal) == 0:

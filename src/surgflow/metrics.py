@@ -12,6 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
+from .timeline import PhaseTimeline, runs as segments_of, sample, to_frames
 
 OVERLAP_THRESHOLDS = (0.10, 0.25, 0.50)
 
@@ -68,18 +69,6 @@ def acc_micro(pairs: Sequence[Tuple[Sequence, Sequence]]) -> float:
         correct += int(np.sum(pred == gt))
         total += pred.size
     return 100.0 * correct / total
-
-
-def segments_of(labels: Sequence) -> List[Tuple[object, int, int]]:
-    """Run-length segments as (label, start, end) with end exclusive."""
-    labels = list(labels)
-    out = []
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[start]:
-            out.append((labels[start], start, i))
-            start = i
-    return out
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -187,15 +176,9 @@ class MetricReport:
         Path(path).write_text("\n".join(parts))
 
 
-def rasterize(timeline: "object", fps: float = 1.0) -> List[str]:
+def rasterize(timeline: PhaseTimeline, fps: float = 1.0) -> List[str]:
     """Sample a PhaseTimeline into a per-frame label list at `fps`."""
-    labels = []
-    duration = timeline.duration
-    n = int(round(duration * fps))
-    for i in range(n):
-        t = i / fps
-        labels.append(timeline.label_at(t))
-    return labels
+    return sample(timeline, to_frames(timeline.duration, fps), fps)
 
 
 def evaluate_sequences(pairs: Dict[str, Tuple[Sequence, Sequence]]) -> MetricReport:
@@ -222,17 +205,20 @@ def evaluate_sequences(pairs: Dict[str, Tuple[Sequence, Sequence]]) -> MetricRep
     return report
 
 
-def evaluate_timelines(pred: Dict[str, "object"], gt: Dict[str, "object"],
+def evaluate_timelines(pred: Dict[str, PhaseTimeline],
+                       gt: Dict[str, PhaseTimeline],
                        fps: float = 1.0) -> MetricReport:
-    """Rasterize timelines at `fps` and run the full suite."""
+    """Sample both timelines on the ground truth's frames at `fps` and run
+    the full suite; their lengths may differ by at most one frame."""
     if set(pred) != set(gt):
         raise InputError(f"video id sets differ: {set(pred) ^ set(gt)}")
     pairs = {}
     for vid in gt:
-        gt_labels = rasterize(gt[vid], fps)
-        pred_labels = rasterize(pred[vid], fps)
-        n = min(len(gt_labels), len(pred_labels))
+        n, n_pred = (to_frames(tl[vid].duration, fps) for tl in (gt, pred))
+        if abs(n - n_pred) > 1:
+            raise InputError(f"{vid}: prediction covers {n_pred} frames, "
+                             f"ground truth {n} frames at {fps} fps")
         if n == 0:
             raise InputError(f"{vid}: empty rasterization")
-        pairs[vid] = (pred_labels[:n], gt_labels[:n])
+        pairs[vid] = (sample(pred[vid], n, fps), sample(gt[vid], n, fps))
     return evaluate_sequences(pairs)

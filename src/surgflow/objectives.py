@@ -22,6 +22,7 @@ from .optim import (AdamW, CosineWarmupSchedule, check_finite_step,
                     clip_global_norm)
 from .rng import SessionRng
 from .serialization import read_frame_grid, write_checkpoint
+from .timeline import frame_span
 
 
 @dataclass
@@ -222,9 +223,9 @@ class ClipStore:
 
     def clip(self, record: dict) -> np.ndarray:
         frames = self.video(record["video"])
-        lo = int(round(record["start_s"] * self.fps))
-        hi = max(lo + 1, int(round(record["end_s"] * self.fps)))
-        return frames[lo:min(hi, len(frames))]
+        lo, hi = frame_span(record["start_s"], record["end_s"], self.fps,
+                            len(frames))
+        return frames[lo:hi]
 
 
 def pretrain(model: Stage1Model, manifest_path, clip_store: ClipStore,

@@ -21,82 +21,17 @@ from .rng import SessionRng
 from .serialization import read_checkpoint, read_features, write_checkpoint
 from .temporal import (FeatureSequence, TemporalConfig, TrainTemporalConfig,
                        build_temporal_model, train_temporal)
+from .timeline import (CAPTION_SECONDS, CLIP_SECONDS, IDLE, PhaseTimeline,
+                       Segment, frame_span, merge_labels, sample, to_frames)
 from .vocab import Vocabulary
 
 
 @dataclass(frozen=True)
 class Clip:
-    index: int
     start_frame: int
     end_frame: int          # exclusive
     start_s: float
     end_s: float
-
-
-@dataclass
-class ClipPartition:
-    clips: List[Clip]
-    clip_seconds: float
-    fps: float
-
-    def __len__(self) -> int:
-        return len(self.clips)
-
-
-@dataclass
-class Segment:
-    start_s: float
-    end_s: float
-    label: str
-
-
-class PhaseTimeline:
-    """Ordered, non-overlapping labeled segments with start/end seconds."""
-
-    def __init__(self, segments: Sequence[Segment]):
-        segments = sorted(segments, key=lambda s: s.start_s)
-        for seg in segments:
-            if seg.end_s <= seg.start_s:
-                raise InputError(f"segment has non-positive span: {seg}")
-        for a, b in zip(segments, segments[1:]):
-            if b.start_s < a.end_s - 1e-9:
-                raise InputError(f"overlapping segments: {a} / {b}")
-        self.segments = list(segments)
-
-    @property
-    def duration(self) -> float:
-        return self.segments[-1].end_s if self.segments else 0.0
-
-    @property
-    def labels(self) -> List[str]:
-        return sorted({s.label for s in self.segments})
-
-    def label_at(self, t: float) -> str:
-        for seg in self.segments:
-            if seg.start_s <= t < seg.end_s:
-                return seg.label
-        return self.segments[-1].label if self.segments else ""
-
-    def fill_gaps(self, idle_label: str) -> "PhaseTimeline":
-        """Ground-truth timelines disallow gaps; fill them with Idle."""
-        out = []
-        cursor = 0.0
-        for seg in self.segments:
-            if seg.start_s > cursor + 1e-9:
-                out.append(Segment(cursor, seg.start_s, idle_label))
-            out.append(seg)
-            cursor = seg.end_s
-        return PhaseTimeline(out)
-
-    def to_dict(self, video_id: str, fps: float = 1.0) -> dict:
-        return {"video_id": video_id, "fps": fps,
-                "segments": [{"start_s": s.start_s, "end_s": s.end_s,
-                              "label": s.label} for s in self.segments]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PhaseTimeline":
-        return cls([Segment(s["start_s"], s["end_s"], s["label"])
-                    for s in payload["segments"]])
 
 
 @dataclass
@@ -108,78 +43,59 @@ class Caption:
     def __post_init__(self):
         if self.end_s <= self.start_s:
             raise InputError("caption span must be positive")
-        if self.end_s - self.start_s > 10.0 + 1e-6:
-            raise InputError("caption span exceeds 10 seconds")
+        if self.end_s - self.start_s > CAPTION_SECONDS + 1e-6:
+            raise InputError(f"caption span exceeds {CAPTION_SECONDS:g} seconds")
 
 
 # -- operations ---------------------------------------------------------------
 
 
-def partition(duration_s: float, clip_seconds: float = 1.0,
-              fps: float = 8.0) -> ClipPartition:
+def partition(duration_s: float, clip_seconds: float = CLIP_SECONDS,
+              fps: float = 8.0) -> List[Clip]:
     """Non-overlapping equal-length clips covering [0, duration); the final
     partial clip is kept (encoders repeat-pad short clips)."""
     if duration_s <= 0:
         raise InputError("video duration must be positive")
-    total_frames = int(round(duration_s * fps))
-    m = math.ceil(duration_s / clip_seconds - 1e-9)
+    n_frames = to_frames(duration_s, fps)
     clips = []
-    for i in range(m):
+    for i in range(math.ceil(duration_s / clip_seconds - 1e-9)):
         start_s = i * clip_seconds
         end_s = min((i + 1) * clip_seconds, duration_s)
-        sf = int(round(start_s * fps))
-        ef = min(int(round(end_s * fps)), total_frames)
-        clips.append(Clip(i, sf, max(ef, sf + 1), start_s, end_s))
-    return ClipPartition(clips, clip_seconds, fps)
+        clips.append(Clip(*frame_span(start_s, end_s, fps, n_frames),
+                          start_s, end_s))
+    return clips
 
 
 def extract_features(frames: np.ndarray, model: Stage1Model,
-                     part: ClipPartition, video_id: str = "",
+                     part: List[Clip], video_id: str = "",
                      batch_size: int = 16) -> FeatureSequence:
     """Per clip: encode video, decode the alignment prompt non-causally with
     cross-attention into the clip, and bridge the decoder tokens to one row."""
     prompt = model.prompt_ids(MGA_PROMPT)
     rows = []
-    for start in range(0, len(part.clips), batch_size):
-        chunk = part.clips[start:start + batch_size]
+    for start in range(0, len(part), batch_size):
+        chunk = part[start:start + batch_size]
         clips = [frames[c.start_frame:c.end_frame] for c in chunk]
         video = model.encode_video_batch(clips)
         ids = np.tile(np.asarray(prompt, np.int64), (len(clips), 1))
         pad = np.zeros_like(ids, bool)
         hidden, _ = model.decode_multimodal(ids, pad, video, causal=False)
         rows.append(model.bridge(hidden).data)
-    return FeatureSequence(np.concatenate(rows, axis=0), video_id,
-                           fps=1.0 / part.clip_seconds)
-
-
-def merge_labels(labels: Sequence[str], clip_seconds: float) -> PhaseTimeline:
-    """Run-length merge of per-clip labels into a timeline."""
-    segs = []
-    start = 0
-    labels = list(labels)
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[start]:
-            segs.append(Segment(start * clip_seconds, i * clip_seconds,
-                                labels[start]))
-            start = i
-    return PhaseTimeline(segs)
+    return FeatureSequence(np.concatenate(rows, axis=0), video_id)
 
 
 def segment(frames: np.ndarray, model: Stage1Model, temporal_model,
-            class_names: Sequence[str], fps: float,
-            clip_seconds: float = 1.0) -> tuple:
+            class_names: Sequence[str], fps: float) -> tuple:
     """Two-stage segmentation; returns (PhaseTimeline, final-stage logits)."""
-    part = partition(len(frames) / fps, clip_seconds, fps)
-    seq = extract_features(frames, model, part)
-    outputs = temporal_model(seq)
-    final = outputs[-1]
+    seq = extract_features(frames, model, partition(len(frames) / fps, fps=fps))
+    final = temporal_model(seq)[-1]
     labels = [class_names[k] for k in final.labels]
-    return merge_labels(labels, clip_seconds), final
+    return merge_labels(labels, CLIP_SECONDS), final
 
 
 def zero_shot(frames: np.ndarray, model: Stage1Model,
               prototypes: Dict[str, str], fps: float,
-              clip_seconds: float = 1.0, batch_size: int = 16) -> PhaseTimeline:
+              batch_size: int = 16) -> PhaseTimeline:
     """Per-clip class prediction by fine-grained similarity to encoded
     prototype sentences; clip-wise argmax concatenated into a timeline."""
     if len(prototypes) < 2:
@@ -190,36 +106,34 @@ def zero_shot(frames: np.ndarray, model: Stage1Model,
         [prompt + model.vocab.encode(prototypes[c]) for c in class_names],
         len(prompt))
     e_t, w_t = model.head.pool_text(text)
-    part = partition(len(frames) / fps, clip_seconds, fps)
+    part = partition(len(frames) / fps, fps=fps)
     labels = []
-    for start in range(0, len(part.clips), batch_size):
-        chunk = part.clips[start:start + batch_size]
+    for start in range(0, len(part), batch_size):
+        chunk = part[start:start + batch_size]
         clips = [frames[c.start_frame:c.end_frame] for c in chunk]
         video = model.encode_video_batch(clips)
         e_v, w_v = model.head.pool_video(video)
         scores = similarity_matrix(e_t, w_t, text.pad_mask, e_v, w_v)
         labels.extend(class_names[k] for k in scores.data.argmax(axis=0))
-    return merge_labels(labels, clip_seconds)
+    return merge_labels(labels, CLIP_SECONDS)
 
 
 def dense_caption(frames: np.ndarray, model: Stage1Model, temporal_model,
                   class_names: Sequence[str], fps: float,
-                  idle_label: str = "idle", chunk_seconds: float = 10.0,
                   max_len: int = 16) -> List[Caption]:
-    """Caption each predicted non-idle segment in consecutive <=10 s chunks,
-    re-encoding all frames of each chunk."""
+    """Caption each predicted non-idle segment in consecutive chunks of at
+    most CAPTION_SECONDS, re-encoding all frames of each chunk."""
     timeline, _ = segment(frames, model, temporal_model, class_names, fps)
     prompt = model.prompt_ids(CAPTION_PROMPT)
     captions = []
     for seg in timeline.segments:
-        if seg.label == idle_label:
+        if seg.label == IDLE:
             continue
         start = seg.start_s
         while start < seg.end_s - 1e-9:
-            end = min(start + chunk_seconds, seg.end_s)
-            lo = int(round(start * fps))
-            hi = max(lo + 1, int(round(end * fps)))
-            video = model.encode_video(frames[lo:min(hi, len(frames))])
+            end = min(start + CAPTION_SECONDS, seg.end_s)
+            lo, hi = frame_span(start, end, fps, len(frames))
+            video = model.encode_video(frames[lo:hi])
             ids = model.generate_caption(video, prompt, max_len=max_len)
             captions.append(Caption(start, end, model.vocab.decode(ids)))
             start = end
@@ -351,13 +265,11 @@ def load_temporal_bundle(temporal) -> tuple:
 # -- stage-2 datasets and the subset ablation ---------------------------------
 
 
-def labels_for(timeline: PhaseTimeline, classes: Sequence[str], length: int,
-               idle_label: str = "idle") -> np.ndarray:
-    """Class index of each second's midpoint, gaps filled with idle."""
-    filled = timeline.fill_gaps(idle_label)
-    return np.array([classes.index(filled.label_at(min(i + 0.5,
-                                                       filled.duration - 1e-6)))
-                     for i in range(length)])
+def labels_for(timeline: PhaseTimeline, classes: Sequence[str],
+               length: int) -> np.ndarray:
+    """Class index of each of `length` one-second clips (timeline.sample)."""
+    return np.array([classes.index(label) for label in
+                     sample(timeline, length, 1.0 / CLIP_SECONDS)])
 
 
 def dataset_from_dirs(features_dir, corpus, classes: Sequence[str],
@@ -377,17 +289,15 @@ def dataset_from_dirs(features_dir, corpus, classes: Sequence[str],
 def evaluate_split(model, features_dir, corpus, classes: Sequence[str],
                    video_ids) -> MetricReport:
     """Score a temporal model's final stage on the given corpus videos."""
-    pred = {}
-    gt = {}
+    pred, gt = {}, {}
     for vid in video_ids:
         feats = read_features(Path(features_dir) / f"{vid}.wlft")
         final = model(FeatureSequence(feats, vid))[-1]
         labels = [classes[k] for k in final.labels]
-        pred[vid] = merge_labels(labels, 1.0)
+        pred[vid] = merge_labels(labels, CLIP_SECONDS)
         gt[vid] = PhaseTimeline.from_dict(
-            read_json(Path(corpus) / "timelines" / f"{vid}.json")
-        ).fill_gaps("idle")
-    return evaluate_timelines(pred, gt, fps=1.0)
+            read_json(Path(corpus) / "timelines" / f"{vid}.json"))
+    return evaluate_timelines(pred, gt, fps=1.0 / CLIP_SECONDS)
 
 
 def fit_temporal(dataset: list, num_classes: int, variant: str, epochs: int,

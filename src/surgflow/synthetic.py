@@ -13,11 +13,9 @@ import numpy as np
 
 from .corpus import project_labels
 from .errors import ConfigError
-from .pipeline import PhaseTimeline, Segment
 from .rng import SessionRng
 from .serialization import write_frame_grid
-
-IDLE = "idle"
+from .timeline import IDLE, PhaseTimeline, Segment
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ class FeatureSequence:
     """Per-video [L, D] feature rows in temporal order at 1-second clips."""
     features: np.ndarray
     video_id: str = ""
-    fps: float = 1.0
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.features.shape[0] < 1:

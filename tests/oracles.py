@@ -69,3 +69,14 @@ def unfused_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if bias is not None:
         out = out + bias
     return out
+
+
+def left_edge_rasterize(timeline, fps=1.0):
+    """Left-edge rasterisation: frame i takes the label at i / fps."""
+    labels = []
+    duration = timeline.duration
+    n = int(round(duration * fps))
+    for i in range(n):
+        t = i / fps
+        labels.append(timeline.label_at(t))
+    return labels

@@ -96,6 +96,18 @@ class TestExitCodes:
         assert "step 0" in result.output
         assert not (tmp_path / "tcn" / "temporal.wlcp").exists()
 
+    def test_evaluate_length_mismatch_is_runtime_error(self, runner,
+                                                       tmp_path):
+        for name, end in (("pred", 50.0), ("gt", 5.0)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {"video_id": "v0", "segments": [
+                    {"start_s": 0.0, "end_s": end, "label": "a"}]}))
+        result = runner.invoke(main, [
+            "evaluate", "--pred", str(tmp_path / "pred.json"),
+            "--gt", str(tmp_path / "gt.json")])
+        assert result.exit_code == 1
+        assert "v0" in result.output and "50" in result.output
+
 
 class TestRunManifests:
     def test_manifest_written_with_hash_and_seed(self, runner, tmp_path):
@@ -262,6 +274,16 @@ class TestCorpusCommands:
         assert result.exit_code == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["n_videos"] == 1 and meta["seed"] == 9
+
+    def test_toml_config_file_sets_defaults(self, runner, tmp_path):
+        cfg = tmp_path / "defaults.toml"
+        cfg.write_text('[gen-synth]\nvideos = 1\nseed = 7\n')
+        out = tmp_path / "corpus"
+        result = runner.invoke(main, ["--config", str(cfg), "gen-synth",
+                                      "--out", str(out)])
+        assert result.exit_code == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["n_videos"] == 1 and meta["seed"] == 7
 
 
 class TestPipelineChain:

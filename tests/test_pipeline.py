@@ -24,25 +24,25 @@ class TestPartition:
     def test_60s_into_10s_clips(self):
         part = partition(60.0, 10.0, fps=8.0)
         assert len(part) == 6
-        assert part.clips[-1].end_s == 60.0
+        assert part[-1].end_s == 60.0
 
     def test_65s_keeps_partial_tail(self):
         part = partition(65.0, 10.0, fps=8.0)
         assert len(part) == 7
-        tail = part.clips[-1]
+        tail = part[-1]
         assert tail.start_s == 60.0 and tail.end_s == 65.0
 
     def test_single_second(self):
         part = partition(1.0, 1.0, fps=8.0)
         assert len(part) == 1
-        assert (part.clips[0].start_frame, part.clips[0].end_frame) == (0, 8)
+        assert (part[0].start_frame, part[0].end_frame) == (0, 8)
 
     def test_clips_tile_the_video(self):
         part = partition(7.3, 1.0, fps=5.0)
         total_frames = int(round(7.3 * 5.0))
-        assert part.clips[0].start_frame == 0
-        assert part.clips[-1].end_frame == total_frames
-        for a, b in zip(part.clips, part.clips[1:]):
+        assert part[0].start_frame == 0
+        assert part[-1].end_frame == total_frames
+        for a, b in zip(part, part[1:]):
             assert a.end_frame == b.start_frame
             assert a.end_s == b.start_s
 
@@ -109,7 +109,6 @@ class TestFeatureExtraction:
         part = partition(len(frames) / 4.0, 1.0, 4.0)
         seq = extract_features(frames, model, part, "v0")
         assert seq.features.shape == (3, 4)
-        assert seq.fps == 1.0
         assert seq.video_id == "v0"
 
     def test_batch_size_does_not_change_features(self):
