@@ -309,6 +309,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """x @ weight + bias for x [..., d_in] and weight [d_in, d_out], recorded
+    as one tape node; the weight gradient is one [d_in, d_out] GEMM over all
+    leading positions."""
+    x = _wrap(x)
+    if weight.ndim != 2 or x.ndim < 1 or x.shape[-1] != weight.shape[0]:
+        raise DimensionError(f"linear shape mismatch: {x.shape} x {weight.shape}")
+    val = np.matmul(x.data, weight.data)
+    if bias is not None:
+        val = val + bias.data
+    out = _node(val, (x, weight) if bias is None else (x, weight, bias))
+    if out.requires_grad:
+        def bwd(g, x=x, weight=weight, bias=bias):
+            d_in, d_out = weight.shape
+            if weight.requires_grad:
+                _accum(weight, x.data.reshape(-1, d_in).T @ g.reshape(-1, d_out))
+            if bias is not None and bias.requires_grad:
+                _accum(bias, g.reshape(-1, d_out).sum(axis=0))
+            if x.requires_grad:
+                _accum(x, np.matmul(g, weight.data.T))
+        out._backward = bwd
+    return out
+
+
 def reshape(a: Tensor, shape) -> Tensor:
     a = _wrap(a)
     out = _node(a.data.reshape(shape), (a,))
@@ -482,12 +506,66 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalization over the last axis with learnable gain/bias."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = reduce_mean(centered * centered, axis=-1, keepdims=True)
-    inv = power(var + eps, -0.5)
-    return centered * inv * gain + bias
+    """Normalization over the last axis with learnable gain/bias, recorded as
+    one tape node.  With x_hat = (x - mean) * inv and d = g * gain, the input
+    gradient is inv * (d - mean(d) - x_hat * mean(d * x_hat))."""
+    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = (var + np.asarray(eps, var.dtype)) ** -0.5
+    x_hat = centered * inv
+    out = _node(x_hat * gain.data + bias.data, (x, gain, bias))
+    if out.requires_grad:
+        def bwd(g, x=x, gain=gain, bias=bias):
+            dim = g.shape[-1]
+            if gain.requires_grad:
+                _accum(gain, (g * x_hat).reshape(-1, dim).sum(axis=0))
+            if bias.requires_grad:
+                _accum(bias, g.reshape(-1, dim).sum(axis=0))
+            if x.requires_grad:
+                d = g * gain.data
+                _accum(x, inv * (d - d.mean(axis=-1, keepdims=True) - x_hat *
+                                 (d * x_hat).mean(axis=-1, keepdims=True)))
+        out._backward = bwd
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor,
+              bias: np.ndarray | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(d) + bias) v over the last two axes, recorded as
+    one tape node.
+
+    q: [..., Tq, d]; k: [..., Tk, d]; v: [..., Tk, dv]; bias: an additive
+    constant broadcastable to [..., Tq, Tk] (masks), or None.  Only the
+    attention weights P are kept for the backward pass, which uses the
+    softmax identity dS = P * (dP - rowsum(dP * P)) with dP = g v^T.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise DimensionError(
+            f"attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), q.dtype)
+    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+    if bias is not None:
+        scores = scores + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = _node(np.matmul(p, v.data), (q, k, v))
+    if out.requires_grad:
+        def bwd(g, q=q, k=k, v=v):
+            if v.requires_grad:
+                _accum(v, np.matmul(np.swapaxes(p, -1, -2), g))
+            if not (q.requires_grad or k.requires_grad):
+                return
+            dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+            if q.requires_grad:
+                _accum(q, np.matmul(ds, k.data))
+            if k.requires_grad:
+                _accum(k, np.matmul(np.swapaxes(ds, -1, -2), q.data))
+        out._backward = bwd
+    return out
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

@@ -53,7 +53,9 @@ def _stage1_params(model: Stage1Model) -> List[Tensor]:
         "head.text_proj.weight",
         "head.video_score.bias",
         "video_encoder.patch_embed.bias",
+        "video_encoder.blocks.0.ln1.shift",
         "video_encoder.blocks.0.attn.w_q.weight",
+        "text_encoder.blocks.0.attn.w_k.weight",
         "text_encoder.token_embed",
         "text_encoder.ln_out.gain",
         "decoder.cross_attn.0.w_v.weight",

@@ -80,10 +80,7 @@ class Linear(Module):
         return self.weight.shape[1]
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ad.matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return ad.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -127,16 +124,11 @@ class MultiHeadAttention(Module):
         q = split(self.w_q(query), tq)
         k = split(self.w_k(keyval), tk)
         v = split(self.w_v(keyval), tk)
-        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-        bias = np.zeros((b, 1, tq, tk), np.float32)
-        if attn_mask is not None:
-            bias = bias + attn_mask[None, None, :, :]
+        bias = attn_mask
         if key_pad is not None:
-            bias = bias + np.where(key_pad, -1e9, 0.0)[:, None, None, :].astype(np.float32)
-        if attn_mask is not None or key_pad is not None:
-            scores = scores + Tensor(bias)
-        attn = ad.softmax(scores, axis=-1)
-        out = ad.matmul(attn, v)
+            pad = np.where(key_pad, -1e9, 0.0)[:, None, None, :].astype(np.float32)
+            bias = pad if bias is None else bias + pad
+        out = ad.attention(q, k, v, bias)
         out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, tq, c))
         return self.w_o(out)
 

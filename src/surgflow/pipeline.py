@@ -18,11 +18,13 @@ from .metrics import MetricReport, evaluate_timelines
 from .models import MGA_PROMPT, CAPTION_PROMPT, ModelConfig, Stage1Model
 from .objectives import similarity_matrix
 from .rng import SessionRng
-from .serialization import read_checkpoint, read_features, write_checkpoint
+from .serialization import (read_checkpoint, read_features, write_atomic,
+                            write_checkpoint)
 from .temporal import (FeatureSequence, TemporalConfig, TrainTemporalConfig,
                        build_temporal_model, train_temporal)
 from .timeline import (CAPTION_SECONDS, CLIP_SECONDS, IDLE, PhaseTimeline,
-                       Segment, frame_span, merge_labels, sample, to_frames)
+                       Segment, frame_span, merge_labels, runs, sample,
+                       to_frames)
 from .vocab import Vocabulary
 
 
@@ -66,6 +68,13 @@ def partition(duration_s: float, clip_seconds: float = CLIP_SECONDS,
     return clips
 
 
+def clip_timeline(labels: Sequence[str], part: List[Clip]) -> PhaseTimeline:
+    """Run-length merge of per-clip labels, each run spanning its clips'
+    seconds, so the timeline ends where the video does."""
+    return PhaseTimeline([Segment(part[a].start_s, part[b - 1].end_s, label)
+                          for label, a, b in runs(labels)])
+
+
 def extract_features(frames: np.ndarray, model: Stage1Model,
                      part: List[Clip], video_id: str = "",
                      batch_size: int = 16) -> FeatureSequence:
@@ -87,10 +96,9 @@ def extract_features(frames: np.ndarray, model: Stage1Model,
 def segment(frames: np.ndarray, model: Stage1Model, temporal_model,
             class_names: Sequence[str], fps: float) -> tuple:
     """Two-stage segmentation; returns (PhaseTimeline, final-stage logits)."""
-    seq = extract_features(frames, model, partition(len(frames) / fps, fps=fps))
-    final = temporal_model(seq)[-1]
-    labels = [class_names[k] for k in final.labels]
-    return merge_labels(labels, CLIP_SECONDS), final
+    part = partition(len(frames) / fps, fps=fps)
+    final = temporal_model(extract_features(frames, model, part))[-1]
+    return clip_timeline([class_names[k] for k in final.labels], part), final
 
 
 def zero_shot(frames: np.ndarray, model: Stage1Model,
@@ -115,7 +123,7 @@ def zero_shot(frames: np.ndarray, model: Stage1Model,
         e_v, w_v = model.head.pool_video(video)
         scores = similarity_matrix(e_t, w_t, text.pad_mask, e_v, w_v)
         labels.extend(class_names[k] for k in scores.data.argmax(axis=0))
-    return merge_labels(labels, CLIP_SECONDS)
+    return clip_timeline(labels, part)
 
 
 def dense_caption(frames: np.ndarray, model: Stage1Model, temporal_model,
@@ -189,8 +197,7 @@ def captions_to_dict(video_id: str, captions: Sequence[Caption]) -> dict:
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    write_atomic(path, json.dumps(payload, indent=2).encode("utf-8"))
 
 
 def read_json(path) -> dict:
@@ -208,7 +215,7 @@ def save_stage1_bundle(out, model: Stage1Model) -> None:
     model.vocab.save(out / "vocab.txt")
     cfg = asdict(model.cfg)
     cfg["feature_dim"] = model.bridge.proj.d_out
-    (out / "model.json").write_text(json.dumps(cfg, indent=2))
+    write_json(out / "model.json", cfg)
 
 
 def save_lora_bundle(out, model: Stage1Model, stage1) -> None:
@@ -219,9 +226,9 @@ def save_lora_bundle(out, model: Stage1Model, stage1) -> None:
     adapters = lora_mod.iter_adapters(model)
     if not adapters:
         raise StateError("no adapters attached")
-    (out / "lora.json").write_text(json.dumps(
-        {"rank": adapters[0].rank, "alpha": adapters[0].alpha,
-         "stage1": str(stage1)}, indent=2))
+    write_json(out / "lora.json", {"rank": adapters[0].rank,
+                                   "alpha": adapters[0].alpha,
+                                   "stage1": str(stage1)})
 
 
 def load_stage1_bundle(stage1, lora=None) -> Stage1Model:
@@ -247,9 +254,9 @@ def save_temporal_bundle(out, model, classes: Sequence[str]) -> None:
     """Write temporal.json and temporal.wlcp into directory `out`."""
     out = Path(out)
     write_checkpoint(out / "temporal.wlcp", model.state_dict())
-    (out / "temporal.json").write_text(json.dumps(
-        {"variant": model.variant, "classes": list(classes),
-         "config": asdict(model.cfg)}, indent=2))
+    write_json(out / "temporal.json", {"variant": model.variant,
+                                       "classes": list(classes),
+                                       "config": asdict(model.cfg)})
 
 
 def load_temporal_bundle(temporal) -> tuple:

@@ -3,10 +3,15 @@
 All integers are little-endian. WLCP layout:
   magic "WLCP", u32 version, u32 entry count, then per entry
   {u32 name length, utf-8 name bytes, u8 rank, u64 dims..., f32 payload}.
+
+Every writer goes through `write_atomic`, so an interrupted write leaves the
+previous file (or none), never a truncated one.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 from pathlib import Path
 from typing import Dict
@@ -21,6 +26,21 @@ FRAMEGRID_MAGIC = b"WLFG"
 FORMAT_VERSION = 1
 
 
+def write_atomic(path, *chunks: bytes) -> None:
+    """Write `chunks` to a temporary file beside `path`, then rename it onto
+    `path` with os.replace; on failure the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_checkpoint(path, entries: Dict[str, np.ndarray]) -> None:
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
@@ -33,7 +53,7 @@ def write_checkpoint(path, entries: Dict[str, np.ndarray]) -> None:
         buf += struct.pack("<B", arr.ndim)
         buf += struct.pack(f"<{arr.ndim}Q", *arr.shape)
         buf += arr.tobytes()
-    Path(path).write_bytes(bytes(buf))
+    write_atomic(path, buf)
 
 
 def read_checkpoint(path) -> Dict[str, np.ndarray]:
@@ -68,10 +88,9 @@ def write_features(path, features: np.ndarray) -> None:
     features = np.ascontiguousarray(features, dtype="<f4")
     if features.ndim != 2:
         raise InputError("features must be [L, D]")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IQQ", FORMAT_VERSION, *features.shape))
-        fh.write(features.tobytes())
+    write_atomic(path, FEATURE_MAGIC,
+                 struct.pack("<IQQ", FORMAT_VERSION, *features.shape),
+                 features.tobytes())
 
 
 def read_features(path) -> np.ndarray:
@@ -92,10 +111,8 @@ def write_frame_grid(path, frames: np.ndarray) -> None:
     frames = np.ascontiguousarray(frames, dtype="<f4")
     if frames.ndim != 4:
         raise InputError("frame grid must be [T, H, W, C]")
-    with open(path, "wb") as fh:
-        fh.write(FRAMEGRID_MAGIC)
-        fh.write(struct.pack("<QQQQ", *frames.shape))
-        fh.write(frames.tobytes())
+    write_atomic(path, FRAMEGRID_MAGIC, struct.pack("<QQQQ", *frames.shape),
+                 frames.tobytes())
 
 
 def read_frame_grid(path) -> np.ndarray:

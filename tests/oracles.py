@@ -3,7 +3,8 @@
 import numpy as np
 
 from surgflow.autodiff import (Tensor, concat, getitem, matmul, pad,
-                               reshape)
+                               power, reduce_mean, reshape, softmax,
+                               transpose)
 from surgflow.errors import ConfigError, DimensionError
 
 
@@ -69,6 +70,40 @@ def unfused_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if bias is not None:
         out = out + bias
     return out
+
+
+def unfused_linear(x: Tensor, weight: Tensor,
+                   bias: Tensor | None = None) -> Tensor:
+    """x @ weight + bias as a matmul node and a bias-add node: the
+    formulation that autodiff.linear computes as a single node."""
+    out = matmul(x, weight)
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def unfused_layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
+                       eps: float = 1e-5) -> Tensor:
+    """Layer normalization composed from mean, subtract, square, power and
+    affine tape ops: the formulation autodiff.layer_norm computes as a
+    single node."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = reduce_mean(centered * centered, axis=-1, keepdims=True)
+    inv = power(var + eps, -0.5)
+    return centered * inv * gain + bias
+
+
+def unfused_attention(q: Tensor, k: Tensor, v: Tensor,
+                      bias: np.ndarray | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(d) + bias) v composed from transpose, matmul,
+    scale, bias-add and softmax tape ops: the formulation autodiff.attention
+    computes as a single node."""
+    axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    scores = matmul(q, transpose(k, axes)) * (1.0 / np.sqrt(q.shape[-1]))
+    if bias is not None:
+        scores = scores + Tensor(bias)
+    return matmul(softmax(scores, axis=-1), v)
 
 
 def left_edge_rasterize(timeline, fps=1.0):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import unfused_conv1d
+from oracles import (unfused_attention, unfused_conv1d, unfused_layer_norm,
+                     unfused_linear)
 from surgflow import autodiff as ad
+from surgflow import nn
 from surgflow.autodiff import Tensor, grad_check
 from surgflow.errors import ConfigError, DimensionError, InputError, NumericError
 from surgflow.rng import SessionRng
@@ -298,6 +300,170 @@ class TestFusedConv1d:
         expected = (x, kernel, bias) if with_bias else (x, kernel)
         assert len(out._parents) == len(expected)
         assert all(p is e for p, e in zip(out._parents, expected))
+
+
+def _tape_nodes(root):
+    """Interior nodes reachable from `root` along the recorded tape."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += bool(node._parents)
+            stack.extend(node._parents)
+    return count
+
+
+def _compare_to_unfused(fused_op, unfused_op, arrays, trainable, dtype, tol,
+                        seed, atol=None, **kwargs):
+    """Run both ops on fresh leaves of `arrays` (None passes through) with the
+    given requires_grad flags, backpropagate a weighted sum, and check the
+    forward is bit-identical and the gradients agree within `tol` (absolute
+    tolerance `atol`, default `tol`); a frozen leaf must get no gradient from
+    either."""
+    results = []
+    for op in (fused_op, unfused_op):
+        leaves = [None if a is None else Tensor(a.copy(), requires_grad=r)
+                  for a, r in zip(arrays, trainable)]
+        out = op(*leaves, **kwargs)
+        weights = Tensor(SessionRng(seed).normal(1.0, out.shape, dtype))
+        ad.reduce_sum(out * weights).backward()
+        results.append((out.data, [leaf and leaf.grad for leaf in leaves]))
+    (fused, fused_grads), (unfused, unfused_grads) = results
+    assert fused.dtype == unfused.dtype == dtype
+    np.testing.assert_array_equal(fused, unfused)
+    for a, r, fg, ug in zip(arrays, trainable, fused_grads, unfused_grads):
+        if a is None or not r:
+            assert fg is None and ug is None
+            continue
+        assert fg.dtype == ug.dtype == dtype
+        np.testing.assert_allclose(fg, ug, rtol=tol,
+                                   atol=tol if atol is None else atol)
+
+
+DTYPES = pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12),
+                                                (np.float32, 1e-5)])
+LEAD = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+
+
+class TestFusedTransformerOps:
+    """linear, layer_norm and attention are one tape node each, with forward
+    values bit-identical to the unfused compositions in tests/oracles.py and
+    closed-form gradients that agree with theirs."""
+
+    @DTYPES
+    @given(lead=LEAD, t=st.integers(1, 40), d_in=st.integers(1, 8),
+           d_out=st.integers(1, 8), with_bias=st.booleans(),
+           trainable=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           seed=st.integers(0, 2 ** 16))
+    def test_linear_matches_unfused(self, dtype, tol, lead, t, d_in, d_out,
+                                    with_bias, trainable, seed):
+        rng = SessionRng(seed)
+        arrays = [rng.normal(1.0, lead + (t, d_in), dtype),
+                  rng.normal(1.0, (d_in, d_out), dtype),
+                  rng.normal(1.0, (d_out,), dtype) if with_bias else None]
+        _compare_to_unfused(ad.linear, unfused_linear, arrays, trainable,
+                            dtype, tol, seed + 1)
+
+    @DTYPES
+    @given(lead=LEAD, t=st.integers(1, 40), dim=st.integers(1, 16),
+           trainable=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           seed=st.integers(0, 2 ** 16))
+    def test_layer_norm_matches_unfused(self, dtype, tol, lead, t, dim,
+                                        trainable, seed):
+        """The input gradient of a row scales with its 1/sigma, and so does
+        the float32 rounding of both formulations (a row of two nearly equal
+        values puts each up to 7e-3 from the float64 result), so in float32
+        the absolute tolerance is `tol` times the largest 1/sigma."""
+        rng = SessionRng(seed)
+        arrays = [rng.normal(1.0, lead + (t, dim), dtype),
+                  rng.normal(1.0, (dim,), dtype),
+                  rng.normal(1.0, (dim,), dtype)]
+        inv_sigma = 1.0 / np.sqrt(arrays[0].var(axis=-1).min() + 1e-5)
+        atol = tol if dtype == np.float64 else tol * max(1.0, inv_sigma)
+        _compare_to_unfused(ad.layer_norm, unfused_layer_norm, arrays,
+                            trainable, dtype, tol, seed + 1, atol=atol,
+                            eps=1e-5)
+
+    @DTYPES
+    @given(lead=LEAD, tq=st.integers(1, 40), tk=st.integers(1, 40),
+           d=st.integers(1, 8), dv=st.integers(1, 8),
+           mask=st.sampled_from(["none", "causal", "key_pad", "both"]),
+           trainable=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           seed=st.integers(0, 2 ** 16))
+    @example(lead=(2, 2), tq=40, tk=40, d=8, dv=8, mask="both",
+             trainable=(True, True, True), seed=0)
+    @example(lead=(), tq=1, tk=1, d=1, dv=1, mask="key_pad",
+             trainable=(True, True, True), seed=1)
+    def test_attention_matches_unfused(self, dtype, tol, lead, tq, tk, d, dv,
+                                       mask, trainable, seed):
+        """Masks are built as MultiHeadAttention builds them: the additive
+        causal mask, -1e9 at padded keys, or their sum."""
+        rng = SessionRng(seed)
+        if mask in ("causal", "both"):
+            tk = tq
+        bias = None if mask in ("none", "key_pad") else nn.causal_mask(tq)
+        if mask in ("key_pad", "both"):
+            pad = rng.uniform(0.0, 1.0, lead + (1, tk)) < 0.3
+            pad = np.where(pad, -1e9, 0.0).astype(np.float32)
+            bias = pad if bias is None else bias + pad
+        arrays = [rng.normal(1.0, lead + (tq, d), dtype),
+                  rng.normal(1.0, lead + (tk, d), dtype),
+                  rng.normal(1.0, lead + (tk, dv), dtype)]
+        _compare_to_unfused(ad.attention, unfused_attention, arrays,
+                            trainable, dtype, tol, seed + 1, bias=bias)
+
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_linear_one_tape_node(self, with_bias):
+        rng = SessionRng(42)
+        x, weight = rand64(rng, (2, 5, 3)), rand64(rng, (3, 4))
+        bias = rand64(rng, (4,)) if with_bias else None
+        out = ad.linear(x, weight, bias)
+        expected = (x, weight, bias) if with_bias else (x, weight)
+        assert out._parents == expected
+        assert _tape_nodes(out) == 1
+
+    def test_layer_norm_one_tape_node(self):
+        rng = SessionRng(43)
+        x, gain, bias = rand64(rng, (2, 5, 3)), rand64(rng, (3,)), rand64(rng, (3,))
+        out = ad.layer_norm(x, gain, bias)
+        assert out._parents == (x, gain, bias)
+        assert _tape_nodes(out) == 1
+
+    def test_attention_one_tape_node(self):
+        rng = SessionRng(44)
+        q, k, v = (rand64(rng, (2, 3, 5, 4)) for _ in range(3))
+        out = ad.attention(q, k, v, nn.causal_mask(5))
+        assert out._parents == (q, k, v)
+        assert _tape_nodes(out) == 1
+
+    def test_frozen_inputs_record_no_node(self):
+        rng = SessionRng(45)
+        x = Tensor(rng.normal(1.0, (4, 3), np.float64))
+        weight, bias = t64(rng.normal(1.0, (3, 2)), False), t64(np.zeros(2), False)
+        out = ad.linear(x, weight, bias)
+        assert not out.requires_grad and out._backward is None
+
+    def test_linear_shape_error(self):
+        with pytest.raises(DimensionError):
+            ad.linear(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
+
+    def test_attention_shape_error(self):
+        with pytest.raises(DimensionError):
+            ad.attention(t64(np.ones((2, 3))), t64(np.ones((4, 2))),
+                         t64(np.ones((4, 2))))
+
+    def test_transformer_block_records_20_nodes(self):
+        """ln1, the q/k/v projections with their head split (reshape and
+        transpose each), attention, the head merge, w_o, the residual add,
+        ln2, fc1, gelu, fc2 and the second residual add."""
+        rng = SessionRng(46)
+        block = nn.TransformerBlock(64, 4, 2, rng)
+        x = Tensor(rng.normal(1.0, (8, 128, 64)), requires_grad=True)
+        pad = np.zeros((8, 128), bool)
+        pad[:, 100:] = True
+        out = block(x, attn_mask=nn.causal_mask(128), key_pad=pad)
+        assert _tape_nodes(out) == 20
 
 
 class TestGetitemGradient:

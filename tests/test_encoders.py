@@ -9,7 +9,7 @@ from surgflow.autodiff import Tensor
 from surgflow.errors import ConfigError, InputError
 from surgflow.models import (CAPTION_PROMPT, MGA_PROMPT, Bridge, ModelConfig,
                              uniform_sample_indices)
-from surgflow.nn import causal_mask
+from surgflow.nn import MultiHeadAttention, causal_mask
 from surgflow.rng import SessionRng
 
 
@@ -154,6 +154,29 @@ class TestDecoder:
         mask = causal_mask(3)
         assert np.all(mask[np.tril_indices(3)] == 0)
         assert np.all(mask[np.triu_indices(3, k=1)] == -1e9)
+
+    def test_causal_mask_and_key_padding_both_apply(self):
+        """Under both masks a query sees neither a padded key nor a later
+        one, but does see an earlier unpadded key."""
+        rng = SessionRng(7)
+        attn = MultiHeadAttention(8, 2, rng)
+        query = Tensor(rng.normal(1.0, (2, 5, 8)))
+        keyval = rng.normal(1.0, (2, 5, 8))
+        pad = np.zeros((2, 5), bool)
+        pad[0, 1] = True
+
+        def run(kv):
+            return attn(query, Tensor(kv), attn_mask=causal_mask(5),
+                        key_pad=pad).data
+
+        base = run(keyval)
+        padded, later, earlier = keyval.copy(), keyval.copy(), keyval.copy()
+        padded[0, 1] += 1.0
+        later[1, 3] += 1.0
+        earlier[1, 0] += 1.0
+        np.testing.assert_array_equal(run(padded), base)
+        np.testing.assert_array_equal(run(later)[1, :3], base[1, :3])
+        assert not np.allclose(run(earlier)[1, 2], base[1, 2])
 
 
 class TestSimilarityHead:

@@ -13,7 +13,7 @@ from surgflow.pipeline import (Caption, PhaseTimeline, Segment,
                                load_temporal_bundle, merge_labels, partition,
                                pca_export, read_json, save_lora_bundle,
                                save_stage1_bundle, save_temporal_bundle,
-                               write_json, zero_shot)
+                               segment, write_json, zero_shot)
 from surgflow.rng import SessionRng
 from surgflow.serialization import write_checkpoint
 from surgflow.temporal import (FramePrediction, TemporalConfig,
@@ -182,6 +182,25 @@ class TestDenseCaption:
             # never inside a predicted idle stretch
             mid = (c.start_s + c.end_s) / 2
             assert labels[int(mid)] == "active"
+
+    def test_last_caption_ends_with_the_video(self):
+        """300 frames at 29.97 fps last 300 / 29.97 = 10.01 s: the eleventh
+        clip is partial, so the timelines and the last caption end there,
+        not at the eleventh whole second."""
+        fps = 29.97
+        frames = SessionRng(4).uniform(0, 1, (300, 8, 8, 3))
+        duration = len(frames) / fps
+        model = make_tiny_model()
+        stub = StubTemporal(["active"] * 11, self.CLASSES)
+        timeline, _ = segment(frames, model, stub, self.CLASSES, fps)
+        assert [(s.start_s, s.end_s, s.label) for s in timeline.segments] == \
+               [(0.0, duration, "active")]
+        protos = {"moving": "a small red square moves",
+                  "still": "nothing is happening here"}
+        assert zero_shot(frames, model, protos, fps).duration == duration
+        caps = dense_caption(frames, model, stub, self.CLASSES, fps, max_len=3)
+        assert [(c.start_s, c.end_s) for c in caps] == [(0.0, 10.0),
+                                                        (10.0, duration)]
 
 
 class TestPca:

@@ -1,14 +1,72 @@
 """Binary formats: byte-exact round-trips and corruption detection."""
 
+import builtins
+
 import numpy as np
 import pytest
 
+from surgflow import serialization
 from surgflow.errors import InputError
 from surgflow.nn import Linear
+from surgflow.pipeline import write_json
 from surgflow.rng import SessionRng
 from surgflow.serialization import (read_checkpoint, read_features,
                                     read_frame_grid, write_checkpoint,
                                     write_features, write_frame_grid)
+
+WRITERS = {
+    "checkpoint": lambda p: write_checkpoint(p, {"a": np.arange(6.0)}),
+    "features": lambda p: write_features(p, np.ones((3, 2))),
+    "frame_grid": lambda p: write_frame_grid(p, np.ones((2, 2, 2, 3))),
+    "json": lambda p: write_json(p, {"a": [1, 2, 3]}),
+}
+
+
+class _FullDisk:
+    """A binary file whose first write stores half its bytes and then fails,
+    as when the disk fills mid-write."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(bytes(data)[:len(data) // 2])
+        raise OSError("No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    @pytest.mark.parametrize("previous", [b"previous artifact", None])
+    def test_failed_write_leaves_target_untouched(self, tmp_path, monkeypatch,
+                                                  writer, previous):
+        target = tmp_path / "artifact"
+        if previous is not None:
+            target.write_bytes(previous)
+        monkeypatch.setattr(serialization, "open", raising=False,
+                            value=lambda *a, **k: _FullDisk(builtins.open(*a, **k)))
+        with pytest.raises(OSError, match="No space"):
+            WRITERS[writer](target)
+        if previous is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [target]
+            assert target.read_bytes() == previous
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_write_replaces_target(self, tmp_path, writer):
+        target = tmp_path / "artifact"
+        target.write_bytes(b"previous artifact")
+        WRITERS[writer](target)
+        fresh = tmp_path / "fresh"
+        WRITERS[writer](fresh)
+        assert target.read_bytes() == fresh.read_bytes()
+        assert sorted(tmp_path.iterdir()) == [target, fresh]
 
 
 class TestCheckpoint:

@@ -73,7 +73,7 @@ class TestFrameSpan:
         protos = {"moving": "a small red square moves",
                   "still": "nothing is happening here"}
         tl = zero_shot(frames, make_tiny_model(), protos, 29.97)
-        assert tl.duration == 11.0
+        assert tl.duration == 300 / 29.97
 
     def test_clip_store_record_past_end_raises(self, tmp_path):
         write_frame_grid(tmp_path / "v.wlfg", np.zeros((32, 4, 4, 3),
