@@ -4,12 +4,14 @@ Tensors wrap numpy arrays (float32 by default, float64 for gradient
 verification) and record their producing operation so that ``backward``
 can replay the tape in reverse topological order.  Tensor values are
 treated as immutable once created; optimizers mutate leaf ``data``
-in place between tape constructions.
+in place between tape constructions.  Inside ``no_grad`` no tape is
+recorded: every op returns a constant tensor.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -79,11 +81,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def assert_finite(self) -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise NumericError("tensor contains NaN or Inf")
-        return self
 
     # -- autodiff ------------------------------------------------------------
 
@@ -187,7 +184,24 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g.astype(t.grad.dtype)
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block: op results have no parents, no
+    backward closure and requires_grad=False.  The values are unchanged."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
+    if not _recording:
+        return Tensor(data)
     req = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, _parents=tuple(p for p in parents if p.requires_grad))
 
@@ -239,27 +253,6 @@ def exp(a: Tensor) -> Tensor:
     if out.requires_grad:
         def bwd(g, a=a, val=val):
             _accum(a, g * val)
-        out._backward = bwd
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    out = _node(np.log(a.data), (a,))
-    if out.requires_grad:
-        def bwd(g, a=a):
-            _accum(a, g / a.data)
-        out._backward = bwd
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    val = np.tanh(a.data)
-    out = _node(val, (a,))
-    if out.requires_grad:
-        def bwd(g, a=a, val=val):
-            _accum(a, g * (1.0 - val * val))
         out._backward = bwd
     return out
 

@@ -185,7 +185,7 @@ def gen_synth(out, videos, seed, shifted):
 @click.option("--seed", default=0, show_default=True)
 def filter_cmd(video, out, fps, boxes, min_size, seed):
     """Mark static frames invalid (median-filtered) and find a text-free crop."""
-    frames = read_frame_grid(video)
+    frames = _read_video(video, fps)
     valid = np.ones(len(frames), bool)
     for i in range(1, len(frames)):
         valid[i] = detect_static(frames[i], frames[i - 1])
@@ -342,6 +342,17 @@ def train_temporal_cmd(features_dir, corpus, variant, out, epochs, videos,
 # -- inference ----------------------------------------------------------------
 
 
+def _read_video(video: Path, fps: float) -> np.ndarray:
+    """Frames of `video`, refusing an fps other than its corpus's."""
+    meta = video.parent.parent / "meta.json"
+    if video.parent.name == "videos" and meta.is_file():
+        corpus_fps = pl.read_json(meta)["fps"]
+        if fps != corpus_fps:
+            raise ConfigError(f"--fps {fps:g} differs from the corpus frame "
+                              f"rate {corpus_fps:g} in {meta}")
+    return read_frame_grid(video)
+
+
 @command("segment")
 @click.option("--video", required=True, type=IN)
 @click.option("--stage1", required=True, type=IN)
@@ -351,7 +362,7 @@ def train_temporal_cmd(features_dir, corpus, variant, out, epochs, videos,
 @click.option("--out", required=True, type=OUT)
 def segment_cmd(video, stage1, temporal, lora, fps, out):
     """Two-stage phase segmentation of one video into a timeline JSON."""
-    frames = read_frame_grid(video)
+    frames = _read_video(video, fps)
     model = pl.load_stage1_bundle(stage1, lora)
     temporal_model, classes = pl.load_temporal_bundle(temporal)
     timeline, _ = pl.segment(frames, model, temporal_model, classes, fps)
@@ -368,7 +379,7 @@ def segment_cmd(video, stage1, temporal, lora, fps, out):
 @click.option("--out", required=True, type=OUT)
 def zeroshot_cmd(video, stage1, prototypes, lora, fps, out):
     """Per-clip phase prediction by similarity to prototype sentences."""
-    frames = read_frame_grid(video)
+    frames = _read_video(video, fps)
     model = pl.load_stage1_bundle(stage1, lora)
     protos = json.loads(prototypes.read_text())
     timeline = pl.zero_shot(frames, model, protos, fps)
@@ -384,7 +395,7 @@ def zeroshot_cmd(video, stage1, prototypes, lora, fps, out):
 @click.option("--out", required=True, type=OUT)
 def caption_cmd(video, stage1, temporal, lora, fps, out):
     """Dense captioning of predicted non-idle segments."""
-    frames = read_frame_grid(video)
+    frames = _read_video(video, fps)
     model = pl.load_stage1_bundle(stage1, lora)
     temporal_model, classes = pl.load_temporal_bundle(temporal)
     captions = pl.dense_caption(frames, model, temporal_model, classes, fps)

@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .timeline import PhaseTimeline, runs as segments_of, sample, to_frames
+from .timeline import PhaseTimeline, runs, sample, to_frames
 
 OVERLAP_THRESHOLDS = (0.10, 0.25, 0.50)
 
@@ -89,8 +89,8 @@ def edit_score(pred: Sequence, gt: Sequence) -> float:
     pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.shape != gt.shape or pred.size == 0:
         raise InputError("pred/gt must be equal-length nonempty sequences")
-    seg_p = [s[0] for s in segments_of(pred)]
-    seg_g = [s[0] for s in segments_of(gt)]
+    seg_p = [s[0] for s in runs(pred)]
+    seg_g = [s[0] for s in runs(gt)]
     denom = max(len(seg_p), len(seg_g))
     return 100.0 * (1.0 - levenshtein(seg_p, seg_g) / denom)
 
@@ -103,8 +103,8 @@ def overlap_f1(pred: Sequence, gt: Sequence, tau: float) -> float:
     pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.shape != gt.shape or pred.size == 0:
         raise InputError("pred/gt must be equal-length nonempty sequences")
-    seg_p = segments_of(pred)
-    seg_g = segments_of(gt)
+    seg_p = runs(pred)
+    seg_g = runs(gt)
     matched = [False] * len(seg_g)
     tp = fp = 0
     for label, ps, pe in seg_p:

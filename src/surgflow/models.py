@@ -138,21 +138,40 @@ class TextEncoder(Module):
                        for _ in range(cfg.n_layers)]
         self.ln_out = LayerNorm(cfg.dim)
 
-    def embed(self, ids: np.ndarray) -> Tensor:
-        """[B, N_t] ids -> [B, N_t, C] embeddings with positions added."""
-        n_t = ids.shape[1]
+    def embed(self, ids: np.ndarray, start: int = 0) -> Tensor:
+        """[B, N_t] ids at positions start.. -> [B, N_t, C] embeddings."""
+        n_t = start + ids.shape[1]
         if n_t > self.cfg.max_text_len:
             raise InputError(f"text length {n_t} exceeds max {self.cfg.max_text_len}")
         if ids.size and (ids.min() < 0 or ids.max() >= len(self._vocab)):
             raise InputError("token id outside vocabulary")
         emb = ad.embedding(self.token_embed, ids)
-        return emb + self.pos_embed[:n_t]
+        return emb + self.pos_embed[start:n_t]
 
     def __call__(self, ids: np.ndarray, pad_mask: np.ndarray) -> Tensor:
         x = self.embed(ids)
         for block in self.blocks:
             x = block(x, key_pad=pad_mask)
         return self.ln_out(x)
+
+
+@dataclass
+class DecodeCache:
+    """State of incremental causal decoding against one video batch: per
+    layer, the cross-attention keys and values of the video tokens, and the
+    self-attention keys and values of the first `length` text positions."""
+    video: list = field(default_factory=list)
+    text: dict = field(default_factory=dict)
+    length: int = 0
+
+    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple:
+        """Cached keys and values followed by (k, v), all kept."""
+        if self.length:
+            past_k, past_v = self.text[layer]
+            k = ad.concat([past_k[:, :, :self.length], k], axis=2)
+            v = ad.concat([past_v[:, :, :self.length], v], axis=2)
+        self.text[layer] = (k, v)
+        return k, v
 
 
 class MultimodalDecoder(Module):
@@ -170,18 +189,40 @@ class MultimodalDecoder(Module):
         self.to_logits = Linear(cfg.dim, vocab_size, rng)
 
     def __call__(self, ids: np.ndarray, pad_mask: np.ndarray,
-                 video: VideoTokens, causal: bool) -> tuple:
-        """Returns (hidden [B, N_t, C], logits [B, N_t, vocab])."""
-        x = self._text_encoder.embed(ids)
+                 video: VideoTokens, causal: bool,
+                 cache: DecodeCache | None = None) -> tuple:
+        """Returns (hidden [B, N_t, C], logits [B, N_t, vocab]).
+
+        With a cache, `ids` are unpadded and continue the cache's `length`
+        positions: they attend to those through its keys and values, the
+        video is projected into cross-attention keys and values only on the
+        cache's first call, and only the last position is returned.
+        """
+        start = 0 if cache is None else cache.length
+        if cache is None:
+            vid = video.flat
+        elif pad_mask.any():
+            raise InputError("cached decoding takes unpadded ids")
+        elif not cache.video:
+            cache.video = [c_attn.heads(video.flat) for c_attn in self.cross_attn]
+        x = self._text_encoder.embed(ids, start)
         n_t = ids.shape[1]
-        mask = causal_mask(n_t) if causal else None
-        vid = video.flat
-        for block, c_ln, c_attn in zip(self._text_encoder.blocks,
-                                       self.cross_ln, self.cross_attn):
+        mask = causal_mask(start + n_t)[start:] if causal else None
+        for i, (block, c_ln, c_attn) in enumerate(zip(
+                self._text_encoder.blocks, self.cross_ln, self.cross_attn)):
             normed = block.ln1(x)
-            x = x + block.attn(normed, normed, attn_mask=mask, key_pad=pad_mask)
-            x = x + c_attn(c_ln(x), vid)
+            if cache is None:
+                x = x + block.attn(normed, normed, attn_mask=mask,
+                                   key_pad=pad_mask)
+                x = x + c_attn(c_ln(x), vid)
+            else:
+                kv = cache.extend(i, *block.attn.heads(normed))
+                x = x + block.attn(normed, attn_mask=mask, kv=kv)
+                x = x + c_attn(c_ln(x), kv=cache.video[i])
             x = x + block.ff(block.ln2(x))
+        if cache is not None:
+            cache.length += n_t
+            x = x[:, -1:]
         hidden = self.ln_out(x)
         return hidden, self.to_logits(hidden)
 
@@ -308,46 +349,39 @@ class Stage1Model(Module):
         return flags
 
     def decode_multimodal(self, ids: np.ndarray, pad_mask: np.ndarray,
-                          video: VideoTokens, causal: bool) -> tuple:
-        return self.decoder(ids, pad_mask, video, causal)
+                          video: VideoTokens, causal: bool,
+                          cache: DecodeCache | None = None) -> tuple:
+        return self.decoder(ids, pad_mask, video, causal, cache)
 
     # -- generation ---------------------------------------------------------
 
     def generate_caption(self, video: VideoTokens, prompt_ids: Sequence[int],
-                         max_len: int = 16, mode: str = "greedy",
-                         temperature: float = 1.0,
-                         rng: SessionRng | None = None) -> List[int]:
-        """Autoregressive caption token ids (prompt excluded from output).
+                         max_len: int = 16) -> List[int]:
+        """Greedy caption token ids (prompt excluded), decoded without a tape.
 
         Each step appends a MASK slot, decodes causally, and commits the
-        predicted token, matching how masked slots are trained.
+        predicted token, matching how masked slots are trained.  The K/V
+        cache holds the positions before the MASK slot, so after prompt +
+        MASK each step decodes only the committed token and a new MASK slot.
         """
         if max_len < 1:
             raise InputError("max_len must be >= 1")
-        if mode not in ("greedy", "sample"):
-            raise ConfigError(f"unknown generation mode: {mode}")
-        if mode == "sample" and rng is None:
-            raise ConfigError("sampling mode requires an rng")
         generated: List[int] = []
         mask_id = self._vocab.mask_id
         budget = self.cfg.max_text_len - len(prompt_ids) - 1
-        for _ in range(min(max_len, budget)):
-            seq = list(prompt_ids) + generated + [mask_id]
-            ids = np.asarray([seq], np.int64)
-            pad = np.zeros_like(ids, bool)
-            _, logits = self.decode_multimodal(ids, pad, video, causal=True)
-            row = logits.data[0, -1]
-            if mode == "greedy":
-                nxt = int(np.argmax(row))
-            else:
-                z = row / temperature
-                z = z - z.max()
-                p = np.exp(z) / np.exp(z).sum()
-                nxt = min(int(np.searchsorted(np.cumsum(p), rng.uniform(0.0, 1.0))),
-                          len(p) - 1)
-            if nxt == self._vocab.eos_id:
-                break
-            generated.append(nxt)
+        cache = DecodeCache()
+        step = list(prompt_ids)
+        with ad.no_grad():
+            for _ in range(min(max_len, budget)):
+                ids = np.asarray([step + [mask_id]], np.int64)
+                _, logits = self.decode_multimodal(
+                    ids, np.zeros_like(ids, bool), video, True, cache)
+                cache.length -= 1  # the MASK slot is decoded again next step
+                nxt = int(np.argmax(logits.data[0, -1]))
+                if nxt == self._vocab.eos_id:
+                    break
+                generated.append(nxt)
+                step = [nxt]
         return generated
 
     # -- prompts ------------------------------------------------------------

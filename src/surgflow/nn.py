@@ -105,25 +105,29 @@ class MultiHeadAttention(Module):
         self.w_v = Linear(dim, dim, rng)
         self.w_o = Linear(dim, dim, rng)
 
-    def __call__(self, query: Tensor, keyval: Tensor,
+    def _split(self, x: Tensor) -> Tensor:
+        """[B, T, C] -> [B, heads, T, C / heads]."""
+        b, t, c = x.shape
+        h = self.n_heads
+        return ad.transpose(ad.reshape(x, (b, t, h, c // h)), (0, 2, 1, 3))
+
+    def heads(self, keyval: Tensor) -> tuple:
+        """Head-split keys and values of keyval [B, Tk, C]."""
+        return self._split(self.w_k(keyval)), self._split(self.w_v(keyval))
+
+    def __call__(self, query: Tensor, keyval: Tensor | None = None,
                  attn_mask: np.ndarray | None = None,
-                 key_pad: np.ndarray | None = None) -> Tensor:
-        """query [B, Tq, C], keyval [B, Tk, C].
+                 key_pad: np.ndarray | None = None,
+                 kv: tuple | None = None) -> Tensor:
+        """query [B, Tq, C] attends to keyval [B, Tk, C], or to `kv`, its
+        keys and values already split by `heads`.
 
         attn_mask: additive [Tq, Tk] (e.g. causal); key_pad: boolean
         [B, Tk], True at padded keys.
         """
         b, tq, c = query.shape
-        tk = keyval.shape[1]
-        h = self.n_heads
-        dh = c // h
-
-        def split(x: Tensor, t: int) -> Tensor:
-            return ad.transpose(ad.reshape(x, (b, t, h, dh)), (0, 2, 1, 3))
-
-        q = split(self.w_q(query), tq)
-        k = split(self.w_k(keyval), tk)
-        v = split(self.w_v(keyval), tk)
+        q = self._split(self.w_q(query))
+        k, v = self.heads(keyval) if kv is None else kv
         bias = attn_mask
         if key_pad is not None:
             pad = np.where(key_pad, -1e9, 0.0)[:, None, None, :].astype(np.float32)

@@ -13,6 +13,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import lora as lora_mod
+from .autodiff import no_grad
 from .errors import ConfigError, InputError, StateError
 from .metrics import MetricReport, evaluate_timelines
 from .models import MGA_PROMPT, CAPTION_PROMPT, ModelConfig, Stage1Model
@@ -82,14 +83,15 @@ def extract_features(frames: np.ndarray, model: Stage1Model,
     cross-attention into the clip, and bridge the decoder tokens to one row."""
     prompt = model.prompt_ids(MGA_PROMPT)
     rows = []
-    for start in range(0, len(part), batch_size):
-        chunk = part[start:start + batch_size]
-        clips = [frames[c.start_frame:c.end_frame] for c in chunk]
-        video = model.encode_video_batch(clips)
-        ids = np.tile(np.asarray(prompt, np.int64), (len(clips), 1))
-        pad = np.zeros_like(ids, bool)
-        hidden, _ = model.decode_multimodal(ids, pad, video, causal=False)
-        rows.append(model.bridge(hidden).data)
+    with no_grad():
+        for start in range(0, len(part), batch_size):
+            chunk = part[start:start + batch_size]
+            clips = [frames[c.start_frame:c.end_frame] for c in chunk]
+            video = model.encode_video_batch(clips)
+            ids = np.tile(np.asarray(prompt, np.int64), (len(clips), 1))
+            pad = np.zeros_like(ids, bool)
+            hidden, _ = model.decode_multimodal(ids, pad, video, causal=False)
+            rows.append(model.bridge(hidden).data)
     return FeatureSequence(np.concatenate(rows, axis=0), video_id)
 
 
@@ -97,7 +99,8 @@ def segment(frames: np.ndarray, model: Stage1Model, temporal_model,
             class_names: Sequence[str], fps: float) -> tuple:
     """Two-stage segmentation; returns (PhaseTimeline, final-stage logits)."""
     part = partition(len(frames) / fps, fps=fps)
-    final = temporal_model(extract_features(frames, model, part))[-1]
+    with no_grad():
+        final = temporal_model(extract_features(frames, model, part))[-1]
     return clip_timeline([class_names[k] for k in final.labels], part), final
 
 
@@ -110,19 +113,20 @@ def zero_shot(frames: np.ndarray, model: Stage1Model,
         raise ConfigError("zero-shot needs at least two classes")
     class_names = sorted(prototypes)
     prompt = model.prompt_ids(MGA_PROMPT)
-    text = model.encode_text_batch(
-        [prompt + model.vocab.encode(prototypes[c]) for c in class_names],
-        len(prompt))
-    e_t, w_t = model.head.pool_text(text)
-    part = partition(len(frames) / fps, fps=fps)
-    labels = []
-    for start in range(0, len(part), batch_size):
-        chunk = part[start:start + batch_size]
-        clips = [frames[c.start_frame:c.end_frame] for c in chunk]
-        video = model.encode_video_batch(clips)
-        e_v, w_v = model.head.pool_video(video)
-        scores = similarity_matrix(e_t, w_t, text.pad_mask, e_v, w_v)
-        labels.extend(class_names[k] for k in scores.data.argmax(axis=0))
+    with no_grad():
+        text = model.encode_text_batch(
+            [prompt + model.vocab.encode(prototypes[c]) for c in class_names],
+            len(prompt))
+        e_t, w_t = model.head.pool_text(text)
+        part = partition(len(frames) / fps, fps=fps)
+        labels = []
+        for start in range(0, len(part), batch_size):
+            chunk = part[start:start + batch_size]
+            clips = [frames[c.start_frame:c.end_frame] for c in chunk]
+            video = model.encode_video_batch(clips)
+            e_v, w_v = model.head.pool_video(video)
+            scores = similarity_matrix(e_t, w_t, text.pad_mask, e_v, w_v)
+            labels.extend(class_names[k] for k in scores.data.argmax(axis=0))
     return clip_timeline(labels, part)
 
 
@@ -134,17 +138,18 @@ def dense_caption(frames: np.ndarray, model: Stage1Model, temporal_model,
     timeline, _ = segment(frames, model, temporal_model, class_names, fps)
     prompt = model.prompt_ids(CAPTION_PROMPT)
     captions = []
-    for seg in timeline.segments:
-        if seg.label == IDLE:
-            continue
-        start = seg.start_s
-        while start < seg.end_s - 1e-9:
-            end = min(start + CAPTION_SECONDS, seg.end_s)
-            lo, hi = frame_span(start, end, fps, len(frames))
-            video = model.encode_video(frames[lo:hi])
-            ids = model.generate_caption(video, prompt, max_len=max_len)
-            captions.append(Caption(start, end, model.vocab.decode(ids)))
-            start = end
+    with no_grad():
+        for seg in timeline.segments:
+            if seg.label == IDLE:
+                continue
+            start = seg.start_s
+            while start < seg.end_s - 1e-9:
+                end = min(start + CAPTION_SECONDS, seg.end_s)
+                lo, hi = frame_span(start, end, fps, len(frames))
+                video = model.encode_video(frames[lo:hi])
+                ids = model.generate_caption(video, prompt, max_len=max_len)
+                captions.append(Caption(start, end, model.vocab.decode(ids)))
+                start = end
     return sorted(captions, key=lambda c: c.start_s)
 
 

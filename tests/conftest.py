@@ -20,8 +20,8 @@ TINY_TEXTS = [
 ]
 
 
-def make_tiny_model(seed: int = 0) -> Stage1Model:
-    cfg = ModelConfig(dim=8, n_layers=1, n_heads=2, ff_mult=2, n_frames=2,
+def make_tiny_model(seed: int = 0, n_layers: int = 1) -> Stage1Model:
+    cfg = ModelConfig(dim=8, n_layers=n_layers, n_heads=2, ff_mult=2, n_frames=2,
                       frame_size=8, patch_size=4, max_text_len=16,
                       contrast_dim=4)
     vocab = Vocabulary.build(TINY_TEXTS + [MGA_PROMPT, CAPTION_PROMPT])

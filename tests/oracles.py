@@ -106,6 +106,25 @@ def unfused_attention(q: Tensor, k: Tensor, v: Tensor,
     return matmul(softmax(scores, axis=-1), v)
 
 
+def uncached_generate(model, video, prompt_ids, max_len=16):
+    """Greedy captioning that decodes prompt + committed tokens + MASK from
+    scratch at every step: the loop Stage1Model.generate_caption computes
+    with a K/V cache.  Returns (token ids, last-position logits per step)."""
+    generated, rows = [], []
+    budget = model.cfg.max_text_len - len(prompt_ids) - 1
+    for _ in range(min(max_len, budget)):
+        ids = np.asarray([list(prompt_ids) + generated + [model.vocab.mask_id]],
+                         np.int64)
+        _, logits = model.decode_multimodal(ids, np.zeros_like(ids, bool),
+                                            video, causal=True)
+        rows.append(logits.data[0, -1])
+        nxt = int(np.argmax(rows[-1]))
+        if nxt == model.vocab.eos_id:
+            break
+        generated.append(nxt)
+    return generated, rows
+
+
 def left_edge_rasterize(timeline, fps=1.0):
     """Left-edge rasterisation: frame i takes the label at i / fps."""
     labels = []

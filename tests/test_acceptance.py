@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_TEXTS, make_tiny_model, tiny_clips
-from oracles import brute_similarity, max_empty_rect_area
+from oracles import brute_similarity, max_empty_rect_area, uncached_generate
 from test_lora import Host, base_hash, random_config
 from test_metrics import (random_pair, ref_edit, ref_overlap_f1,
                           ref_per_phase)
@@ -276,7 +276,16 @@ def headline(tmp_path_factory):
     zs_report = evaluate_timelines(zs_pred, {v: gts[v] for v in test_ids},
                                    fps=1.0)
 
-    captions = {}
+    captions, caption_ids = {}, []
+    generate = model.generate_caption
+
+    def paired(video, prompt, max_len=16):
+        """The cached caption ids beside the uncached oracle's."""
+        ids = generate(video, prompt, max_len)
+        caption_ids.append((ids, uncached_generate(model, video, prompt,
+                                                   max_len)[0]))
+        return ids
+    model.generate_caption = paired
     for vid in test_ids[:5]:
         frames = read_frame_grid(corpus / "videos" / f"{vid}.wlfg")
         caps = pl.dense_caption(frames, model, temporal_models["tcn"],
@@ -284,6 +293,7 @@ def headline(tmp_path_factory):
         tl, _ = pl.segment(frames, model, temporal_models["tcn"], classes,
                            meta["fps"])
         captions[vid] = (caps, tl)
+    del model.generate_caption
 
     # adapter transfer onto a colour-shifted sibling corpus
     shifted_meta = syn.generate_corpus(syn.shift_colors(spec), 40,
@@ -337,6 +347,7 @@ def headline(tmp_path_factory):
         "root": root, "corpus": corpus, "meta": meta, "classes": classes,
         "train_ids": train_ids, "test_ids": test_ids, "curve": curve,
         "reports": reports, "zs_report": zs_report, "captions": captions,
+        "caption_ids": caption_ids,
         "base_acc": base_acc, "tuned_acc": tuned_acc,
         "base_features": base_features,
         "disabled_features": disabled_features,
@@ -379,6 +390,12 @@ class TestHeadlineRun:
                     hits += 1
         assert total > 0
         assert hits / total >= 0.80
+
+    def test_cached_caption_ids_equal_uncached(self, headline):
+        pairs = headline["caption_ids"]
+        assert len(pairs) == sum(len(c) for c, _ in headline["captions"].values())
+        assert all(cached == oracle for cached, oracle in pairs)
+        assert any(len(cached) > 1 for cached, _ in pairs)
 
     def test_adapter_transfer_improves_shifted_domain(self, headline):
         assert headline["tuned_acc"] >= headline["base_acc"] + 10.0

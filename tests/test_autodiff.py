@@ -119,10 +119,6 @@ class TestForward:
         np.testing.assert_allclose(out.data[0, 0], weight.data[1])
         np.testing.assert_allclose(out.data[0, 2], weight.data[5])
 
-    def test_assert_finite(self):
-        with pytest.raises(NumericError):
-            Tensor(np.array([1.0, np.inf])).assert_finite()
-
 
 class TestBackward:
     def test_sum_constant_gradient(self):
@@ -161,10 +157,10 @@ class TestBackward:
         c = rand64(rng, (4,))
 
         def f():
-            h = ad.tanh(ad.matmul(a, b) + c)
+            h = ad.exp(-0.5 * ad.power(ad.matmul(a, b) + c, 2.0))
             h = ad.gelu(h) * ad.relu(h + 0.3)
             h = ad.softmax(h, axis=-1)
-            return ad.reduce_sum(ad.log(h + 1.1) * ad.exp(0.1 * h))
+            return ad.reduce_sum(ad.power(h + 1.1, 1.5) * ad.exp(0.1 * h))
 
         assert grad_check(f, [a, b, c]) < 1e-5
 
@@ -256,7 +252,7 @@ class TestBackward:
     def test_grad_check_nonfinite_raises(self):
         x = t64([0.0])
         with np.errstate(divide="ignore"), pytest.raises(NumericError):
-            grad_check(lambda: ad.log(x), [x])
+            grad_check(lambda: ad.power(x, -1.0), [x])
 
 
 class TestFusedConv1d:
@@ -483,3 +479,34 @@ class TestGetitemGradient:
         expected = np.zeros_like(x.data)
         np.add.at(expected, index, g)
         np.testing.assert_array_equal(x.grad, expected)
+
+
+class TestNoGrad:
+    def test_results_are_constants(self):
+        rng = SessionRng(47)
+        x, w = rand64(rng, (3, 4)), rand64(rng, (4, 2))
+        with ad.no_grad():
+            outs = [ad.linear(x, w), ad.softmax(x), x * 2.0 + x,
+                    ad.attention(x, x, x), ad.layer_norm(x, x[0], x[1])]
+        for out in outs:
+            assert out._parents == () and out._backward is None
+            assert not out.requires_grad
+        np.testing.assert_array_equal(outs[0].data, ad.linear(x, w).data)
+
+    def test_nesting_restores_outer_state(self):
+        x = t64([1.0, 2.0])
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not (x * 2.0).requires_grad
+            assert not (x * 2.0).requires_grad
+        out = ad.reduce_sum(x * 2.0)
+        assert out.requires_grad
+        out.backward()
+        np.testing.assert_allclose(x.grad, [2.0, 2.0])
+
+    def test_exception_restores_recording(self):
+        x = t64([1.0])
+        with pytest.raises(DimensionError):
+            with ad.no_grad():
+                ad.matmul(x, t64(np.ones((2, 2))))
+        assert (x * 2.0).requires_grad

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from surgflow.cli import main
+from surgflow.synthetic import SyntheticSpec, generate_corpus
 from surgflow.serialization import (read_checkpoint, read_features,
                                     write_checkpoint, write_features,
                                     write_frame_grid)
@@ -377,3 +378,43 @@ class TestPipelineChain:
             "--out", str(tmp_path / "pred.json")])
         assert result.exit_code == 1
         assert "extra.weight" in result.output
+
+
+class TestCorpusFrameRate:
+    """A corpus video read at any rate but its corpus's is refused."""
+
+    @pytest.fixture(scope="class")
+    def corpus4(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fps4") / "corpus"
+        meta = generate_corpus(SyntheticSpec(seed=3, fps=4), 1, root)
+        assert meta["fps"] == 4
+        return root / "videos" / f"{meta['video_ids'][0]}.wlfg"
+
+    @pytest.mark.parametrize("name", ["segment", "zeroshot", "caption",
+                                      "filter"])
+    def test_default_fps_is_rejected(self, runner, out_inputs, corpus4,
+                                     tmp_path, name):
+        args = {"segment": ["--stage1", "{ws}/stage1", "--temporal", "{ws}/tcn"],
+                "zeroshot": ["--stage1", "{ws}/stage1",
+                             "--prototypes", "{ws}/inputs/protos.json"],
+                "caption": ["--stage1", "{ws}/stage1", "--temporal", "{ws}/tcn"],
+                "filter": []}[name]
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, [name, "--video", str(corpus4),
+                                      "--out", str(out)]
+                               + [a.format(ws=out_inputs) for a in args])
+        assert result.exit_code == 2
+        assert "--fps 8" in result.output and "frame rate 4" in result.output
+        assert not out.exists()
+
+    def test_corpus_fps_is_accepted(self, runner, workspace, corpus4,
+                                    tmp_path):
+        out = tmp_path / "pred.json"
+        result = runner.invoke(main, [
+            "segment", "--video", str(corpus4),
+            "--stage1", str(workspace / "stage1"),
+            "--temporal", str(workspace / "tcn"),
+            "--fps", "4", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["segments"]
+

@@ -3,12 +3,14 @@ pooling, caption generation, and the clip-to-feature bridge."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TINY_TEXTS, make_tiny_model, tiny_clips
+from oracles import uncached_generate
 from surgflow.autodiff import Tensor
 from surgflow.errors import ConfigError, InputError
-from surgflow.models import (CAPTION_PROMPT, MGA_PROMPT, Bridge, ModelConfig,
-                             uniform_sample_indices)
+from surgflow.models import (CAPTION_PROMPT, MGA_PROMPT, Bridge, DecodeCache,
+                             ModelConfig, VideoTokens, uniform_sample_indices)
 from surgflow.nn import MultiHeadAttention, causal_mask
 from surgflow.rng import SessionRng
 
@@ -215,21 +217,79 @@ class TestGeneration:
         out = tiny_model.generate_caption(video, prompt, max_len=100)
         assert len(out) <= tiny_model.cfg.max_text_len - len(prompt) - 1
 
-    def test_sampling_requires_rng(self, tiny_model):
-        video = tiny_model.encode_video_batch(tiny_clips(SessionRng(9), 1))
-        with pytest.raises(ConfigError):
-            tiny_model.generate_caption(video, [7], mode="sample")
-        with pytest.raises(ConfigError):
-            tiny_model.generate_caption(video, [7], mode="beam")
 
-    def test_sampling_deterministic_under_seed(self, tiny_model):
-        video = tiny_model.encode_video_batch(tiny_clips(SessionRng(10), 1))
+class TestCachedDecoding:
+    """generate_caption's K/V-cached steps against full re-decoding."""
+
+    @staticmethod
+    def spy_logits(model) -> list:
+        """Record the last-position logits of every decode_multimodal call."""
+        rows, decode = [], model.decode_multimodal
+
+        def spied(*args, **kwargs):
+            hidden, logits = decode(*args, **kwargs)
+            rows.append(logits.data[0, -1])
+            return hidden, logits
+        model.decode_multimodal = spied
+        return rows
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5),
+                                            (np.float64, 1e-12)])
+    @given(prompt_len=st.integers(1, 12), max_len=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40)
+    def test_logits_and_ids_match_uncached(self, dtype, tol, prompt_len,
+                                           max_len, seed):
+        # two layers, so that the second layer's keys and values depend on
+        # what the first let each position attend to
+        model = make_tiny_model(seed % 4, n_layers=2)
+        for p in model.parameters().values():
+            p.data = p.data.astype(dtype)
+        rng = SessionRng(seed)
+        cfg = model.cfg
+        video = VideoTokens(Tensor(rng.normal(
+            1.0, (1, cfg.n_frames, cfg.spatial_tokens, cfg.dim), dtype)))
+        prompt = [int(i) for i in rng.integers(0, len(model.vocab),
+                                               (prompt_len,))]
+        want_ids, want_rows = uncached_generate(model, video, prompt, max_len)
+        rows = self.spy_logits(model)
+        assert model.generate_caption(video, prompt, max_len) == want_ids
+        assert len(rows) == len(want_rows)
+        for got, want in zip(rows, want_rows):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    def test_decodes_two_positions_per_step_after_the_first(self, tiny_model):
+        video = tiny_model.encode_video_batch(tiny_clips(SessionRng(9), 1))
         prompt = tiny_model.prompt_ids(CAPTION_PROMPT)
-        a = tiny_model.generate_caption(video, prompt, max_len=4,
-                                        mode="sample", rng=SessionRng(3))
-        b = tiny_model.generate_caption(video, prompt, max_len=4,
-                                        mode="sample", rng=SessionRng(3))
-        assert a == b
+        widths, decode = [], tiny_model.decode_multimodal
+
+        def counted(ids, *args):
+            widths.append(ids.shape[1])
+            return decode(ids, *args)
+        tiny_model.decode_multimodal = counted
+        out = tiny_model.generate_caption(video, prompt, max_len=5)
+        assert widths == [len(prompt) + 1] + [2] * (len(widths) - 1)
+        assert len(widths) == min(len(out) + 1, 5)
+
+    def test_no_tape_is_recorded(self, tiny_model):
+        video = tiny_model.encode_video_batch(tiny_clips(SessionRng(10), 1))
+        rows, decode = [], tiny_model.decode_multimodal
+
+        def kept(*args):
+            out = decode(*args)
+            rows.append(out[1])
+            return out
+        tiny_model.decode_multimodal = kept
+        tiny_model.generate_caption(video, [7], max_len=3)
+        assert rows and not any(r.requires_grad or r._parents for r in rows)
+
+    def test_cache_rejects_padded_ids(self, tiny_model):
+        video = tiny_model.encode_video_batch(tiny_clips(SessionRng(11), 1))
+        ids = np.array([[7, 8]])
+        with pytest.raises(InputError):
+            tiny_model.decode_multimodal(ids, np.array([[False, True]]),
+                                         video, True, DecodeCache())
 
 
 class TestBridge:

@@ -10,8 +10,9 @@ import pytest
 from surgflow.errors import InputError
 from surgflow.metrics import (acc_micro, edit_score, evaluate_sequences,
                               frame_accuracy, levenshtein, overlap_f1,
-                              per_phase_metrics, segments_of)
+                              per_phase_metrics)
 from surgflow.rng import SessionRng
+from surgflow.timeline import runs
 
 
 # --- independent reference implementations (different algorithms/idioms) ---
@@ -162,11 +163,11 @@ class TestWorkedExamples:
 
 class TestAgainstReference:
     def test_segments(self):
-        assert segments_of(["A", "A", "B", "B", "B"]) == [("A", 0, 2), ("B", 2, 5)]
+        assert runs(["A", "A", "B", "B", "B"]) == [("A", 0, 2), ("B", 2, 5)]
         rng = SessionRng(10)
         for _ in range(100):
             seq, _ = random_pair(rng)
-            assert segments_of(seq) == ref_segments(seq)
+            assert runs(seq) == ref_segments(seq)
 
     def test_levenshtein_500_trials(self):
         rng = SessionRng(11)

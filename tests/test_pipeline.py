@@ -1,12 +1,17 @@
 """Pipeline orchestration: clip partitioning, timelines, feature extraction,
 zero-shot prediction, dense captioning, the PCA export, and model bundles."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from conftest import make_tiny_model
+from surgflow import autodiff as ad
 from surgflow import lora
+from surgflow import pipeline as pl
 from surgflow.errors import ConfigError, InputError, StateError
+from surgflow.models import CAPTION_PROMPT
 from surgflow.pipeline import (Caption, PhaseTimeline, Segment,
                                captions_to_dict, dense_caption,
                                extract_features, load_stage1_bundle,
@@ -201,6 +206,76 @@ class TestDenseCaption:
         caps = dense_caption(frames, model, stub, self.CLASSES, fps, max_len=3)
         assert [(c.start_s, c.end_s) for c in caps] == [(0.0, 10.0),
                                                         (10.0, duration)]
+
+
+class TestNoTape:
+    """Inference records no tape; its outputs equal those computed with the
+    tape on, and a later training step records one again."""
+
+    PROTOS = {"moving": "a small red square moves",
+              "still": "nothing is happening here"}
+
+    @staticmethod
+    def with_tape(monkeypatch):
+        monkeypatch.setattr(pl, "no_grad", contextlib.nullcontext)
+
+    def test_extract_features_equal_with_tape(self, monkeypatch):
+        model = make_tiny_model()
+        frames = SessionRng(5).uniform(0, 1, (20, 8, 8, 3))
+        part = partition(5.0, 1.0, 4.0)
+        rows, bridge = [], model.bridge
+
+        def kept(hidden):
+            out = bridge(hidden)
+            rows.append(out)
+            return out
+        model.bridge = kept
+        plain = extract_features(frames, model, part, batch_size=2).features
+        assert not any(r.requires_grad for r in rows)
+        self.with_tape(monkeypatch)
+        rows.clear()
+        taped = extract_features(frames, model, part, batch_size=2).features
+        assert all(r.requires_grad for r in rows)
+        assert np.array_equal(plain, taped)
+
+    def test_zero_shot_scores_equal_with_tape(self, monkeypatch):
+        model = make_tiny_model()
+        frames = SessionRng(6).uniform(0, 1, (24, 8, 8, 3))
+        runs = []
+        for tape in (False, True):
+            if tape:
+                self.with_tape(monkeypatch)
+            scores, similarity = [], pl.similarity_matrix
+
+            def kept(*args, scores=scores, similarity=similarity):
+                out = similarity(*args)
+                scores.append(out)
+                return out
+            monkeypatch.setattr(pl, "similarity_matrix", kept)
+            tl = zero_shot(frames, model, self.PROTOS, 4.0, batch_size=4)
+            assert all(s.requires_grad == tape for s in scores)
+            runs.append((tl.segments, [s.data for s in scores]))
+        (tl_plain, plain), (tl_taped, taped) = runs
+        assert tl_plain == tl_taped
+        assert len(plain) == len(taped) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(plain, taped))
+
+    def test_training_after_dense_caption_records_a_tape(self):
+        model = make_tiny_model()
+        frames = SessionRng(7).uniform(0, 1, (8, 8, 8, 3))
+        stub = StubTemporal(["active"] * 4, TestDenseCaption.CLASSES)
+        assert dense_caption(frames, model, stub, TestDenseCaption.CLASSES,
+                             2.0, max_len=3)
+        video = model.encode_video_batch([frames[:4]])
+        ids = np.asarray([model.prompt_ids(CAPTION_PROMPT)], np.int64)
+        _, logits = model.decode_multimodal(ids, np.zeros_like(ids, bool),
+                                            video, causal=True)
+        assert logits.requires_grad and logits._parents
+        ad.reduce_sum(logits * logits).backward()
+        params = {**model.video_encoder.parameters(),
+                  **model.decoder.parameters()}
+        assert all(p.grad is not None and np.abs(p.grad).sum() > 0
+                   for p in params.values())
 
 
 class TestPca:
