@@ -12,7 +12,6 @@ if _threads:
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
 
-import csv
 import functools
 import hashlib
 import json
@@ -34,7 +33,9 @@ from .metrics import evaluate_timelines
 from .models import CAPTION_PROMPT, MGA_PROMPT, ModelConfig, Stage1Model
 from .objectives import ClipStore, PretrainConfig, load_manifest, pretrain
 from .rng import SessionRng
-from .serialization import read_features, read_frame_grid, write_features
+from .serialization import (read_features, read_frame_grid, read_json,
+                            write_csv, write_features, write_json,
+                            write_text)
 from .vocab import Vocabulary
 
 
@@ -73,7 +74,7 @@ def _write_run_manifest(target: Path, command: str, config: dict,
         "git_describe": _git_describe(),
         "wall_time_s": round(time.time() - t0, 3),
     }
-    path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    write_text(path, json.dumps(payload, indent=2, default=str) + "\n")
 
 
 def command(name: str):
@@ -142,7 +143,7 @@ def _load_config_file(ctx, param, value):
         import tomllib
         data = tomllib.loads(value.read_text())
     else:
-        data = json.loads(value.read_text())
+        data = read_json(value)
     ctx.default_map = data
     return value
 
@@ -194,13 +195,13 @@ def filter_cmd(video, out, fps, boxes, min_size, seed):
     valid = median_filter_validity(valid, fps)
     crop = None
     if boxes is not None:
-        box_list = [TextBox(*b) for b in json.loads(boxes.read_text())]
+        box_list = [TextBox(*b) for b in read_json(boxes)]
         found = crop_search(frames.shape[2], frames.shape[1], box_list,
                             min_size=min_size, seed=seed)
         crop = [found.x0, found.y0, found.x1, found.y1] if found else None
     payload = {"video": str(video), "valid": valid.tolist(),
                "fraction_valid": float(valid.mean()), "crop": crop}
-    out.write_text(json.dumps(payload, indent=2))
+    write_json(out, payload)
 
 
 @command("split-clips")
@@ -211,11 +212,10 @@ def filter_cmd(video, out, fps, boxes, min_size, seed):
 def split_clips_cmd(words, out, min_seconds):
     """Split a word-level transcript into sentence-aligned clips."""
     entries = [TranscriptWord(w["text"], w["start_s"], w["end_s"])
-               for w in json.loads(words.read_text())]
+               for w in read_json(words)]
     clips = split_clips(entries, min_s=min_seconds)
-    out.write_text(json.dumps(
-        [{"start_s": c.start_s, "end_s": c.end_s, "text": c.text}
-         for c in clips], indent=2))
+    write_json(out, [{"start_s": c.start_s, "end_s": c.end_s, "text": c.text}
+                     for c in clips])
 
 
 @command("project-labels")
@@ -225,10 +225,9 @@ def split_clips_cmd(words, out, min_seconds):
 @click.option("--out", required=True, type=OUT)
 def project_labels_cmd(records, template_id, out):
     """Fill a language template from structured label records."""
-    with open(out, "w", encoding="utf-8") as fh:
-        for record in load_manifest(records):
-            record["text"] = project_labels(record, template_id)
-            fh.write(json.dumps(record) + "\n")
+    write_text(out, "".join(
+        json.dumps({**r, "text": project_labels(r, template_id)}) + "\n"
+        for r in load_manifest(records)))
 
 
 # -- stage 1 ------------------------------------------------------------------
@@ -247,7 +246,7 @@ def pretrain_cmd(corpus, out, epochs, batch_size, lr_max, lr_min, max_steps,
                  seed):
     """Train the short-range video-language model on a clip manifest."""
     out.mkdir(parents=True, exist_ok=True)
-    meta = pl.read_json(corpus / "meta.json")
+    meta = read_json(corpus / "meta.json")
     manifest = load_manifest(corpus / "manifest.jsonl")
     vocab = Vocabulary.build([r["text"] for r in manifest]
                              + list(meta.get("prototypes", {}).values())
@@ -279,7 +278,7 @@ def finetune_lora_cmd(corpus, stage1, out, rank, alpha, epochs, batch_size,
                       lr_max, lr_min, max_steps, seed):
     """Adapt a frozen stage-1 model to a new domain with low-rank adapters."""
     out.mkdir(parents=True, exist_ok=True)
-    meta = pl.read_json(corpus / "meta.json")
+    meta = read_json(corpus / "meta.json")
     model = pl.load_stage1_bundle(stage1)
     lora_mod.attach(model, r=rank, alpha=alpha, seed=seed)
     lora_mod.freeze_base(model)
@@ -300,7 +299,7 @@ def finetune_lora_cmd(corpus, stage1, out, rank, alpha, epochs, batch_size,
 def extract_features_cmd(corpus, stage1, out, lora):
     """Write one feature file per corpus video, one row per second."""
     out.mkdir(parents=True, exist_ok=True)
-    meta = pl.read_json(corpus / "meta.json")
+    meta = read_json(corpus / "meta.json")
     model = pl.load_stage1_bundle(stage1, lora)
     for vid in meta["video_ids"]:
         frames = read_frame_grid(corpus / "videos" / f"{vid}.wlfg")
@@ -326,16 +325,13 @@ def train_temporal_cmd(features_dir, corpus, variant, out, epochs, videos,
                        seed):
     """Train a long-range temporal segmentation model on features."""
     out.mkdir(parents=True, exist_ok=True)
-    meta = pl.read_json(corpus / "meta.json")
+    meta = read_json(corpus / "meta.json")
     classes = meta["class_names"]
     video_ids = videos.split(",") if videos else meta["video_ids"]
     dataset = pl.dataset_from_dirs(features_dir, corpus, classes, video_ids)
     model, curve = pl.fit_temporal(dataset, len(classes), variant, epochs, seed)
     pl.save_temporal_bundle(out, model, classes)
-    with open(out / "curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        writer.writerows(enumerate(curve))
+    write_csv(out / "curve.csv", ["epoch", "loss"], enumerate(curve))
     click.echo(f"final epoch loss {curve[-1]:.4f}")
 
 
@@ -346,7 +342,7 @@ def _read_video(video: Path, fps: float) -> np.ndarray:
     """Frames of `video`, refusing an fps other than its corpus's."""
     meta = video.parent.parent / "meta.json"
     if video.parent.name == "videos" and meta.is_file():
-        corpus_fps = pl.read_json(meta)["fps"]
+        corpus_fps = read_json(meta)["fps"]
         if fps != corpus_fps:
             raise ConfigError(f"--fps {fps:g} differs from the corpus frame "
                               f"rate {corpus_fps:g} in {meta}")
@@ -366,7 +362,7 @@ def segment_cmd(video, stage1, temporal, lora, fps, out):
     model = pl.load_stage1_bundle(stage1, lora)
     temporal_model, classes = pl.load_temporal_bundle(temporal)
     timeline, _ = pl.segment(frames, model, temporal_model, classes, fps)
-    pl.write_json(out, timeline.to_dict(video.stem))
+    write_json(out, timeline.to_dict(video.stem))
 
 
 @command("zeroshot")
@@ -381,9 +377,9 @@ def zeroshot_cmd(video, stage1, prototypes, lora, fps, out):
     """Per-clip phase prediction by similarity to prototype sentences."""
     frames = _read_video(video, fps)
     model = pl.load_stage1_bundle(stage1, lora)
-    protos = json.loads(prototypes.read_text())
+    protos = read_json(prototypes)
     timeline = pl.zero_shot(frames, model, protos, fps)
-    pl.write_json(out, timeline.to_dict(video.stem))
+    write_json(out, timeline.to_dict(video.stem))
 
 
 @command("caption")
@@ -399,7 +395,7 @@ def caption_cmd(video, stage1, temporal, lora, fps, out):
     model = pl.load_stage1_bundle(stage1, lora)
     temporal_model, classes = pl.load_temporal_bundle(temporal)
     captions = pl.dense_caption(frames, model, temporal_model, classes, fps)
-    pl.write_json(out, pl.captions_to_dict(video.stem, captions))
+    write_json(out, pl.captions_to_dict(video.stem, captions))
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -408,7 +404,7 @@ def caption_cmd(video, stage1, temporal, lora, fps, out):
 def _load_timelines(path: Path) -> dict:
     out = {}
     for item in sorted(path.glob("*.json")) if path.is_dir() else [path]:
-        payload = pl.read_json(item)
+        payload = read_json(item)
         out[payload.get("video_id", item.stem)] = \
             pl.PhaseTimeline.from_dict(payload)
     return out
@@ -448,16 +444,13 @@ def evaluate_cmd(pred, gt, fps, out_csv, out_svg):
 def ablate_subset_cmd(features_dir, corpus, variant, fractions, train, test,
                       epochs, seed, out):
     """Retrain stage 2 on growing training subsets; one metric row each."""
-    meta = pl.read_json(corpus / "meta.json")
+    meta = read_json(corpus / "meta.json")
     train_ids, test_ids = _split_videos(meta, train, test)
     rows = pl.ablate_subset(features_dir, corpus, meta["class_names"],
                             train_ids, test_ids,
                             [float(f) for f in fractions.split(",") if f],
                             variant, epochs, seed)
-    with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(out, list(rows[0]), [list(r.values()) for r in rows])
     for row in rows:
         click.echo(f"fraction {row['fraction']}: "
                    f"accuracy {row['accuracy']:.2f}")
@@ -479,11 +472,9 @@ def pca_plot_cmd(features_dir, out, coords_csv, seed):
     keys = [vid for vid, b in blocks for _ in range(b.shape[0])]
     _write_scatter_svg(out, coords, keys, ratios)
     if coords_csv:
-        with open(coords_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["video", "pc1", "pc2"])
-            writer.writerows([vid, f"{x:.6f}", f"{y:.6f}"]
-                             for vid, (x, y) in zip(keys, coords))
+        write_csv(coords_csv, ["video", "pc1", "pc2"],
+                  ([vid, f"{x:.6f}", f"{y:.6f}"]
+                   for vid, (x, y) in zip(keys, coords)))
     click.echo(f"explained variance ratios: {ratios.tolist()}")
 
 
@@ -508,7 +499,7 @@ def _write_scatter_svg(path: Path, coords: np.ndarray, keys: list,
     parts.append(f'<text x="{margin}" y="{size - 4}" font-size="11">'
                  f'explained: {ratios[0]:.2f}, {ratios[1]:.2f}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts))
+    write_text(path, "\n".join(parts))
 
 
 # -- diagnostics --------------------------------------------------------------

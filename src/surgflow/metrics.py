@@ -3,15 +3,14 @@ micro accuracy, segmental edit score, and overlap F1 at IoU thresholds."""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InputError
+from .serialization import write_csv, write_text
 from .timeline import PhaseTimeline, runs, sample, to_frames
 
 OVERLAP_THRESHOLDS = (0.10, 0.25, 0.50)
@@ -144,17 +143,14 @@ class MetricReport:
 
     def write_csv(self, path) -> None:
         cols = list(self.VIDEO_METRICS) + ["acc_micro"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["video"] + cols)
-            for vid in sorted(self.per_video):
-                row = self.per_video[vid]
-                writer.writerow([vid] + [f"{row.get(c, ''):.4f}"
-                                         if c in row else "" for c in cols])
-            writer.writerow(["aggregate"] + [f"{self.aggregate.get(c, float('nan')):.4f}"
-                                             for c in cols])
-            writer.writerow(["std"] + [f"{self.std.get(c, float('nan')):.4f}"
-                                       if c in self.std else "" for c in cols])
+        rows = [[vid] + [f"{self.per_video[vid][c]:.4f}"
+                         if c in self.per_video[vid] else "" for c in cols]
+                for vid in sorted(self.per_video)]
+        rows.append(["aggregate"] + [f"{self.aggregate.get(c, float('nan')):.4f}"
+                                     for c in cols])
+        rows.append(["std"] + [f"{self.std[c]:.4f}" if c in self.std else ""
+                               for c in cols])
+        write_csv(path, ["video"] + cols, rows)
 
     def write_svg(self, path) -> None:
         """Minimal self-contained bar chart of the aggregate metrics."""
@@ -173,7 +169,7 @@ class MetricReport:
             parts.append(f'<text x="{145 + w:.1f}" y="{y + 13}" '
                          f'font-size="11">{value:.1f}</text>')
         parts.append("</svg>")
-        Path(path).write_text("\n".join(parts))
+        write_text(path, "\n".join(parts))
 
 
 def rasterize(timeline: PhaseTimeline, fps: float = 1.0) -> List[str]:

@@ -3,7 +3,6 @@ modeling), masking plans, and the pretraining loop."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from .models import (CAPTION_PROMPT, MGA_PROMPT, Stage1Model, TextTokens,
 from .optim import (AdamW, CosineWarmupSchedule, check_finite_step,
                     clip_global_norm)
 from .rng import SessionRng
-from .serialization import read_frame_grid, write_checkpoint
+from .serialization import read_frame_grid, write_checkpoint, write_csv
 from .timeline import frame_span
 
 
@@ -292,9 +291,6 @@ def pretrain(model: Stage1Model, manifest_path, clip_store: ClipStore,
 
     write_checkpoint(checkpoint_path, adapter_checkpoint(model) if lora_only
                      else model.state_dict())
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["step", "lr", "L_MGA", "L_MGC", "L_MLM", "L_total"])
-        writer.writeheader()
-        writer.writerows(rows)
+    header = ["step", "lr", "L_MGA", "L_MGC", "L_MLM", "L_total"]
+    write_csv(curve_path, header, ([r[k] for k in header] for r in rows))
     return rows

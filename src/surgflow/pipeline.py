@@ -4,7 +4,6 @@ stage-1 and temporal model bundles, and the training-subset ablation."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -19,8 +18,8 @@ from .metrics import MetricReport, evaluate_timelines
 from .models import MGA_PROMPT, CAPTION_PROMPT, ModelConfig, Stage1Model
 from .objectives import similarity_matrix
 from .rng import SessionRng
-from .serialization import (read_checkpoint, read_features, write_atomic,
-                            write_checkpoint)
+from .serialization import (read_checkpoint, read_features, read_json,
+                            write_checkpoint, write_json)
 from .temporal import (FeatureSequence, TemporalConfig, TrainTemporalConfig,
                        build_temporal_model, train_temporal)
 from .timeline import (CAPTION_SECONDS, CLIP_SECONDS, IDLE, PhaseTimeline,
@@ -201,15 +200,6 @@ def captions_to_dict(video_id: str, captions: Sequence[Caption]) -> dict:
                           "text": c.text} for c in captions]}
 
 
-def write_json(path, payload: dict) -> None:
-    write_atomic(path, json.dumps(payload, indent=2).encode("utf-8"))
-
-
-def read_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # -- model bundles ------------------------------------------------------------
 
 
@@ -302,13 +292,14 @@ def evaluate_split(model, features_dir, corpus, classes: Sequence[str],
                    video_ids) -> MetricReport:
     """Score a temporal model's final stage on the given corpus videos."""
     pred, gt = {}, {}
-    for vid in video_ids:
-        feats = read_features(Path(features_dir) / f"{vid}.wlft")
-        final = model(FeatureSequence(feats, vid))[-1]
-        labels = [classes[k] for k in final.labels]
-        pred[vid] = merge_labels(labels, CLIP_SECONDS)
-        gt[vid] = PhaseTimeline.from_dict(
-            read_json(Path(corpus) / "timelines" / f"{vid}.json"))
+    with no_grad():
+        for vid in video_ids:
+            feats = read_features(Path(features_dir) / f"{vid}.wlft")
+            final = model(FeatureSequence(feats, vid))[-1]
+            labels = [classes[k] for k in final.labels]
+            pred[vid] = merge_labels(labels, CLIP_SECONDS)
+            gt[vid] = PhaseTimeline.from_dict(
+                read_json(Path(corpus) / "timelines" / f"{vid}.json"))
     return evaluate_timelines(pred, gt, fps=1.0 / CLIP_SECONDS)
 
 

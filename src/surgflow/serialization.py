@@ -1,20 +1,26 @@
-"""Binary file formats: WLCP checkpoints, WLFT feature files, WLFG frame grids.
+"""Every artifact file surgflow writes: the binary formats (WLCP checkpoints,
+WLFT feature files, WLFG frame grids) and the text ones (JSON, JSONL, CSV, SVG,
+vocabularies).
 
 All integers are little-endian. WLCP layout:
   magic "WLCP", u32 version, u32 entry count, then per entry
   {u32 name length, utf-8 name bytes, u8 rank, u64 dims..., f32 payload}.
 
 Every writer goes through `write_atomic`, so an interrupted write leaves the
-previous file (or none), never a truncated one.
+previous file (or none), never a truncated one.  This is the only module that
+opens a file for writing.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import os
 import secrets
 import struct
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -39,6 +45,25 @@ def write_atomic(path, *chunks: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, text: str) -> None:
+    write_atomic(path, text.encode("utf-8"))
+
+
+def write_json(path, payload) -> None:
+    write_text(path, json.dumps(payload, indent=2))
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """CSV rows with the csv module's default CRLF line endings."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    write_text(path, buf.getvalue())
 
 
 def write_checkpoint(path, entries: Dict[str, np.ndarray]) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 from .corpus import project_labels
 from .errors import ConfigError
 from .rng import SessionRng
-from .serialization import write_frame_grid
+from .serialization import write_frame_grid, write_json, write_text
 from .timeline import IDLE, PhaseTimeline, Segment
 
 
@@ -165,13 +165,12 @@ def generate_corpus(spec: SyntheticSpec, n_videos: int, out_dir) -> dict:
     for i in range(n_videos):
         video = generate_video(spec, f"video_{i:03d}", root.child(i))
         write_frame_grid(out / "videos" / f"{video.video_id}.wlfg", video.frames)
-        with open(out / "timelines" / f"{video.video_id}.json", "w") as fh:
-            json.dump(video.timeline.to_dict(video.video_id), fh, indent=2)
+        write_json(out / "timelines" / f"{video.video_id}.json",
+                   video.timeline.to_dict(video.video_id))
         manifest_rows.extend(video.clip_records)
         video_ids.append(video.video_id)
-    with open(out / "manifest.jsonl", "w", encoding="utf-8") as fh:
-        for row in manifest_rows:
-            fh.write(json.dumps(row) + "\n")
+    write_text(out / "manifest.jsonl",
+               "".join(json.dumps(row) + "\n" for row in manifest_rows))
     meta = {
         "fps": spec.fps,
         "frame_size": spec.frame_size,
@@ -185,8 +184,7 @@ def generate_corpus(spec: SyntheticSpec, n_videos: int, out_dir) -> dict:
         "captions": {p.name: caption_for(spec, p.name) for p in spec.phases}
         | {IDLE: caption_for(spec, IDLE)},
     }
-    with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
+    write_json(out / "meta.json", meta)
     return meta
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 from typing import Iterable, List
 
 from .errors import VocabError
+from .serialization import write_text
 
 PAD, MASK, BOS, EOS, UNK = "<pad>", "<mask>", "<bos>", "<eos>", "<unk>"
 RESERVED = [PAD, MASK, BOS, EOS, UNK]
@@ -91,7 +92,7 @@ class Vocabulary:
         return cls(sorted(set(tokens)))
 
     def save(self, path) -> None:
-        Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
+        write_text(path, "\n".join(self.id_to_token) + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

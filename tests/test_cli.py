@@ -2,13 +2,18 @@
 small end-to-end artifact chain."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import surgflow
 from surgflow.cli import main
 from surgflow.synthetic import SyntheticSpec, generate_corpus
 from surgflow.serialization import (read_checkpoint, read_features,
@@ -418,3 +423,31 @@ class TestCorpusFrameRate:
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["segments"]
 
+
+class TestThreadDeterminism:
+    """A seeded pretrain writes the same bytes whatever WL_THREADS is."""
+
+    THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                   "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+    def pretrain(self, corpus, out, threads):
+        env = {k: v for k, v in os.environ.items()
+               if k not in self.THREAD_VARS}
+        src = str(Path(surgflow.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        env["WL_THREADS"] = str(threads)
+        subprocess.run(
+            [sys.executable, "-m", "surgflow.cli", "pretrain",
+             "--corpus", str(corpus), "--out", str(out), "--max-steps", "4",
+             "--epochs", "1", "--seed", "3"],
+            env=env, check=True, capture_output=True, timeout=300)
+
+    def test_pretrain_bytes_equal_across_thread_counts(self, tmp_path):
+        generate_corpus(SyntheticSpec(seed=3), 4, tmp_path / "corpus")
+        for threads in (1, 2):
+            self.pretrain(tmp_path / "corpus", tmp_path / f"t{threads}",
+                          threads)
+        for name in ("stage1.wlcp", "curve.csv"):
+            assert (tmp_path / "t1" / name).read_bytes() == \
+                (tmp_path / "t2" / name).read_bytes(), name

@@ -20,7 +20,7 @@ from surgflow.pipeline import (Caption, PhaseTimeline, Segment,
                                save_stage1_bundle, save_temporal_bundle,
                                segment, write_json, zero_shot)
 from surgflow.rng import SessionRng
-from surgflow.serialization import write_checkpoint
+from surgflow.serialization import write_checkpoint, write_features
 from surgflow.temporal import (FramePrediction, TemporalConfig,
                                build_temporal_model)
 
@@ -276,6 +276,55 @@ class TestNoTape:
                   **model.decoder.parameters()}
         assert all(p.grad is not None and np.abs(p.grad).sum() > 0
                    for p in params.values())
+
+    SPLIT_CLASSES = ["idle", "cut"]
+
+    @staticmethod
+    def stage2_split(root, n_videos=4, length=12, dim=8):
+        """Feature files and ground-truth timelines for a tiny stage-2 split."""
+        (root / "features").mkdir()
+        (root / "corpus" / "timelines").mkdir(parents=True)
+        rng = SessionRng(11)
+        ids = [f"v{i}" for i in range(n_videos)]
+        for i, vid in enumerate(ids):
+            write_features(root / "features" / f"{vid}.wlft",
+                           rng.normal(1.0, (length, dim)))
+            cut = 3 + i
+            tl = PhaseTimeline([Segment(0.0, cut, "idle"),
+                                Segment(cut, length, "cut")])
+            write_json(root / "corpus" / "timelines" / f"{vid}.json",
+                       tl.to_dict(vid))
+        return ids
+
+    def test_evaluate_split_records_no_tape(self, tmp_path, monkeypatch):
+        ids = self.stage2_split(tmp_path)
+        model = build_temporal_model(
+            "tcn", TemporalConfig(num_classes=2, feature_dim=8),
+            SessionRng(3))
+        outputs, forward = [], model.forward
+
+        def kept(features):
+            out = forward(features)
+            outputs.extend(out)
+            return out
+        monkeypatch.setattr(model, "forward", kept)
+        pl.evaluate_split(model, tmp_path / "features", tmp_path / "corpus",
+                          self.SPLIT_CLASSES, ids)
+        assert len(outputs) == 4 * len(ids)
+        assert not any(t.requires_grad for t in outputs)
+
+    def test_ablate_subset_rows_equal_with_tape(self, tmp_path, monkeypatch):
+        ids = self.stage2_split(tmp_path)
+        runs = []
+        for tape in (False, True):
+            if tape:
+                self.with_tape(monkeypatch)
+            runs.append(pl.ablate_subset(
+                tmp_path / "features", tmp_path / "corpus",
+                self.SPLIT_CLASSES, ids[:3], ids[3:], [0.5, 1.0], "tcn",
+                epochs=3, seed=2))
+        assert runs[0] == runs[1]
+        assert [r["videos"] for r in runs[0]] == [2, 3]
 
 
 class TestPca:

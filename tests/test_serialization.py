@@ -1,24 +1,35 @@
-"""Binary formats: byte-exact round-trips and corruption detection."""
+"""Artifact files: atomic writes, byte-exact round-trips of the binary
+formats and corruption detection, and the single writer module."""
 
+import ast
 import builtins
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from surgflow import serialization
 from surgflow.errors import InputError
+from surgflow.metrics import MetricReport
 from surgflow.nn import Linear
-from surgflow.pipeline import write_json
 from surgflow.rng import SessionRng
 from surgflow.serialization import (read_checkpoint, read_features,
                                     read_frame_grid, write_checkpoint,
-                                    write_features, write_frame_grid)
+                                    write_csv, write_features,
+                                    write_frame_grid, write_json, write_text)
+from surgflow.vocab import Vocabulary
 
 WRITERS = {
     "checkpoint": lambda p: write_checkpoint(p, {"a": np.arange(6.0)}),
     "features": lambda p: write_features(p, np.ones((3, 2))),
     "frame_grid": lambda p: write_frame_grid(p, np.ones((2, 2, 2, 3))),
     "json": lambda p: write_json(p, {"a": [1, 2, 3]}),
+    "text": lambda p: write_text(p, "line one\nline two\n"),
+    "csv": lambda p: write_csv(p, ["a", "b"], [[1, 2.5], ["x", ""]]),
+    "vocab": lambda p: Vocabulary.build(["a clip of a phase"]).save(p),
+    "metric_csv": lambda p: MetricReport(
+        per_video={"v0": {"accuracy": 90.0}}, aggregate={"accuracy": 90.0},
+        std={"accuracy": 0.0}).write_csv(p),
 }
 
 
@@ -67,6 +78,59 @@ class TestAtomicWrites:
         WRITERS[writer](fresh)
         assert target.read_bytes() == fresh.read_bytes()
         assert sorted(tmp_path.iterdir()) == [target, fresh]
+
+
+class TestCsv:
+    def test_keeps_crlf_line_endings(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2.5], ["x,y", ""]])
+        assert (tmp_path / "t.csv").read_bytes() == \
+            b'a,b\r\n1,2.5\r\n"x,y",\r\n'
+
+
+def _write_calls(tree):
+    """Line numbers of the calls in `tree` that can write a file: open or
+    Path.open with a mode containing w, a or x (or a mode that is not a
+    string literal), .write_text, .write_bytes and json.dump."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", "")
+        if name == "open":
+            at = 1 if isinstance(fn, ast.Name) else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[at] if len(node.args) > at else None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and isinstance(mode.value, str)
+                                         and not set(mode.value) & set("wax")):
+                yield node.lineno
+        elif isinstance(fn, ast.Attribute) and (
+                name in ("write_text", "write_bytes")
+                or name == "dump" and isinstance(fn.value, ast.Name)
+                and fn.value.id == "json"):
+            yield node.lineno
+
+
+class TestOneWriter:
+    """Only `serialization` opens a file for writing; every other module
+    goes through its atomic writers."""
+
+    SRC = Path(serialization.__file__).parent
+
+    def test_no_module_but_serialization_writes_files(self):
+        found = [f"{path.name}:{line}"
+                 for path in sorted(self.SRC.glob("*.py"))
+                 if path.name != "serialization.py"
+                 for line in _write_calls(ast.parse(path.read_text()))]
+        assert found == []
+
+    def test_checker_sees_each_kind_of_write(self):
+        source = """
+open(p, "w"); open(p, mode="ab"); open(p, "x"); open(p, m)
+p.write_text(s); p.write_bytes(b); json.dump(d, fh); p.open("w")
+open(p); open(p, "rb"); p.read_text(); json.dumps(d); p.open()
+"""
+        assert sorted(_write_calls(ast.parse(source))) == [2] * 4 + [3] * 4
 
 
 class TestCheckpoint:
