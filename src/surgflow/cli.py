@@ -10,7 +10,7 @@ _threads = os.environ.get("WL_THREADS")
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+        os.environ[_var] = _threads
 
 import functools
 import hashlib
@@ -286,7 +286,7 @@ def finetune_lora_cmd(corpus, stage1, out, rank, alpha, epochs, batch_size,
                          lr_min=lr_min, seed=seed, max_steps=max_steps)
     store = ClipStore(corpus / "videos", meta["fps"])
     rows = pretrain(model, corpus / "manifest.jsonl", store, cfg,
-                    out / "lora.wlcp", out / "curve.csv", lora_only=True)
+                    out / "lora.wlcp", out / "curve.csv")
     pl.save_lora_bundle(out, model, stage1)
     click.echo(f"{len(rows)} steps, final loss {rows[-1]['L_total']:.4f}")
 

@@ -14,11 +14,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, InputError
-from .lora import adapter_checkpoint
+from .lora import adapter_checkpoint, iter_adapters
 from .models import (CAPTION_PROMPT, MGA_PROMPT, Stage1Model, TextTokens,
                      VideoTokens)
-from .optim import (AdamW, CosineWarmupSchedule, check_finite_step,
-                    clip_global_norm)
+from .optim import train
 from .rng import SessionRng
 from .serialization import read_frame_grid, write_checkpoint, write_csv
 from .timeline import frame_span
@@ -228,14 +227,13 @@ class ClipStore:
 
 
 def pretrain(model: Stage1Model, manifest_path, clip_store: ClipStore,
-             cfg: PretrainConfig, checkpoint_path, curve_path,
-             lora_only: bool = False) -> List[dict]:
+             cfg: PretrainConfig, checkpoint_path, curve_path) -> List[dict]:
     """Train stage-1 on a clip manifest; writes checkpoint + loss-curve CSV.
 
-    With lora_only=True only adapter parameters are updated (the caller is
-    responsible for having attached and frozen appropriately).  Raises
-    NumericError naming the step when the loss or the pre-clip gradient norm
-    is not finite.
+    Only parameters that require gradients are updated.  With adapters
+    attached (lora.attach) the checkpoint holds just the adapter weights,
+    otherwise the whole state dict.  Raises NumericError naming the step
+    when the loss or the pre-clip gradient norm is not finite.
     """
     records = load_manifest(manifest_path)
     if not records:
@@ -243,54 +241,19 @@ def pretrain(model: Stage1Model, manifest_path, clip_store: ClipStore,
     rng = SessionRng(cfg.seed)
     caption_ids = [model.vocab.encode(r["text"]) for r in records]
 
-    steps_per_epoch = math.ceil(len(records) / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
-    if cfg.max_steps is not None:
-        total_steps = min(total_steps, cfg.max_steps)
-    if total_steps > 1:
-        schedule = CosineWarmupSchedule(
-            cfg.lr_max, cfg.lr_min,
-            warmup_steps=min(steps_per_epoch, total_steps - 1),
-            total_steps=total_steps)
-    else:
-        schedule = None  # single-step run: constant peak rate
-    params = model.parameters()
-    opt = AdamW(params, lr=cfg.lr_max, weight_decay=cfg.weight_decay)
+    def loss_of(batch):
+        report = valor_loss(model, [clip_store.clip(records[i]) for i in batch],
+                            [caption_ids[i] for i in batch], rng,
+                            mgc_ratio=cfg.mgc_ratio, mlm_ratio=cfg.mlm_ratio)
+        return report.total, {"L_MGA": float(report.mga.data),
+                              "L_MGC": float(report.mgc.data),
+                              "L_MLM": float(report.mlm.data),
+                              "L_total": float(report.total.data)}
 
-    rows: List[dict] = []
-    step = 0
-    done = False
-    for _ in range(cfg.epochs):
-        if done:
-            break
-        order = rng.permutation(len(records))
-        for start in range(0, len(records), cfg.batch_size):
-            batch_idx = order[start:start + cfg.batch_size]
-            clips = [clip_store.clip(records[i]) for i in batch_idx]
-            ids = [caption_ids[i] for i in batch_idx]
-            opt.zero_grad()
-            report = valor_loss(model, clips, ids, rng,
-                                mgc_ratio=cfg.mgc_ratio, mlm_ratio=cfg.mlm_ratio)
-            report.total.backward()
-            check_finite_step(step, float(report.total.data),
-                              clip_global_norm(params, cfg.clip_norm))
-            opt.lr = schedule.lr(step) if schedule else cfg.lr_max
-            opt.step()
-            rows.append({
-                "step": step,
-                "lr": opt.lr,
-                "L_MGA": float(report.mga.data),
-                "L_MGC": float(report.mgc.data),
-                "L_MLM": float(report.mlm.data),
-                "L_total": float(report.total.data),
-            })
-            step += 1
-            if step >= total_steps:
-                done = True
-                break
-
-    write_checkpoint(checkpoint_path, adapter_checkpoint(model) if lora_only
-                     else model.state_dict())
+    rows = train(model.parameters(), len(records), cfg.batch_size, loss_of,
+                 cfg, rng, cfg.max_steps)
+    write_checkpoint(checkpoint_path, adapter_checkpoint(model)
+                     if iter_adapters(model) else model.state_dict())
     header = ["step", "lr", "L_MGA", "L_MGC", "L_MLM", "L_total"]
     write_csv(curve_path, header, ([r[k] for k in header] for r in rows))
     return rows

@@ -1,14 +1,16 @@
-"""Optimization: AdamW, cosine-annealed LR with linear warmup, gradient clipping."""
+"""Optimization: AdamW, cosine-annealed LR with linear warmup, gradient
+clipping, and `train`, the one training loop built from them."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError
+from .rng import SessionRng
 
 
 def clip_global_norm(params: Dict[str, Tensor], max_norm: float = 5.0) -> float:
@@ -27,14 +29,6 @@ def clip_global_norm(params: Dict[str, Tensor], max_norm: float = 5.0) -> float:
             if p.grad is not None:
                 p.grad = p.grad * np.asarray(scale, dtype=p.grad.dtype)
     return norm
-
-
-def check_finite_step(step: int, loss: float, grad_norm: float) -> None:
-    """Stop a training loop before it updates weights from a non-finite
-    loss or pre-clip gradient norm."""
-    if not (math.isfinite(loss) and math.isfinite(grad_norm)):
-        raise NumericError(f"step {step}: non-finite loss ({loss}) or "
-                           f"gradient norm ({grad_norm})")
 
 
 class CosineWarmupSchedule:
@@ -102,3 +96,47 @@ class AdamW:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
+
+
+def train(params: Dict[str, Tensor], n_items: int, batch_size: int,
+          loss_of: Callable[[np.ndarray], Tuple[Tensor, dict]], cfg,
+          rng: SessionRng, max_steps: int | None = None) -> List[dict]:
+    """Train `params` on shuffled epochs of `n_items` items in batches.
+
+    `cfg` supplies epochs, lr_max, lr_min, clip_norm and weight_decay.  The
+    rate warms up linearly over the first epoch, then cosine-decays to
+    lr_min at the last step; a single-step run uses lr_max.  Each step
+    clips the gradients to a global norm of cfg.clip_norm and takes one
+    AdamW step.  `loss_of(indices)` returns the batch loss and a row of
+    figures; the result has one {"step", "lr", **row} per step.  Raises
+    NumericError naming the step, before any update, when the loss or the
+    pre-clip gradient norm is not finite.
+    """
+    steps_per_epoch = math.ceil(n_items / batch_size)
+    total = cfg.epochs * steps_per_epoch
+    if max_steps is not None:
+        total = min(total, max_steps)
+    schedule = (CosineWarmupSchedule(cfg.lr_max, cfg.lr_min,
+                                     warmup_steps=min(steps_per_epoch, total - 1),
+                                     total_steps=total)
+                if total > 1 else None)
+    opt = AdamW(params, lr=cfg.lr_max, weight_decay=cfg.weight_decay)
+    rows: List[dict] = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_items)
+        for start in range(0, n_items, batch_size):
+            step = len(rows)
+            opt.zero_grad()
+            loss, row = loss_of(order[start:start + batch_size])
+            loss.backward()
+            value = float(loss.data)
+            norm = clip_global_norm(params, cfg.clip_norm)
+            if not (math.isfinite(value) and math.isfinite(norm)):
+                raise NumericError(f"step {step}: non-finite loss ({value}) "
+                                   f"or gradient norm ({norm})")
+            opt.lr = schedule.lr(step) if schedule else cfg.lr_max
+            opt.step()
+            rows.append({"step": step, "lr": opt.lr, **row})
+            if len(rows) >= total:
+                return rows
+    return rows

@@ -216,7 +216,7 @@ def save_stage1_bundle(out, model: Stage1Model) -> None:
 def save_lora_bundle(out, model: Stage1Model, stage1) -> None:
     """Write lora.json for the adapters attached to `model`, which was loaded
     from the stage-1 bundle `stage1`; the adapter weights, lora.wlcp, are the
-    checkpoint objectives.pretrain writes with lora_only=True."""
+    checkpoint objectives.pretrain writes for a model with adapters."""
     out = Path(out)
     adapters = lora_mod.iter_adapters(model)
     if not adapters:

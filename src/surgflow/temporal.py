@@ -14,8 +14,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, InputError
 from .nn import Module, MultiHeadAttention
-from .optim import (AdamW, CosineWarmupSchedule, check_finite_step,
-                    clip_global_norm)
+from .optim import train
 from .rng import SessionRng
 
 
@@ -335,33 +334,14 @@ def train_temporal(model: TemporalModel, dataset: Sequence[tuple],
             raise InputError(
                 f"{seq.video_id}: {seq.features.shape[0]} features vs "
                 f"{len(labels)} labels")
-    rng = SessionRng(cfg.seed)
     n = len(dataset)
-    total_steps = cfg.epochs * n
-    if total_steps > 1:
-        schedule = CosineWarmupSchedule(cfg.lr_max, cfg.lr_min,
-                                        warmup_steps=min(n, total_steps - 1),
-                                        total_steps=total_steps)
-    else:
-        schedule = None  # single-step run: constant peak rate
-    params = model.parameters()
-    opt = AdamW(params, lr=cfg.lr_max, weight_decay=cfg.weight_decay)
-    curve = []
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for idx in order:
-            seq, labels = dataset[idx]
-            opt.zero_grad()
-            outputs = model.forward(seq.features)
-            loss = stage2_loss(outputs, labels, model.variant, model.cfg)
-            loss.backward()
-            check_finite_step(step, float(loss.data),
-                              clip_global_norm(params, cfg.clip_norm))
-            opt.lr = schedule.lr(step) if schedule else cfg.lr_max
-            opt.step()
-            epoch_losses.append(float(loss.data))
-            step += 1
-        curve.append(float(np.mean(epoch_losses)))
-    return curve
+
+    def loss_of(batch):
+        seq, labels = dataset[batch[0]]
+        loss = stage2_loss(model.forward(seq.features), labels, model.variant,
+                           model.cfg)
+        return loss, {"loss": float(loss.data)}
+
+    rows = train(model.parameters(), n, 1, loss_of, cfg, SessionRng(cfg.seed))
+    return [float(np.mean([r["loss"] for r in rows[i:i + n]]))
+            for i in range(0, len(rows), n)]

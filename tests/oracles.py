@@ -1,11 +1,17 @@
 """Shared brute-force reference implementations used by multiple test modules."""
 
+import math
+
 import numpy as np
 
 from surgflow.autodiff import (Tensor, concat, getitem, matmul, pad,
                                power, reduce_mean, reshape, softmax,
                                transpose)
-from surgflow.errors import ConfigError, DimensionError
+from surgflow.errors import ConfigError, DimensionError, NumericError
+from surgflow.objectives import load_manifest, valor_loss
+from surgflow.optim import AdamW, CosineWarmupSchedule, clip_global_norm
+from surgflow.rng import SessionRng
+from surgflow.temporal import stage2_loss
 
 
 def max_empty_rect_area(width, height, boxes):
@@ -134,3 +140,101 @@ def left_edge_rasterize(timeline, fps=1.0):
         t = i / fps
         labels.append(timeline.label_at(t))
     return labels
+
+
+def _check_finite_step(step, loss, grad_norm):
+    if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+        raise NumericError(f"step {step}: non-finite loss ({loss}) or "
+                           f"gradient norm ({grad_norm})")
+
+
+def reference_pretrain(model, manifest_path, clip_store, cfg):
+    """Stage-1 training written out as its own loop, with its own schedule,
+    optimizer and step counter: the loop objectives.pretrain runs through
+    optim.train.  Returns the curve rows; writes no file."""
+    records = load_manifest(manifest_path)
+    rng = SessionRng(cfg.seed)
+    caption_ids = [model.vocab.encode(r["text"]) for r in records]
+
+    steps_per_epoch = math.ceil(len(records) / cfg.batch_size)
+    total_steps = cfg.epochs * steps_per_epoch
+    if cfg.max_steps is not None:
+        total_steps = min(total_steps, cfg.max_steps)
+    if total_steps > 1:
+        schedule = CosineWarmupSchedule(
+            cfg.lr_max, cfg.lr_min,
+            warmup_steps=min(steps_per_epoch, total_steps - 1),
+            total_steps=total_steps)
+    else:
+        schedule = None  # single-step run: constant peak rate
+    params = model.parameters()
+    opt = AdamW(params, lr=cfg.lr_max, weight_decay=cfg.weight_decay)
+
+    rows = []
+    step = 0
+    done = False
+    for _ in range(cfg.epochs):
+        if done:
+            break
+        order = rng.permutation(len(records))
+        for start in range(0, len(records), cfg.batch_size):
+            batch_idx = order[start:start + cfg.batch_size]
+            clips = [clip_store.clip(records[i]) for i in batch_idx]
+            ids = [caption_ids[i] for i in batch_idx]
+            opt.zero_grad()
+            report = valor_loss(model, clips, ids, rng,
+                                mgc_ratio=cfg.mgc_ratio, mlm_ratio=cfg.mlm_ratio)
+            report.total.backward()
+            _check_finite_step(step, float(report.total.data),
+                               clip_global_norm(params, cfg.clip_norm))
+            opt.lr = schedule.lr(step) if schedule else cfg.lr_max
+            opt.step()
+            rows.append({
+                "step": step,
+                "lr": opt.lr,
+                "L_MGA": float(report.mga.data),
+                "L_MGC": float(report.mgc.data),
+                "L_MLM": float(report.mlm.data),
+                "L_total": float(report.total.data),
+            })
+            step += 1
+            if step >= total_steps:
+                done = True
+                break
+    return rows
+
+
+def reference_train_temporal(model, dataset, cfg):
+    """Stage-2 training written out as its own loop, one video per step:
+    the loop temporal.train_temporal runs through optim.train.  Returns the
+    per-epoch mean loss curve."""
+    rng = SessionRng(cfg.seed)
+    n = len(dataset)
+    total_steps = cfg.epochs * n
+    if total_steps > 1:
+        schedule = CosineWarmupSchedule(cfg.lr_max, cfg.lr_min,
+                                        warmup_steps=min(n, total_steps - 1),
+                                        total_steps=total_steps)
+    else:
+        schedule = None  # single-step run: constant peak rate
+    params = model.parameters()
+    opt = AdamW(params, lr=cfg.lr_max, weight_decay=cfg.weight_decay)
+    curve = []
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_losses = []
+        for idx in order:
+            seq, labels = dataset[idx]
+            opt.zero_grad()
+            outputs = model.forward(seq.features)
+            loss = stage2_loss(outputs, labels, model.variant, model.cfg)
+            loss.backward()
+            _check_finite_step(step, float(loss.data),
+                               clip_global_norm(params, cfg.clip_norm))
+            opt.lr = schedule.lr(step) if schedule else cfg.lr_max
+            opt.step()
+            epoch_losses.append(float(loss.data))
+            step += 1
+        curve.append(float(np.mean(epoch_losses)))
+    return curve

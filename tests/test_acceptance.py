@@ -335,7 +335,7 @@ def headline(tmp_path_factory):
              ClipStore(shifted / "videos", shifted_meta["fps"]),
              PretrainConfig(epochs=1, batch_size=8, lr_max=1e-2,
                             lr_min=1e-4, seed=5),
-             root / "lora.wlcp", root / "lora_curve.csv", lora_only=True)
+             root / "lora.wlcp", root / "lora_curve.csv")
     tuned_acc = mean_acc(shifted_zero_shot())
 
     lora.set_enabled(model, False)

@@ -451,3 +451,18 @@ class TestThreadDeterminism:
         for name in ("stage1.wlcp", "curve.csv"):
             assert (tmp_path / "t1" / name).read_bytes() == \
                 (tmp_path / "t2" / name).read_bytes(), name
+
+
+class TestThreadCap:
+    def test_wl_threads_overrides_thread_variables_already_set(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", WL_THREADS="1")
+        src = str(Path(surgflow.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        names = TestThreadDeterminism.THREAD_VARS
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import os, surgflow.cli; "
+             f"print(*(os.environ[v] for v in {names!r}))"],
+            env=env, check=True, capture_output=True, text=True, timeout=60)
+        assert out.stdout.split() == ["1"] * len(names)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import TINY_TEXTS, make_tiny_model, tiny_clips
-from oracles import brute_similarity
+from oracles import brute_similarity, reference_pretrain
+from surgflow import lora
 from surgflow.autodiff import Tensor
 from surgflow.errors import ConfigError, InputError, NumericError
 from surgflow.models import CAPTION_PROMPT, MGA_PROMPT
@@ -16,6 +17,7 @@ from surgflow.objectives import (ClipStore, MaskingPlan, PretrainConfig,
                                  mga_loss_from_scores, mgc_loss, mlm_loss,
                                  pretrain, similarity_matrix, valor_loss)
 from surgflow.rng import SessionRng
+from surgflow.serialization import read_checkpoint
 
 ONE = Tensor(np.array(1.0, np.float64))
 
@@ -214,14 +216,14 @@ class TestValorLoss:
 
 
 class TestPretrainLoop:
-    def build_corpus(self, tmp_path, model):
+    def build_corpus(self, tmp_path, model, n_videos=2):
         from surgflow.serialization import write_frame_grid
         import json
         rng = SessionRng(12)
         videos = tmp_path / "videos"
         videos.mkdir(parents=True)
         records = []
-        for i, text in enumerate(TINY_TEXTS[:2]):
+        for i, text in enumerate(TINY_TEXTS[:n_videos]):
             vid = f"v{i}"
             write_frame_grid(videos / f"{vid}.wlfg",
                              rng.uniform(0, 1, (4, 8, 8, 3)))
@@ -264,6 +266,34 @@ class TestPretrainLoop:
                      PretrainConfig(epochs=1, batch_size=2, seed=0),
                      tmp_path / "s1.wlcp", tmp_path / "curve.csv")
         assert not (tmp_path / "s1.wlcp").exists()
+
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_matches_reference_loop(self, tmp_path, adapters):
+        # 3 clips in batches of 2: max_steps=3 ends partway through epoch 2
+        cfg = PretrainConfig(epochs=3, batch_size=2, lr_max=1e-2, lr_min=1e-4,
+                             seed=7, max_steps=3)
+        models = [make_tiny_model(seed=4) for _ in range(2)]
+        if adapters:
+            for model in models:
+                lora.attach(model, r=2, seed=6)
+                lora.freeze_base(model)
+        manifest, store = self.build_corpus(tmp_path, models[0], n_videos=3)
+        expected = reference_pretrain(models[0], manifest, store, cfg)
+        rows = pretrain(models[1], manifest, store, cfg,
+                        tmp_path / "s1.wlcp", tmp_path / "curve.csv")
+        assert [list(r.items()) for r in rows] == \
+            [list(r.items()) for r in expected]
+        assert len(rows) == 3
+        want = models[0].state_dict()
+        got = models[1].state_dict()
+        assert list(got) == list(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+        saved = read_checkpoint(tmp_path / "s1.wlcp")
+        if adapters:
+            assert saved.keys() == lora.adapter_checkpoint(models[1]).keys()
+        else:
+            assert saved.keys() == want.keys()
 
     def test_empty_manifest_rejected(self, tmp_path, tiny_model):
         manifest = tmp_path / "manifest.jsonl"

@@ -1,13 +1,14 @@
-"""Optimizer, learning-rate schedule, and gradient clipping."""
+"""Optimizer, learning-rate schedule, gradient clipping, and the training loop."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from surgflow.autodiff import Tensor, reduce_sum
-from surgflow.errors import ConfigError
-from surgflow.optim import AdamW, CosineWarmupSchedule, clip_global_norm
+from surgflow.errors import ConfigError, NumericError
+from surgflow.optim import AdamW, CosineWarmupSchedule, clip_global_norm, train
 from surgflow.rng import SessionRng
 
 
@@ -107,3 +108,64 @@ class TestClipping:
     def test_none_grads_ignored(self):
         params = quad_params(3)
         assert clip_global_norm(params, 1.0) == 0.0
+
+
+def loop_cfg(epochs):
+    return SimpleNamespace(epochs=epochs, lr_max=0.1, lr_min=1e-3,
+                           clip_norm=5.0, weight_decay=0.0)
+
+
+class TestTrain:
+    """optim.train: batching, schedule, and the stop on a non-finite step."""
+
+    def quad_loss(self, params, batches):
+        def loss_of(batch):
+            batches.append(list(batch))
+            loss = reduce_sum(params["x"] * params["x"])
+            return loss, {"loss": float(loss.data)}
+        return loss_of
+
+    def test_single_step_trains_at_lr_max(self):
+        params = quad_params(4)
+        before = params["x"].data.copy()
+        rows = train(params, 1, 1, self.quad_loss(params, []), loop_cfg(1),
+                     SessionRng(0))
+        assert [r["step"] for r in rows] == [0]
+        assert rows[0]["lr"] == 0.1
+        # the first AdamW step moves each weight by exactly lr
+        np.testing.assert_allclose(np.abs(params["x"].data - before), 0.1,
+                                   rtol=1e-5)
+
+    def test_max_steps_ends_partway_through_an_epoch(self):
+        params = quad_params(5)
+        batches = []
+        # 5 items in batches of 2: 3 steps per epoch, 9 in all, cut at 4
+        rows = train(params, 5, 2, self.quad_loss(params, batches),
+                     loop_cfg(3), SessionRng(8), max_steps=4)
+        assert [r["step"] for r in rows] == [0, 1, 2, 3]
+        sched = CosineWarmupSchedule(0.1, 1e-3, warmup_steps=3, total_steps=4)
+        assert [r["lr"] for r in rows] == [sched.lr(s) for s in range(4)]
+        assert list(rows[0]) == ["step", "lr", "loss"]
+        orders = SessionRng(8)
+        first, second = orders.permutation(5), orders.permutation(5)
+        assert batches == [list(first[:2]), list(first[2:4]), list(first[4:]),
+                           list(second[:2])]
+
+    def test_nan_loss_stops_before_updating(self):
+        params = quad_params(6)
+        starts = []  # the weights at the start of each step
+
+        def loss_of(batch):
+            step = len(starts)
+            starts.append(params["x"].data.copy())
+            loss = reduce_sum(params["x"] * params["x"])
+            if step == 2:
+                loss = loss * float("nan")
+            return loss, {}
+
+        with pytest.raises(NumericError, match="step 2"):
+            train(params, 4, 1, loss_of, loop_cfg(2), SessionRng(1))
+        assert len(starts) == 3
+        # still the weights step 1 left behind
+        np.testing.assert_array_equal(params["x"].data, starts[2])
+        assert not np.array_equal(starts[2], starts[1])

@@ -133,6 +133,40 @@ open(p); open(p, "rb"); p.read_text(); json.dumps(d); p.open()
         assert sorted(_write_calls(ast.parse(source))) == [2] * 4 + [3] * 4
 
 
+def _training_calls(tree):
+    """Line numbers of the calls in `tree` that build an optimizer or a
+    schedule or clip gradients: AdamW, CosineWarmupSchedule and
+    clip_global_norm, by bare name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", "")
+            if name in ("AdamW", "CosineWarmupSchedule", "clip_global_norm"):
+                yield node.lineno
+
+
+class TestOneTrainingLoop:
+    """Only `optim.train` builds an optimizer or a schedule or clips
+    gradients; every training command goes through it."""
+
+    SRC = Path(serialization.__file__).parent
+
+    def test_no_module_but_optim_runs_a_training_step(self):
+        found = [f"{path.name}:{line}"
+                 for path in sorted(self.SRC.glob("*.py"))
+                 if path.name != "optim.py"
+                 for line in _training_calls(ast.parse(path.read_text()))]
+        assert found == []
+
+    def test_checker_sees_each_training_call(self):
+        source = """
+AdamW(p); optim.AdamW(p, lr=1.0); CosineWarmupSchedule(1, 0, 1, 2)
+clip_global_norm(p, 5.0); optim.clip_global_norm(p)
+train(p, 1, 1, f, c, r); AdamW; opt.step(); schedule.lr(0)
+"""
+        assert sorted(_training_calls(ast.parse(source))) == [2] * 3 + [3] * 2
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = SessionRng(0)

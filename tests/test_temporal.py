@@ -4,6 +4,7 @@ composition, shift equivariance of the convolutional variant, and training."""
 import numpy as np
 import pytest
 
+from oracles import reference_train_temporal
 from surgflow import autodiff as ad
 from surgflow.autodiff import Tensor
 from surgflow.errors import ConfigError, InputError, NumericError
@@ -191,6 +192,19 @@ class TestTraining:
             curves.append(train_temporal(model, dataset,
                                          TrainTemporalConfig(epochs=3, seed=2)))
         assert curves[0] == curves[1]
+
+    @pytest.mark.parametrize("variant", ["tcn", "asformer"])
+    def test_matches_reference_loop(self, variant):
+        dataset = self.make_dataset()
+        cfg = TrainTemporalConfig(epochs=2, seed=3)
+        models = [build_temporal_model(variant, TOY, SessionRng(19))
+                  for _ in range(2)]
+        expected = reference_train_temporal(models[0], dataset, cfg)
+        assert train_temporal(models[1], dataset, cfg) == expected
+        assert len(expected) == 2
+        want = models[0].state_dict()
+        for name, value in models[1].state_dict().items():
+            np.testing.assert_array_equal(value, want[name], err_msg=name)
 
     def test_empty_dataset(self):
         model = build_temporal_model("tcn", TOY, SessionRng(15))
