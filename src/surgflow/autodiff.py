@@ -4,8 +4,12 @@ Tensors wrap numpy arrays (float32 by default, float64 for gradient
 verification) and record their producing operation so that ``backward``
 can replay the tape in reverse topological order.  Tensor values are
 treated as immutable once created; optimizers mutate leaf ``data``
-in place between tape constructions.  Inside ``no_grad`` no tape is
-recorded: every op returns a constant tensor.
+in place between tape constructions.
+
+Every op passes its result and its backward closure to ``_node``, which
+alone decides whether a node is recorded: only while a tape is recorded
+(outside ``no_grad``) and only when some input requires grad.  Otherwise
+the op returns a constant tensor.
 """
 
 from __future__ import annotations
@@ -199,11 +203,16 @@ def no_grad():
         _recording = outer
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
-    if not _recording:
-        return Tensor(data)
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, _parents=tuple(p for p in parents if p.requires_grad))
+def _node(data: np.ndarray, parents: Sequence[Tensor],
+          backward: Callable[[np.ndarray], None]) -> Tensor:
+    """The result of an op: a tape node holding the parents that require grad
+    and the `backward` closure when a tape is recorded and some parent
+    requires grad, else a constant."""
+    if _recording:
+        live = tuple(p for p in parents if p.requires_grad)
+        if live:
+            return Tensor(data, requires_grad=True, _parents=live, _backward=backward)
+    return Tensor(data)
 
 
 # -- elementwise ops ---------------------------------------------------------
@@ -211,60 +220,45 @@ def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b, a.dtype if isinstance(a, Tensor) else DEFAULT_DTYPE)
-    out = _node(a.data + b.data, (a, b))
-    if out.requires_grad:
-        def bwd(g, a=a, b=b):
-            if a.requires_grad:
-                _accum(a, g)
-            if b.requires_grad:
-                _accum(b, g)
-        out._backward = bwd
-    return out
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, g)
+        if b.requires_grad:
+            _accum(b, g)
+    return _node(a.data + b.data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
     a = _wrap(a)
     b = _wrap(b, a.dtype)
-    out = _node(a.data * b.data, (a, b))
-    if out.requires_grad:
-        def bwd(g, a=a, b=b):
-            if a.requires_grad:
-                _accum(a, g * b.data)
-            if b.requires_grad:
-                _accum(b, g * a.data)
-        out._backward = bwd
-    return out
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
+    return _node(a.data * b.data, (a, b), bwd)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     a = _wrap(a)
-    out = _node(a.data ** exponent, (a,))
-    if out.requires_grad:
-        def bwd(g, a=a):
-            _accum(a, g * exponent * a.data ** (exponent - 1.0))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        _accum(a, g * exponent * a.data ** (exponent - 1.0))
+    return _node(a.data ** exponent, (a,), bwd)
 
 
 def exp(a: Tensor) -> Tensor:
     a = _wrap(a)
     val = np.exp(a.data)
-    out = _node(val, (a,))
-    if out.requires_grad:
-        def bwd(g, a=a, val=val):
-            _accum(a, g * val)
-        out._backward = bwd
-    return out
+    def bwd(g):
+        _accum(a, g * val)
+    return _node(val, (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
     a = _wrap(a)
-    out = _node(np.maximum(a.data, 0.0), (a,))
-    if out.requires_grad:
-        def bwd(g, a=a):
-            _accum(a, g * (a.data > 0))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        _accum(a, g * (a.data > 0))
+    return _node(np.maximum(a.data, 0.0), (a,), bwd)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -272,14 +266,10 @@ def gelu(a: Tensor) -> Tensor:
     a = _wrap(a)
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = _node(x * cdf, (a,))
-    if out.requires_grad:
-        def bwd(g, a=a, cdf=cdf):
-            x = a.data
-            pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-            _accum(a, g * (cdf + x * pdf))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+        _accum(a, g * (cdf + x * pdf))
+    return _node(x * cdf, (a,), bwd)
 
 
 # -- matmul / shape ops ------------------------------------------------------
@@ -291,15 +281,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError("matmul requires tensors of rank >= 1")
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise DimensionError(f"matmul inner dims mismatch: {a.shape} x {b.shape}")
-    out = _node(np.matmul(a.data, b.data), (a, b))
-    if out.requires_grad:
-        def bwd(g, a=a, b=b):
-            if a.requires_grad:
-                _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-            if b.requires_grad:
-                _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if b.requires_grad:
+            _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+    return _node(np.matmul(a.data, b.data), (a, b), bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -312,77 +299,57 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     val = np.matmul(x.data, weight.data)
     if bias is not None:
         val = val + bias.data
-    out = _node(val, (x, weight) if bias is None else (x, weight, bias))
-    if out.requires_grad:
-        def bwd(g, x=x, weight=weight, bias=bias):
-            d_in, d_out = weight.shape
-            if weight.requires_grad:
-                _accum(weight, x.data.reshape(-1, d_in).T @ g.reshape(-1, d_out))
-            if bias is not None and bias.requires_grad:
-                _accum(bias, g.reshape(-1, d_out).sum(axis=0))
-            if x.requires_grad:
-                _accum(x, np.matmul(g, weight.data.T))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        d_in, d_out = weight.shape
+        if weight.requires_grad:
+            _accum(weight, x.data.reshape(-1, d_in).T @ g.reshape(-1, d_out))
+        if bias is not None and bias.requires_grad:
+            _accum(bias, g.reshape(-1, d_out).sum(axis=0))
+        if x.requires_grad:
+            _accum(x, np.matmul(g, weight.data.T))
+    return _node(val, (x, weight) if bias is None else (x, weight, bias), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _wrap(a)
-    out = _node(a.data.reshape(shape), (a,))
-    if out.requires_grad:
-        def bwd(g, a=a):
-            _accum(a, g.reshape(a.shape))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        _accum(a, g.reshape(a.shape))
+    return _node(a.data.reshape(shape), (a,), bwd)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
     a = _wrap(a)
-    out = _node(np.transpose(a.data, axes), (a,))
-    if out.requires_grad:
-        inv = None if axes is None else np.argsort(axes)
-        def bwd(g, a=a, inv=inv):
-            _accum(a, np.transpose(g, inv))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        _accum(a, np.transpose(g, None if axes is None else np.argsort(axes)))
+    return _node(np.transpose(a.data, axes), (a,), bwd)
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = [_wrap(p) for p in parts]
-    out = _node(np.concatenate([p.data for p in parts], axis=axis), parts)
-    if out.requires_grad:
-        sizes = [p.shape[axis] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
-        def bwd(g, parts=parts, splits=splits, axis=axis):
-            for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-                if p.requires_grad:
-                    _accum(p, piece)
-        out._backward = bwd
-    return out
+    def bwd(g):
+        splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
+        for p, piece in zip(parts, np.split(g, splits, axis=axis)):
+            if p.requires_grad:
+                _accum(p, piece)
+    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, bwd)
 
 
 def stack(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = [_wrap(p) for p in parts]
-    out = _node(np.stack([p.data for p in parts], axis=axis), parts)
-    if out.requires_grad:
-        def bwd(g, parts=parts, axis=axis):
-            for i, p in enumerate(parts):
-                if p.requires_grad:
-                    _accum(p, np.take(g, i, axis=axis))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        for i, p in enumerate(parts):
+            if p.requires_grad:
+                _accum(p, np.take(g, i, axis=axis))
+    return _node(np.stack([p.data for p in parts], axis=axis), parts, bwd)
 
 
 def pad(a: Tensor, pad_width) -> Tensor:
     """Zero padding; pad_width as in np.pad."""
     a = _wrap(a)
-    out = _node(np.pad(a.data, pad_width), (a,))
-    if out.requires_grad:
-        slices = tuple(slice(lo, lo + dim) for (lo, _), dim in zip(pad_width, a.shape))
-        def bwd(g, a=a, slices=slices):
-            _accum(a, g[slices])
-        out._backward = bwd
-    return out
+    def bwd(g):
+        _accum(a, g[tuple(slice(lo, lo + dim)
+                          for (lo, _), dim in zip(pad_width, a.shape))])
+    return _node(np.pad(a.data, pad_width), (a,), bwd)
 
 
 def _is_basic(index) -> bool:
@@ -396,17 +363,14 @@ def _is_basic(index) -> bool:
 
 def getitem(a: Tensor, index) -> Tensor:
     a = _wrap(a)
-    out = _node(a.data[index], (a,))
-    if out.requires_grad:
-        def bwd(g, a=a, index=index):
-            full = np.zeros_like(a.data)
-            if _is_basic(index):
-                full[index] = g
-            else:  # integer arrays may repeat an index: accumulate
-                np.add.at(full, index, g)
-            _accum(a, full)
-        out._backward = bwd
-    return out
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        if _is_basic(index):
+            full[index] = g
+        else:  # integer arrays may repeat an index: accumulate
+            np.add.at(full, index, g)
+        _accum(a, full)
+    return _node(a.data[index], (a,), bwd)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -422,49 +386,39 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     a = _wrap(a)
-    out = _node(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-    if out.requires_grad:
-        def bwd(g, a=a, axis=axis, keepdims=keepdims):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.shape))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.shape))
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     a = _wrap(a)
-    out = _node(a.data.mean(axis=axis, keepdims=keepdims), (a,))
-    if out.requires_grad:
+    def bwd(g):
         count = a.size if axis is None else np.prod(
             [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-        def bwd(g, a=a, axis=axis, keepdims=keepdims, count=count):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.shape) / count)
-        out._backward = bwd
-    return out
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.shape) / count)
+    return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 def reduce_max(a: Tensor, axis=None, keepdims=False) -> Tensor:
     """Max reduction; gradient routes to the first argmax."""
     a = _wrap(a)
-    val = a.data.max(axis=axis, keepdims=keepdims)
-    out = _node(val, (a,))
-    if out.requires_grad:
-        def bwd(g, a=a, axis=axis, keepdims=keepdims):
-            if axis is None:
-                mask = np.zeros_like(a.data)
-                mask.flat[np.argmax(a.data)] = 1.0
-                _accum(a, mask * g)
-                return
-            idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
-            full = np.zeros_like(a.data)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            np.put_along_axis(full, idx, gg, axis=axis)
-            _accum(a, full)
-        out._backward = bwd
-    return out
+    def bwd(g):
+        if axis is None:
+            mask = np.zeros_like(a.data)
+            mask.flat[np.argmax(a.data)] = 1.0
+            _accum(a, mask * g)
+            return
+        idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
+        full = np.zeros_like(a.data)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        np.put_along_axis(full, idx, gg, axis=axis)
+        _accum(a, full)
+    return _node(a.data.max(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 # -- neural net ops ----------------------------------------------------------
@@ -476,13 +430,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     val = e / e.sum(axis=axis, keepdims=True)
-    out = _node(val, (x,))
-    if out.requires_grad:
-        def bwd(g, x=x, val=val, axis=axis):
-            dot = (g * val).sum(axis=axis, keepdims=True)
-            _accum(x, val * (g - dot))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        dot = (g * val).sum(axis=axis, keepdims=True)
+        _accum(x, val * (g - dot))
+    return _node(val, (x,), bwd)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -490,12 +441,9 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     val = shifted - lse
-    out = _node(val, (x,))
-    if out.requires_grad:
-        def bwd(g, x=x, val=val, axis=axis):
-            _accum(x, g - np.exp(val) * g.sum(axis=axis, keepdims=True))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        _accum(x, g - np.exp(val) * g.sum(axis=axis, keepdims=True))
+    return _node(val, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -508,20 +456,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = (var + np.asarray(eps, var.dtype)) ** -0.5
     x_hat = centered * inv
-    out = _node(x_hat * gain.data + bias.data, (x, gain, bias))
-    if out.requires_grad:
-        def bwd(g, x=x, gain=gain, bias=bias):
-            dim = g.shape[-1]
-            if gain.requires_grad:
-                _accum(gain, (g * x_hat).reshape(-1, dim).sum(axis=0))
-            if bias.requires_grad:
-                _accum(bias, g.reshape(-1, dim).sum(axis=0))
-            if x.requires_grad:
-                d = g * gain.data
-                _accum(x, inv * (d - d.mean(axis=-1, keepdims=True) - x_hat *
-                                 (d * x_hat).mean(axis=-1, keepdims=True)))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        dim = g.shape[-1]
+        if gain.requires_grad:
+            _accum(gain, (g * x_hat).reshape(-1, dim).sum(axis=0))
+        if bias.requires_grad:
+            _accum(bias, g.reshape(-1, dim).sum(axis=0))
+        if x.requires_grad:
+            d = g * gain.data
+            _accum(x, inv * (d - d.mean(axis=-1, keepdims=True) - x_hat *
+                             (d * x_hat).mean(axis=-1, keepdims=True)))
+    return _node(x_hat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor,
@@ -544,21 +489,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
         scores = scores + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = _node(np.matmul(p, v.data), (q, k, v))
-    if out.requires_grad:
-        def bwd(g, q=q, k=k, v=v):
-            if v.requires_grad:
-                _accum(v, np.matmul(np.swapaxes(p, -1, -2), g))
-            if not (q.requires_grad or k.requires_grad):
-                return
-            dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
-            if q.requires_grad:
-                _accum(q, np.matmul(ds, k.data))
-            if k.requires_grad:
-                _accum(k, np.matmul(np.swapaxes(ds, -1, -2), q.data))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        if v.requires_grad:
+            _accum(v, np.matmul(np.swapaxes(p, -1, -2), g))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            _accum(q, np.matmul(ds, k.data))
+        if k.requires_grad:
+            _accum(k, np.matmul(np.swapaxes(ds, -1, -2), q.data))
+    return _node(np.matmul(p, v.data), (q, k, v), bwd)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -602,25 +544,22 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     val = taps @ w
     if bias is not None:
         val = val + bias.data
-    out = _node(val, (x, kernel) if bias is None else (x, kernel, bias))
-    if out.requires_grad:
-        def bwd(g, x=x, kernel=kernel, bias=bias):
-            if kernel.requires_grad:
-                _accum(kernel, (taps.T @ g).reshape(kernel.shape))
-            if bias is not None and bias.requires_grad:
-                _accum(bias, g)
-            if x.requires_grad:
-                g_taps = g @ w.T  # [T, k*C_in]
-                if k == 1:
-                    _accum(x, g_taps)
-                    return
-                full = np.zeros((t + 2 * half, c_in), g_taps.dtype)
-                for i in range(k):
-                    lo = i * dilation
-                    full[lo:lo + t] += g_taps[:, i * c_in:(i + 1) * c_in]
-                _accum(x, full[half:half + t])
-        out._backward = bwd
-    return out
+    def bwd(g):
+        if kernel.requires_grad:
+            _accum(kernel, (taps.T @ g).reshape(kernel.shape))
+        if bias is not None and bias.requires_grad:
+            _accum(bias, g)
+        if x.requires_grad:
+            g_taps = g @ w.T  # [T, k*C_in]
+            if k == 1:
+                _accum(x, g_taps)
+                return
+            full = np.zeros((t + 2 * half, c_in), g_taps.dtype)
+            for i in range(k):
+                lo = i * dilation
+                full[lo:lo + t] += g_taps[:, i * c_in:(i + 1) * c_in]
+            _accum(x, full[half:half + t])
+    return _node(val, (x, kernel) if bias is None else (x, kernel, bias), bwd)
 
 
 # -- gradient checking -------------------------------------------------------

@@ -61,16 +61,9 @@ class VideoTokens:
 
 @dataclass
 class TextTokens:
-    """Text-encoder output plus bookkeeping for masking and padding."""
+    """Text-encoder output and its padding mask."""
     tokens: Tensor                 # [B, N_t, C] encoder output
-    ids: np.ndarray                # [B, N_t] token ids (pad-filled)
     pad_mask: np.ndarray           # [B, N_t] True at padding
-    prompt_len: int
-    mask_flags: np.ndarray = field(default=None)  # [B, N_t] True where maskable
-
-    @property
-    def length(self) -> int:
-        return self.ids.shape[1]
 
 
 def uniform_sample_indices(n_frames: int, n_sample: int) -> np.ndarray:
@@ -333,12 +326,9 @@ class Stage1Model(Module):
             pad[i, :len(ids)] = False
         return batch, pad
 
-    def encode_text_batch(self, ids_list: Sequence[Sequence[int]],
-                          prompt_len: int) -> TextTokens:
+    def encode_text_batch(self, ids_list: Sequence[Sequence[int]]) -> TextTokens:
         ids, pad = self.pad_batch(ids_list)
-        tokens = self.text_encoder(ids, pad)
-        return TextTokens(tokens, ids, pad, prompt_len,
-                          self.maskable(ids, pad, prompt_len))
+        return TextTokens(self.text_encoder(ids, pad), pad)
 
     def maskable(self, ids: np.ndarray, pad: np.ndarray,
                  prompt_len: int) -> np.ndarray:

@@ -161,7 +161,7 @@ def valor_loss(model: Stage1Model, clips: Sequence[np.ndarray],
 
     mga_prompt = model.prompt_ids(MGA_PROMPT)
     mga_text = model.encode_text_batch(
-        [mga_prompt + list(ids) for ids in caption_ids], len(mga_prompt))
+        [mga_prompt + list(ids) for ids in caption_ids])
     l_mga = mga_loss(model, mga_text, video, normalize_by_batch)
 
     cap_prompt = model.prompt_ids(CAPTION_PROMPT)

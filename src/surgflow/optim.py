@@ -110,8 +110,13 @@ def train(params: Dict[str, Tensor], n_items: int, batch_size: int,
     AdamW step.  `loss_of(indices)` returns the batch loss and a row of
     figures; the result has one {"step", "lr", **row} per step.  Raises
     NumericError naming the step, before any update, when the loss or the
-    pre-clip gradient norm is not finite.
+    pre-clip gradient norm is not finite.  Raises ConfigError, before the
+    first step, when epochs, batch_size or max_steps is below 1.
     """
+    for name, value in (("epochs", cfg.epochs), ("batch_size", batch_size),
+                        ("max_steps", max_steps)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
     steps_per_epoch = math.ceil(n_items / batch_size)
     total = cfg.epochs * steps_per_epoch
     if max_steps is not None:

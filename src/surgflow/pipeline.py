@@ -114,8 +114,7 @@ def zero_shot(frames: np.ndarray, model: Stage1Model,
     prompt = model.prompt_ids(MGA_PROMPT)
     with no_grad():
         text = model.encode_text_batch(
-            [prompt + model.vocab.encode(prototypes[c]) for c in class_names],
-            len(prompt))
+            [prompt + model.vocab.encode(prototypes[c]) for c in class_names])
         e_t, w_t = model.head.pool_text(text)
         part = partition(len(frames) / fps, fps=fps)
         labels = []
@@ -324,6 +323,11 @@ def ablate_subset(features_dir, corpus, classes, train_ids, test_ids,
     each model on the fixed held-out split."""
     if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]")
+    if not train_ids or not test_ids:
+        raise ConfigError("the training and held-out splits must both be non-empty")
+    shared = sorted(set(train_ids) & set(test_ids))
+    if shared:
+        raise ConfigError(f"videos in both the training and held-out splits: {shared}")
     order = SessionRng(seed).permutation(len(train_ids))
     rows = []
     for fraction in fractions:

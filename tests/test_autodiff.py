@@ -1,5 +1,8 @@
 """Core tensor ops against closed forms and central finite differences."""
 
+import ast
+import inspect
+import itertools
 import math
 
 import numpy as np
@@ -433,13 +436,6 @@ class TestFusedTransformerOps:
         assert out._parents == (q, k, v)
         assert _tape_nodes(out) == 1
 
-    def test_frozen_inputs_record_no_node(self):
-        rng = SessionRng(45)
-        x = Tensor(rng.normal(1.0, (4, 3), np.float64))
-        weight, bias = t64(rng.normal(1.0, (3, 2)), False), t64(np.zeros(2), False)
-        out = ad.linear(x, weight, bias)
-        assert not out.requires_grad and out._backward is None
-
     def test_linear_shape_error(self):
         with pytest.raises(DimensionError):
             ad.linear(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
@@ -481,17 +477,99 @@ class TestGetitemGradient:
         np.testing.assert_array_equal(x.grad, expected)
 
 
+# Every op that records a tape node: (call, input shapes).
+RECORDING_OPS = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "mul": (ad.mul, [(3, 4), (3, 1)]),
+    "power": (lambda a: ad.power(a, 3.0), [(3, 4)]),
+    "exp": (ad.exp, [(3, 4)]),
+    "relu": (ad.relu, [(3, 4)]),
+    "gelu": (ad.gelu, [(3, 4)]),
+    "matmul": (ad.matmul, [(2, 3, 4), (4, 2)]),
+    "linear": (ad.linear, [(2, 3, 4), (4, 2), (2,)]),
+    "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)]),
+    "transpose": (lambda a: ad.transpose(a, (2, 0, 1)), [(2, 3, 4)]),
+    "concat": (lambda *p: ad.concat(p, axis=1), [(3, 4), (3, 2), (3, 1)]),
+    "stack": (lambda *p: ad.stack(p, axis=1), [(3, 4), (3, 4)]),
+    "pad": (lambda a: ad.pad(a, ((1, 0), (0, 2))), [(3, 4)]),
+    "getitem": (lambda a: ad.getitem(a, (np.array([0, 0, 2]), slice(1, 3))),
+                [(3, 4)]),
+    "reduce_sum": (lambda a: ad.reduce_sum(a, axis=1), [(3, 4)]),
+    "reduce_mean": (lambda a: ad.reduce_mean(a, axis=(0, 2)), [(2, 3, 4)]),
+    "reduce_max": (lambda a: ad.reduce_max(a, axis=0, keepdims=True), [(3, 4)]),
+    "softmax": (ad.softmax, [(3, 4)]),
+    "log_softmax": (lambda a: ad.log_softmax(a, axis=0), [(3, 4)]),
+    "layer_norm": (ad.layer_norm, [(2, 3, 4), (4,), (4,)]),
+    "attention": (lambda q, k, v: ad.attention(q, k, v, nn.causal_mask(5)[:3]),
+                  [(2, 3, 4), (2, 5, 4), (2, 5, 2)]),
+    "conv1d": (lambda x, k, b: ad.conv1d(x, k, b, dilation=2),
+               [(6, 3), (3, 3, 2), (2,)]),
+}
+OPS = pytest.mark.parametrize("op", sorted(RECORDING_OPS))
+
+
+def _op_inputs(op, trainable):
+    """The op's inputs, seeded by its name; input i requires grad when
+    trainable[i] does."""
+    rng = SessionRng(sum(map(ord, op)))
+    return [Tensor(rng.normal(1.0, shape, np.float64), requires_grad=t)
+            for shape, t in zip(RECORDING_OPS[op][1], trainable)]
+
+
+def _is_constant(out):
+    return out._parents == () and out._backward is None and not out.requires_grad
+
+
 class TestNoGrad:
-    def test_results_are_constants(self):
-        rng = SessionRng(47)
-        x, w = rand64(rng, (3, 4)), rand64(rng, (4, 2))
+    """The recording rule of `_node`, op by op: a node holds exactly the
+    inputs that require grad, and nothing is recorded under no_grad or when
+    no input requires grad."""
+
+    def test_table_lists_every_recording_op(self):
+        tree = ast.parse(inspect.getsource(ad))
+        recording = {fn.name for fn in tree.body
+                     if isinstance(fn, ast.FunctionDef) and any(
+                         isinstance(c, ast.Call) and getattr(c.func, "id", "") == "_node"
+                         for c in ast.walk(fn))}
+        assert recording == set(RECORDING_OPS)
+
+    @OPS
+    def test_results_are_constants(self, op):
+        fn, shapes = RECORDING_OPS[op]
+        inputs = _op_inputs(op, [True] * len(shapes))
         with ad.no_grad():
-            outs = [ad.linear(x, w), ad.softmax(x), x * 2.0 + x,
-                    ad.attention(x, x, x), ad.layer_norm(x, x[0], x[1])]
-        for out in outs:
-            assert out._parents == () and out._backward is None
-            assert not out.requires_grad
-        np.testing.assert_array_equal(outs[0].data, ad.linear(x, w).data)
+            out = fn(*inputs)
+        assert _is_constant(out)
+        np.testing.assert_array_equal(out.data, fn(*inputs).data)
+
+    @OPS
+    def test_frozen_inputs_record_no_node(self, op):
+        fn, shapes = RECORDING_OPS[op]
+        assert _is_constant(fn(*_op_inputs(op, [False] * len(shapes))))
+
+    @OPS
+    def test_node_holds_exactly_the_grad_inputs(self, op):
+        """Every mix of frozen and grad inputs: the parents are the grad
+        inputs in argument order, and backward gives each of them the
+        gradient it gets when every input requires grad."""
+        fn, shapes = RECORDING_OPS[op]
+        masks = [m for m in itertools.product([True, False], repeat=len(shapes))
+                 if any(m)]
+        expected = None
+        for mask in masks:
+            inputs = _op_inputs(op, mask)
+            out = fn(*inputs)
+            assert out.requires_grad and out._backward is not None
+            assert out._parents == tuple(t for t in inputs if t.requires_grad)
+            weights = SessionRng(9).normal(1.0, out.shape, np.float64)
+            ad.reduce_sum(out * Tensor(weights)).backward()
+            grads = [t.grad for t in inputs]
+            expected = expected or grads  # the all-grad mask comes first
+            for t, g, want in zip(inputs, grads, expected):
+                if t.requires_grad:
+                    np.testing.assert_array_equal(g, want)
+                else:
+                    assert g is None
 
     def test_nesting_restores_outer_state(self):
         x = t64([1.0, 2.0])

@@ -79,6 +79,14 @@ class TestExitCodes:
             "--out", str(workspace / "ablate.csv")])
         assert result.exit_code == 2
 
+    def test_zero_epochs_is_config_error(self, runner, workspace, tmp_path):
+        result = runner.invoke(main, [
+            "pretrain", "--corpus", str(workspace / "corpus"), "--out",
+            str(tmp_path / "stage1"), "--epochs", "0"])
+        assert result.exit_code == 2
+        assert "epochs" in result.output
+        assert not (tmp_path / "stage1" / "stage1.wlcp").exists()
+
     def test_corrupt_artifact_is_runtime_error(self, runner, tmp_path):
         bad = tmp_path / "bad.wlfg"
         bad.write_bytes(b"not a frame grid")

@@ -93,8 +93,8 @@ class TestTextEncoder:
         vocab = tiny_model.vocab
         prompt = tiny_model.prompt_ids(CAPTION_PROMPT)
         ids = vocab.encode(TINY_TEXTS[0]) + [vocab.eos_id]
-        text = tiny_model.encode_text_batch([prompt + ids], len(prompt))
-        flags = text.mask_flags[0]
+        batch, pad = tiny_model.pad_batch([prompt + ids])
+        flags = tiny_model.maskable(batch, pad, len(prompt))[0]
         assert not flags[:len(prompt)].any()
         eos_pos = len(prompt) + len(ids) - 1
         assert not flags[eos_pos]
@@ -103,8 +103,8 @@ class TestTextEncoder:
     def test_padding_isolated(self, tiny_model):
         # a sample's encoding must not depend on how much its batch is padded
         a = tiny_model.prompt_ids(MGA_PROMPT)[:4]
-        alone = tiny_model.encode_text_batch([a], 0).tokens.data[0]
-        padded = tiny_model.encode_text_batch([a, a + a], 0).tokens.data[0]
+        alone = tiny_model.encode_text_batch([a]).tokens.data[0]
+        padded = tiny_model.encode_text_batch([a, a + a]).tokens.data[0]
         np.testing.assert_allclose(alone, padded[:4], atol=1e-5)
 
 
@@ -192,7 +192,7 @@ class TestSimilarityHead:
     def test_padded_text_tokens_get_zero_weight(self, tiny_model):
         short = tiny_model.prompt_ids(MGA_PROMPT)[:3]
         long = tiny_model.prompt_ids(MGA_PROMPT)
-        text = tiny_model.encode_text_batch([short, long], 0)
+        text = tiny_model.encode_text_batch([short, long])
         _, w_t = tiny_model.head.pool_text(text)
         assert np.all(w_t.data[0, 3:] < 1e-6)
         np.testing.assert_allclose(w_t.data.sum(axis=-1), 1.0, atol=1e-5)

@@ -200,8 +200,7 @@ class TestValorLoss:
         # recompute each component independently from the same inputs
         video = model.encode_video_batch(clips)
         mga_prompt = model.prompt_ids(MGA_PROMPT)
-        text = model.encode_text_batch(
-            [mga_prompt + list(c) for c in caption_ids], len(mga_prompt))
+        text = model.encode_text_batch([mga_prompt + list(c) for c in caption_ids])
         assert mga_loss(model, text, video, True).item() == pytest.approx(
             report.mga.item(), abs=1e-6)
         assert mgc_loss(model, plans[0], pad, video).item() == pytest.approx(

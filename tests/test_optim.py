@@ -169,3 +169,14 @@ class TestTrain:
         # still the weights step 1 left behind
         np.testing.assert_array_equal(params["x"].data, starts[2])
         assert not np.array_equal(starts[2], starts[1])
+
+    @pytest.mark.parametrize("name", ["epochs", "batch_size", "max_steps"])
+    def test_values_below_one_rejected_before_a_step(self, name):
+        params = quad_params(7)
+        batches = []
+        args = {"epochs": 2, "batch_size": 1, "max_steps": None, name: 0}
+        with pytest.raises(ConfigError, match=name):
+            train(params, 3, args["batch_size"],
+                  self.quad_loss(params, batches), loop_cfg(args["epochs"]),
+                  SessionRng(0), max_steps=args["max_steps"])
+        assert batches == []

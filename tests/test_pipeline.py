@@ -327,6 +327,23 @@ class TestNoTape:
         assert [r["videos"] for r in runs[0]] == [2, 3]
 
 
+class TestAblateSubset:
+    @pytest.mark.parametrize("train, test", [
+        (slice(0, 3), slice(2, 3)), (slice(0, 4), slice(4, 4)),
+        (slice(0, 0), slice(0, 4))], ids=["shared", "no-held-out", "no-train"])
+    def test_bad_split_rejected_before_training(self, tmp_path, monkeypatch,
+                                                train, test):
+        ids = TestNoTape.stage2_split(tmp_path)
+        fits = []
+        monkeypatch.setattr(pl, "fit_temporal",
+                            lambda *args: fits.append(args))
+        with pytest.raises(ConfigError):
+            pl.ablate_subset(tmp_path / "features", tmp_path / "corpus",
+                             TestNoTape.SPLIT_CLASSES, ids[train], ids[test],
+                             [1.0], "tcn", epochs=1, seed=0)
+        assert fits == []
+
+
 class TestPca:
     def test_axis_aligned_variance_ratios(self):
         rng = SessionRng(5)

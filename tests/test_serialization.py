@@ -167,6 +167,62 @@ train(p, 1, 1, f, c, r); AdamW; opt.step(); schedule.lr(0)
         assert sorted(_training_calls(ast.parse(source))) == [2] * 3 + [3] * 2
 
 
+TAPE_FIELDS = ("_backward", "_parents")
+
+
+def _tape_writes(tree, scope=""):
+    """(scope, line) of each write to a tensor's `_backward` or `_parents`:
+    an assignment to or deletion of the attribute, a setattr naming it, or
+    a call passing it by keyword.  scope is the dotted name of the enclosing
+    classes and functions, "" at module level."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Attribute) and node.attr in TAPE_FIELDS
+                and not isinstance(node.ctx, ast.Load)):
+            yield scope, node.lineno
+        elif isinstance(node, ast.Call) and (
+                any(kw.arg in TAPE_FIELDS for kw in node.keywords)
+                or getattr(node.func, "id", "") == "setattr" and any(
+                    isinstance(a, ast.Constant) and a.value in TAPE_FIELDS
+                    for a in node.args)):
+            yield scope, node.lineno
+        yield from _tape_writes(node, inner)
+
+
+class TestOneRecordingRule:
+    """Only `autodiff._node` gives a tensor parents and a backward closure
+    (through `Tensor.__init__`); every op hands its closure to it."""
+
+    SRC = Path(serialization.__file__).parent
+
+    def test_no_code_but_node_records_a_tape_node(self):
+        found = [f"{path.name}:{line} ({scope})"
+                 for path in sorted(self.SRC.glob("*.py"))
+                 for scope, line in _tape_writes(ast.parse(path.read_text()))
+                 if scope not in ("Tensor.__init__", "_node")]
+        assert found == []
+
+    def test_checker_sees_each_tape_write(self):
+        source = """
+out._backward = bwd; out._parents = (a,); t._backward += f
+Tensor(d, _parents=p); Tensor(d, _backward=f); setattr(t, "_backward", f)
+a, b._parents = 1, 2; del t._backward
+t._backward(g); p = t._parents; Tensor(d, requires_grad=True); getattr(t, "_parents")
+class Tensor:
+    def __init__(self, _parents=()):
+        self._parents = _parents
+def _node(d, p, b):
+    def bwd(g):
+        out._backward = g
+    return Tensor(d, _parents=p, _backward=b)
+"""
+        assert sorted(_tape_writes(ast.parse(source))) == sorted(
+            [("", 2)] * 3 + [("", 3)] * 3 + [("", 4)] * 2
+            + [("Tensor.__init__", 8), ("_node", 12), ("_node.bwd", 11)])
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = SessionRng(0)
