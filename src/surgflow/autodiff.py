@@ -145,31 +145,11 @@ class Tensor:
     def __rtruediv__(self, other):
         return mul(_wrap(other, self.dtype), power(self, -1.0))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __pow__(self, exponent):
         return power(self, exponent)
 
     def __getitem__(self, index):
         return getitem(self, index)
-
-    # -- shape ops -----------------------------------------------------------
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes or None)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
-
-    def max(self, axis=None, keepdims=False):
-        return reduce_max(self, axis, keepdims)
 
 
 def _wrap(x, dtype=DEFAULT_DTYPE) -> Tensor:

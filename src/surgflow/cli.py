@@ -15,6 +15,7 @@ if _threads:
 import functools
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 import time
@@ -85,16 +86,18 @@ def command(name: str):
     outputs gains --force and refuses an existing output without it, and
     after an --out command succeeds its run manifest records the invoked
     parameters, the seed and the wall time (run_manifest.json inside a
-    directory output, <file>.run.json beside a file output).
+    directory output, <file>.run.json beside a file output).  A failed
+    command removes the outputs it created, never one that existed before.
     """
 
     def decorate(fn):
         @functools.wraps(fn)
         def run(force: bool = False, **params):
             t0 = time.time()
+            paths = [params[k] for k in outputs if params[k] is not None]
+            created = [p for p in paths if not p.exists()]
             try:
-                existing = [params[k] for k in outputs
-                            if params[k] is not None and params[k].exists()]
+                existing = [p for p in paths if p not in created]
                 if existing and not force:
                     raise ConfigError(f"refusing to overwrite {existing[0]} "
                                       "(use --force)")
@@ -102,12 +105,16 @@ def command(name: str):
                 if "out" in params:
                     _write_run_manifest(params["out"], name, params,
                                         params.get("seed", 0), t0)
+                created = []  # success keeps every output
             except (ConfigError, FileNotFoundError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(2)
             except (SurgflowError, OSError, ValueError, KeyError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(1)
+            finally:
+                for path in filter(Path.exists, created):
+                    (shutil.rmtree if path.is_dir() else Path.unlink)(path)
 
         cmd = main.command(name)(run)
         outputs = [p.name for p in cmd.params if p.type is OUT]
@@ -144,6 +151,13 @@ def _load_config_file(ctx, param, value):
         data = tomllib.loads(value.read_text())
     else:
         data = read_json(value)
+    for sub, options in data.items():
+        cmd = ctx.command.commands.get(sub)
+        if cmd is None or not isinstance(options, dict):
+            raise click.BadParameter(f"{sub!r} in {value} is not a subcommand table")
+        unknown = sorted(set(options) - {p.name for p in cmd.params})
+        if unknown:
+            raise click.BadParameter(f"unknown option {sub}.{unknown[0]} in {value}")
     ctx.default_map = data
     return value
 
@@ -460,15 +474,14 @@ def ablate_subset_cmd(features_dir, corpus, variant, fractions, train, test,
 @click.option("--features", "features_dir", required=True, type=IN)
 @click.option("--out", required=True, type=OUT)
 @click.option("--coords-csv", default=None, type=OUT)
-@click.option("--seed", default=0, show_default=True)
-def pca_plot_cmd(features_dir, out, coords_csv, seed):
+def pca_plot_cmd(features_dir, out, coords_csv):
     """Project all feature rows to 2-D principal components as an SVG."""
     files = sorted(features_dir.glob("*.wlft"))
     if not files:
         raise ConfigError(f"no feature files in {features_dir}")
     blocks = [(f.stem, read_features(f)) for f in files]
     rows = np.concatenate([b for _, b in blocks], axis=0)
-    _, coords, ratios = pl.pca_export(rows, k=2, seed=seed)
+    _, coords, ratios = pl.pca_export(rows, k=2)
     keys = [vid for vid, b in blocks for _ in range(b.shape[0])]
     _write_scatter_svg(out, coords, keys, ratios)
     if coords_csv:

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
-from .models import ModelConfig, Stage1Model
+from .models import CAPTION_PROMPT, MGA_PROMPT, ModelConfig, Stage1Model
 from .objectives import (make_masking_plan, mga_loss, mgc_loss, mlm_loss,
                          valor_loss)
 from .rng import SessionRng
@@ -21,15 +21,21 @@ TOY_TEXTS = [
     "a blue probe crosses the frame",
     "nothing is happening here",
 ]
-TOY_PROMPTS = ["Project the inputs into common space",
-               "Describe the video with natural language"]
+
+
+def _cast(module, dtype):
+    """Cast every parameter to float64 when `dtype` asks for it."""
+    if dtype == np.float64:
+        for p in module.parameters().values():
+            p.data = p.data.astype(np.float64)
+    return module
 
 
 def _toy_model(dtype, seed: int = 0) -> Stage1Model:
     cfg = ModelConfig(dim=8, n_layers=1, n_heads=2, ff_mult=2, n_frames=1,
                       frame_size=8, patch_size=4, max_text_len=16,
                       contrast_dim=4)
-    vocab = Vocabulary.build(TOY_TEXTS + TOY_PROMPTS)
+    vocab = Vocabulary.build(TOY_TEXTS + [MGA_PROMPT, CAPTION_PROMPT])
     model = Stage1Model(cfg, vocab, SessionRng(seed), feature_dim=4)
     # Jitter away from the near-symmetric init so best-match token pairs in
     # the similarity have margins well above the finite-difference step;
@@ -37,10 +43,7 @@ def _toy_model(dtype, seed: int = 0) -> Stage1Model:
     jitter = SessionRng(seed + 1000)
     for p in model.parameters().values():
         p.data = p.data + jitter.normal(0.4, p.data.shape).astype(p.dtype)
-    if dtype == np.float64:
-        for p in model.parameters().values():
-            p.data = p.data.astype(np.float64)
-    return model
+    return _cast(model, dtype)
 
 def _pick(model, names: List[str]) -> List[Tensor]:
     params = model.parameters()
@@ -79,8 +82,8 @@ def gradient_suite(dtype=np.float32, seed: int = 95) -> Dict[str, float]:
     caption_ids = [vocab.encode(t) for t in TOY_TEXTS[:2]]
     params = _stage1_params(model)
 
-    mga_prompt = model.prompt_ids(TOY_PROMPTS[0])
-    cap_prompt = model.prompt_ids(TOY_PROMPTS[1])
+    mga_prompt = model.prompt_ids(MGA_PROMPT)
+    cap_prompt = model.prompt_ids(CAPTION_PROMPT)
 
     def f_mga():
         video = model.encode_video_batch(clips)
@@ -117,10 +120,7 @@ def gradient_suite(dtype=np.float32, seed: int = 95) -> Dict[str, float]:
     features = rng.uniform(-1.0, 1.0, (6, 4), np.float32).astype(dtype)
     labels = np.array([0, 0, 1, 1, 2, 2])
 
-    tcn = build_temporal_model("tcn", tcfg, SessionRng(seed + 2))
-    if dtype == np.float64:
-        for p in tcn.parameters().values():
-            p.data = p.data.astype(np.float64)
+    tcn = _cast(build_temporal_model("tcn", tcfg, SessionRng(seed + 2)), dtype)
     tcn_params = _pick(tcn, [
         "prediction.conv_in.kernel",
         "prediction.up.0.kernel",
@@ -141,10 +141,8 @@ def gradient_suite(dtype=np.float32, seed: int = 95) -> Dict[str, float]:
 
     results["tcn_loss"] = grad_check(f_tcn, tcn_params, eps)
 
-    asf = build_temporal_model("asformer", tcfg, SessionRng(seed + 3))
-    if dtype == np.float64:
-        for p in asf.parameters().values():
-            p.data = p.data.astype(np.float64)
+    asf = _cast(build_temporal_model("asformer", tcfg, SessionRng(seed + 3)),
+                dtype)
     asf_params = _pick(asf, [
         "embed.kernel",
         "encoder.0.conv.kernel",

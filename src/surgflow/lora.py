@@ -39,11 +39,6 @@ class LoraLinear(Module):
     def scaling(self) -> float:
         return self.alpha / self.rank
 
-    def delta(self) -> Tensor:
-        """The additive weight update (alpha/r) * (B A)^T, shaped like base.weight."""
-        return self.scaling * ad.matmul(ad.transpose(self.lora_a),
-                                        ad.transpose(self.lora_b))
-
     def __call__(self, x: Tensor) -> Tensor:
         out = self.base(x)
         if self.enabled and not self.merged:
@@ -56,27 +51,9 @@ class LoraLinear(Module):
             raise StateError("adapter already merged")
         if not self.enabled:
             raise StateError("cannot merge a disabled adapter")
-        self.base.weight.data = self.base.weight.data + self.delta().data
+        delta = self.lora_a.data.T @ self.lora_b.data.T  # (B A)^T
+        self.base.weight.data = self.base.weight.data + self.scaling * delta
         self.merged = True
-
-    # Linear interface used by attention
-    @property
-    def d_in(self) -> int:
-        return self.base.d_in
-
-    @property
-    def d_out(self) -> int:
-        return self.base.d_out
-
-
-def _attention_modules(model: Module) -> List[MultiHeadAttention]:
-    seen: set = set()
-    out = []
-    for mod in model.modules():
-        if isinstance(mod, MultiHeadAttention) and id(mod) not in seen:
-            seen.add(id(mod))
-            out.append(mod)
-    return out
 
 
 def attach(model: Module, r: int = 8, alpha: float | None = None,
@@ -85,7 +62,8 @@ def attach(model: Module, r: int = 8, alpha: float | None = None,
 
     Base projections are frozen; returns the created adapters.
     """
-    attn_layers = _attention_modules(model)
+    attn_layers = [m for m in model.modules()
+                   if isinstance(m, MultiHeadAttention)]
     if not attn_layers:
         raise ConfigError("model has no attention layers")
     if alpha is None:
@@ -116,26 +94,24 @@ def adapter_parameter_count(model: Module) -> int:
     return sum(a.lora_a.size + a.lora_b.size for a in iter_adapters(model))
 
 
+_PREFIX = "lora."
+_FACTOR = ".lora_"  # in the parameter name of every adapter factor only
+
+
 def freeze_base(model: Module) -> None:
     """Freeze everything except adapter factors."""
-    adapter_params = set()
-    for a in iter_adapters(model):
-        adapter_params.add(id(a.lora_a))
-        adapter_params.add(id(a.lora_b))
-    if not adapter_params:
+    params = model.parameters()
+    if not any(_FACTOR in name for name in params):
         raise StateError("no adapters attached")
-    for p in model.parameters().values():
-        p.requires_grad = id(p) in adapter_params
-
-
-_PREFIX = "lora."
+    for name, p in params.items():
+        p.requires_grad = _FACTOR in name
 
 
 def adapter_checkpoint(model: Module) -> dict:
     """The adapter factors of `model` as a "lora."-prefixed checkpoint; the
     inverse of load_adapter_checkpoint."""
     return {f"{_PREFIX}{k}": v for k, v in model.state_dict().items()
-            if ".lora_" in k}
+            if _FACTOR in k}
 
 
 def load_adapter_checkpoint(model: Module, entries: dict) -> None:

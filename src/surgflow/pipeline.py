@@ -151,43 +151,24 @@ def dense_caption(frames: np.ndarray, model: Stage1Model, temporal_model,
     return sorted(captions, key=lambda c: c.start_s)
 
 
-def pca_export(embeddings: np.ndarray, k: int = 2, seed: int = 0,
-               iters: int = 200) -> tuple:
-    """Top-k principal components via power iteration with deflation.
-
-    Returns (components [k, D], coordinates [N, k], explained-variance
-    ratios [k]).
+def pca_export(embeddings: np.ndarray, k: int = 2) -> tuple:
+    """Top-k principal components by eigendecomposition of the covariance,
+    each signed so that its largest-magnitude loading is positive.  Returns
+    (components [k, D], coordinates [N, k], explained-variance ratios [k]).
     """
     x = np.asarray(embeddings, np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise InputError("need at least two embedding rows")
+    if not 1 <= k <= x.shape[1]:
+        raise InputError(f"k={k} components outside 1..{x.shape[1]}")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (x.shape[0] - 1)
+    evals, evecs = np.linalg.eigh(cov)  # ascending
+    comp = evecs[:, ::-1][:, :k].T
+    comp = comp * np.sign(comp[np.arange(k), np.abs(comp).argmax(1)])[:, None]
     total_var = float(np.trace(cov))
-    rng = SessionRng(seed)
-    components = []
-    ratios = []
-    work = cov.copy()
-    for _ in range(k):
-        v = rng.normal(1.0, (cov.shape[0],), np.float64)
-        v /= np.linalg.norm(v)
-        for _ in range(iters):
-            nxt = work @ v
-            norm = np.linalg.norm(nxt)
-            if norm < 1e-12:
-                break
-            nxt /= norm
-            if np.linalg.norm(nxt - v) < 1e-12:
-                v = nxt
-                break
-            v = nxt
-        lam = float(v @ work @ v)
-        components.append(v.copy())
-        ratios.append(lam / total_var if total_var > 0 else 0.0)
-        work = work - lam * np.outer(v, v)
-    comp = np.stack(components)
-    coords = centered @ comp.T
-    return comp, coords, np.asarray(ratios)
+    ratios = evals[::-1][:k] / total_var if total_var > 0 else np.zeros(k)
+    return comp, centered @ comp.T, ratios
 
 
 # -- JSON artifacts -----------------------------------------------------------

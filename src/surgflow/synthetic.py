@@ -186,8 +186,3 @@ def generate_corpus(spec: SyntheticSpec, n_videos: int, out_dir) -> dict:
     }
     write_json(out / "meta.json", meta)
     return meta
-
-
-def corpus_texts(meta: dict) -> List[str]:
-    """Every caption plus prototypes; the vocabulary source."""
-    return sorted(set(meta["captions"].values()) | set(meta["prototypes"].values()))

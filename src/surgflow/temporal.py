@@ -38,17 +38,12 @@ class FramePrediction:
         return self.logits.argmax(axis=1)
 
 
-def _conv_params(rng: SessionRng, k: int, c_in: int, c_out: int) -> tuple:
-    scale = 1.0 / np.sqrt(k * c_in)
-    kernel = Tensor(rng.normal(scale, (k, c_in, c_out)), requires_grad=True)
-    bias = Tensor(np.zeros(c_out, np.float32), requires_grad=True)
-    return kernel, bias
-
-
 class Conv1d(Module):
     def __init__(self, k: int, c_in: int, c_out: int, dilation: int,
                  rng: SessionRng):
-        self.kernel, self.bias = _conv_params(rng, k, c_in, c_out)
+        scale = 1.0 / np.sqrt(k * c_in)
+        self.kernel = Tensor(rng.normal(scale, (k, c_in, c_out)), requires_grad=True)
+        self.bias = Tensor(np.zeros(c_out, np.float32), requires_grad=True)
         self.dilation = dilation
 
     def __call__(self, x: Tensor) -> Tensor:

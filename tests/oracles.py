@@ -93,7 +93,7 @@ def unfused_layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     """Layer normalization composed from mean, subtract, square, power and
     affine tape ops: the formulation autodiff.layer_norm computes as a
     single node."""
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = reduce_mean(x, axis=-1, keepdims=True)
     centered = x - mu
     var = reduce_mean(centered * centered, axis=-1, keepdims=True)
     inv = power(var + eps, -0.5)

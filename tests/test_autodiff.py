@@ -202,9 +202,9 @@ class TestBackward:
         x = rand64(rng, (4, 5))
 
         def f():
-            return (ad.reduce_mean(x, axis=0).sum() +
-                    ad.reduce_sum(x ** 2, axis=1, keepdims=True).sum() +
-                    ad.reduce_max(x, axis=1).sum())
+            return (ad.reduce_sum(ad.reduce_mean(x, axis=0)) +
+                    ad.reduce_sum(ad.reduce_sum(x ** 2, axis=1, keepdims=True)) +
+                    ad.reduce_sum(ad.reduce_max(x, axis=1)))
 
         assert grad_check(f, [x]) < 1e-5
 

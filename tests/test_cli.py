@@ -80,12 +80,27 @@ class TestExitCodes:
         assert result.exit_code == 2
 
     def test_zero_epochs_is_config_error(self, runner, workspace, tmp_path):
-        result = runner.invoke(main, [
-            "pretrain", "--corpus", str(workspace / "corpus"), "--out",
-            str(tmp_path / "stage1"), "--epochs", "0"])
+        out = tmp_path / "stage1"
+        args = ["pretrain", "--corpus", str(workspace / "corpus"), "--out",
+                str(out), "--max-steps", "1", "--batch-size", "2"]
+        result = runner.invoke(main, args + ["--epochs", "0"])
         assert result.exit_code == 2
         assert "epochs" in result.output
-        assert not (tmp_path / "stage1" / "stage1.wlcp").exists()
+        assert not out.exists()  # a failed run leaves no new --out
+        rerun = runner.invoke(main, args + ["--epochs", "1"])
+        assert rerun.exit_code == 0, rerun.output
+        assert (out / "stage1.wlcp").exists()
+
+    def test_failed_force_run_keeps_existing_out(self, runner, workspace,
+                                                 tmp_path):
+        out = tmp_path / "stage1"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        result = runner.invoke(main, [
+            "pretrain", "--corpus", str(workspace / "corpus"), "--out",
+            str(out), "--epochs", "0", "--force"])
+        assert result.exit_code == 2
+        assert (out / "keep.txt").read_text() == "kept"
 
     def test_corrupt_artifact_is_runtime_error(self, runner, tmp_path):
         bad = tmp_path / "bad.wlfg"
@@ -177,7 +192,7 @@ OUT_COMMANDS = {
                           "{ws}/corpus", "--train", "video_000", "--test",
                           "video_001", "--fractions", "1.0", "--epochs", "1",
                           "--seed", "7"]),
-    "pca-plot": (8, ["--features", "{ws}/features", "--seed", "8"]),
+    "pca-plot": (0, ["--features", "{ws}/features"]),
 }
 
 
@@ -288,6 +303,22 @@ class TestCorpusCommands:
         assert result.exit_code == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["n_videos"] == 1 and meta["seed"] == 9
+
+    @pytest.mark.parametrize("suffix", [".json", ".toml"])
+    @pytest.mark.parametrize("section, key, named", [
+        ("pretrain", "epoch", "pretrain.epoch"),
+        ("pretrian", "epochs", "pretrian")])
+    def test_config_file_rejects_unknown_keys(self, runner, tmp_path, suffix,
+                                              section, key, named):
+        cfg = tmp_path / f"defaults{suffix}"
+        cfg.write_text(json.dumps({section: {key: 0}}) if suffix == ".json"
+                       else f"[{section}]\n{key} = 0\n")
+        out = tmp_path / "corpus"
+        result = runner.invoke(main, ["--config", str(cfg), "gen-synth",
+                                      "--out", str(out), "--videos", "1"])
+        assert result.exit_code == 2
+        assert named in result.output and str(cfg) in result.output
+        assert not out.exists()
 
     def test_toml_config_file_sets_defaults(self, runner, tmp_path):
         cfg = tmp_path / "defaults.toml"

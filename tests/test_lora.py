@@ -103,6 +103,16 @@ class TestFreezing:
             assert not a.base.bias.requires_grad
             assert a.lora_a.requires_grad and a.lora_b.requires_grad
 
+    def test_freeze_base_trains_exactly_the_checkpointed_factors(self):
+        model = make_tiny_model()
+        adapters = lora.attach(model, r=2)
+        lora.freeze_base(model)
+        trainable = {n for n, p in model.parameters().items()
+                     if p.requires_grad}
+        saved = {k[len("lora."):] for k in lora.adapter_checkpoint(model)}
+        assert trainable == saved
+        assert len(trainable) == 2 * len(adapters)
+
     def test_freeze_base_without_adapters(self):
         host = Host(8, 2, 1, SessionRng(3))
         with pytest.raises(StateError):

@@ -374,7 +374,7 @@ class TestPca:
         rng = SessionRng(7)
         for trial in range(10):
             x = rng.normal(1.0, (40, 4), np.float64)
-            comp, _, ratios = pca_export(x, k=3, seed=trial)
+            comp, _, ratios = pca_export(x, k=3)
             centered = x - x.mean(axis=0)
             cov = centered.T @ centered / (x.shape[0] - 1)
             evals, evecs = np.linalg.eigh(cov)
@@ -394,6 +394,25 @@ class TestPca:
     def test_too_few_rows(self):
         with pytest.raises(InputError):
             pca_export(np.zeros((1, 3)))
+
+    def test_largest_loading_positive(self):
+        rng = SessionRng(9)
+        for _ in range(10):
+            x = rng.normal(1.0, (30, 5), np.float64)
+            comp, _, _ = pca_export(x, k=5)
+            peak = comp[np.arange(5), np.abs(comp).argmax(axis=1)]
+            assert (peak > 0).all()
+
+    def test_repeat_calls_identical(self):
+        x = SessionRng(10).normal(1.0, (20, 6), np.float64)
+        first, second = pca_export(x, k=3), pca_export(x, k=3)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_outside_one_to_d(self, k):
+        with pytest.raises(InputError):
+            pca_export(np.eye(5, 3), k=k)
 
 
 def _assert_same_state(a, b):

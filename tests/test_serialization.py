@@ -3,6 +3,7 @@ formats and corruption detection, and the single writer module."""
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,73 @@ clip_global_norm(p, 5.0); optim.clip_global_norm(p)
 train(p, 1, 1, f, c, r); AdamW; opt.step(); schedule.lr(0)
 """
         assert sorted(_training_calls(ast.parse(source))) == [2] * 3 + [3] * 2
+
+
+def _public_defs(tree):
+    """Names of the public module-level functions and classes in `tree`,
+    except click commands, which their decorator registers by name."""
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        calls = {getattr(d.func, "id", getattr(d.func, "attr", ""))
+                 for d in node.decorator_list if isinstance(d, ast.Call)}
+        if not calls & {"command", "group"}:
+            yield node.name
+
+
+def _dead_helpers(sources, other_text=""):
+    """Public definitions in `sources` (module sources) whose name appears,
+    as a whole word, nowhere but in its own definition across `sources`
+    and `other_text`."""
+    text = "\n".join(sources) + "\n" + other_text
+    return sorted(name for source in sources
+                  for name in _public_defs(ast.parse(source))
+                  if len(re.findall(rf"\b{name}\b", text)) == 1)
+
+
+# Public names nothing in the repo calls, each kept on purpose.
+UNREFERENCED_API = {
+    "correct_terms": "transcript term correction, a corpus tool of the paper",
+    "load_term_table": "reads the term table that correct_terms applies",
+    "face_gate": "privacy filter for frames with faces, a corpus tool",
+    "set_enabled": "switches adapters off to compare with the base model",
+    "rasterize": "samples a timeline per frame for callers of metrics",
+}
+
+
+class TestNoDeadHelpers:
+    """Every public module-level function or class in `src/surgflow` is
+    named somewhere else in `src/`, `perfbench/` or the README, or is
+    listed with its reason in UNREFERENCED_API."""
+
+    SRC = Path(serialization.__file__).parent
+    ROOT = SRC.parent.parent
+
+    def test_every_public_definition_is_used(self):
+        sources = [p.read_text() for p in sorted(self.SRC.glob("*.py"))]
+        others = [p.read_text() for p in sorted(
+            (self.ROOT / "perfbench").rglob("*")) if p.suffix in (".py", ".md")]
+        others.append((self.ROOT / "README.md").read_text())
+        assert _dead_helpers(sources, "\n".join(others)) == sorted(
+            UNREFERENCED_API)
+
+    def test_checker_sees_each_unnamed_definition(self):
+        source = """
+import click
+def dead(): pass
+class Dead: pass
+def used(): pass
+def _private(): pass
+@command("run")
+def run_cmd(): pass
+@click.group()
+def main(): pass
+@click.option("--x")
+def decorated(): pass
+x = used()
+"""
+        assert _dead_helpers([source], "Dead") == ["dead", "decorated"]
 
 
 TAPE_FIELDS = ("_backward", "_parents")

@@ -10,7 +10,7 @@ from surgflow.pipeline import PhaseTimeline
 from surgflow.rng import SessionRng
 from surgflow.serialization import read_frame_grid
 from surgflow.synthetic import (DEFAULT_PHASES, PhasePattern, SyntheticSpec,
-                                caption_for, corpus_texts, generate_corpus,
+                                caption_for, generate_corpus,
                                 generate_video, prototype_sentences,
                                 shift_colors)
 
@@ -121,7 +121,5 @@ class TestCorpus:
             assert len(frames) == int(tl.duration) * meta["fps"]
             n_records = sum(1 for r in manifest if r["video"] == vid)
             assert n_records == int(tl.duration)
-        texts = corpus_texts(meta)
-        assert texts == sorted(texts)
         assert all(r["text"] in set(meta["captions"].values())
                    for r in manifest)
