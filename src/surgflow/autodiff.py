@@ -6,6 +6,12 @@ can replay the tape in reverse topological order.  Tensor values are
 treated as immutable once created; optimizers mutate leaf ``data``
 in place between tape constructions.
 
+Gradients are not copied: a tensor's first gradient is stored as the very
+array its consumer passed (cast only when the dtype differs), so two
+tensors, and a backward closure's input, may share one ``grad`` array.
+Hence nothing writes into a ``grad`` array in place; code that changes a
+gradient assigns a new array to ``grad``.
+
 Every op passes its result and its backward closure to ``_node``, which
 alone decides whether a node is recorded: only while a tape is recorded
 (outside ``no_grad``) and only when some input requires grad.  Otherwise
@@ -128,10 +134,10 @@ class Tensor:
         return mul(self, -1.0)
 
     def __sub__(self, other):
-        return add(self, mul(_wrap(other, self.dtype), -1.0))
+        return sub(self, _wrap(other, self.dtype))
 
     def __rsub__(self, other):
-        return add(_wrap(other, self.dtype), mul(self, -1.0))
+        return sub(_wrap(other, self.dtype), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -161,7 +167,7 @@ def _wrap(x, dtype=DEFAULT_DTYPE) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     g = _unbroadcast(g, t.shape)
     if t.grad is None:
-        t.grad = g.astype(t.dtype, copy=True)
+        t.grad = g if g.dtype == t.dtype else g.astype(t.dtype)
     elif g.dtype == t.grad.dtype:
         t.grad = t.grad + g
     else:
@@ -206,6 +212,17 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, g)
     return _node(a.data + b.data, (a, b), bwd)
+
+
+def sub(a, b) -> Tensor:
+    """a - b, the value and gradients of add(a, mul(b, -1.0)) in one node."""
+    a, b = _wrap(a), _wrap(b, a.dtype if isinstance(a, Tensor) else DEFAULT_DTYPE)
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, g)
+        if b.requires_grad:
+            _accum(b, -g)
+    return _node(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -514,12 +531,16 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         raise DimensionError(f"conv1d shape mismatch: {x.shape} vs {kernel.shape}")
     t, c_in = x.shape
     half = (k // 2) * dilation
+    # tap i reads x[r + offsets[i]] into row r; rows outside x stay zero
+    offsets = [i * dilation - half for i in range(k)]
     if k == 1:
         taps = x.data
     else:
-        xp = np.pad(x.data, ((half, half), (0, 0)))
-        taps = np.concatenate(
-            [xp[i * dilation:i * dilation + t] for i in range(k)], axis=1)
+        taps = np.zeros((t, k * c_in), x.dtype)
+        for i, off in enumerate(offsets):
+            lo, hi = max(0, -off), min(t, t - off)
+            if lo < hi:
+                taps[lo:hi, i * c_in:(i + 1) * c_in] = x.data[lo + off:hi + off]
     w = kernel.data.reshape(k * c_in, kernel.shape[2])
     val = taps @ w
     if bias is not None:
@@ -534,11 +555,12 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             if k == 1:
                 _accum(x, g_taps)
                 return
-            full = np.zeros((t + 2 * half, c_in), g_taps.dtype)
-            for i in range(k):
-                lo = i * dilation
-                full[lo:lo + t] += g_taps[:, i * c_in:(i + 1) * c_in]
-            _accum(x, full[half:half + t])
+            gx = np.zeros((t, c_in), g_taps.dtype)
+            for i, off in enumerate(offsets):
+                lo, hi = max(0, off), min(t, t + off)
+                if lo < hi:
+                    gx[lo:hi] += g_taps[lo - off:hi - off, i * c_in:(i + 1) * c_in]
+            _accum(x, gx)
     return _node(val, (x, kernel) if bias is None else (x, kernel, bias), bwd)
 
 

@@ -254,6 +254,7 @@ def pretrain(model: Stage1Model, manifest_path, clip_store: ClipStore,
                  cfg, rng, cfg.max_steps)
     write_checkpoint(checkpoint_path, adapter_checkpoint(model)
                      if iter_adapters(model) else model.state_dict())
-    header = ["step", "lr", "L_MGA", "L_MGC", "L_MLM", "L_total"]
+    header = ["step", "lr", "L_MGA", "L_MGC", "L_MLM", "L_total", "grad_norm",
+              "clipped"]
     write_csv(curve_path, header, ([r[k] for k in header] for r in rows))
     return rows

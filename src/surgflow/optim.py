@@ -21,7 +21,8 @@ def clip_global_norm(params: Dict[str, Tensor], max_norm: float = 5.0) -> float:
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+            sq = p.grad.astype(np.float64)  # a copy: squared in place below
+            total += float(np.sum(np.multiply(sq, sq, out=sq)))
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
@@ -60,7 +61,13 @@ class CosineWarmupSchedule:
 
 
 class AdamW:
-    """Decoupled weight decay Adam over a name -> Tensor parameter dict."""
+    """Decoupled weight decay Adam over a name -> Tensor parameter dict.
+
+    `step` updates the moments `m` and `v` and each parameter's `data` in
+    place; per tensor it allocates one scratch array and the update.  It
+    never writes into a `grad` array, which autodiff may share between
+    tensors.
+    """
 
     def __init__(self, params: Dict[str, Tensor], lr: float = 1e-3,
                  betas: tuple = (0.9, 0.999), eps: float = 1e-8,
@@ -82,16 +89,26 @@ class AdamW:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad.astype(p.dtype)
-            m = self._m[name]
-            v = self._v[name]
+            g = p.grad if p.grad.dtype == p.dtype else p.grad.astype(p.dtype)
+            m, v, w = self._m[name], self._v[name], p.data
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            s = np.multiply(g, 1.0 - b1)
             m *= b1
-            m += (1.0 - b1) * g
+            m += s
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
             v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - np.asarray(self.lr, p.dtype) * (
-                update + self.weight_decay * p.data)
+            v += s
+            # w -= lr (m / bc1 / (sqrt(v / bc2) + eps) + weight_decay w)
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            u = m / bc1
+            u /= s
+            np.multiply(w, self.weight_decay, out=s)
+            u += s
+            u *= np.asarray(self.lr, p.dtype)
+            w -= u
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -108,10 +125,12 @@ def train(params: Dict[str, Tensor], n_items: int, batch_size: int,
     lr_min at the last step; a single-step run uses lr_max.  Each step
     clips the gradients to a global norm of cfg.clip_norm and takes one
     AdamW step.  `loss_of(indices)` returns the batch loss and a row of
-    figures; the result has one {"step", "lr", **row} per step.  Raises
-    NumericError naming the step, before any update, when the loss or the
-    pre-clip gradient norm is not finite.  Raises ConfigError, before the
-    first step, when epochs, batch_size or max_steps is below 1.
+    figures; the result has one {"step", "lr", **row, "grad_norm",
+    "clipped"} per step, with the pre-clip gradient norm and whether
+    clipping scaled the gradients.  Raises NumericError naming the step,
+    before any update, when the loss or the pre-clip gradient norm is not
+    finite.  Raises ConfigError, before the first step, when epochs,
+    batch_size or max_steps is below 1.
     """
     for name, value in (("epochs", cfg.epochs), ("batch_size", batch_size),
                         ("max_steps", max_steps)):
@@ -141,7 +160,8 @@ def train(params: Dict[str, Tensor], n_items: int, batch_size: int,
                                    f"or gradient norm ({norm})")
             opt.lr = schedule.lr(step) if schedule else cfg.lr_max
             opt.step()
-            rows.append({"step": step, "lr": opt.lr, **row})
+            rows.append({"step": step, "lr": opt.lr, **row, "grad_norm": norm,
+                         "clipped": norm > cfg.clip_norm and norm > 0})
             if len(rows) >= total:
                 return rows
     return rows

@@ -112,6 +112,28 @@ def unfused_attention(q: Tensor, k: Tensor, v: Tensor,
     return matmul(softmax(scores, axis=-1), v)
 
 
+def reference_adamw_step(params, m, v, step, lr, betas=(0.9, 0.999),
+                         eps=1e-8, weight_decay=0.01):
+    """AdamW step number `step` (from 1) in its out-of-place arithmetic: the
+    update optim.AdamW.step computes in place.  Updates the moment arrays of
+    `m` and `v` in place and rebinds the `data` of each tensor in `params`
+    that has a gradient; a tensor whose grad is None is left untouched."""
+    b1, b2 = betas
+    bc1 = 1.0 - b1 ** step
+    bc2 = 1.0 - b2 ** step
+    for name, p in params.items():
+        if p.grad is None:
+            continue
+        g = p.grad.astype(p.dtype)
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        p.data = p.data - np.asarray(lr, p.dtype) * (
+            update + weight_decay * p.data)
+
+
 def uncached_generate(model, video, prompt_ids, max_len=16):
     """Greedy captioning that decodes prompt + committed tokens + MASK from
     scratch at every step: the loop Stage1Model.generate_caption computes
@@ -185,8 +207,8 @@ def reference_pretrain(model, manifest_path, clip_store, cfg):
             report = valor_loss(model, clips, ids, rng,
                                 mgc_ratio=cfg.mgc_ratio, mlm_ratio=cfg.mlm_ratio)
             report.total.backward()
-            _check_finite_step(step, float(report.total.data),
-                               clip_global_norm(params, cfg.clip_norm))
+            norm = clip_global_norm(params, cfg.clip_norm)
+            _check_finite_step(step, float(report.total.data), norm)
             opt.lr = schedule.lr(step) if schedule else cfg.lr_max
             opt.step()
             rows.append({
@@ -196,6 +218,8 @@ def reference_pretrain(model, manifest_path, clip_store, cfg):
                 "L_MGC": float(report.mgc.data),
                 "L_MLM": float(report.mlm.data),
                 "L_total": float(report.total.data),
+                "grad_norm": norm,
+                "clipped": norm > cfg.clip_norm and norm > 0,
             })
             step += 1
             if step >= total_steps:

@@ -4,6 +4,7 @@ import ast
 import inspect
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from surgflow import autodiff as ad
 from surgflow import nn
 from surgflow.autodiff import Tensor, grad_check
 from surgflow.errors import ConfigError, DimensionError, InputError, NumericError
+from surgflow.optim import AdamW, clip_global_norm
 from surgflow.rng import SessionRng
 
 
@@ -458,6 +460,114 @@ class TestFusedTransformerOps:
         assert _tape_nodes(out) == 20
 
 
+def _two(like):
+    return Tensor(np.asarray(2.0, like.dtype))
+
+
+class TestSub:
+    """a - b is one node with the value and gradients of the two-node
+    add(a, mul(b, -1.0)): a + b * (-1) equals a - b in IEEE arithmetic."""
+
+    CASES = {  # the operator, and the two-node form it replaced
+        "tensor - tensor": (lambda a, b: a - b,
+                            lambda a, b: ad.add(a, ad.mul(b, -1.0))),
+        "tensor - scalar": (lambda a, b: a - 2.0,
+                            lambda a, b: ad.add(a, ad.mul(_two(a), -1.0))),
+        "scalar - tensor": (lambda a, b: 2.0 - a,
+                            lambda a, b: ad.add(_two(a), ad.mul(a, -1.0))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("b_shape", [(3, 4), (4,), (3, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_node_bit_equal_to_add_of_negation(self, case, b_shape, dtype):
+        results = []
+        for fn in self.CASES[case]:
+            rng = SessionRng(47)
+            a = Tensor(rng.normal(1.0, (3, 4), dtype), requires_grad=True)
+            b = Tensor(rng.normal(1.0, b_shape, dtype), requires_grad=True)
+            out = fn(a, b)
+            weights = Tensor(rng.normal(1.0, out.shape, dtype))
+            ad.reduce_sum(out * weights).backward()
+            results.append((out, a, b))
+        (out, a, b), (ref_out, ref_a, ref_b) = results
+        assert _tape_nodes(out) == 1
+        assert out.dtype == ref_out.dtype == dtype
+        assert out.data.tobytes() == ref_out.data.tobytes()
+        for got, want in ((a, ref_a), (b, ref_b)):
+            if want.grad is None:
+                assert got.grad is None
+            else:
+                assert got.grad.dtype == want.grad.dtype
+                assert got.grad.tobytes() == want.grad.tobytes()
+
+
+def _grad_writes(tree):
+    """Line of each in-place write to a `.grad` array: an augmented
+    assignment to `<x>.grad` or `<x>.grad[...]`, an assignment to
+    `<x>.grad[...]`, or a call passing `out=<x>.grad` or `out=<x>.grad[...]`."""
+    def grad_array(node):
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr == "grad"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.AugAssign) and grad_array(node.target)
+                or isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Subscript) and grad_array(t)
+                    for t in node.targets)
+                or isinstance(node, ast.Call) and any(
+                    kw.arg == "out" and grad_array(kw.value)
+                    for kw in node.keywords)):
+            yield node.lineno
+
+
+class TestGradOwnership:
+    """Gradients are stored without a copy, so tensors may share one grad
+    array; nothing in the library may write into a grad array in place."""
+
+    SRC = Path(ad.__file__).parent
+
+    def test_no_code_writes_into_a_grad(self):
+        found = [f"{path.name}:{line}" for path in sorted(self.SRC.glob("*.py"))
+                 for line in _grad_writes(ast.parse(path.read_text()))]
+        assert found == []
+
+    def test_checker_sees_each_grad_write(self):
+        source = """
+p.grad += g; p.grad[0] -= 1; p.grad[...] = 0; np.multiply(p.grad, s, out=p.grad)
+np.add(p.grad[1:], 1, out=p.grad[1:])
+p.grad = p.grad * s; g = p.grad[0]; np.sum(p.grad, out=buf); p.data += g; x[0] = 1
+"""
+        assert sorted(_grad_writes(ast.parse(source))) == [2, 2, 2, 2, 3]
+
+    def test_shared_grad_ends_like_separate_copies(self):
+        """Two leaves fed by one add share their grad array; clipping (which
+        fires here) and an AdamW step leave them where separate copies of
+        that grad leave them, and the shared array keeps its values."""
+        rng = SessionRng(48)
+        init = [rng.normal(1.0, (3, 4), np.float32) for _ in range(2)]
+        weights = Tensor(rng.normal(50.0, (3, 4), np.float32))
+        shared = {n: Tensor(a.copy(), requires_grad=True)
+                  for n, a in zip("ab", init)}
+        ad.reduce_sum((shared["a"] + shared["b"]) * weights).backward()
+        g = shared["a"].grad
+        assert shared["b"].grad is g
+        before = g.copy()
+        separate = {n: Tensor(a.copy(), requires_grad=True)
+                    for n, a in zip("ab", init)}
+        for p in separate.values():
+            p.grad = g.copy()
+        results = []
+        for params in (shared, separate):
+            norm = clip_global_norm(params, max_norm=1.0)
+            assert norm > 1.0
+            AdamW(params, lr=0.1, weight_decay=0.5).step()
+            results.append([params[n].data.tobytes() for n in "ab"] +
+                           [params[n].grad.tobytes() for n in "ab"])
+        assert results[0] == results[1]
+        assert g.tobytes() == before.tobytes()
+
+
 class TestGetitemGradient:
     @pytest.mark.parametrize("index", [
         slice(1, 4), slice(None, None, -2), 2, -1, np.int64(3),
@@ -480,6 +590,7 @@ class TestGetitemGradient:
 # Every op that records a tape node: (call, input shapes).
 RECORDING_OPS = {
     "add": (ad.add, [(3, 4), (4,)]),
+    "sub": (ad.sub, [(3, 4), (4,)]),
     "mul": (ad.mul, [(3, 4), (3, 1)]),
     "power": (lambda a: ad.power(a, 3.0), [(3, 4)]),
     "exp": (ad.exp, [(3, 4)]),

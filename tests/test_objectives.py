@@ -240,7 +240,7 @@ class TestPretrainLoop:
         assert len(rows) == 2
         assert (tmp_path / "s1.wlcp").exists()
         curve = (tmp_path / "curve.csv").read_text().splitlines()
-        assert curve[0] == "step,lr,L_MGA,L_MGC,L_MLM,L_total"
+        assert curve[0] == "step,lr,L_MGA,L_MGC,L_MLM,L_total,grad_norm,clipped"
         assert len(curve) == 3
         assert all(np.isfinite(r["L_total"]) for r in rows)
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import reference_adamw_step
 from surgflow.autodiff import Tensor, reduce_sum
 from surgflow.errors import ConfigError, NumericError
 from surgflow.optim import AdamW, CosineWarmupSchedule, clip_global_norm, train
@@ -50,6 +51,39 @@ class TestAdamW:
         frozen = Tensor(np.ones(2, np.float32), requires_grad=False)
         opt = AdamW({"f": frozen}, lr=0.1)
         assert "f" not in opt.params
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_out_of_place_reference(self, dtype, weight_decay):
+        """Five in-place steps leave the weights and both moments with the
+        bits of the out-of-place arithmetic, for an f64 grad on an f32
+        weight too; a tensor whose grad is None stays untouched."""
+        rng = SessionRng(11)
+        shapes = {"w": (3, 4), "b": (4,), "idle": (2,)}
+        init = {n: rng.normal(1.0, s, dtype) for n, s in shapes.items()}
+        sides = [{n: Tensor(a.copy(), requires_grad=True)
+                  for n, a in init.items()} for _ in range(2)]
+        opt = AdamW(sides[0], lr=0.1, weight_decay=weight_decay)
+        m = {n: np.zeros_like(a) for n, a in init.items()}
+        v = {n: np.zeros_like(a) for n, a in init.items()}
+        for step in range(1, 6):
+            grads = {"w": rng.normal(1.0, shapes["w"], dtype),
+                     "b": rng.normal(1.0, shapes["b"], np.float64)}
+            for side in sides:
+                for name, g in grads.items():
+                    side[name].grad = g.copy()
+            opt.lr = 0.1 / step
+            opt.step()
+            reference_adamw_step(sides[1], m, v, step, 0.1 / step,
+                                 weight_decay=weight_decay)
+            for name in shapes:
+                got, want = sides[0][name].data, sides[1][name].data
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes(), (step, name)
+                assert opt._m[name].tobytes() == m[name].tobytes()
+                assert opt._v[name].tobytes() == v[name].tobytes()
+        assert sides[0]["idle"].data.tobytes() == init["idle"].tobytes()
+        assert not opt._m["idle"].any() and not opt._v["idle"].any()
 
 
 class TestSchedule:
@@ -109,6 +143,21 @@ class TestClipping:
         params = quad_params(3)
         assert clip_global_norm(params, 1.0) == 0.0
 
+    def test_norm_is_the_float64_sum_of_squares(self):
+        """The norm keeps its bits: per tensor, the float64 sum of squares,
+        summed in parameter order; a transposed grad is read as it lies."""
+        rng = SessionRng(12)
+        grads = [rng.normal(3.0, (5, 7), np.float32),
+                 rng.normal(3.0, (6, 2), np.float64).T,
+                 rng.normal(3.0, (9,), np.float32)]
+        params = {}
+        for i, g in enumerate(grads):
+            params[str(i)] = Tensor(np.zeros(g.shape, g.dtype), requires_grad=True)
+            params[str(i)].grad = g
+        expected = math.sqrt(sum(np.sum(g.astype(np.float64) ** 2)
+                                 for g in grads))
+        assert clip_global_norm(params, max_norm=1.0) == expected
+
 
 def loop_cfg(epochs):
     return SimpleNamespace(epochs=epochs, lr_max=0.1, lr_min=1e-3,
@@ -145,11 +194,31 @@ class TestTrain:
         assert [r["step"] for r in rows] == [0, 1, 2, 3]
         sched = CosineWarmupSchedule(0.1, 1e-3, warmup_steps=3, total_steps=4)
         assert [r["lr"] for r in rows] == [sched.lr(s) for s in range(4)]
-        assert list(rows[0]) == ["step", "lr", "loss"]
+        assert list(rows[0]) == ["step", "lr", "loss", "grad_norm", "clipped"]
         orders = SessionRng(8)
         first, second = orders.permutation(5), orders.permutation(5)
         assert batches == [list(first[:2]), list(first[2:4]), list(first[4:]),
                            list(second[:2])]
+
+    @pytest.mark.parametrize("clip_norm", [1.0, 100.0])
+    def test_rows_carry_pre_clip_norm_and_whether_it_clipped(self, clip_norm):
+        params = quad_params(9)
+        norms = []
+
+        def loss_of(batch):
+            loss = reduce_sum(params["x"] * params["x"])
+            # d/dx sum(x^2) = 2x, taken before this step's update
+            norms.append(float(np.linalg.norm(2.0 * params["x"].data.astype(
+                np.float64))))
+            return loss, {}
+
+        cfg = loop_cfg(1)
+        cfg.clip_norm = clip_norm
+        rows = train(params, 3, 1, loss_of, cfg, SessionRng(2))
+        for row, norm in zip(rows, norms):
+            assert row["grad_norm"] == pytest.approx(norm, rel=1e-6)
+            assert row["clipped"] is (norm > clip_norm)
+        assert {r["clipped"] for r in rows} == {clip_norm == 1.0}
 
     def test_nan_loss_stops_before_updating(self):
         params = quad_params(6)
