@@ -16,6 +16,13 @@ Every op passes its result and its backward closure to ``_node``, which
 alone decides whether a node is recorded: only while a tape is recorded
 (outside ``no_grad``) and only when some input requires grad.  Otherwise
 the op returns a constant tensor.
+
+A kernel writes in place only into arrays it allocated in the same call,
+and never into an array its backward closure keeps once the forward pass
+has returned.  In-place steps use the ufuncs, operands and order of the
+out-of-place expression they replace (at most swapping the operands of a
+``*`` or ``+``), and a buffer is first cast to the dtype the out-of-place
+step would promote to, so the results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -164,6 +171,13 @@ def _wrap(x, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _widened(buf: np.ndarray, other) -> np.ndarray:
+    """`buf` cast to the dtype of `buf <op> other`, or `buf` itself when
+    that is its dtype: an in-place op on the result promotes as the
+    out-of-place op would."""
+    return buf.astype(np.result_type(buf, other), copy=False)
+
+
 def _accum(t: Tensor, g: np.ndarray) -> None:
     g = _unbroadcast(g, t.shape)
     if t.grad is None:
@@ -259,13 +273,22 @@ def relu(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact-erf GELU."""
+    """Exact-erf GELU: x * cdf(x) with cdf(x) = 0.5 * (1 + erf(x / sqrt(2)))."""
     a = _wrap(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = np.asarray(x * _INV_SQRT2)  # an array even for 0-d x, so out= works
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        _accum(a, g * (cdf + x * pdf))
+        t = np.asarray(-0.5 * x)  # g * (cdf + x * pdf(x))
+        t *= x
+        np.exp(t, out=t)
+        t *= _INV_SQRT2PI
+        t *= x
+        t += cdf
+        t *= g  # rounds to x's dtype, as _accum would round g * t
+        _accum(a, t)
     return _node(x * cdf, (a,), bwd)
 
 
@@ -295,7 +318,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise DimensionError(f"linear shape mismatch: {x.shape} x {weight.shape}")
     val = np.matmul(x.data, weight.data)
     if bias is not None:
-        val = val + bias.data
+        val = _widened(val, bias.data)
+        val += bias.data
     def bwd(g):
         d_in, d_out = weight.shape
         if weight.requires_grad:
@@ -449,10 +473,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     gradient is inv * (d - mean(d) - x_hat * mean(d * x_hat))."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    x_hat = x.data - mu
+    var = (x_hat * x_hat).mean(axis=-1, keepdims=True)
     inv = (var + np.asarray(eps, var.dtype)) ** -0.5
-    x_hat = centered * inv
+    x_hat *= inv
+    val = _widened(x_hat * gain.data, bias.data)
+    val += bias.data
     def bwd(g):
         dim = g.shape[-1]
         if gain.requires_grad:
@@ -461,9 +487,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             _accum(bias, g.reshape(-1, dim).sum(axis=0))
         if x.requires_grad:
             d = g * gain.data
-            _accum(x, inv * (d - d.mean(axis=-1, keepdims=True) - x_hat *
-                             (d * x_hat).mean(axis=-1, keepdims=True)))
-    return _node(x_hat * gain.data + bias.data, (x, gain, bias), bwd)
+            t = d * x_hat
+            m2 = t.mean(axis=-1, keepdims=True)
+            d -= d.mean(axis=-1, keepdims=True)
+            d = _widened(d, t)
+            np.multiply(x_hat, m2, out=t)
+            d -= t
+            d *= inv
+            _accum(x, d)
+    return _node(val, (x, gain, bias), bwd)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor,
@@ -472,7 +504,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     one tape node.
 
     q: [..., Tq, d]; k: [..., Tk, d]; v: [..., Tk, dv]; bias: an additive
-    constant broadcastable to [..., Tq, Tk] (masks), or None.  Only the
+    constant (masks) that broadcasts to the scores' shape [..., Tq, Tk]
+    without enlarging it, or None; a wider bias dtype promotes the result,
+    as scores + bias would.  Only the
     attention weights P are kept for the backward pass, which uses the
     softmax identity dS = P * (dP - rowsum(dP * P)) with dP = g v^T.
     """
@@ -481,18 +515,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
         raise DimensionError(
             f"attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
     scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), q.dtype)
-    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    p *= scale
     if bias is not None:
-        scores = scores + bias
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+        p = _widened(p, bias)
+        p += bias
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     def bwd(g):
         if v.requires_grad:
             _accum(v, np.matmul(np.swapaxes(p, -1, -2), g))
         if not (q.requires_grad or k.requires_grad):
             return
-        dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        ds = _widened(np.matmul(g, np.swapaxes(v.data, -1, -2)), p)  # dP
+        t = ds * p
+        ds -= t.sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
         if q.requires_grad:
             _accum(q, np.matmul(ds, k.data))
         if k.requires_grad:

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy.special import erf
 
 from surgflow.autodiff import (Tensor, concat, getitem, matmul, pad,
                                power, reduce_mean, reshape, softmax,
@@ -110,6 +111,63 @@ def unfused_attention(q: Tensor, k: Tensor, v: Tensor,
     if bias is not None:
         scores = scores + Tensor(bias)
     return matmul(softmax(scores, axis=-1), v)
+
+
+def reference_linear(x, weight, bias, g):
+    """x @ weight + bias and the gradients of x, weight and bias (None
+    without a bias) for upstream gradient `g`, in the out-of-place
+    arithmetic autodiff.linear computes partly in place."""
+    val = np.matmul(x, weight)
+    if bias is not None:
+        val = val + bias
+    d_in, d_out = weight.shape
+    grads = [np.matmul(g, weight.T),
+             x.reshape(-1, d_in).T @ g.reshape(-1, d_out),
+             None if bias is None else g.reshape(-1, d_out).sum(axis=0)]
+    return val, grads
+
+
+def reference_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Layer normalization over the last axis and the gradients of x, gain
+    and bias for upstream gradient `g`, in the out-of-place arithmetic
+    autodiff.layer_norm computes in place."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = (var + np.asarray(eps, var.dtype)) ** -0.5
+    x_hat = centered * inv
+    val = x_hat * gain + bias
+    dim = g.shape[-1]
+    d = g * gain
+    dx = inv * (d - d.mean(axis=-1, keepdims=True) - x_hat *
+                (d * x_hat).mean(axis=-1, keepdims=True))
+    return val, [dx, (g * x_hat).reshape(-1, dim).sum(axis=0),
+                 g.reshape(-1, dim).sum(axis=0)]
+
+
+def reference_gelu(x, g):
+    """Exact-erf GELU and its input gradient for upstream gradient `g`, in
+    the out-of-place arithmetic autodiff.gelu computes in place."""
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return x * cdf, [g * (cdf + x * pdf)]
+
+
+def reference_attention(q, k, v, g, bias=None):
+    """softmax(q k^T / sqrt(d) + bias) v and the gradients of q, k and v for
+    upstream gradient `g`, in the out-of-place arithmetic
+    autodiff.attention computes in place."""
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), q.dtype)
+    scores = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
+    if bias is not None:
+        scores = scores + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    dp = np.matmul(g, np.swapaxes(v, -1, -2))
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+    return np.matmul(p, v), [np.matmul(ds, k),
+                             np.matmul(np.swapaxes(ds, -1, -2), q),
+                             np.matmul(np.swapaxes(p, -1, -2), g)]
 
 
 def reference_adamw_step(params, m, v, step, lr, betas=(0.9, 0.999),

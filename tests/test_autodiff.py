@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import (unfused_attention, unfused_conv1d, unfused_layer_norm,
-                     unfused_linear)
+from oracles import (reference_attention, reference_gelu, reference_layer_norm,
+                     reference_linear, unfused_attention, unfused_conv1d,
+                     unfused_layer_norm, unfused_linear)
 from surgflow import autodiff as ad
 from surgflow import nn
 from surgflow.autodiff import Tensor, grad_check
@@ -345,6 +346,23 @@ def _compare_to_unfused(fused_op, unfused_op, arrays, trainable, dtype, tol,
 DTYPES = pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12),
                                                 (np.float32, 1e-5)])
 LEAD = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+MASKS = st.sampled_from(["none", "causal", "key_pad", "both"])
+TRAINABLE3 = st.tuples(st.booleans(), st.booleans(), st.booleans())
+DTYPE = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+
+def _attention_bias(rng, mask, lead, tq, tk):
+    """(bias, tk) for one of the MASKS, built as MultiHeadAttention builds
+    them: the additive causal mask (which makes tk = tq), -1e9 at padded
+    keys, or their sum."""
+    if mask in ("causal", "both"):
+        tk = tq
+    bias = None if mask in ("none", "key_pad") else nn.causal_mask(tq)
+    if mask in ("key_pad", "both"):
+        pad = rng.uniform(0.0, 1.0, lead + (1, tk)) < 0.3
+        pad = np.where(pad, -1e9, 0.0).astype(np.float32)
+        bias = pad if bias is None else bias + pad
+    return bias, tk
 
 
 class TestFusedTransformerOps:
@@ -388,8 +406,7 @@ class TestFusedTransformerOps:
 
     @DTYPES
     @given(lead=LEAD, tq=st.integers(1, 40), tk=st.integers(1, 40),
-           d=st.integers(1, 8), dv=st.integers(1, 8),
-           mask=st.sampled_from(["none", "causal", "key_pad", "both"]),
+           d=st.integers(1, 8), dv=st.integers(1, 8), mask=MASKS,
            trainable=st.tuples(st.booleans(), st.booleans(), st.booleans()),
            seed=st.integers(0, 2 ** 16))
     @example(lead=(2, 2), tq=40, tk=40, d=8, dv=8, mask="both",
@@ -398,16 +415,8 @@ class TestFusedTransformerOps:
              trainable=(True, True, True), seed=1)
     def test_attention_matches_unfused(self, dtype, tol, lead, tq, tk, d, dv,
                                        mask, trainable, seed):
-        """Masks are built as MultiHeadAttention builds them: the additive
-        causal mask, -1e9 at padded keys, or their sum."""
         rng = SessionRng(seed)
-        if mask in ("causal", "both"):
-            tk = tq
-        bias = None if mask in ("none", "key_pad") else nn.causal_mask(tq)
-        if mask in ("key_pad", "both"):
-            pad = rng.uniform(0.0, 1.0, lead + (1, tk)) < 0.3
-            pad = np.where(pad, -1e9, 0.0).astype(np.float32)
-            bias = pad if bias is None else bias + pad
+        bias, tk = _attention_bias(rng, mask, lead, tq, tk)
         arrays = [rng.normal(1.0, lead + (tq, d), dtype),
                   rng.normal(1.0, lead + (tk, d), dtype),
                   rng.normal(1.0, lead + (tk, dv), dtype)]
@@ -458,6 +467,163 @@ class TestFusedTransformerOps:
         pad[:, 100:] = True
         out = block(x, attn_mask=nn.causal_mask(128), key_pad=pad)
         assert _tape_nodes(out) == 20
+
+
+def _bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _against_reference(op, reference, arrays, trainable, seed, record=True,
+                       g_dtype=None, **kwargs):
+    """Run `op` on leaves of `arrays` (None passes through) with the given
+    requires_grad flags, recording a tape when `record`, and call its
+    backward closure with a seeded upstream gradient g (of the output's
+    dtype unless `g_dtype`).  The value, and the gradient each input that
+    requires grad receives, must equal bit for bit, and in dtype, what
+    `reference` computes for g; any other input gets no gradient."""
+    leaves = [None if a is None else Tensor(a.copy(), requires_grad=r)
+              for a, r in zip(arrays, trainable)]
+    if record:
+        out = op(*leaves, **kwargs)
+    else:
+        with ad.no_grad():
+            out = op(*leaves, **kwargs)
+    g = SessionRng(seed).normal(1.0, out.shape, g_dtype or out.dtype)
+    want, want_grads = reference(*arrays, g=g, **kwargs)
+    _bit_equal(out.data, np.asarray(want))
+    if not (record and any(r for a, r in zip(arrays, trainable)
+                           if a is not None)):
+        assert _is_constant(out)
+        return
+    out._backward(g)
+    for leaf, want_grad in zip(leaves, want_grads):
+        if leaf is not None and not leaf.requires_grad:
+            assert leaf.grad is None
+        elif leaf is not None:  # _accum casts to the leaf's dtype
+            _bit_equal(leaf.grad, want_grad.astype(leaf.dtype))
+
+
+class TestInPlaceKernels:
+    """linear, layer_norm, gelu and attention compute in place, in the
+    ufuncs and order of the out-of-place arithmetic in tests/oracles.py, so
+    their values and gradients equal it bit for bit: in float32 and
+    float64, for every mix of trainable inputs, and under no_grad."""
+
+    @DTYPE
+    @given(lead=LEAD, t=st.integers(1, 40), d_in=st.integers(1, 8),
+           d_out=st.integers(1, 8), with_bias=st.booleans(),
+           trainable=TRAINABLE3, record=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_linear(self, dtype, lead, t, d_in, d_out, with_bias, trainable,
+                    record, seed):
+        rng = SessionRng(seed)
+        arrays = [rng.normal(1.0, lead + (t, d_in), dtype),
+                  rng.normal(1.0, (d_in, d_out), dtype),
+                  rng.normal(1.0, (d_out,), dtype) if with_bias else None]
+        _against_reference(ad.linear, reference_linear, arrays, trainable,
+                           seed + 1, record)
+
+    @DTYPE
+    @given(lead=LEAD, t=st.integers(1, 40), dim=st.integers(1, 16),
+           trainable=TRAINABLE3, record=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_layer_norm(self, dtype, lead, t, dim, trainable, record, seed):
+        rng = SessionRng(seed)
+        arrays = [rng.normal(1.0, lead + (t, dim), dtype),
+                  rng.normal(1.0, (dim,), dtype),
+                  rng.normal(1.0, (dim,), dtype)]
+        _against_reference(ad.layer_norm, reference_layer_norm, arrays,
+                           trainable, seed + 1, record, eps=1e-5)
+
+    @DTYPE
+    @given(shape=st.lists(st.integers(1, 6), max_size=3).map(tuple),
+           scale=st.sampled_from([0.1, 1.0, 4.0]), trainable=st.booleans(),
+           record=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_gelu(self, dtype, shape, scale, trainable, record, seed):
+        """Shapes include 0-d; scale 4 reaches the saturated tails."""
+        arrays = [SessionRng(seed).normal(scale, shape, dtype)]
+        _against_reference(ad.gelu, reference_gelu, arrays, [trainable],
+                           seed + 1, record)
+
+    @DTYPE
+    @given(lead=LEAD, tq=st.integers(1, 40), tk=st.integers(1, 40),
+           d=st.integers(1, 8), dv=st.integers(1, 8), mask=MASKS,
+           trainable=TRAINABLE3, record=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @example(lead=(2, 2), tq=40, tk=40, d=8, dv=8, mask="both",
+             trainable=(True, True, True), record=True, seed=0)
+    def test_attention(self, dtype, lead, tq, tk, d, dv, mask, trainable,
+                       record, seed):
+        rng = SessionRng(seed)
+        bias, tk = _attention_bias(rng, mask, lead, tq, tk)
+        arrays = [rng.normal(1.0, lead + (tq, d), dtype),
+                  rng.normal(1.0, lead + (tk, d), dtype),
+                  rng.normal(1.0, lead + (tk, dv), dtype)]
+        _against_reference(ad.attention, reference_attention, arrays,
+                           trainable, seed + 1, record, bias=bias)
+
+    @pytest.mark.parametrize("q_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("g_dtype", [np.float32, np.float64])
+    def test_attention_mixed_dtypes(self, q_dtype, bias_dtype, g_dtype):
+        """An in-place p += bias keeps p's dtype where scores + bias
+        promotes, and an in-place step on a buffer narrower than g rounds
+        to the buffer's dtype: the result keeps the promoted dtype and the
+        out-of-place values.  k and v are float32."""
+        rng = SessionRng(50)
+        bias, _ = _attention_bias(rng, "both", (2,), 5, 5)
+        arrays = [rng.normal(1.0, (2, 5, 4), q_dtype),
+                  rng.normal(1.0, (2, 5, 4), np.float32),
+                  rng.normal(1.0, (2, 5, 3), np.float32)]
+        bias = bias.astype(bias_dtype)
+        out = ad.attention(*(Tensor(a) for a in arrays), bias)
+        assert out.dtype == np.result_type(q_dtype, bias_dtype)
+        _against_reference(ad.attention, reference_attention, arrays,
+                           (True, True, True), 51, g_dtype=g_dtype, bias=bias)
+
+    @pytest.mark.parametrize("op, x_dtype, bias_dtype, g_dtype", [
+        (op, x, b, g) for op in ("linear", "layer_norm", "gelu")
+        for x, b, g in itertools.product([np.float32, np.float64], repeat=3)
+        if op != "gelu" or b == np.float32])  # gelu has no bias
+    def test_mixed_dtypes(self, op, x_dtype, bias_dtype, g_dtype):
+        """The same for the bias of linear and layer_norm (the weight and
+        gain are float32) and the upstream gradient of all three."""
+        rng = SessionRng(52)
+        x = rng.normal(1.0, (2, 5, 4), x_dtype)
+        fn, reference, arrays = {
+            "linear": (ad.linear, reference_linear,
+                       [x, rng.normal(1.0, (4, 3), np.float32),
+                        rng.normal(1.0, (3,), bias_dtype)]),
+            "layer_norm": (ad.layer_norm, reference_layer_norm,
+                           [x, rng.normal(1.0, (4,), np.float32),
+                            rng.normal(1.0, (4,), bias_dtype)]),
+            "gelu": (ad.gelu, reference_gelu, [x]),
+        }[op]
+        assert fn(*map(Tensor, arrays)).dtype == np.result_type(*arrays)
+        _against_reference(fn, reference, arrays, [True] * len(arrays), 53,
+                           g_dtype=g_dtype)
+
+    @pytest.mark.parametrize("op", ["linear", "layer_norm", "attention",
+                                    "gelu", "conv1d"])
+    def test_backward_mutates_nothing(self, op):
+        """A backward closure leaves g, the inputs' data and the output's
+        data as they were, and a second call with the same g gives the same
+        gradients: it consumes no array it saved (p, x_hat, cdf, taps)."""
+        fn, shapes = RECORDING_OPS[op]
+        inputs = _op_inputs(op, [True] * len(shapes))
+        out = fn(*inputs)
+        g = SessionRng(54).normal(1.0, out.shape, out.dtype)
+        before = [a.tobytes() for a in [g, out.data] + [t.data for t in inputs]]
+        grads = []
+        for _ in range(2):
+            for t in inputs:
+                t.grad = None
+            out._backward(g)
+            grads.append([t.grad.tobytes() for t in inputs])
+        after = [a.tobytes() for a in [g, out.data] + [t.data for t in inputs]]
+        assert after == before
+        assert grads[0] == grads[1]
 
 
 def _two(like):
@@ -566,6 +732,73 @@ p.grad = p.grad * s; g = p.grad[0]; np.sum(p.grad, out=buf); p.data += g; x[0] =
                            [params[n].grad.tobytes() for n in "ab"])
         assert results[0] == results[1]
         assert g.tobytes() == before.tobytes()
+
+
+def _foreign_in_place_writes(tree):
+    """(function, line) of each augmented assignment, or `out=` argument,
+    whose target (or the array it subscripts) is not a name the function
+    itself binds: a parameter, an attribute such as `.data` or `.grad`, a
+    name captured from an enclosing function, or an alias (a name bound to
+    an attribute, name or subscript, such as `x = a.data`)."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if a is not None}
+        own, stack = [], list(ast.iter_child_nodes(fn))
+        while stack:  # this function's nodes, not those of nested ones
+            node = stack.pop()
+            own.append(node)
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda,
+                                     ast.ClassDef)):
+                stack.extend(ast.iter_child_nodes(node))
+        augmented = {id(n.target) for n in own if isinstance(n, ast.AugAssign)}
+        bound = {n.id for n in own if isinstance(n, ast.Name)
+                 and isinstance(n.ctx, ast.Store) and id(n) not in augmented}
+        bound -= {t.id for n in own if isinstance(n, ast.Assign) and isinstance(
+                      n.value, (ast.Attribute, ast.Name, ast.Subscript))
+                  for t in n.targets if isinstance(t, ast.Name)}
+        for node in own:
+            targets = ([node.target] if isinstance(node, ast.AugAssign) else
+                       [kw.value for kw in node.keywords if kw.arg == "out"]
+                       if isinstance(node, ast.Call) else [])
+            for target in targets:
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+                if not (isinstance(target, ast.Name) and target.id in bound
+                        and target.id not in params):
+                    yield getattr(fn, "name", "<lambda>"), node.lineno
+
+
+class TestInPlaceOnlyOnOwnBuffers:
+    """An autodiff kernel writes in place only into arrays it allocated in
+    the same call: never into a parameter (g included), an attribute, or
+    an array a backward closure captured from its op."""
+
+    def test_autodiff_writes_only_its_own_buffers(self):
+        tree = ast.parse(Path(ad.__file__).read_text())
+        assert list(_foreign_in_place_writes(tree)) == []
+
+    def test_checker_sees_each_foreign_write(self):
+        source = """
+def op(x, g, *rest, out=None, **kw):
+    x += 1; g[0] -= 1; np.exp(g, out=g); t.data *= 2; x.grad[1:] += 1
+    rest += (); out += 1; kw["a"] += 1; np.sin(x, out=x.data)
+    buf = np.zeros(3); buf += 1; buf[0] *= 2; np.exp(buf, out=buf[1:])
+    taps = np.ones(3); taps[0] = 5; view = x.data; view *= 2; y = x; y += 1
+    for i in range(2):
+        i += 1
+    def bwd(h):
+        taps[1:] += h; np.exp(h, out=buf); buf += 1
+        mine = h * 2; mine += taps; np.add(mine, 1, out=mine)
+    f = lambda a: np.exp(a, out=taps)
+    return buf
+"""
+        found = sorted(_foreign_in_place_writes(ast.parse(source)))
+        assert found == sorted([("op", 3)] * 5 + [("op", 4)] * 4
+                               + [("op", 6)] * 2 + [("bwd", 10)] * 3
+                               + [("<lambda>", 12)])
 
 
 class TestGetitemGradient:
