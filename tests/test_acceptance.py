@@ -248,14 +248,9 @@ def headline(tmp_path_factory):
             pl.read_json(corpus / "timelines" / f"{vid}.json")
         ).fill_gaps("idle")
 
-    def labels_for(vid):
-        tl = gts[vid]
-        length = feats[vid].features.shape[0]
-        return np.array([classes.index(
-            tl.label_at(min(i + 0.5, tl.duration - 1e-6)))
-            for i in range(length)])
-
-    dataset = [(feats[v], labels_for(v)) for v in train_ids]
+    dataset = [(feats[v], pl.labels_for(gts[v], classes,
+                                        feats[v].features.shape[0]))
+               for v in train_ids]
     reports, temporal_models = {}, {}
     for variant in ("tcn", "asformer"):
         tm = build_temporal_model(
