@@ -41,6 +41,12 @@ DEFAULT_DTYPE = np.float32
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# P(u), lowest order first: the float32 normal cdf is
+# 0.5 * (1 + tanh(x * P(x * x))), a minimax fit to scipy's erf in float64.
+# P's positive leading coefficient saturates tanh for large |x|.
+GELU_F32_POLY = (0.79788494, 0.036333084, -3.2594173e-05, -5.5306573e-05,
+                 3.964822e-06, -1.3227015e-07, 1.7563779e-09)
+
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (reverse of numpy broadcasting)."""
@@ -272,14 +278,40 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.maximum(a.data, 0.0), (a,), bwd)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact-erf GELU: x * cdf(x) with cdf(x) = 0.5 * (1 + erf(x / sqrt(2)))."""
-    a = _wrap(a)
-    x = a.data
-    cdf = np.asarray(x * _INV_SQRT2)  # an array even for 0-d x, so out= works
-    erf(cdf, out=cdf)
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal cdf of `x` in a new array of x's dtype: from
+    scipy's erf for float64, and for float32 as 0.5 * (1 + tanh(x * P(x*x)))
+    with P = GELU_F32_POLY, which stays within 1e-7 of the float64 erf
+    value.  Each element's value depends on it alone, not on the array's
+    size or shape."""
+    if x.dtype == np.float64:
+        cdf = np.asarray(x * _INV_SQRT2)  # an array even for 0-d x, so out= works
+        erf(cdf, out=cdf)
+    else:
+        u = np.asarray(x * x)
+        cdf = np.asarray(u * GELU_F32_POLY[-1])
+        for c in GELU_F32_POLY[-2:0:-1]:
+            cdf += c
+            cdf *= u
+        cdf += GELU_F32_POLY[0]
+        cdf *= x
+        np.tanh(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    return cdf
+
+
+def gelu(a: Tensor) -> Tensor:
+    """GELU x * cdf(x) with the normal cdf of `_normal_cdf`: scipy's erf for
+    float64, a tanh-of-polynomial form within 1e-7 of it for float32.  The
+    backward pass uses the exact normal pdf: g * (cdf + x * pdf(x))."""
+    a = _wrap(a)
+    x = a.data
+    # x * x overflows for |x| > 1.8e19 and -inf * cdf is -inf * 0; both
+    # give the saturated value (or nan for -inf) without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        cdf = _normal_cdf(x)
+        val = x * cdf
     def bwd(g):
         t = np.asarray(-0.5 * x)  # g * (cdf + x * pdf(x))
         t *= x
@@ -289,7 +321,7 @@ def gelu(a: Tensor) -> Tensor:
         t += cdf
         t *= g  # rounds to x's dtype, as _accum would round g * t
         _accum(a, t)
-    return _node(x * cdf, (a,), bwd)
+    return _node(val, (a,), bwd)
 
 
 # -- matmul / shape ops ------------------------------------------------------
@@ -467,14 +499,22 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(val, (x,), bwd)
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) in two calls with the same bits: the
+    same pairwise sum, divided in a's dtype (a float32 mean divides in
+    float64, which rounds to the same float32 quotient)."""
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m /= a.shape[-1]
+    return m
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalization over the last axis with learnable gain/bias, recorded as
     one tape node.  With x_hat = (x - mean) * inv and d = g * gain, the input
     gradient is inv * (d - mean(d) - x_hat * mean(d * x_hat))."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    x_hat = x.data - mu
-    var = (x_hat * x_hat).mean(axis=-1, keepdims=True)
+    x_hat = x.data - _row_mean(x.data)
+    var = _row_mean(x_hat * x_hat)
     inv = (var + np.asarray(eps, var.dtype)) ** -0.5
     x_hat *= inv
     val = _widened(x_hat * gain.data, bias.data)
@@ -488,8 +528,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if x.requires_grad:
             d = g * gain.data
             t = d * x_hat
-            m2 = t.mean(axis=-1, keepdims=True)
-            d -= d.mean(axis=-1, keepdims=True)
+            m2 = _row_mean(t)
+            d -= _row_mean(d)
             d = _widened(d, t)
             np.multiply(x_hat, m2, out=t)
             d -= t

@@ -5,9 +5,9 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from surgflow.autodiff import (Tensor, concat, getitem, matmul, pad,
-                               power, reduce_mean, reshape, softmax,
-                               transpose)
+from surgflow.autodiff import (GELU_F32_POLY, Tensor, concat, getitem,
+                               matmul, pad, power, reduce_mean, reshape,
+                               softmax, transpose)
 from surgflow.errors import ConfigError, DimensionError, NumericError
 from surgflow.objectives import load_manifest, valor_loss
 from surgflow.optim import AdamW, CosineWarmupSchedule, clip_global_norm
@@ -146,9 +146,19 @@ def reference_layer_norm(x, gain, bias, g, eps=1e-5):
 
 
 def reference_gelu(x, g):
-    """Exact-erf GELU and its input gradient for upstream gradient `g`, in
-    the out-of-place arithmetic autodiff.gelu computes in place."""
-    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    """GELU and its input gradient for upstream gradient `g`, in the
+    out-of-place arithmetic autodiff.gelu computes in place: the normal cdf
+    from scipy's erf for float64, and for float32 as
+    0.5 * (1 + tanh(x * P(x * x))) with P = autodiff.GELU_F32_POLY by
+    Horner's rule."""
+    if x.dtype == np.float64:
+        cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    else:
+        u = x * x
+        p = GELU_F32_POLY[-1]
+        for c in GELU_F32_POLY[-2::-1]:
+            p = p * u + c
+        cdf = 0.5 * (1.0 + np.tanh(x * p))
     pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
     return x * cdf, [g * (cdf + x * pdf)]
 
