@@ -307,8 +307,8 @@ def gelu(a: Tensor) -> Tensor:
     backward pass uses the exact normal pdf: g * (cdf + x * pdf(x))."""
     a = _wrap(a)
     x = a.data
-    # x * x overflows for |x| > 1.8e19 and -inf * cdf is -inf * 0; both
-    # give the saturated value (or nan for -inf) without a warning
+    # |x| > 1.8e19 overflows x * x, and x = -inf gives -inf * 0 = nan: the
+    # saturated value and nan, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         cdf = _normal_cdf(x)
         val = x * cdf
