@@ -40,6 +40,8 @@ DEFAULT_DTYPE = np.float32
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# exp(-x * x / 2) underflows to 0 in float64 (and float32) for |x| > 38.6
+_PDF_ZERO_BEYOND = 40.0
 
 # P(u), lowest order first: the float32 normal cdf is
 # 0.5 * (1 + tanh(x * P(x * x))), a minimax fit to scipy's erf in float64.
@@ -304,7 +306,8 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """GELU x * cdf(x) with the normal cdf of `_normal_cdf`: scipy's erf for
     float64, a tanh-of-polynomial form within 1e-7 of it for float32.  The
-    backward pass uses the exact normal pdf: g * (cdf + x * pdf(x))."""
+    backward pass uses the exact normal pdf: g * (cdf + x * pdf(x)), which
+    is finite for every non-nan x and exactly g or 0 for |x| >= 40."""
     a = _wrap(a)
     x = a.data
     # |x| > 1.8e19 overflows x * x, and x = -inf gives -inf * 0 = nan: the
@@ -313,11 +316,15 @@ def gelu(a: Tensor) -> Tensor:
         cdf = _normal_cdf(x)
         val = x * cdf
     def bwd(g):
-        t = np.asarray(-0.5 * x)  # g * (cdf + x * pdf(x))
-        t *= x
+        # g * (cdf + x * pdf(x)); the pdf term is exactly 0 beyond |x| = 40
+        # in both dtypes, so clipping there changes no bits and keeps x * x
+        # from overflowing and inf * 0 out of the tails
+        xc = np.clip(x, -_PDF_ZERO_BEYOND, _PDF_ZERO_BEYOND)
+        t = np.asarray(-0.5 * xc)
+        t *= xc
         np.exp(t, out=t)
         t *= _INV_SQRT2PI
-        t *= x
+        t *= xc
         t += cdf
         t *= g  # rounds to x's dtype, as _accum would round g * t
         _accum(a, t)

@@ -13,16 +13,47 @@ from .errors import ConfigError, NumericError
 from .rng import SessionRng
 
 
+# Elements per group of `_grad_groups`: a group's gathered gradients,
+# weights and scratch stay in cache (measured sweep: see CHANGES.md).
+_GROUP_SIZE = 32768
+
+
+def _grad_groups(params: Dict[str, Tensor]):
+    """Yield lists of consecutive (name, tensor, size) items of `params`, in
+    order, whose tensors have a grad and share a dtype: each list holds at
+    most `_GROUP_SIZE` elements in all, or a single larger tensor.  A tensor
+    without a grad ends a group."""
+    group, total, dtype = [], 0, None
+    for name, p in params.items():
+        data = p.data
+        if group and (p.grad is None or data.dtype != dtype
+                      or total + data.size > _GROUP_SIZE):
+            yield group
+            group, total = [], 0
+        if p.grad is not None:
+            group.append((name, p, data.size))
+            total += data.size
+            dtype = data.dtype
+    if group:
+        yield group
+
+
 def clip_global_norm(params: Dict[str, Tensor], max_norm: float = 5.0) -> float:
     """Scale all gradients so their global L2 norm is at most `max_norm`.
 
-    Returns the pre-clipping norm.
+    Returns the pre-clipping norm: per tensor, the float64 sum of squares of
+    its grad read in memory order, summed in parameter order.  The squares
+    are taken in one float64 scratch array per group of `_grad_groups`.
     """
     total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            sq = p.grad.astype(np.float64)  # a copy: squared in place below
-            total += float(np.sum(np.multiply(sq, sq, out=sq)))
+    for group in _grad_groups(params):
+        sq = np.concatenate([p.grad.ravel(order="K") for _, p, _ in group],
+                            dtype=np.float64)
+        np.multiply(sq, sq, out=sq)
+        start = 0
+        for _, _, size in group:
+            total += float(np.add.reduce(sq[start:start + size]))
+            start += size
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
@@ -63,10 +94,13 @@ class CosineWarmupSchedule:
 class AdamW:
     """Decoupled weight decay Adam over a name -> Tensor parameter dict.
 
-    `step` updates the moments `m` and `v` and each parameter's `data` in
-    place; per tensor it allocates one scratch array and the update.  It
-    never writes into a `grad` array, which autodiff may share between
-    tensors.
+    The moments live in one flat `m` and one flat `v` array per dtype, in
+    parameter order; `_m[name]` and `_v[name]` are shaped views into them.
+    `step` runs over the groups of `_grad_groups`: it gathers a group's
+    grads and weights into flat arrays, updates the moments in place with
+    scratch the size of the group, and copies the new weights back into
+    each parameter's `data`.  It never writes into a `grad` array, which
+    autodiff may share between tensors.
     """
 
     def __init__(self, params: Dict[str, Tensor], lr: float = 1e-3,
@@ -78,19 +112,34 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
-        self._v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+        # each tensor's offset into the flat moments of its dtype
+        self._offset: Dict[str, int] = {}
+        sizes: Dict[np.dtype, int] = {}
+        for name, p in self.params.items():
+            self._offset[name] = sizes.get(p.dtype, 0)
+            sizes[p.dtype] = self._offset[name] + p.size
+        self._flat_m = {dt: np.zeros(n, dt) for dt, n in sizes.items()}
+        self._flat_v = {dt: np.zeros(n, dt) for dt, n in sizes.items()}
+        self._m, self._v = {}, {}
+        for name, p in self.params.items():
+            span = slice(self._offset[name], self._offset[name] + p.size)
+            self._m[name] = self._flat_m[p.dtype][span].reshape(p.shape)
+            self._v[name] = self._flat_v[p.dtype][span].reshape(p.shape)
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad if p.grad.dtype == p.dtype else p.grad.astype(p.dtype)
-            m, v, w = self._m[name], self._v[name], p.data
+        for group in _grad_groups(self.params):
+            ps = [p for _, p, _ in group]
+            dtype = ps[0].data.dtype
+            start = self._offset[group[0][0]]
+            span = slice(start, start + sum(size for _, _, size in group))
+            m, v = self._flat_m[dtype][span], self._flat_v[dtype][span]
+            g = np.concatenate([p.grad for p in ps], axis=None, dtype=dtype,
+                               casting="same_kind")
+            w = np.concatenate([p.data for p in ps], axis=None)
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
             s = np.multiply(g, 1.0 - b1)
             m *= b1
@@ -107,8 +156,12 @@ class AdamW:
             u /= s
             np.multiply(w, self.weight_decay, out=s)
             u += s
-            u *= np.asarray(self.lr, p.dtype)
+            u *= np.asarray(self.lr, dtype)
             w -= u
+            start = 0
+            for _, p, size in group:
+                np.copyto(p.data, w[start:start + size].reshape(p.data.shape))
+                start += size
 
     def zero_grad(self) -> None:
         for p in self.params.values():

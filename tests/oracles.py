@@ -180,12 +180,32 @@ def reference_attention(q, k, v, g, bias=None):
                              np.matmul(np.swapaxes(p, -1, -2), g)]
 
 
+def reference_clip_global_norm(params, max_norm):
+    """Gradient clipping one tensor at a time, out of place: the pre-clip
+    norm is the square root of each grad's float64 sum of squares, summed
+    in parameter order, as optim.clip_global_norm computes it over groups
+    of tensors.  Rebinds each grad to its scaled copy when the norm exceeds
+    `max_norm`, and returns the norm."""
+    total = 0.0
+    for p in params.values():
+        if p.grad is not None:
+            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+    norm = math.sqrt(total)
+    if norm > max_norm and norm > 0:
+        scale = max_norm / norm
+        for p in params.values():
+            if p.grad is not None:
+                p.grad = p.grad * np.asarray(scale, dtype=p.grad.dtype)
+    return norm
+
+
 def reference_adamw_step(params, m, v, step, lr, betas=(0.9, 0.999),
                          eps=1e-8, weight_decay=0.01):
-    """AdamW step number `step` (from 1) in its out-of-place arithmetic: the
-    update optim.AdamW.step computes in place.  Updates the moment arrays of
-    `m` and `v` in place and rebinds the `data` of each tensor in `params`
-    that has a gradient; a tensor whose grad is None is left untouched."""
+    """AdamW step number `step` (from 1) in its out-of-place arithmetic, one
+    tensor at a time: the update optim.AdamW.step computes in place over
+    groups of tensors.  Updates the moment arrays of `m` and `v` in place
+    and rebinds the `data` of each tensor in `params` that has a gradient;
+    a tensor whose grad is None is left untouched."""
     b1, b2 = betas
     bc1 = 1.0 - b1 ** step
     bc2 = 1.0 - b2 ** step

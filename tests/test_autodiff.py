@@ -706,6 +706,45 @@ class TestFloat32Gelu:
         assert np.abs(grads[0] - grads[1]).max() <= 1e-6
 
 
+class TestGeluGradientTails:
+    """gelu's input gradient is finite and warning-free for every non-nan
+    input: exactly 1 or 0 where the pdf term underflows, up to ±inf, and
+    the old bits wherever the old arithmetic was finite and warning-free."""
+
+    @DTYPE
+    def test_tails_are_exactly_one_and_zero(self, dtype):
+        big = np.finfo(dtype).max
+        x = np.array([40.0, 41.5, 1e3, 1e19, 1e30, big, np.inf], dtype)
+        for sign, want in ((1.0, 1.0), (-1.0, 0.0)):
+            leaf = Tensor(sign * x, requires_grad=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                node = ad.gelu(leaf)
+                node._backward(np.ones_like(x))
+            assert leaf.grad.dtype == dtype
+            assert (leaf.grad == want).all(), (sign, leaf.grad)
+
+    @DTYPE
+    def test_old_bits_where_the_old_gradient_was_clean(self, dtype):
+        """Across the clip at |x| = 40, and out to the largest float, the
+        gradient equals the out-of-place oracle wherever the oracle's
+        x * x did not overflow."""
+        big = np.finfo(dtype).max
+        mag = np.concatenate([np.linspace(0.0, 60.0, 120001),
+                              np.logspace(0.0, 0.999 * np.log10(big), 2000),
+                              [big]]).astype(dtype)
+        x = np.concatenate([mag, -mag])
+        g = SessionRng(63).normal(1.0, x.shape, dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_gelu(x, g)[1][0]
+            clean = np.isfinite(x * x) & np.isfinite(want)
+        leaf = Tensor(x, requires_grad=True)
+        ad.gelu(leaf)._backward(g)
+        assert np.isfinite(leaf.grad).all()
+        assert clean.sum() > 0.9 * x.size
+        assert leaf.grad[clean].tobytes() == want[clean].tobytes()
+
+
 def _two(like):
     return Tensor(np.asarray(2.0, like.dtype))
 
@@ -751,11 +790,15 @@ class TestSub:
 def _grad_writes(tree):
     """Line of each in-place write to a `.grad` array: an augmented
     assignment to `<x>.grad` or `<x>.grad[...]`, an assignment to
-    `<x>.grad[...]`, or a call passing `out=<x>.grad` or `out=<x>.grad[...]`."""
+    `<x>.grad[...]`, a call passing `out=<x>.grad` or `out=<x>.grad[...]`,
+    or `copyto(<x>.grad..., ...)`."""
     def grad_array(node):
         if isinstance(node, ast.Subscript):
             node = node.value
         return isinstance(node, ast.Attribute) and node.attr == "grad"
+    def copyto(func):
+        return (isinstance(func, ast.Attribute) and func.attr == "copyto"
+                or isinstance(func, ast.Name) and func.id == "copyto")
     for node in ast.walk(tree):
         if (isinstance(node, ast.AugAssign) and grad_array(node.target)
                 or isinstance(node, ast.Assign) and any(
@@ -763,7 +806,11 @@ def _grad_writes(tree):
                     for t in node.targets)
                 or isinstance(node, ast.Call) and any(
                     kw.arg == "out" and grad_array(kw.value)
-                    for kw in node.keywords)):
+                    for kw in node.keywords)
+                or isinstance(node, ast.Call) and copyto(node.func)
+                and (node.args and grad_array(node.args[0]) or any(
+                    kw.arg == "dst" and grad_array(kw.value)
+                    for kw in node.keywords))):
             yield node.lineno
 
 
@@ -783,8 +830,10 @@ class TestGradOwnership:
 p.grad += g; p.grad[0] -= 1; p.grad[...] = 0; np.multiply(p.grad, s, out=p.grad)
 np.add(p.grad[1:], 1, out=p.grad[1:])
 p.grad = p.grad * s; g = p.grad[0]; np.sum(p.grad, out=buf); p.data += g; x[0] = 1
+np.copyto(p.grad, g); np.copyto(p.grad[1:], 0); copyto(dst=q.grad, src=g)
+np.copyto(p.data, p.grad); np.copyto(w, g.grad[0]); np.concatenate([p.grad])
 """
-        assert sorted(_grad_writes(ast.parse(source))) == [2, 2, 2, 2, 3]
+        assert sorted(_grad_writes(ast.parse(source))) == [2, 2, 2, 2, 3, 5, 5, 5]
 
     def test_shared_grad_ends_like_separate_copies(self):
         """Two leaves fed by one add share their grad array; clipping (which

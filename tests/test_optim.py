@@ -5,12 +5,58 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import reference_adamw_step
+from oracles import reference_adamw_step, reference_clip_global_norm
+from surgflow import optim
 from surgflow.autodiff import Tensor, reduce_sum
 from surgflow.errors import ConfigError, NumericError
 from surgflow.optim import AdamW, CosineWarmupSchedule, clip_global_norm, train
 from surgflow.rng import SessionRng
+from surgflow.temporal import (TemporalConfig, build_temporal_model,
+                               stage2_loss)
+
+
+_OTHER = {np.float32: np.float64, np.float64: np.float32}
+_G = optim._GROUP_SIZE
+# 0-d, 1-element, small, just under, at and just over one group, and the
+# [3, 64, 64] conv kernel of the temporal models
+SHAPES = [(), (1,), (64,), (7, 9), (_G // 128 - 1, 128), (_G // 128, 128),
+          (_G // 128 + 1, 128), (3, 64, 64)]
+# a tensor's shape, whether its weight takes the other float dtype, its grad
+# dtype (None: no grad), and whether its weight and grad are transposed
+LAID_OUT_TENSOR = st.fixed_dictionaries({
+    "shape": st.sampled_from(SHAPES), "other": st.booleans(),
+    "grad": st.sampled_from([None, np.float32, np.float64]),
+    "t_data": st.booleans(), "t_grad": st.booleans()})
+# every case at once: a None grad between two tensors of one group, the
+# dtypes interleaved, a tensor larger than a group
+MIXED_LAYOUT = [
+    dict(shape=(7, 9), other=False, grad=np.float64, t_data=True, t_grad=True),
+    dict(shape=(), other=False, grad=np.float32, t_data=False, t_grad=False),
+    dict(shape=(1,), other=False, grad=None, t_data=False, t_grad=False),
+    dict(shape=(64,), other=False, grad=np.float64, t_data=False,
+         t_grad=False),
+    dict(shape=(64,), other=True, grad=np.float32, t_data=False, t_grad=False),
+    dict(shape=(_G // 128 + 1, 128), other=False, grad=np.float32,
+         t_data=True, t_grad=False),
+    dict(shape=(_G // 128 - 1, 128), other=False, grad=np.float64,
+         t_data=False, t_grad=True),
+    dict(shape=(3, 64, 64), other=True, grad=np.float64, t_data=True,
+         t_grad=True)]
+
+
+# a grad's shape and dtype, whether its weight takes the other float dtype,
+# and how the grad lies in memory (None: no grad)
+CLIPPED_GRAD = st.fixed_dictionaries({
+    "shape": st.sampled_from(SHAPES),
+    "dtype": st.sampled_from([np.float32, np.float64]), "other": st.booleans(),
+    "kind": st.sampled_from([None, "plain", "transposed", "sliced"])})
+
+
+def _laid_out(a, transposed):
+    """`a` itself, or an array of equal values stored transposed."""
+    return a.T.copy().T if transposed else a
 
 
 def quad_params(seed=0):
@@ -48,42 +94,105 @@ class TestAdamW:
         assert params["x"].data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
     def test_frozen_params_skipped(self):
+        """Frozen tensors are not the optimizer's; over an empty or an
+        all-frozen dict it steps without error and touches nothing."""
         frozen = Tensor(np.ones(2, np.float32), requires_grad=False)
-        opt = AdamW({"f": frozen}, lr=0.1)
-        assert "f" not in opt.params
+        for params in ({}, {"f": frozen}):
+            opt = AdamW(params, lr=0.1)
+            assert opt.params == {}
+            opt.step()
+            opt.step()
+            assert opt.t == 2
+        assert frozen.grad is None
+        assert frozen.data.tobytes() == np.ones(2, np.float32).tobytes()
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.5])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bit_equal_to_out_of_place_reference(self, dtype, weight_decay):
+    @settings(max_examples=50)
+    @given(layout=st.lists(LAID_OUT_TENSOR, min_size=1, max_size=8),
+           seed=st.integers(0, 2 ** 16))
+    @example(layout=MIXED_LAYOUT, seed=0)
+    def test_bit_equal_to_out_of_place_reference(self, dtype, weight_decay,
+                                                 layout, seed):
         """Five in-place steps leave the weights and both moments with the
-        bits of the out-of-place arithmetic, for an f64 grad on an f32
-        weight too; a tensor whose grad is None stays untouched."""
-        rng = SessionRng(11)
-        shapes = {"w": (3, 4), "b": (4,), "idle": (2,)}
-        init = {n: rng.normal(1.0, s, dtype) for n, s in shapes.items()}
-        sides = [{n: Tensor(a.copy(), requires_grad=True)
-                  for n, a in init.items()} for _ in range(2)]
+        bits of the per-tensor out-of-place arithmetic, over layouts that
+        straddle the optimizer's groups: 0-d, 1-element and larger-than-a-
+        group tensors, `dtype` weights interleaved with the other float
+        dtype, grads of either dtype, transposed grads and transposed
+        weights.  A tensor whose grad is None stays untouched, and every
+        weight is updated in its own array."""
+        rng = SessionRng(seed)
+        init, grad_dtypes = {}, {}
+        for i, spec in enumerate(layout):
+            name = f"t{i}"
+            init[name] = np.asarray(rng.normal(
+                1.0, spec["shape"], _OTHER[dtype] if spec["other"] else dtype))
+            grad_dtypes[name] = spec["grad"]
+        sides = [{n: Tensor(_laid_out(a.copy(), spec["t_data"]),
+                            requires_grad=True)
+                  for (n, a), spec in zip(init.items(), layout)}
+                 for _ in range(2)]
+        arrays = {n: p.data for n, p in sides[0].items()}
         opt = AdamW(sides[0], lr=0.1, weight_decay=weight_decay)
         m = {n: np.zeros_like(a) for n, a in init.items()}
         v = {n: np.zeros_like(a) for n, a in init.items()}
         for step in range(1, 6):
-            grads = {"w": rng.normal(1.0, shapes["w"], dtype),
-                     "b": rng.normal(1.0, shapes["b"], np.float64)}
-            for side in sides:
-                for name, g in grads.items():
-                    side[name].grad = g.copy()
+            for (name, gd), spec in zip(grad_dtypes.items(), layout):
+                if gd is None:
+                    continue
+                g = _laid_out(np.asarray(rng.normal(1.0, spec["shape"], gd)),
+                              spec["t_grad"])
+                for side in sides:
+                    side[name].grad = g.copy(order="K")
             opt.lr = 0.1 / step
             opt.step()
             reference_adamw_step(sides[1], m, v, step, 0.1 / step,
                                  weight_decay=weight_decay)
-            for name in shapes:
+            for name in init:
                 got, want = sides[0][name].data, sides[1][name].data
-                assert got.dtype == want.dtype == dtype
+                assert got is arrays[name]
+                assert got.dtype == want.dtype == init[name].dtype
                 assert got.tobytes() == want.tobytes(), (step, name)
                 assert opt._m[name].tobytes() == m[name].tobytes()
                 assert opt._v[name].tobytes() == v[name].tobytes()
-        assert sides[0]["idle"].data.tobytes() == init["idle"].tobytes()
-        assert not opt._m["idle"].any() and not opt._v["idle"].any()
+        for name, gd in grad_dtypes.items():
+            if gd is None:
+                assert sides[0][name].data.tobytes() == init[name].tobytes()
+                assert not opt._m[name].any() and not opt._v[name].any()
+
+
+class TestRealLayouts:
+    @pytest.mark.parametrize("variant", ["tcn", "asformer"])
+    def test_temporal_training_ends_like_the_per_tensor_oracles(self, variant):
+        """Three full training steps (forward, stage2_loss, backward, clip,
+        AdamW) of the real TCN or ASFormer parameter layout: the library and
+        the per-tensor oracles give the same norms and leave every
+        parameter byte-equal."""
+        cfg = TemporalConfig()
+        rng = SessionRng(21)
+        feats = rng.normal(1.0, (40, cfg.feature_dim), np.float32)
+        labels = rng.integers(0, cfg.num_classes, 40)
+        models = [build_temporal_model(variant, cfg, SessionRng(3))
+                  for _ in range(2)]
+        params = [model.parameters() for model in models]
+        opt = AdamW(params[0], lr=1e-3, weight_decay=0.01)
+        m = {n: np.zeros_like(p.data) for n, p in params[1].items()}
+        v = {n: np.zeros_like(p.data) for n, p in params[1].items()}
+        norms = []
+        for step in range(1, 4):
+            for model, ps in zip(models, params):
+                for p in ps.values():
+                    p.zero_grad()
+                stage2_loss(model.forward(feats), labels, variant,
+                            cfg).backward()
+            norms.append((clip_global_norm(params[0], 5.0),
+                          reference_clip_global_norm(params[1], 5.0)))
+            opt.step()
+            reference_adamw_step(params[1], m, v, step, 1e-3,
+                                 weight_decay=0.01)
+        assert all(a == b for a, b in norms) and norms[0][0] > 5.0
+        for name, p in params[0].items():
+            assert p.data.tobytes() == params[1][name].data.tobytes(), name
 
 
 class TestSchedule:
@@ -140,20 +249,45 @@ class TestClipping:
         assert a.grad[0] / b.grad[0] == pytest.approx(0.75, rel=1e-5)
 
     def test_none_grads_ignored(self):
+        """Without any grad the norm is 0.0 and nothing is touched."""
         params = quad_params(3)
         assert clip_global_norm(params, 1.0) == 0.0
+        assert clip_global_norm({}, 1.0) == 0.0
+        before = params["x"].data.copy()
+        assert clip_global_norm(params, 0.0) == 0.0
+        assert params["x"].grad is None
+        assert params["x"].data.tobytes() == before.tobytes()
 
-    def test_norm_is_the_float64_sum_of_squares(self):
+    @given(layout=st.lists(CLIPPED_GRAD, min_size=1, max_size=10),
+           seed=st.integers(0, 2 ** 16))
+    @example(layout=[dict(shape=(5, 7), dtype=np.float32, other=False,
+                          kind="plain"),
+                     dict(shape=(2, 6), dtype=np.float64, other=False,
+                          kind="transposed"),
+                     dict(shape=(9,), dtype=np.float32, other=False,
+                          kind="plain")], seed=12)
+    def test_norm_is_the_float64_sum_of_squares(self, layout, seed):
         """The norm keeps its bits: per tensor, the float64 sum of squares,
-        summed in parameter order; a transposed grad is read as it lies."""
-        rng = SessionRng(12)
-        grads = [rng.normal(3.0, (5, 7), np.float32),
-                 rng.normal(3.0, (6, 2), np.float64).T,
-                 rng.normal(3.0, (9,), np.float32)]
-        params = {}
-        for i, g in enumerate(grads):
-            params[str(i)] = Tensor(np.zeros(g.shape, g.dtype), requires_grad=True)
+        summed in parameter order; a transposed or sliced grad is read as
+        it lies.  The layouts span several groups and mix f32 and f64
+        grads and weights."""
+        rng = SessionRng(seed)
+        params, grads = {}, []
+        for i, spec in enumerate(layout):
+            dtype = _OTHER[spec["dtype"]] if spec["other"] else spec["dtype"]
+            params[str(i)] = Tensor(np.zeros(spec["shape"], dtype),
+                                    requires_grad=True)
+            if spec["kind"] is None:
+                continue
+            g = np.asarray(rng.normal(3.0, spec["shape"], spec["dtype"]))
+            if spec["kind"] == "transposed":
+                g = _laid_out(g, True)
+            elif spec["kind"] == "sliced" and g.ndim:
+                wide = rng.normal(3.0, g.shape[:-1] + (2 * g.shape[-1],),
+                                  spec["dtype"])
+                g = wide[..., ::2]
             params[str(i)].grad = g
+            grads.append(g)
         expected = math.sqrt(sum(np.sum(g.astype(np.float64) ** 2)
                                  for g in grads))
         assert clip_global_norm(params, max_norm=1.0) == expected
