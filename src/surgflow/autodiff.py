@@ -404,12 +404,20 @@ def stack(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 def pad(a: Tensor, pad_width) -> Tensor:
-    """Zero padding; pad_width as in np.pad."""
+    """Zero padding by one (before, after) pair of widths per axis: the
+    value np.pad(a, pad_width) gives, built as zeros and one slice copy."""
     a = _wrap(a)
+    widths = [(int(lo), int(hi)) for lo, hi in pad_width]
+    if len(widths) != a.ndim or any(lo < 0 or hi < 0 for lo, hi in widths):
+        raise DimensionError(f"pad widths {pad_width} for shape {a.shape}: "
+                             "one non-negative pair per axis")
+    inner = tuple(slice(lo, lo + dim) for (lo, _), dim in zip(widths, a.shape))
+    val = np.zeros([lo + dim + hi for (lo, hi), dim in zip(widths, a.shape)],
+                   a.dtype)
+    val[inner] = a.data
     def bwd(g):
-        _accum(a, g[tuple(slice(lo, lo + dim)
-                          for (lo, _), dim in zip(pad_width, a.shape))])
-    return _node(np.pad(a.data, pad_width), (a,), bwd)
+        _accum(a, g[inner])
+    return _node(val, (a,), bwd)
 
 
 def _is_basic(index) -> bool:
@@ -545,8 +553,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node(val, (x, gain, bias), bwd)
 
 
+def _split_heads(x: np.ndarray, heads: int | None) -> np.ndarray:
+    """[..., T, heads * d] -> a strided view [..., heads, T, d]; x itself
+    when heads is None."""
+    if heads is None:
+        return x
+    return np.swapaxes(x.reshape(x.shape[:-1] + (heads, -1)), -2, -3)
+
+
+def _merge_heads(x: np.ndarray, heads: int | None) -> np.ndarray:
+    """[..., heads, T, d] -> a new [..., T, heads * d] array; x itself when
+    heads is None."""
+    if heads is None:
+        return x
+    x = np.swapaxes(x, -2, -3)
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor,
-              bias: np.ndarray | None = None) -> Tensor:
+              bias: np.ndarray | None = None, heads: int | None = None) -> Tensor:
     """softmax(q k^T / sqrt(d) + bias) v over the last two axes, recorded as
     one tape node.
 
@@ -556,13 +581,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     as scores + bias would.  Only the
     attention weights P are kept for the backward pass, which uses the
     softmax identity dS = P * (dP - rowsum(dP * P)) with dP = g v^T.
+
+    With `heads` = h, q, k and v come in the layout of their projections,
+    [..., T, h * d]: the node attends per head on the strided views
+    [..., h, T, d], the bias broadcasts to the scores' [..., h, Tq, Tk], and
+    the result (and each input gradient) has its heads merged back,
+    [..., Tq, h * dv]; the same arithmetic as reshaping and transposing
+    around the call, without their tape nodes.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise DimensionError(
             f"attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
-    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), q.dtype)
-    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    if heads is not None and (heads < 1 or q.shape[-1] % heads
+                              or v.shape[-1] % heads):
+        raise DimensionError(f"attention widths {q.shape[-1]}, {v.shape[-1]} "
+                             f"do not split into {heads} heads")
+    qd, kd, vd = (_split_heads(a.data, heads) for a in (q, k, v))
+    scale = np.asarray(1.0 / np.sqrt(qd.shape[-1]), q.dtype)
+    p = np.matmul(qd, np.swapaxes(kd, -1, -2))
     p *= scale
     if bias is not None:
         p = _widened(p, bias)
@@ -571,20 +608,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     def bwd(g):
+        g = _split_heads(g, heads)
         if v.requires_grad:
-            _accum(v, np.matmul(np.swapaxes(p, -1, -2), g))
+            _accum(v, _merge_heads(np.matmul(np.swapaxes(p, -1, -2), g), heads))
         if not (q.requires_grad or k.requires_grad):
             return
-        ds = _widened(np.matmul(g, np.swapaxes(v.data, -1, -2)), p)  # dP
+        ds = _widened(np.matmul(g, np.swapaxes(vd, -1, -2)), p)  # dP
         t = ds * p
         ds -= t.sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
         if q.requires_grad:
-            _accum(q, np.matmul(ds, k.data))
+            _accum(q, _merge_heads(np.matmul(ds, kd), heads))
         if k.requires_grad:
-            _accum(k, np.matmul(np.swapaxes(ds, -1, -2), q.data))
-    return _node(np.matmul(p, v.data), (q, k, v), bwd)
+            _accum(k, _merge_heads(np.matmul(np.swapaxes(ds, -1, -2), qd), heads))
+    return _node(_merge_heads(np.matmul(p, vd), heads), (q, k, v), bwd)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

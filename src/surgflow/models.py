@@ -152,7 +152,8 @@ class TextEncoder(Module):
 class DecodeCache:
     """State of incremental causal decoding against one video batch: per
     layer, the cross-attention keys and values of the video tokens, and the
-    self-attention keys and values of the first `length` text positions."""
+    self-attention keys and values of the first `length` text positions,
+    each [B, T, C] with the heads unsplit."""
     video: list = field(default_factory=list)
     text: dict = field(default_factory=dict)
     length: int = 0
@@ -161,8 +162,8 @@ class DecodeCache:
         """Cached keys and values followed by (k, v), all kept."""
         if self.length:
             past_k, past_v = self.text[layer]
-            k = ad.concat([past_k[:, :, :self.length], k], axis=2)
-            v = ad.concat([past_v[:, :, :self.length], v], axis=2)
+            k = ad.concat([past_k[:, :self.length], k], axis=1)
+            v = ad.concat([past_v[:, :self.length], v], axis=1)
         self.text[layer] = (k, v)
         return k, v
 
@@ -197,7 +198,7 @@ class MultimodalDecoder(Module):
         elif pad_mask.any():
             raise InputError("cached decoding takes unpadded ids")
         elif not cache.video:
-            cache.video = [c_attn.heads(video.flat) for c_attn in self.cross_attn]
+            cache.video = [c_attn.keys_values(video.flat) for c_attn in self.cross_attn]
         x = self._text_encoder.embed(ids, start)
         n_t = ids.shape[1]
         mask = causal_mask(start + n_t)[start:] if causal else None
@@ -209,7 +210,7 @@ class MultimodalDecoder(Module):
                                    key_pad=pad_mask)
                 x = x + c_attn(c_ln(x), vid)
             else:
-                kv = cache.extend(i, *block.attn.heads(normed))
+                kv = cache.extend(i, *block.attn.keys_values(normed))
                 x = x + block.attn(normed, attn_mask=mask, kv=kv)
                 x = x + c_attn(c_ln(x), kv=cache.video[i])
             x = x + block.ff(block.ln2(x))

@@ -105,36 +105,28 @@ class MultiHeadAttention(Module):
         self.w_v = Linear(dim, dim, rng)
         self.w_o = Linear(dim, dim, rng)
 
-    def _split(self, x: Tensor) -> Tensor:
-        """[B, T, C] -> [B, heads, T, C / heads]."""
-        b, t, c = x.shape
-        h = self.n_heads
-        return ad.transpose(ad.reshape(x, (b, t, h, c // h)), (0, 2, 1, 3))
-
-    def heads(self, keyval: Tensor) -> tuple:
-        """Head-split keys and values of keyval [B, Tk, C]."""
-        return self._split(self.w_k(keyval)), self._split(self.w_v(keyval))
+    def keys_values(self, keyval: Tensor) -> tuple:
+        """Keys and values [B, Tk, C] of keyval [B, Tk, C], heads unsplit."""
+        return self.w_k(keyval), self.w_v(keyval)
 
     def __call__(self, query: Tensor, keyval: Tensor | None = None,
                  attn_mask: np.ndarray | None = None,
                  key_pad: np.ndarray | None = None,
                  kv: tuple | None = None) -> Tensor:
         """query [B, Tq, C] attends to keyval [B, Tk, C], or to `kv`, its
-        keys and values already split by `heads`.
+        keys and values from `keys_values`; the heads are split and merged
+        inside the one attention node.
 
         attn_mask: additive [Tq, Tk] (e.g. causal); key_pad: boolean
         [B, Tk], True at padded keys.
         """
-        b, tq, c = query.shape
-        q = self._split(self.w_q(query))
-        k, v = self.heads(keyval) if kv is None else kv
+        q = self.w_q(query)
+        k, v = self.keys_values(keyval) if kv is None else kv
         bias = attn_mask
         if key_pad is not None:
             pad = np.where(key_pad, -1e9, 0.0)[:, None, None, :].astype(np.float32)
             bias = pad if bias is None else bias + pad
-        out = ad.attention(q, k, v, bias)
-        out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, tq, c))
-        return self.w_o(out)
+        return self.w_o(ad.attention(q, k, v, bias, heads=self.n_heads))
 
 
 class FeedForward(Module):

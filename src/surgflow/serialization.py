@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import secrets
 import struct
@@ -81,25 +82,43 @@ def write_checkpoint(path, entries: Dict[str, np.ndarray]) -> None:
     write_atomic(path, buf)
 
 
+def _need(path, raw: bytes, end: int) -> None:
+    """Raise InputError naming `path` when `raw` ends before byte `end`."""
+    if end > len(raw):
+        raise InputError(f"{path}: truncated file ({len(raw)} bytes, "
+                         f"needs at least {end})")
+
+
+def _unpack(path, fmt: str, raw: bytes, off: int) -> tuple:
+    """struct.unpack_from(fmt, raw, off) for a file that may be truncated."""
+    _need(path, raw, off + struct.calcsize(fmt))
+    return struct.unpack_from(fmt, raw, off)
+
+
 def read_checkpoint(path) -> Dict[str, np.ndarray]:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise InputError(f"{path}: bad checkpoint magic")
-    version, count = struct.unpack_from("<II", raw, 4)
+    version, count = _unpack(path, "<II", raw, 4)
     if version != FORMAT_VERSION:
         raise InputError(f"{path}: unsupported checkpoint version {version}")
     off = 12
     out: Dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", raw, off)
+        (nlen,) = _unpack(path, "<I", raw, off)
         off += 4
-        name = raw[off:off + nlen].decode("utf-8")
+        _need(path, raw, off + nlen)
+        try:
+            name = raw[off:off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: entry name at byte {off} is not UTF-8")
         off += nlen
-        (rank,) = struct.unpack_from("<B", raw, off)
+        (rank,) = _unpack(path, "<B", raw, off)
         off += 1
-        dims = struct.unpack_from(f"<{rank}Q", raw, off)
+        dims = _unpack(path, f"<{rank}Q", raw, off)
         off += 8 * rank
-        n = int(np.prod(dims)) if rank else 1
+        n = math.prod(dims)  # exact: a corrupt dim cannot wrap around
+        _need(path, raw, off + 4 * n)
         arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
         off += 4 * n
         out[name] = arr.copy()
@@ -122,7 +141,7 @@ def read_features(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != FEATURE_MAGIC:
         raise InputError(f"{path}: bad feature-file magic")
-    version, length, dim = struct.unpack_from("<IQQ", raw, 4)
+    version, length, dim = _unpack(path, "<IQQ", raw, 4)
     if version != FORMAT_VERSION:
         raise InputError(f"{path}: unsupported feature version {version}")
     expect = 24 + 4 * length * dim
@@ -144,7 +163,7 @@ def read_frame_grid(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != FRAMEGRID_MAGIC:
         raise InputError(f"{path}: bad frame-grid magic")
-    t, h, w, c = struct.unpack_from("<QQQQ", raw, 4)
+    t, h, w, c = _unpack(path, "<QQQQ", raw, 4)
     expect = 36 + 4 * t * h * w * c
     if len(raw) != expect:
         raise InputError(f"{path}: frame-grid payload length mismatch")

@@ -165,8 +165,9 @@ class WindowedSelfAttention(Module):
         pad_n = padded_len - t
         xp = ad.pad(x, ((0, pad_n), (0, 0))) if pad_n else x
         chunks = ad.reshape(xp, (padded_len // w, w, c))
-        key_pad = np.zeros((padded_len // w, w), bool)
+        key_pad = None  # windows that tile the sequence mask no key
         if pad_n:
+            key_pad = np.zeros((padded_len // w, w), bool)
             key_pad[-1, w - pad_n:] = True
         out = self.attn(chunks, chunks, key_pad=key_pad)
         out = ad.reshape(out, (padded_len, c))

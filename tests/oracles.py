@@ -180,6 +180,30 @@ def reference_attention(q, k, v, g, bias=None):
                              np.matmul(np.swapaxes(p, -1, -2), g)]
 
 
+def reference_multihead_attention(q, k, v, g, bias=None, heads=1):
+    """Multi-head attention on q, k, v [..., T, heads * d] and the gradients
+    of q, k and v for upstream gradient `g` [..., Tq, heads * dv]: each
+    operand split into heads by a reshape to [..., T, heads, d] and a
+    transpose to [..., heads, T, d], `reference_attention` per head, and the
+    value and gradients merged back by the inverse transpose and a reshape;
+    the layout autodiff.attention takes with `heads`."""
+    def split(x):
+        x = x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
+        axes = list(range(x.ndim))
+        axes[-3], axes[-2] = axes[-2], axes[-3]
+        return np.transpose(x, axes)
+
+    def merge(x):
+        axes = list(range(x.ndim))
+        axes[-3], axes[-2] = axes[-2], axes[-3]
+        x = np.transpose(x, axes)
+        return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+    val, grads = reference_attention(split(q), split(k), split(v), split(g),
+                                     bias)
+    return merge(val), [merge(grad) for grad in grads]
+
+
 def reference_clip_global_norm(params, max_norm):
     """Gradient clipping one tensor at a time, out of place: the pre-clip
     norm is the square root of each grad's float64 sum of squares, summed

@@ -11,15 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import TINY_TEXTS, make_tiny_model, tiny_clips
 from oracles import (reference_attention, reference_gelu, reference_layer_norm,
-                     reference_linear, unfused_attention, unfused_conv1d,
-                     unfused_layer_norm, unfused_linear)
+                     reference_linear, reference_multihead_attention,
+                     unfused_attention, unfused_conv1d, unfused_layer_norm,
+                     unfused_linear)
 from surgflow import autodiff as ad
 from surgflow import nn
 from surgflow.autodiff import Tensor, grad_check
 from surgflow.errors import ConfigError, DimensionError, InputError, NumericError
+from surgflow.objectives import valor_loss
 from surgflow.optim import AdamW, clip_global_norm
 from surgflow.rng import SessionRng
+from surgflow.temporal import TemporalConfig, build_temporal_model, stage2_loss
 
 
 def t64(data, requires_grad=True):
@@ -352,15 +356,16 @@ TRAINABLE3 = st.tuples(st.booleans(), st.booleans(), st.booleans())
 DTYPE = pytest.mark.parametrize("dtype", [np.float32, np.float64])
 
 
-def _attention_bias(rng, mask, lead, tq, tk):
+def _attention_bias(rng, mask, lead, tq, tk, head_axis=False):
     """(bias, tk) for one of the MASKS, built as MultiHeadAttention builds
     them: the additive causal mask (which makes tk = tq), -1e9 at padded
-    keys, or their sum."""
+    keys (with a unit head axis before the query axis when `head_axis`),
+    or their sum."""
     if mask in ("causal", "both"):
         tk = tq
     bias = None if mask in ("none", "key_pad") else nn.causal_mask(tq)
     if mask in ("key_pad", "both"):
-        pad = rng.uniform(0.0, 1.0, lead + (1, tk)) < 0.3
+        pad = rng.uniform(0.0, 1.0, lead + (1,) * head_axis + (1, tk)) < 0.3
         pad = np.where(pad, -1e9, 0.0).astype(np.float32)
         bias = pad if bias is None else bias + pad
     return bias, tk
@@ -457,17 +462,48 @@ class TestFusedTransformerOps:
             ad.attention(t64(np.ones((2, 3))), t64(np.ones((4, 2))),
                          t64(np.ones((4, 2))))
 
-    def test_transformer_block_records_20_nodes(self):
-        """ln1, the q/k/v projections with their head split (reshape and
-        transpose each), attention, the head merge, w_o, the residual add,
-        ln2, fc1, gelu, fc2 and the second residual add."""
+    @pytest.mark.parametrize("heads", [0, 3])
+    def test_attention_heads_shape_error(self, heads):
+        """q and k 8 wide, v 6 wide: 3 heads split v but not q."""
+        rng = SessionRng(45)
+        q, k, v = rand64(rng, (2, 5, 8)), rand64(rng, (2, 4, 8)), rand64(rng, (2, 4, 6))
+        with pytest.raises(DimensionError, match="heads"):
+            ad.attention(q, k, v, heads=heads)
+
+    def test_transformer_block_records_12_nodes(self):
+        """ln1, the q/k/v projections, attention (heads split and merged
+        inside it), w_o, the residual add, ln2, fc1, gelu, fc2 and the
+        second residual add."""
         rng = SessionRng(46)
         block = nn.TransformerBlock(64, 4, 2, rng)
         x = Tensor(rng.normal(1.0, (8, 128, 64)), requires_grad=True)
         pad = np.zeros((8, 128), bool)
         pad[:, 100:] = True
         out = block(x, attn_mask=nn.causal_mask(128), key_pad=pad)
-        assert _tape_nodes(out) == 20
+        assert _tape_nodes(out) == 12
+
+    def test_valor_loss_step_records_211_nodes(self):
+        """A two-layer stage-1 model's training step, as in pretraining: its
+        12 multi-head attention calls (2 video-encoder, 2 text-encoder and
+        8 decoder, self and cross for MGC and MLM) record 5 nodes each.  The
+        count depends on the depth, not on the widths."""
+        model = make_tiny_model(n_layers=2)
+        ids = [model.vocab.encode(t) for t in TINY_TEXTS[:2]]
+        report = valor_loss(model, tiny_clips(SessionRng(7), 2), ids,
+                            SessionRng(9))
+        assert _tape_nodes(report.total) == 211
+
+    @pytest.mark.parametrize("variant, nodes", [("tcn", 142),
+                                                ("asformer", 217)])
+    def test_stage2_loss_step_nodes(self, variant, nodes):
+        """The default stage-2 models on a 40-row table: ASFormer's 12
+        attention calls (9 windowed encoder, 3 decoder) record 5 nodes
+        each; the TCN records no attention, pad or window node."""
+        cfg = TemporalConfig()
+        model = build_temporal_model(variant, cfg, SessionRng(1))
+        feats = SessionRng(2).normal(1.0, (40, cfg.feature_dim))
+        loss = stage2_loss(model.forward(feats), np.arange(40) % 6, variant, cfg)
+        assert _tape_nodes(loss) == nodes
 
 
 def _bit_equal(got, want):
@@ -503,6 +539,32 @@ def _against_reference(op, reference, arrays, trainable, seed, record=True,
             assert leaf.grad is None
         elif leaf is not None:  # _accum casts to the leaf's dtype
             _bit_equal(leaf.grad, want_grad.astype(leaf.dtype))
+
+
+class TestPad:
+    """pad builds zeros and copies `a` into the interior: the value (and
+    dtype) of np.pad, and the interior of g as the gradient."""
+
+    @DTYPE
+    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+           data=st.data())
+    def test_matches_np_pad(self, dtype, shape, data):
+        widths = tuple(data.draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
+                       for _ in shape)
+        rng = SessionRng(len(shape))
+        x = Tensor(rng.normal(1.0, shape, dtype), requires_grad=True)
+        out = ad.pad(x, widths)
+        _bit_equal(out.data, np.pad(x.data, widths))
+        g = rng.normal(1.0, out.shape, dtype)
+        out._backward(g)
+        inner = tuple(slice(lo, lo + n) for (lo, _), n in zip(widths, shape))
+        _bit_equal(x.grad, g[inner])
+
+    @pytest.mark.parametrize("widths", [((0, -1), (0, 0)), ((-2, 1), (0, 0)),
+                                        ((0, 1),), ((0, 1), (0, 0), (0, 0))])
+    def test_rejects_negative_or_missing_widths(self, widths):
+        with pytest.raises(DimensionError):
+            ad.pad(t64(np.ones((3, 4))), widths)
 
 
 class TestInPlaceKernels:
@@ -563,6 +625,27 @@ class TestInPlaceKernels:
                   rng.normal(1.0, lead + (tk, dv), dtype)]
         _against_reference(ad.attention, reference_attention, arrays,
                            trainable, seed + 1, record, bias=bias)
+
+    @DTYPE
+    @given(lead=LEAD, heads=st.integers(1, 4), tq=st.integers(1, 12),
+           tk=st.integers(1, 12), d=st.integers(1, 6), dv=st.integers(1, 6),
+           mask=MASKS, trainable=TRAINABLE3, record=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @example(lead=(2,), heads=4, tq=40, tk=40, d=16, dv=16, mask="both",
+             trainable=(True, True, True), record=True, seed=0)
+    def test_attention_heads(self, dtype, lead, heads, tq, tk, d, dv, mask,
+                             trainable, record, seed):
+        """With `heads`, q, k, v [..., T, heads * d] are split into heads
+        inside the node and the value and gradients merged back, with the
+        bits of reshape + transpose around reference_attention."""
+        rng = SessionRng(seed)
+        bias, tk = _attention_bias(rng, mask, lead, tq, tk, head_axis=True)
+        arrays = [rng.normal(1.0, lead + (tq, heads * d), dtype),
+                  rng.normal(1.0, lead + (tk, heads * d), dtype),
+                  rng.normal(1.0, lead + (tk, heads * dv), dtype)]
+        _against_reference(ad.attention, reference_multihead_attention,
+                           arrays, trainable, seed + 1, record, bias=bias,
+                           heads=heads)
 
     @pytest.mark.parametrize("q_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bias_dtype", [np.float32, np.float64])

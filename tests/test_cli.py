@@ -109,6 +109,18 @@ class TestExitCodes:
                                       "--out", str(tmp_path / "o.json")])
         assert result.exit_code == 1
 
+    def test_truncated_feature_file_is_runtime_error(self, runner, tmp_path):
+        features = tmp_path / "features"
+        features.mkdir()
+        write_features(features / "v0.wlft", np.ones((3, 2), np.float32))
+        path = features / "v0.wlft"
+        path.write_bytes(path.read_bytes()[:10])
+        result = runner.invoke(main, ["pca-plot", "--features", str(features),
+                                      "--out", str(tmp_path / "pca.svg")])
+        assert result.exit_code == 1
+        assert f"error: {path}: truncated" in result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+
     def test_nan_features_is_runtime_error(self, runner, workspace, tmp_path):
         meta = json.loads((workspace / "corpus" / "meta.json").read_text())
         vid = meta["video_ids"][0]

@@ -4,6 +4,7 @@ formats and corruption detection, and the single writer module."""
 import ast
 import builtins
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,20 @@ class TestCheckpoint:
             read_checkpoint(path)
 
 
+    def test_corrupt_entry_names_the_file(self, tmp_path):
+        """A name that is not UTF-8, and dims whose product overflows 64
+        bits (once read as an empty payload that failed to reshape)."""
+        path = tmp_path / "m.wlcp"
+        write_checkpoint(path, {"ab": np.zeros((1, 2), np.float32)})
+        good = path.read_bytes()
+        name_at, dims_at = 16, 19  # after magic, version, count, name length
+        for at, patch in ((name_at, b"\xff"),
+                          (dims_at, struct.pack("<2Q", 2 ** 32, 2 ** 32))):
+            path.write_bytes(good[:at] + patch + good[at + len(patch):])
+            with pytest.raises(InputError, match=re.escape(str(path))):
+                read_checkpoint(path)
+
+
 class TestLoadStateDict:
     def layer(self):
         return Linear(3, 2, SessionRng(1))
@@ -401,3 +416,31 @@ class TestFrameGrid:
         path.write_bytes(b"XXXX" + b"\0" * 32)
         with pytest.raises(InputError):
             read_frame_grid(path)
+
+
+class TestTruncation:
+    """Every proper prefix of a valid file of each binary kind is rejected
+    with an InputError that names the file, never a struct.error or a
+    bare ValueError."""
+
+    FILES = {
+        "wlcp": (lambda p: write_checkpoint(p, {"w.é": np.arange(6.0).reshape(2, 3),
+                                                "s": np.float32(2.0)}),
+                 read_checkpoint),
+        "wlft": (lambda p: write_features(p, np.ones((3, 2))), read_features),
+        "wlfg": (lambda p: write_frame_grid(p, np.ones((2, 2, 1, 3))),
+                 read_frame_grid),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FILES))
+    def test_every_truncation_names_the_file(self, tmp_path, kind):
+        write, read = self.FILES[kind]
+        whole = tmp_path / f"whole.{kind}"
+        write(whole)
+        raw = whole.read_bytes()
+        read(whole)
+        cut = tmp_path / f"cut.{kind}"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(InputError, match=re.escape(str(cut))):
+                read(cut)

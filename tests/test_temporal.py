@@ -11,9 +11,9 @@ from surgflow.errors import ConfigError, InputError, NumericError
 from surgflow.rng import SessionRng
 from surgflow.temporal import (ASFormer, Conv1d, FeatureSequence,
                                FramePrediction, MSTCN, TemporalConfig,
-                               TrainTemporalConfig, build_temporal_model,
-                               smoothing_penalty, soft_dice, stage2_loss,
-                               train_temporal)
+                               TrainTemporalConfig, WindowedSelfAttention,
+                               build_temporal_model, smoothing_penalty,
+                               soft_dice, stage2_loss, train_temporal)
 
 TOY = TemporalConfig(num_classes=3, feature_dim=4, hidden=8, tcn_layers=2,
                      tcn_refinements=1, asf_encoder_layers=2,
@@ -92,6 +92,58 @@ class TestShiftEquivariance:
         np.testing.assert_allclose(y2[shift + margin:length - margin + shift],
                                    y[margin:length - margin],
                                    atol=1e-4)
+
+
+class TestWindowedSelfAttention:
+    """Windows that tile the sequence pass no key mask, so no all-zero bias
+    is built and added; value and gradients keep the bits an explicit
+    all-False mask gives (adding 0.0 only turns a -0.0 score into +0.0,
+    and exp maps both to 1.0)."""
+
+    @pytest.mark.parametrize("length, window", [(8, 4), (12, 1), (5, 16)])
+    def test_tiling_windows_equal_an_all_false_mask(self, length, window,
+                                                    monkeypatch):
+        layer = WindowedSelfAttention(8, window, SessionRng(20))
+        feats = SessionRng(21).normal(1.0, (length, 8))
+        weights = Tensor(SessionRng(22).normal(1.0, (length, 8)))
+        w = min(window, length)
+
+        def run(explicit):
+            for p in layer.parameters().values():
+                p.grad = None
+            x = Tensor(feats.copy(), requires_grad=True)
+            if explicit:
+                chunks = ad.reshape(x, (length // w, w, 8))
+                pad = np.zeros((length // w, w), bool)
+                out = ad.reshape(layer.attn(chunks, chunks, key_pad=pad),
+                                 (length, 8))
+            else:
+                out = layer(x)
+            ad.reduce_sum(out * weights).backward()
+            return [out.data, x.grad] + [
+                p.grad for p in layer.parameters().values()]
+
+        biases = []
+        attention = ad.attention
+
+        def spy(q, k, v, bias=None, **kwargs):
+            biases.append(bias)
+            return attention(q, k, v, bias, **kwargs)
+
+        monkeypatch.setattr(ad, "attention", spy)
+        got, want = run(False), run(True)
+        assert biases[0] is None and biases[1] is not None
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_padded_windows_mask_the_padding(self):
+        """10 rows in windows of 4: the last window's two padded keys get no
+        weight, so the output equals attention over the real rows alone."""
+        layer = WindowedSelfAttention(8, 4, SessionRng(23))
+        x = Tensor(SessionRng(24).normal(1.0, (10, 8)))
+        tail = Tensor(x.data[8:].reshape(1, 2, 8))
+        want = layer.attn(tail, tail).data.reshape(2, 8)
+        np.testing.assert_allclose(layer(x).data[8:], want, rtol=1e-6, atol=1e-6)
 
 
 class TestLosses:
