@@ -36,7 +36,7 @@ def _toy_model(dtype, seed: int = 0) -> Stage1Model:
                       frame_size=8, patch_size=4, max_text_len=16,
                       contrast_dim=4)
     vocab = Vocabulary.build(TOY_TEXTS + [MGA_PROMPT, CAPTION_PROMPT])
-    model = Stage1Model(cfg, vocab, SessionRng(seed), feature_dim=4)
+    model = Stage1Model(cfg, vocab, SessionRng(seed))
     # Jitter away from the near-symmetric init so best-match token pairs in
     # the similarity have margins well above the finite-difference step;
     # otherwise the max over matches flips inside the central difference.

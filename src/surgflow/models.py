@@ -258,37 +258,10 @@ class SimilarityHead(Module):
         return self.pool(video.flat, self.video_proj, self.video_score)
 
 
-class Bridge(Module):
-    """Pooling bridge from per-clip token sequences to one feature vector.
-
-    Strided average pooling over the token axis, global mean, then a 1x1
-    convolution (a linear map) with ReLU.  Constant token inputs map to
-    the same output regardless of token count.
-    """
-
-    def __init__(self, dim_in: int, dim_out: int, rng: SessionRng,
-                 pool_stride: int = 2):
-        self.proj = Linear(dim_in, dim_out, rng)
-        self.pool_stride = pool_stride
-
-    def __call__(self, tokens: Tensor) -> Tensor:
-        """tokens [B, N, C] -> features [B, dim_out]."""
-        b, n, c = tokens.shape
-        stride = self.pool_stride
-        pooled = []
-        for start in range(0, n, stride):
-            window = tokens[:, start:start + stride]
-            pooled.append(ad.reduce_mean(window, axis=1))
-        stacked = ad.stack(pooled, axis=1)          # [B, ceil(N/stride), C]
-        summary = ad.reduce_mean(stacked, axis=1)   # [B, C]
-        return ad.relu(self.proj(summary))
-
-
 class Stage1Model(Module):
     """The full short-range video-language model."""
 
-    def __init__(self, cfg: ModelConfig, vocab: Vocabulary, rng: SessionRng,
-                 feature_dim: int = 64):
+    def __init__(self, cfg: ModelConfig, vocab: Vocabulary, rng: SessionRng):
         cfg.vocab_size = len(vocab)
         self.cfg = cfg
         self._vocab = vocab
@@ -296,7 +269,6 @@ class Stage1Model(Module):
         self.text_encoder = TextEncoder(cfg, vocab, rng)
         self.decoder = MultimodalDecoder(cfg, self.text_encoder, len(vocab), rng)
         self.head = SimilarityHead(cfg, rng)
-        self.bridge = Bridge(cfg.dim, feature_dim, rng)
 
     @property
     def vocab(self) -> Vocabulary:

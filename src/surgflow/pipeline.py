@@ -5,7 +5,7 @@ stage-1 and temporal model bundles, and the training-subset ablation."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Sequence
 
@@ -79,7 +79,8 @@ def extract_features(frames: np.ndarray, model: Stage1Model,
                      part: List[Clip], video_id: str = "",
                      batch_size: int = 16) -> FeatureSequence:
     """Per clip: encode video, decode the alignment prompt non-causally with
-    cross-attention into the clip, and bridge the decoder tokens to one row."""
+    cross-attention into the clip, and average the decoder's hidden tokens
+    into one row of width `model.cfg.dim`."""
     prompt = model.prompt_ids(MGA_PROMPT)
     rows = []
     with no_grad():
@@ -90,7 +91,7 @@ def extract_features(frames: np.ndarray, model: Stage1Model,
             ids = np.tile(np.asarray(prompt, np.int64), (len(clips), 1))
             pad = np.zeros_like(ids, bool)
             hidden, _ = model.decode_multimodal(ids, pad, video, causal=False)
-            rows.append(model.bridge(hidden).data)
+            rows.append(hidden.data.mean(axis=1))
     return FeatureSequence(np.concatenate(rows, axis=0), video_id)
 
 
@@ -183,14 +184,24 @@ def captions_to_dict(video_id: str, captions: Sequence[Caption]) -> dict:
 # -- model bundles ------------------------------------------------------------
 
 
+def _config(cls, values: dict, path: Path):
+    """`cls(**values)` when `values` has exactly the fields of the dataclass
+    `cls`; otherwise an InputError naming `path` and the offending keys."""
+    names = {f.name for f in fields(cls)}
+    problems = [f"{kind} keys {keys}" for kind, keys in
+                (("unexpected", sorted(set(values) - names)),
+                 ("missing", sorted(names - set(values)))) if keys]
+    if problems:
+        raise InputError(f"{path}: " + ", ".join(problems))
+    return cls(**values)
+
+
 def save_stage1_bundle(out, model: Stage1Model) -> None:
     """Write vocab.txt and model.json into directory `out`; the weights,
     stage1.wlcp, are the checkpoint objectives.pretrain writes."""
     out = Path(out)
     model.vocab.save(out / "vocab.txt")
-    cfg = asdict(model.cfg)
-    cfg["feature_dim"] = model.bridge.proj.d_out
-    write_json(out / "model.json", cfg)
+    write_json(out / "model.json", asdict(model.cfg))
 
 
 def save_lora_bundle(out, model: Stage1Model, stage1) -> None:
@@ -211,10 +222,9 @@ def load_stage1_bundle(stage1, lora=None) -> Stage1Model:
     bundle `lora` attached when one is given."""
     stage1 = Path(stage1)
     vocab = Vocabulary.load(stage1 / "vocab.txt")
-    cfg = read_json(stage1 / "model.json")
-    feature_dim = cfg.pop("feature_dim")
-    cfg.pop("vocab_size", None)
-    model = Stage1Model(ModelConfig(**cfg), vocab, SessionRng(0), feature_dim)
+    cfg = _config(ModelConfig, read_json(stage1 / "model.json"),
+                  stage1 / "model.json")
+    model = Stage1Model(cfg, vocab, SessionRng(0))
     model.load_state_dict(read_checkpoint(stage1 / "stage1.wlcp"))
     if lora is not None:
         lora = Path(lora)
@@ -238,7 +248,7 @@ def load_temporal_bundle(temporal) -> tuple:
     """Rebuild (model, class names) from a temporal bundle directory."""
     temporal = Path(temporal)
     spec = read_json(temporal / "temporal.json")
-    cfg = TemporalConfig(**spec["config"])
+    cfg = _config(TemporalConfig, spec["config"], temporal / "temporal.json")
     model = build_temporal_model(spec["variant"], cfg, SessionRng(0))
     model.load_state_dict(read_checkpoint(temporal / "temporal.wlcp"))
     return model, spec["classes"]

@@ -25,7 +25,7 @@ def make_tiny_model(seed: int = 0, n_layers: int = 1) -> Stage1Model:
                       frame_size=8, patch_size=4, max_text_len=16,
                       contrast_dim=4)
     vocab = Vocabulary.build(TINY_TEXTS + [MGA_PROMPT, CAPTION_PROMPT])
-    return Stage1Model(cfg, vocab, SessionRng(seed), feature_dim=4)
+    return Stage1Model(cfg, vocab, SessionRng(seed))
 
 
 def tiny_clips(rng: SessionRng, n: int, frames: int = 3):

@@ -350,7 +350,7 @@ class TestPipelineChain:
                      "run_manifest.json"):
             assert (stage1 / name).exists()
         cfg = json.loads((stage1 / "model.json").read_text())
-        assert cfg["feature_dim"] == 64
+        assert "feature_dim" not in cfg
 
     def test_features_one_file_per_video(self, workspace):
         meta = json.loads((workspace / "corpus" / "meta.json").read_text())
@@ -434,6 +434,39 @@ class TestPipelineChain:
             "--out", str(tmp_path / "pred.json")])
         assert result.exit_code == 1
         assert "extra.weight" in result.output
+
+    @pytest.mark.parametrize("bundle,named", [
+        ("model.json", ["model.json", "unexpected", "feature_dim"]),
+        ("stage1.wlcp", ["bridge.proj.bias", "bridge.proj.weight"]),
+        ("temporal.json", ["temporal.json", "missing", "hidden"]),
+    ])
+    def test_segment_rejects_old_bundle(self, runner, workspace, tmp_path,
+                                        bundle, named):
+        """An old bundle (a `feature_dim` key, `bridge.proj` weights) or a
+        config that lacks a field exits 1 and names the offending keys."""
+        stage1, tcn = tmp_path / "stage1", tmp_path / "tcn"
+        shutil.copytree(workspace / "stage1", stage1)
+        shutil.copytree(workspace / "tcn", tcn)
+        if bundle == "model.json":
+            cfg = json.loads((stage1 / bundle).read_text())
+            (stage1 / bundle).write_text(json.dumps({**cfg, "feature_dim": 64}))
+        elif bundle == "stage1.wlcp":
+            state = read_checkpoint(stage1 / bundle)
+            state["bridge.proj.weight"] = np.zeros((64, 64), np.float32)
+            state["bridge.proj.bias"] = np.zeros(64, np.float32)
+            write_checkpoint(stage1 / bundle, state)
+        else:
+            spec = json.loads((tcn / bundle).read_text())
+            del spec["config"]["hidden"]
+            (tcn / bundle).write_text(json.dumps(spec))
+        result = runner.invoke(main, [
+            "segment", "--video",
+            str(workspace / "corpus" / "videos" / "video_000.wlfg"),
+            "--stage1", str(stage1), "--temporal", str(tcn),
+            "--out", str(tmp_path / "pred.json")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert all(name in result.output for name in named)
 
 
 class TestCorpusFrameRate:

@@ -113,7 +113,7 @@ class TestFeatureExtraction:
         frames = SessionRng(0).uniform(0, 1, (12, 8, 8, 3))
         part = partition(len(frames) / 4.0, 1.0, 4.0)
         seq = extract_features(frames, model, part, "v0")
-        assert seq.features.shape == (3, 4)
+        assert seq.features.shape == (3, model.cfg.dim) == (3, 8)
         assert seq.video_id == "v0"
 
     def test_batch_size_does_not_change_features(self):
@@ -223,19 +223,21 @@ class TestNoTape:
         model = make_tiny_model()
         frames = SessionRng(5).uniform(0, 1, (20, 8, 8, 3))
         part = partition(5.0, 1.0, 4.0)
-        rows, bridge = [], model.bridge
+        rows, decode = [], model.decode_multimodal
 
-        def kept(hidden):
-            out = bridge(hidden)
-            rows.append(out)
+        def kept(*args, **kwargs):
+            out = decode(*args, **kwargs)
+            rows.append(out[0])
             return out
-        model.bridge = kept
+        model.decode_multimodal = kept
         plain = extract_features(frames, model, part, batch_size=2).features
-        assert not any(r.requires_grad for r in rows)
+        assert rows and not any(r.requires_grad for r in rows)
+        np.testing.assert_array_equal(
+            plain, np.concatenate([r.data.mean(axis=1) for r in rows]))
         self.with_tape(monkeypatch)
         rows.clear()
         taped = extract_features(frames, model, part, batch_size=2).features
-        assert all(r.requires_grad for r in rows)
+        assert rows and all(r.requires_grad for r in rows)
         assert np.array_equal(plain, taped)
 
     def test_zero_shot_scores_equal_with_tape(self, monkeypatch):
@@ -432,7 +434,6 @@ class TestBundles:
         _assert_same_state(model, loaded)
         assert loaded.vocab.encode("a blue probe") == \
             model.vocab.encode("a blue probe")
-        assert loaded.bridge.proj.d_out == model.bridge.proj.d_out
 
     def test_stage1_round_trip_with_lora(self, tmp_path):
         stage1, adapters = tmp_path / "stage1", tmp_path / "lora"
