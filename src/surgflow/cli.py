@@ -15,6 +15,7 @@ if _threads:
 import functools
 import hashlib
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from . import lora as lora_mod
 from . import pipeline as pl
 from .corpus import (TextBox, TranscriptWord, crop_search, detect_static,
                      median_filter_validity, project_labels, split_clips)
-from .errors import ConfigError, SurgflowError
+from .errors import ConfigError, InputError, SurgflowError
 from .metrics import evaluate_timelines
 from .models import CAPTION_PROMPT, MGA_PROMPT, ModelConfig, Stage1Model
 from .objectives import ClipStore, PretrainConfig, load_manifest, pretrain
@@ -126,6 +127,42 @@ def command(name: str):
     return decorate
 
 
+def _positive(ctx, param, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"{value:g} is not a finite positive number")
+    return value
+
+
+def _fps_option(default: float):
+    """--fps, refused while the command line is parsed (exit 2) unless it
+    is a finite positive number."""
+    return click.option("--fps", default=default, show_default=True,
+                        callback=_positive)
+
+
+def _fractions(text: str) -> list:
+    return [float(f) for f in text.split(",") if f]
+
+
+def _numbers(ctx, param, value: str) -> str:
+    try:
+        _fractions(value)
+    except ValueError:
+        raise click.BadParameter(f"{value!r} holds a non-number") from None
+    return value
+
+
+def _json_entries(path: Path, what: str, ok, kind: type = list):
+    """The JSON list (or, with `kind` dict, object) in `path` when `ok`
+    accepts each entry (each value); otherwise an InputError naming the
+    file and `what` it must hold (exit 1)."""
+    value = read_json(path)
+    entries = value.values() if isinstance(value, dict) else value
+    if not (isinstance(value, kind) and all(map(ok, entries))):
+        raise InputError(f"{path}: expected {what}")
+    return value
+
+
 def _split_videos(meta: dict, train: str | None, test: str | None) -> tuple:
     ids = list(meta["video_ids"])
     if train or test:
@@ -146,11 +183,14 @@ def _split_videos(meta: dict, train: str | None, test: str | None) -> tuple:
 def _load_config_file(ctx, param, value):
     if value is None:
         return None
-    if value.suffix == ".toml":
-        import tomllib
-        data = tomllib.loads(value.read_text())
-    else:
-        data = read_json(value)
+    try:
+        if value.suffix == ".toml":
+            import tomllib
+            data = tomllib.loads(value.read_text())
+        else:
+            data = read_json(value)
+    except ValueError as exc:  # malformed TOML or JSON
+        raise click.BadParameter(str(exc)) from None
     for sub, options in data.items():
         cmd = ctx.command.commands.get(sub)
         if cmd is None or not isinstance(options, dict):
@@ -193,7 +233,7 @@ def gen_synth(out, videos, seed, shifted):
 @command("filter")
 @click.option("--video", required=True, type=IN)
 @click.option("--out", required=True, type=OUT)
-@click.option("--fps", default=8.0, show_default=True)
+@_fps_option(8.0)
 @click.option("--boxes", type=IN,
               help="JSON list of [x0, y0, x1, y1] text boxes.")
 @click.option("--min-size", default=224, show_default=True)
@@ -209,7 +249,10 @@ def filter_cmd(video, out, fps, boxes, min_size, seed):
     valid = median_filter_validity(valid, fps)
     crop = None
     if boxes is not None:
-        box_list = [TextBox(*b) for b in read_json(boxes)]
+        box_list = [TextBox(*b) for b in _json_entries(
+            boxes, "a list of [x0, y0, x1, y1] integer lists",
+            lambda b: isinstance(b, list) and len(b) == 4
+            and all(type(x) is int for x in b))]
         found = crop_search(frames.shape[2], frames.shape[1], box_list,
                             min_size=min_size, seed=seed)
         crop = [found.x0, found.y0, found.x1, found.y1] if found else None
@@ -226,7 +269,12 @@ def filter_cmd(video, out, fps, boxes, min_size, seed):
 def split_clips_cmd(words, out, min_seconds):
     """Split a word-level transcript into sentence-aligned clips."""
     entries = [TranscriptWord(w["text"], w["start_s"], w["end_s"])
-               for w in read_json(words)]
+               for w in _json_entries(
+                   words, "a list of {text, start_s, end_s} objects",
+                   lambda w: isinstance(w, dict)
+                   and isinstance(w.get("text"), str)
+                   and all(isinstance(w.get(k), (int, float))
+                           for k in ("start_s", "end_s")))]
     clips = split_clips(entries, min_s=min_seconds)
     write_json(out, [{"start_s": c.start_s, "end_s": c.end_s, "text": c.text}
                      for c in clips])
@@ -259,7 +307,6 @@ def project_labels_cmd(records, template_id, out):
 def pretrain_cmd(corpus, out, epochs, batch_size, lr_max, lr_min, max_steps,
                  seed):
     """Train the short-range video-language model on a clip manifest."""
-    out.mkdir(parents=True, exist_ok=True)
     meta = read_json(corpus / "meta.json")
     manifest = load_manifest(corpus / "manifest.jsonl")
     vocab = Vocabulary.build([r["text"] for r in manifest]
@@ -269,9 +316,8 @@ def pretrain_cmd(corpus, out, epochs, batch_size, lr_max, lr_min, max_steps,
     cfg = PretrainConfig(epochs=epochs, batch_size=batch_size, lr_max=lr_max,
                          lr_min=lr_min, seed=seed, max_steps=max_steps)
     store = ClipStore(corpus / "videos", meta["fps"])
-    rows = pretrain(model, corpus / "manifest.jsonl", store, cfg,
-                    out / "stage1.wlcp", out / "curve.csv")
-    pl.save_stage1_bundle(out, model)
+    rows = pretrain(model, corpus / "manifest.jsonl", store, cfg)
+    pl.save_stage1_bundle(out, model, rows)
     click.echo(f"{len(rows)} steps, final loss {rows[-1]['L_total']:.4f}")
 
 
@@ -291,7 +337,6 @@ def pretrain_cmd(corpus, out, epochs, batch_size, lr_max, lr_min, max_steps,
 def finetune_lora_cmd(corpus, stage1, out, rank, alpha, epochs, batch_size,
                       lr_max, lr_min, max_steps, seed):
     """Adapt a frozen stage-1 model to a new domain with low-rank adapters."""
-    out.mkdir(parents=True, exist_ok=True)
     meta = read_json(corpus / "meta.json")
     model = pl.load_stage1_bundle(stage1)
     lora_mod.attach(model, r=rank, alpha=alpha, seed=seed)
@@ -299,9 +344,8 @@ def finetune_lora_cmd(corpus, stage1, out, rank, alpha, epochs, batch_size,
     cfg = PretrainConfig(epochs=epochs, batch_size=batch_size, lr_max=lr_max,
                          lr_min=lr_min, seed=seed, max_steps=max_steps)
     store = ClipStore(corpus / "videos", meta["fps"])
-    rows = pretrain(model, corpus / "manifest.jsonl", store, cfg,
-                    out / "lora.wlcp", out / "curve.csv")
-    pl.save_lora_bundle(out, model, stage1)
+    rows = pretrain(model, corpus / "manifest.jsonl", store, cfg)
+    pl.save_lora_bundle(out, model, stage1, rows)
     click.echo(f"{len(rows)} steps, final loss {rows[-1]['L_total']:.4f}")
 
 
@@ -338,14 +382,12 @@ def extract_features_cmd(corpus, stage1, out, lora):
 def train_temporal_cmd(features_dir, corpus, variant, out, epochs, videos,
                        seed):
     """Train a long-range temporal segmentation model on features."""
-    out.mkdir(parents=True, exist_ok=True)
     meta = read_json(corpus / "meta.json")
     classes = meta["class_names"]
     video_ids = videos.split(",") if videos else meta["video_ids"]
     dataset = pl.dataset_from_dirs(features_dir, corpus, classes, video_ids)
     model, curve = pl.fit_temporal(dataset, len(classes), variant, epochs, seed)
-    pl.save_temporal_bundle(out, model, classes)
-    write_csv(out / "curve.csv", ["epoch", "loss"], enumerate(curve))
+    pl.save_temporal_bundle(out, model, classes, curve)
     click.echo(f"final epoch loss {curve[-1]:.4f}")
 
 
@@ -368,7 +410,7 @@ def _read_video(video: Path, fps: float) -> np.ndarray:
 @click.option("--stage1", required=True, type=IN)
 @click.option("--temporal", required=True, type=IN)
 @click.option("--lora", default=None, type=IN)
-@click.option("--fps", default=8.0, show_default=True)
+@_fps_option(8.0)
 @click.option("--out", required=True, type=OUT)
 def segment_cmd(video, stage1, temporal, lora, fps, out):
     """Two-stage phase segmentation of one video into a timeline JSON."""
@@ -385,13 +427,14 @@ def segment_cmd(video, stage1, temporal, lora, fps, out):
 @click.option("--prototypes", required=True, type=IN,
               help="JSON dict of class -> prototype sentence.")
 @click.option("--lora", default=None, type=IN)
-@click.option("--fps", default=8.0, show_default=True)
+@_fps_option(8.0)
 @click.option("--out", required=True, type=OUT)
 def zeroshot_cmd(video, stage1, prototypes, lora, fps, out):
     """Per-clip phase prediction by similarity to prototype sentences."""
     frames = _read_video(video, fps)
     model = pl.load_stage1_bundle(stage1, lora)
-    protos = read_json(prototypes)
+    protos = _json_entries(prototypes, "an object of prototype sentences",
+                           lambda s: isinstance(s, str), dict)
     timeline = pl.zero_shot(frames, model, protos, fps)
     write_json(out, timeline.to_dict(video.stem))
 
@@ -401,7 +444,7 @@ def zeroshot_cmd(video, stage1, prototypes, lora, fps, out):
 @click.option("--stage1", required=True, type=IN)
 @click.option("--temporal", required=True, type=IN)
 @click.option("--lora", default=None, type=IN)
-@click.option("--fps", default=8.0, show_default=True)
+@_fps_option(8.0)
 @click.option("--out", required=True, type=OUT)
 def caption_cmd(video, stage1, temporal, lora, fps, out):
     """Dense captioning of predicted non-idle segments."""
@@ -428,7 +471,7 @@ def _load_timelines(path: Path) -> dict:
 @click.option("--pred", required=True, type=IN,
               help="Timeline JSON or directory of them.")
 @click.option("--gt", required=True, type=IN)
-@click.option("--fps", default=1.0, show_default=True)
+@_fps_option(1.0)
 @click.option("--out-csv", default=None, type=OUT)
 @click.option("--out-svg", default=None, type=OUT)
 def evaluate_cmd(pred, gt, fps, out_csv, out_svg):
@@ -447,7 +490,8 @@ def evaluate_cmd(pred, gt, fps, out_csv, out_svg):
 @click.option("--corpus", required=True, type=IN)
 @click.option("--variant", type=click.Choice(["tcn", "asformer"]),
               default="tcn", show_default=True)
-@click.option("--fractions", default="0.1,0.5,1.0", show_default=True)
+@click.option("--fractions", default="0.1,0.5,1.0", show_default=True,
+              callback=_numbers)
 @click.option("--train", default=None,
               help="Comma-separated training video ids.")
 @click.option("--test", default=None,
@@ -461,8 +505,7 @@ def ablate_subset_cmd(features_dir, corpus, variant, fractions, train, test,
     meta = read_json(corpus / "meta.json")
     train_ids, test_ids = _split_videos(meta, train, test)
     rows = pl.ablate_subset(features_dir, corpus, meta["class_names"],
-                            train_ids, test_ids,
-                            [float(f) for f in fractions.split(",") if f],
+                            train_ids, test_ids, _fractions(fractions),
                             variant, epochs, seed)
     write_csv(out, list(rows[0]), [list(r.values()) for r in rows])
     for row in rows:

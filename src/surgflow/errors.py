@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the key check that
+raises one for a file or state dict whose keys are not the expected ones."""
 
 
 class SurgflowError(Exception):
@@ -27,3 +28,13 @@ class StateError(SurgflowError, RuntimeError):
 
 class NumericError(SurgflowError, ArithmeticError):
     """A computation produced NaN or Inf."""
+
+
+def require_keys(source, keys, expected) -> None:
+    """Raise an InputError naming `source` unless `keys` are exactly
+    `expected`, listing (at most five of) the unexpected and missing ones."""
+    problems = [f"{kind} keys {names[:5]}" for kind, names in
+                (("unexpected", sorted(set(keys) - set(expected))),
+                 ("missing", sorted(set(expected) - set(keys)))) if names]
+    if problems:
+        raise InputError(f"{source}: " + ", ".join(problems))

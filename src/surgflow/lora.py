@@ -6,7 +6,7 @@ A [r, d_in], B [d_out, r]; B starts at zero so attaching is output-neutral.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
@@ -107,23 +107,11 @@ def freeze_base(model: Module) -> None:
         p.requires_grad = _FACTOR in name
 
 
-def adapter_checkpoint(model: Module) -> dict:
-    """The adapter factors of `model` as a "lora."-prefixed checkpoint; the
-    inverse of load_adapter_checkpoint."""
-    return {f"{_PREFIX}{k}": v for k, v in model.state_dict().items()
+def adapter_parameters(model: Module) -> Dict[str, Tensor]:
+    """The adapter factors of `model` under their checkpoint names, each
+    parameter name with a "lora." prefix."""
+    return {f"{_PREFIX}{k}": p for k, p in model.parameters().items()
             if _FACTOR in k}
-
-
-def load_adapter_checkpoint(model: Module, entries: dict) -> None:
-    """Load a "lora."-prefixed adapter checkpoint into an adapted model."""
-    params = model.parameters()
-    for key, value in entries.items():
-        if not key.startswith(_PREFIX):
-            raise StateError(f"not an adapter entry: {key}")
-        name = key[len(_PREFIX):]
-        if name not in params:
-            raise KeyError(f"adapter parameter {name} not found in model")
-        params[name].data = np.asarray(value, params[name].dtype).copy()
 
 
 def merge(model: Module) -> None:

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import InputError, require_keys
 from .rng import SessionRng
 
 
@@ -51,18 +52,21 @@ class Module:
         return {n: p.data.copy() for n, p in self.parameters().items()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        missing = set(params) - set(state)
-        if missing:
-            raise KeyError(f"missing parameters in state dict: {sorted(missing)[:5]}")
-        unexpected = set(state) - set(params)
-        if unexpected:
-            raise KeyError(f"unexpected keys in state dict: {sorted(unexpected)[:5]}")
-        for name, p in params.items():
-            arr = np.asarray(state[name], dtype=p.dtype)
-            if arr.shape != p.shape:
-                raise ValueError(f"{name}: shape {arr.shape} != {p.shape}")
-            p.data = arr.copy()
+        load_parameters(self.parameters(), state)
+
+
+def load_parameters(params: Dict[str, Tensor], state: Dict[str, np.ndarray],
+                    source="state dict") -> None:
+    """Copy `state` into `params` when it holds exactly their names, each
+    with its parameter's shape; otherwise raise an InputError naming
+    `source` and assign nothing.  Every checkpoint is loaded by this rule."""
+    require_keys(source, state, params)
+    wrong = [f"{name} {np.shape(state[name])} != {p.shape}"
+             for name, p in params.items() if np.shape(state[name]) != p.shape]
+    if wrong:
+        raise InputError(f"{source}: wrong shapes: " + ", ".join(wrong[:5]))
+    for name, p in params.items():
+        p.data = np.asarray(state[name], dtype=p.dtype).copy()
 
 
 class Linear(Module):

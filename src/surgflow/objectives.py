@@ -14,12 +14,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, InputError
-from .lora import adapter_checkpoint, iter_adapters
 from .models import (CAPTION_PROMPT, MGA_PROMPT, Stage1Model, TextTokens,
                      VideoTokens)
 from .optim import train
 from .rng import SessionRng
-from .serialization import read_frame_grid, write_checkpoint, write_csv
+from .serialization import read_frame_grid
 from .timeline import frame_span
 
 
@@ -199,10 +198,13 @@ class PretrainConfig:
 def load_manifest(path) -> List[dict]:
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{path}:{number}: {exc}") from None
     return records
 
 
@@ -227,13 +229,13 @@ class ClipStore:
 
 
 def pretrain(model: Stage1Model, manifest_path, clip_store: ClipStore,
-             cfg: PretrainConfig, checkpoint_path, curve_path) -> List[dict]:
-    """Train stage-1 on a clip manifest; writes checkpoint + loss-curve CSV.
+             cfg: PretrainConfig) -> List[dict]:
+    """Train stage-1 on a clip manifest and return optim.train's rows, one
+    per step; writes no file (pipeline's bundle savers do).
 
-    Only parameters that require gradients are updated.  With adapters
-    attached (lora.attach) the checkpoint holds just the adapter weights,
-    otherwise the whole state dict.  Raises NumericError naming the step
-    when the loss or the pre-clip gradient norm is not finite.
+    Only parameters that require gradients are updated.  Raises
+    NumericError naming the step when the loss or the pre-clip gradient
+    norm is not finite.
     """
     records = load_manifest(manifest_path)
     if not records:
@@ -250,11 +252,5 @@ def pretrain(model: Stage1Model, manifest_path, clip_store: ClipStore,
                               "L_MLM": float(report.mlm.data),
                               "L_total": float(report.total.data)}
 
-    rows = train(model.parameters(), len(records), cfg.batch_size, loss_of,
+    return train(model.parameters(), len(records), cfg.batch_size, loss_of,
                  cfg, rng, cfg.max_steps)
-    write_checkpoint(checkpoint_path, adapter_checkpoint(model)
-                     if iter_adapters(model) else model.state_dict())
-    header = ["step", "lr", "L_MGA", "L_MGC", "L_MLM", "L_total", "grad_norm",
-              "clipped"]
-    write_csv(curve_path, header, ([r[k] for k in header] for r in rows))
-    return rows

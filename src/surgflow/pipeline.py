@@ -1,6 +1,7 @@
 """End-to-end orchestration: clip partitioning, feature extraction, two-stage
 segmentation, zero-shot phase prediction, dense captioning, PCA export, the
-stage-1 and temporal model bundles, and the training-subset ablation."""
+stage-1, LoRA and temporal model bundles (this is the one module that names
+their files), and the training-subset ablation."""
 
 from __future__ import annotations
 
@@ -13,13 +14,14 @@ import numpy as np
 
 from . import lora as lora_mod
 from .autodiff import no_grad
-from .errors import ConfigError, InputError, StateError
+from .errors import ConfigError, InputError, StateError, require_keys
 from .metrics import MetricReport, evaluate_timelines
 from .models import MGA_PROMPT, CAPTION_PROMPT, ModelConfig, Stage1Model
+from .nn import load_parameters
 from .objectives import similarity_matrix
 from .rng import SessionRng
 from .serialization import (read_checkpoint, read_features, read_json,
-                            write_checkpoint, write_json)
+                            write_checkpoint, write_csv, write_json)
 from .temporal import (FeatureSequence, TemporalConfig, TrainTemporalConfig,
                        build_temporal_model, train_temporal)
 from .timeline import (CAPTION_SECONDS, CLIP_SECONDS, IDLE, PhaseTimeline,
@@ -187,34 +189,48 @@ def captions_to_dict(video_id: str, captions: Sequence[Caption]) -> dict:
 def _config(cls, values: dict, path: Path):
     """`cls(**values)` when `values` has exactly the fields of the dataclass
     `cls`; otherwise an InputError naming `path` and the offending keys."""
-    names = {f.name for f in fields(cls)}
-    problems = [f"{kind} keys {keys}" for kind, keys in
-                (("unexpected", sorted(set(values) - names)),
-                 ("missing", sorted(names - set(values)))) if keys]
-    if problems:
-        raise InputError(f"{path}: " + ", ".join(problems))
+    require_keys(path, values, [f.name for f in fields(cls)])
     return cls(**values)
 
 
-def save_stage1_bundle(out, model: Stage1Model) -> None:
-    """Write vocab.txt and model.json into directory `out`; the weights,
-    stage1.wlcp, are the checkpoint objectives.pretrain writes."""
+def _save_curve(out: Path, rows: List[dict]) -> None:
+    write_csv(out / "curve.csv", list(rows[0]), [list(r.values()) for r in rows])
+
+
+def _load_weights(path: Path, params: dict) -> None:
+    load_parameters(params, read_checkpoint(path), path)
+
+
+def save_stage1_bundle(out, model: Stage1Model, rows: List[dict]) -> None:
+    """Write the stage-1 bundle into directory `out`: the weights
+    (stage1.wlcp), model.json, vocab.txt, and curve.csv from the rows
+    objectives.pretrain returned.  Adapters are saved by save_lora_bundle."""
+    if lora_mod.iter_adapters(model):
+        raise StateError("adapters attached: save them with save_lora_bundle")
     out = Path(out)
-    model.vocab.save(out / "vocab.txt")
+    out.mkdir(parents=True, exist_ok=True)
+    write_checkpoint(out / "stage1.wlcp", model.state_dict())
     write_json(out / "model.json", asdict(model.cfg))
+    model.vocab.save(out / "vocab.txt")
+    _save_curve(out, rows)
 
 
-def save_lora_bundle(out, model: Stage1Model, stage1) -> None:
-    """Write lora.json for the adapters attached to `model`, which was loaded
-    from the stage-1 bundle `stage1`; the adapter weights, lora.wlcp, are the
-    checkpoint objectives.pretrain writes for a model with adapters."""
-    out = Path(out)
+def save_lora_bundle(out, model: Stage1Model, stage1,
+                     rows: List[dict]) -> None:
+    """Write the LoRA bundle into directory `out` for the adapters attached
+    to `model`, which was loaded from the stage-1 bundle `stage1`: the
+    adapter factors alone (lora.wlcp), lora.json, and curve.csv."""
     adapters = lora_mod.iter_adapters(model)
     if not adapters:
         raise StateError("no adapters attached")
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_checkpoint(out / "lora.wlcp", {
+        name: p.data for name, p in lora_mod.adapter_parameters(model).items()})
     write_json(out / "lora.json", {"rank": adapters[0].rank,
                                    "alpha": adapters[0].alpha,
                                    "stage1": str(stage1)})
+    _save_curve(out, rows)
 
 
 def load_stage1_bundle(stage1, lora=None) -> Stage1Model:
@@ -225,32 +241,38 @@ def load_stage1_bundle(stage1, lora=None) -> Stage1Model:
     cfg = _config(ModelConfig, read_json(stage1 / "model.json"),
                   stage1 / "model.json")
     model = Stage1Model(cfg, vocab, SessionRng(0))
-    model.load_state_dict(read_checkpoint(stage1 / "stage1.wlcp"))
+    _load_weights(stage1 / "stage1.wlcp", model.parameters())
     if lora is not None:
         lora = Path(lora)
         spec = read_json(lora / "lora.json")
+        require_keys(lora / "lora.json", spec, ["rank", "alpha", "stage1"])
         lora_mod.attach(model, r=spec["rank"], alpha=spec["alpha"])
-        lora_mod.load_adapter_checkpoint(
-            model, read_checkpoint(lora / "lora.wlcp"))
+        _load_weights(lora / "lora.wlcp", lora_mod.adapter_parameters(model))
     return model
 
 
-def save_temporal_bundle(out, model, classes: Sequence[str]) -> None:
-    """Write temporal.json and temporal.wlcp into directory `out`."""
+def save_temporal_bundle(out, model, classes: Sequence[str],
+                         curve: List[float]) -> None:
+    """Write the temporal bundle into directory `out`: the weights
+    (temporal.wlcp), temporal.json, and curve.csv, one loss per epoch."""
     out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
     write_checkpoint(out / "temporal.wlcp", model.state_dict())
     write_json(out / "temporal.json", {"variant": model.variant,
                                        "classes": list(classes),
                                        "config": asdict(model.cfg)})
+    _save_curve(out, [{"epoch": i, "loss": loss} for i, loss in enumerate(curve)])
 
 
 def load_temporal_bundle(temporal) -> tuple:
     """Rebuild (model, class names) from a temporal bundle directory."""
     temporal = Path(temporal)
     spec = read_json(temporal / "temporal.json")
+    require_keys(temporal / "temporal.json", spec,
+                 ["variant", "classes", "config"])
     cfg = _config(TemporalConfig, spec["config"], temporal / "temporal.json")
     model = build_temporal_model(spec["variant"], cfg, SessionRng(0))
-    model.load_state_dict(read_checkpoint(temporal / "temporal.wlcp"))
+    _load_weights(temporal / "temporal.wlcp", model.parameters())
     return model, spec["classes"]
 
 

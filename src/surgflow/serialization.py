@@ -57,7 +57,10 @@ def write_json(path, payload) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:

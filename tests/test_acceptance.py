@@ -230,8 +230,7 @@ def headline(tmp_path_factory):
     model = Stage1Model(ModelConfig(), vocab, SessionRng(0))
     store = ClipStore(corpus / "videos", meta["fps"])
     curve = pretrain(model, corpus / "manifest.jsonl", store,
-                     PretrainConfig(epochs=2, batch_size=8, seed=0),
-                     root / "stage1.wlcp", root / "curve.csv")
+                     PretrainConfig(epochs=2, batch_size=8, seed=0))
 
     classes = meta["class_names"]
     train_ids = meta["video_ids"][:30]
@@ -329,8 +328,7 @@ def headline(tmp_path_factory):
     pretrain(model, shifted / "manifest.jsonl",
              ClipStore(shifted / "videos", shifted_meta["fps"]),
              PretrainConfig(epochs=1, batch_size=8, lr_max=1e-2,
-                            lr_min=1e-4, seed=5),
-             root / "lora.wlcp", root / "lora_curve.csv")
+                            lr_min=1e-4, seed=5))
     tuned_acc = mean_acc(shifted_zero_shot())
 
     lora.set_enabled(model, False)

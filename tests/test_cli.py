@@ -102,6 +102,19 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert (out / "keep.txt").read_text() == "kept"
 
+    def test_failed_pretrain_leaves_no_bundle_file(self, runner, workspace,
+                                                   tmp_path):
+        out = tmp_path / "stage1"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        result = runner.invoke(main, [
+            "pretrain", "--corpus", str(workspace / "corpus"), "--out",
+            str(out), "--max-steps", "2", "--batch-size", "2",
+            "--lr-max", "nan", "--force"])
+        assert result.exit_code == 1
+        assert "step 1" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+
     def test_corrupt_artifact_is_runtime_error(self, runner, tmp_path):
         bad = tmp_path / "bad.wlfg"
         bad.write_bytes(b"not a frame grid")
@@ -467,6 +480,145 @@ class TestPipelineChain:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert all(name in result.output for name in named)
+
+
+FPS_COMMANDS = {
+    "segment": ["--video", VIDEO, "--stage1", "{ws}/stage1", "--temporal",
+                "{ws}/tcn"],
+    "zeroshot": ["--video", VIDEO, "--stage1", "{ws}/stage1",
+                 "--prototypes", "{ws}/inputs/protos.json"],
+    "caption": ["--video", VIDEO, "--stage1", "{ws}/stage1", "--temporal",
+                "{ws}/tcn"],
+    "filter": ["--video", VIDEO],
+    "evaluate": ["--pred", "{ws}/corpus/timelines", "--gt",
+                 "{ws}/corpus/timelines"],
+}
+
+
+class TestInputChecks:
+    """Numeric options are refused while the command line is parsed (exit
+    2, naming the option); malformed JSON inputs exit 1 naming the file,
+    never with a traceback."""
+
+    @pytest.mark.parametrize("name,option,value", [
+        *[(name, "--fps", value) for name in sorted(FPS_COMMANDS)
+          for value in ("0", "-1", "nan", "inf")],
+        ("ablate-subset", "--fractions", "0.5,abc"),
+    ])
+    def test_bad_number_is_usage_error(self, runner, out_inputs, tmp_path,
+                                       name, option, value):
+        args = FPS_COMMANDS.get(name, ["--features", "{ws}/features",
+                                       "--corpus", "{ws}/corpus"])
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, [name, option, value]
+                               + [a.format(ws=out_inputs) for a in args]
+                               + (["--out", str(out)] if name != "evaluate"
+                                  else []))
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}'" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,payload", [
+        ("model.json", "{not json"),
+        ("boxes", [[0, 0, "10", 32]]),
+        ("boxes", [[0, 0, 10]]),
+        ("prototypes", {"incision": 3, "idle": "nothing happens"}),
+        ("prototypes", ["a list", "of sentences"]),
+        ("words", [{"text": "a", "start_s": 0.0}]),
+    ])
+    def test_malformed_json_input_names_the_file(self, runner, out_inputs,
+                                                 tmp_path, name, payload):
+        ws, video = out_inputs, VIDEO.format(ws=out_inputs)
+        stage1 = tmp_path / "stage1"
+        shutil.copytree(ws / "stage1", stage1)
+        path = (stage1 / name if name == "model.json"
+                else tmp_path / f"{name}.json")
+        path.write_text(payload if isinstance(payload, str)
+                        else json.dumps(payload))
+        args = {"model.json": ["segment", "--video", video, "--stage1",
+                               str(stage1), "--temporal", str(ws / "tcn")],
+                "boxes": ["filter", "--video", video, "--boxes", str(path),
+                          "--min-size", "8"],
+                "prototypes": ["zeroshot", "--video", video, "--stage1",
+                               str(stage1), "--prototypes", str(path)],
+                "words": ["split-clips", "--words", str(path)]}[name]
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "o.json")])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"error: {path}: " in result.output
+
+    def test_malformed_config_file_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text("{gen-synth")
+        result = runner.invoke(main, ["--config", str(cfg), "gen-synth",
+                                      "--out", str(tmp_path / "corpus")])
+        assert result.exit_code == 2
+        assert str(cfg) in result.output
+
+
+@pytest.fixture(scope="module")
+def lora_bundle(workspace, runner):
+    """A rank-2 LoRA bundle fine-tuned on the workspace corpus."""
+    out = workspace / "lora"
+    result = runner.invoke(main, [
+        "finetune-lora", "--corpus", str(workspace / "corpus"),
+        "--stage1", str(workspace / "stage1"), "--out", str(out),
+        "--rank", "2", "--epochs", "1", "--max-steps", "1",
+        "--batch-size", "2"])
+    assert result.exit_code == 0, result.output
+    return out
+
+
+class TestLoraBundle:
+    """A LoRA bundle loads through the same strict rule as a stage-1
+    checkpoint: every factor present, none extra, each of its shape."""
+
+    def zeroshot(self, runner, ws, lora, tmp_path):
+        return runner.invoke(main, [
+            "zeroshot", "--video", VIDEO.format(ws=ws),
+            "--stage1", str(ws / "stage1"), "--lora", str(lora),
+            "--prototypes", str(ws / "inputs" / "protos.json"),
+            "--out", str(tmp_path / "zs.json")])
+
+    def test_bundle_files(self, lora_bundle):
+        assert sorted(p.name for p in lora_bundle.iterdir()) == [
+            "curve.csv", "lora.json", "lora.wlcp", "run_manifest.json"]
+
+    def test_intact_bundle_loads(self, runner, out_inputs, lora_bundle,
+                                 tmp_path):
+        result = self.zeroshot(runner, out_inputs, lora_bundle, tmp_path)
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("damage,named", [
+        ("missing", "missing keys"),
+        ("extra", "unexpected keys ['lora.extra.lora_a']"),
+        ("shape", "wrong shapes"),
+        ("rank", "missing keys ['rank']"),
+    ])
+    def test_damaged_bundle_names_the_file(self, runner, out_inputs,
+                                           lora_bundle, tmp_path, damage,
+                                           named):
+        lora = tmp_path / "lora"
+        shutil.copytree(lora_bundle, lora)
+        state = read_checkpoint(lora / "lora.wlcp")
+        first = next(iter(state))
+        if damage == "missing":
+            del state[first]
+        elif damage == "extra":
+            state["lora.extra.lora_a"] = np.zeros((2, 64), np.float32)
+        elif damage == "shape":
+            state[first] = np.zeros((1, 64), np.float32)
+        write_checkpoint(lora / "lora.wlcp", state)
+        path = lora / "lora.wlcp"
+        if damage == "rank":
+            path = lora / "lora.json"
+            spec = json.loads(path.read_text())
+            del spec["rank"]
+            path.write_text(json.dumps(spec))
+        result = self.zeroshot(runner, out_inputs, lora, tmp_path)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"error: {path}: {named}" in result.output
 
 
 class TestCorpusFrameRate:

@@ -9,8 +9,8 @@ import pytest
 from conftest import make_tiny_model, tiny_clips
 from surgflow import lora
 from surgflow.autodiff import Tensor, reduce_sum
-from surgflow.errors import ConfigError, StateError
-from surgflow.nn import Module, MultiHeadAttention
+from surgflow.errors import ConfigError, InputError, StateError
+from surgflow.nn import Module, MultiHeadAttention, load_parameters
 from surgflow.optim import AdamW
 from surgflow.rng import SessionRng
 
@@ -109,7 +109,7 @@ class TestFreezing:
         lora.freeze_base(model)
         trainable = {n for n, p in model.parameters().items()
                      if p.requires_grad}
-        saved = {k[len("lora."):] for k in lora.adapter_checkpoint(model)}
+        saved = {k[len("lora."):] for k in lora.adapter_parameters(model)}
         assert trainable == saved
         assert len(trainable) == 2 * len(adapters)
 
@@ -168,27 +168,32 @@ class TestCheckpointing:
         trained_out = host(x).data.copy()
         entries = {f"lora.{k}": v for k, v in host.state_dict().items()
                    if ".lora_" in k}
-        written = lora.adapter_checkpoint(host)
+        written = lora.adapter_parameters(host)
         assert list(written) == list(entries)
         for k in entries:
-            np.testing.assert_array_equal(written[k], entries[k])
+            np.testing.assert_array_equal(written[k].data, entries[k])
 
         fresh = Host(8, 2, 2, SessionRng(9))
         lora.attach(fresh, r=3, seed=99)
-        lora.load_adapter_checkpoint(fresh, entries)
+        load_parameters(lora.adapter_parameters(fresh), entries)
         np.testing.assert_allclose(fresh(x).data, trained_out, atol=1e-6)
 
     def test_bad_prefix_rejected(self):
         host = Host(8, 2, 1, SessionRng(10))
         lora.attach(host, r=2)
-        with pytest.raises(StateError):
-            lora.load_adapter_checkpoint(host, {"base.weight": np.zeros(1)})
+        entries = {k[len("lora."):]: p.data
+                   for k, p in lora.adapter_parameters(host).items()}
+        with pytest.raises(InputError, match="unexpected.*missing"):
+            load_parameters(lora.adapter_parameters(host), entries)
 
     def test_unknown_parameter_rejected(self):
         host = Host(8, 2, 1, SessionRng(11))
         lora.attach(host, r=2)
-        with pytest.raises(KeyError):
-            lora.load_adapter_checkpoint(host, {"lora.nope": np.zeros(1)})
+        entries = {k: p.data for k, p in lora.adapter_parameters(host).items()}
+        with pytest.raises(InputError, match="a.lora: unexpected keys "
+                           r"\['lora.nope'\]"):
+            load_parameters(lora.adapter_parameters(host),
+                            {**entries, "lora.nope": np.zeros(1)}, "a.lora")
 
 
 class TestParameterCount:

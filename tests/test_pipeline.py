@@ -20,7 +20,7 @@ from surgflow.pipeline import (Caption, PhaseTimeline, Segment,
                                save_stage1_bundle, save_temporal_bundle,
                                segment, write_json, zero_shot)
 from surgflow.rng import SessionRng
-from surgflow.serialization import write_checkpoint, write_features
+from surgflow.serialization import read_checkpoint, write_features
 from surgflow.temporal import (FramePrediction, TemporalConfig,
                                build_temporal_model)
 
@@ -425,11 +425,18 @@ def _assert_same_state(a, b):
         np.testing.assert_array_equal(sa[name], sb[name], err_msg=name)
 
 
+ROWS = [{"step": 0, "lr": 0.01, "L_total": 3.5, "clipped": False},
+        {"step": 1, "lr": 0.005, "L_total": 3.25, "clipped": True}]
+
+
 class TestBundles:
     def test_stage1_round_trip(self, tmp_path):
         model = make_tiny_model(seed=3)
-        save_stage1_bundle(tmp_path, model)
-        write_checkpoint(tmp_path / "stage1.wlcp", model.state_dict())
+        save_stage1_bundle(tmp_path, model, ROWS)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "curve.csv", "model.json", "stage1.wlcp", "vocab.txt"]
+        assert (tmp_path / "curve.csv").read_text().splitlines() == [
+            "step,lr,L_total,clipped", "0,0.01,3.5,False", "1,0.005,3.25,True"]
         loaded = load_stage1_bundle(tmp_path)
         _assert_same_state(model, loaded)
         assert loaded.vocab.encode("a blue probe") == \
@@ -440,21 +447,39 @@ class TestBundles:
         stage1.mkdir()
         adapters.mkdir()
         model = make_tiny_model(seed=4)
-        save_stage1_bundle(stage1, model)
-        write_checkpoint(stage1 / "stage1.wlcp", model.state_dict())
+        save_stage1_bundle(stage1, model, ROWS)
         lora.attach(model, r=2, alpha=3.0, seed=1)
         for a in lora.iter_adapters(model):
             a.lora_b.data = SessionRng(5).normal(0.3, a.lora_b.shape)
-        save_lora_bundle(adapters, model, stage1)
-        write_checkpoint(adapters / "lora.wlcp", lora.adapter_checkpoint(model))
+        save_lora_bundle(adapters, model, stage1, ROWS)
         loaded = load_stage1_bundle(stage1, adapters)
         _assert_same_state(model, loaded)
         assert [(a.rank, a.alpha) for a in lora.iter_adapters(loaded)] == \
             [(2, 3.0)] * len(lora.iter_adapters(model))
 
+    def test_lora_bundle_holds_only_the_adapter_factors(self, tmp_path):
+        model = make_tiny_model(seed=4)
+        adapters = lora.attach(model, r=2, seed=1)
+        save_lora_bundle(tmp_path, model, tmp_path / "stage1", ROWS)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "curve.csv", "lora.json", "lora.wlcp"]
+        saved = read_checkpoint(tmp_path / "lora.wlcp")
+        assert len(saved) == 2 * len(adapters)
+        assert list(saved) == [f"lora.{name}" for name in model.parameters()
+                               if ".lora_" in name]
+        assert read_json(tmp_path / "lora.json") == {
+            "rank": 2, "alpha": 2.0, "stage1": str(tmp_path / "stage1")}
+
     def test_lora_bundle_needs_adapters(self, tmp_path):
         with pytest.raises(StateError, match="no adapters"):
-            save_lora_bundle(tmp_path, make_tiny_model(), tmp_path)
+            save_lora_bundle(tmp_path, make_tiny_model(), tmp_path, ROWS)
+
+    def test_stage1_bundle_refuses_adapters(self, tmp_path):
+        model = make_tiny_model()
+        lora.attach(model, r=2)
+        with pytest.raises(StateError, match="save_lora_bundle"):
+            save_stage1_bundle(tmp_path, model, ROWS)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("variant", ["tcn", "asformer"])
     def test_temporal_round_trip(self, tmp_path, variant):
@@ -463,7 +488,9 @@ class TestBundles:
                              asf_encoder_layers=2, asf_decoder_layers=1)
         model = build_temporal_model(variant, cfg, SessionRng(6))
         classes = ["idle", "dissect", "clip"]
-        save_temporal_bundle(tmp_path, model, classes)
+        save_temporal_bundle(tmp_path, model, classes, [2.5, 1.25])
+        assert (tmp_path / "curve.csv").read_text().splitlines() == [
+            "epoch,loss", "0,2.5", "1,1.25"]
         loaded, loaded_classes = load_temporal_bundle(tmp_path)
         assert loaded_classes == classes
         assert loaded.variant == variant and loaded.cfg == cfg

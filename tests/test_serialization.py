@@ -135,6 +135,40 @@ open(p); open(p, "rb"); p.read_text(); json.dumps(d); p.open()
         assert sorted(_write_calls(ast.parse(source))) == [2] * 4 + [3] * 4
 
 
+BUNDLE_FILES = ("stage1.wlcp", "lora.wlcp", "temporal.wlcp", "model.json",
+                "lora.json", "temporal.json", "vocab.txt", "curve.csv")
+
+
+def _bundle_names(tree):
+    """Line numbers of the string literals in `tree` that name a bundle file."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and any(name in node.value for name in BUNDLE_FILES)):
+            yield node.lineno
+
+
+class TestOneBundleOwner:
+    """Only `pipeline` names the files of a stage-1, LoRA or temporal
+    bundle; every other module saves and loads bundles through it."""
+
+    SRC = Path(serialization.__file__).parent
+
+    def test_no_module_but_pipeline_names_a_bundle_file(self):
+        found = [f"{path.name}:{line}"
+                 for path in sorted(self.SRC.glob("*.py"))
+                 if path.name != "pipeline.py"
+                 for line in _bundle_names(ast.parse(path.read_text()))]
+        assert found == []
+
+    def test_checker_sees_each_bundle_file(self):
+        source = "\n".join(f'p = out / "{name}"' for name in BUNDLE_FILES)
+        source += """
+x = f"{out}/curve.csv"; y = "run_manifest.json"; z = "meta.json"
+"""
+        assert sorted(_bundle_names(ast.parse(source))) == \
+            list(range(1, len(BUNDLE_FILES) + 1)) + [len(BUNDLE_FILES) + 1]
+
+
 def _training_calls(tree):
     """Line numbers of the calls in `tree` that build an optimizer or a
     schedule or clip gradients: AdamW, CosineWarmupSchedule and
@@ -365,20 +399,29 @@ class TestLoadStateDict:
     def test_missing_key_rejected(self):
         state = self.layer().state_dict()
         del state["bias"]
-        with pytest.raises(KeyError, match=r"missing.*'bias'"):
+        with pytest.raises(InputError, match=r"state dict: missing.*'bias'"):
             self.layer().load_state_dict(state)
 
     def test_unexpected_key_rejected(self):
         state = self.layer().state_dict()
         state["extra"] = np.zeros(2, np.float32)
-        with pytest.raises(KeyError, match=r"unexpected.*'extra'"):
+        with pytest.raises(InputError, match=r"state dict: unexpected.*'extra'"):
             self.layer().load_state_dict(state)
 
     def test_shape_mismatch_rejected(self):
         state = self.layer().state_dict()
         state["weight"] = np.zeros((2, 3), np.float32)
-        with pytest.raises(ValueError, match="weight"):
+        with pytest.raises(InputError, match=r"state dict: wrong shapes: weight"):
             self.layer().load_state_dict(state)
+
+    def test_failed_load_assigns_nothing(self):
+        layer = self.layer()
+        before = layer.state_dict()
+        state = Linear(3, 2, SessionRng(2)).state_dict()
+        state["bias"] = np.zeros(3, np.float32)
+        with pytest.raises(InputError):
+            layer.load_state_dict(state)
+        np.testing.assert_array_equal(layer.weight.data, before["weight"])
 
 
 class TestFeatures:
