@@ -307,14 +307,16 @@ def gelu(a: Tensor) -> Tensor:
     """GELU x * cdf(x) with the normal cdf of `_normal_cdf`: scipy's erf for
     float64, a tanh-of-polynomial form within 1e-7 of it for float32.  The
     backward pass uses the exact normal pdf: g * (cdf + x * pdf(x)), which
-    is finite for every non-nan x and exactly g or 0 for |x| >= 40."""
+    is finite for every non-nan x and exactly g or 0 for |x| >= 40.  The
+    value at -inf is its limit -0.0."""
     a = _wrap(a)
     x = a.data
-    # |x| > 1.8e19 overflows x * x, and x = -inf gives -inf * 0 = nan: the
-    # saturated value and nan, without a warning
+    # |x| > 1.8e19 overflows x * x to the saturated cdf, and x = -inf gives
+    # -inf * 0 = nan, replaced by the limit: no warning either way
     with np.errstate(over="ignore", invalid="ignore"):
         cdf = _normal_cdf(x)
-        val = x * cdf
+        val = np.asarray(x * cdf)  # an array even for 0-d x, so copyto works
+    np.copyto(val, -0.0, where=x == -np.inf)
     def bwd(g):
         # g * (cdf + x * pdf(x)); the pdf term is exactly 0 beyond |x| = 40
         # in both dtypes, so clipping there changes no bits and keeps x * x

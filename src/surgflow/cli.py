@@ -33,7 +33,8 @@ from .corpus import (TextBox, TranscriptWord, crop_search, detect_static,
 from .errors import ConfigError, InputError, SurgflowError
 from .metrics import evaluate_timelines
 from .models import CAPTION_PROMPT, MGA_PROMPT, ModelConfig, Stage1Model
-from .objectives import ClipStore, PretrainConfig, load_manifest, pretrain
+from .objectives import (ClipStore, PretrainConfig, load_clips, load_manifest,
+                         pretrain)
 from .rng import SessionRng
 from .serialization import (read_features, read_frame_grid, read_json,
                             write_csv, write_features, write_json,
@@ -273,7 +274,7 @@ def split_clips_cmd(words, out, min_seconds):
                    words, "a list of {text, start_s, end_s} objects",
                    lambda w: isinstance(w, dict)
                    and isinstance(w.get("text"), str)
-                   and all(isinstance(w.get(k), (int, float))
+                   and all(type(w.get(k)) in (int, float)
                            for k in ("start_s", "end_s")))]
     clips = split_clips(entries, min_s=min_seconds)
     write_json(out, [{"start_s": c.start_s, "end_s": c.end_s, "text": c.text}
@@ -308,7 +309,7 @@ def pretrain_cmd(corpus, out, epochs, batch_size, lr_max, lr_min, max_steps,
                  seed):
     """Train the short-range video-language model on a clip manifest."""
     meta = read_json(corpus / "meta.json")
-    manifest = load_manifest(corpus / "manifest.jsonl")
+    manifest = load_clips(corpus / "manifest.jsonl")
     vocab = Vocabulary.build([r["text"] for r in manifest]
                              + list(meta.get("prototypes", {}).values())
                              + [MGA_PROMPT, CAPTION_PROMPT])
@@ -459,12 +460,8 @@ def caption_cmd(video, stage1, temporal, lora, fps, out):
 
 
 def _load_timelines(path: Path) -> dict:
-    out = {}
-    for item in sorted(path.glob("*.json")) if path.is_dir() else [path]:
-        payload = read_json(item)
-        out[payload.get("video_id", item.stem)] = \
-            pl.PhaseTimeline.from_dict(payload)
-    return out
+    return dict(map(pl.read_timeline, sorted(path.glob("*.json"))
+                    if path.is_dir() else [path]))
 
 
 @command("evaluate")

@@ -150,10 +150,11 @@ class TextEncoder(Module):
 
 @dataclass
 class DecodeCache:
-    """State of incremental causal decoding against one video batch: per
-    layer, the cross-attention keys and values of the video tokens, and the
+    """State of decoding against one video batch: per layer, the
+    cross-attention keys and values of the video tokens, and the
     self-attention keys and values of the first `length` text positions,
-    each [B, T, C] with the heads unsplit."""
+    each [B, T, C] with the heads unsplit.  Every decode runs through one;
+    a whole decode starts from an empty one."""
     video: list = field(default_factory=list)
     text: dict = field(default_factory=dict)
     length: int = 0
@@ -187,35 +188,33 @@ class MultimodalDecoder(Module):
                  cache: DecodeCache | None = None) -> tuple:
         """Returns (hidden [B, N_t, C], logits [B, N_t, vocab]).
 
-        With a cache, `ids` are unpadded and continue the cache's `length`
-        positions: they attend to those through its keys and values, the
-        video is projected into cross-attention keys and values only on the
-        cache's first call, and only the last position is returned.
+        Without a cache, `ids` are decoded whole, padding masked, against an
+        empty cache.  With one, `ids` are unpadded and continue the cache's
+        `length` positions, attending to those through its keys and values,
+        and only the last position is returned.  The video is projected into
+        cross-attention keys and values on a cache's first call.
         """
-        start = 0 if cache is None else cache.length
-        if cache is None:
-            vid = video.flat
+        whole = cache is None
+        if whole:
+            cache = DecodeCache()
         elif pad_mask.any():
             raise InputError("cached decoding takes unpadded ids")
-        elif not cache.video:
-            cache.video = [c_attn.keys_values(video.flat) for c_attn in self.cross_attn]
+        if not cache.video:
+            flat = video.flat
+            cache.video = [c_attn.keys_values(flat) for c_attn in self.cross_attn]
+        start, n_t = cache.length, ids.shape[1]
         x = self._text_encoder.embed(ids, start)
-        n_t = ids.shape[1]
         mask = causal_mask(start + n_t)[start:] if causal else None
+        key_pad = pad_mask if whole else None
         for i, (block, c_ln, c_attn) in enumerate(zip(
                 self._text_encoder.blocks, self.cross_ln, self.cross_attn)):
             normed = block.ln1(x)
-            if cache is None:
-                x = x + block.attn(normed, normed, attn_mask=mask,
-                                   key_pad=pad_mask)
-                x = x + c_attn(c_ln(x), vid)
-            else:
-                kv = cache.extend(i, *block.attn.keys_values(normed))
-                x = x + block.attn(normed, attn_mask=mask, kv=kv)
-                x = x + c_attn(c_ln(x), kv=cache.video[i])
+            kv = cache.extend(i, *block.attn.keys_values(normed))
+            x = x + block.attn(normed, attn_mask=mask, key_pad=key_pad, kv=kv)
+            x = x + c_attn(c_ln(x), kv=cache.video[i])
             x = x + block.ff(block.ln2(x))
-        if cache is not None:
-            cache.length += n_t
+        cache.length += n_t
+        if not whole:
             x = x[:, -1:]
         hidden = self.ln_out(x)
         return hidden, self.to_logits(hidden)

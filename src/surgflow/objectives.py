@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, require_types
 from .models import (CAPTION_PROMPT, MGA_PROMPT, Stage1Model, TextTokens,
                      VideoTokens)
 from .optim import train
@@ -195,17 +195,31 @@ class PretrainConfig:
     max_steps: int | None = None   # truncate for smoke runs
 
 
-def load_manifest(path) -> List[dict]:
-    records = []
+def _jsonl(path):
+    """(line number, JSON value) of each non-blank line of a JSONL file."""
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                value = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{number}: {exc}") from None
-    return records
+            yield number, value
+
+
+def load_manifest(path) -> List[dict]:
+    return [record for _, record in _jsonl(path)]
+
+
+def load_clips(path) -> List[dict]:
+    """The records of a clip manifest, each an object with string `video`
+    and `text` and numeric `start_s` and `end_s`; otherwise an InputError
+    naming the manifest line of the first record that is not."""
+    kinds = {"video": "str", "text": "str", "start_s": "float",
+             "end_s": "float"}
+    return [require_types(f"{path}:{number}", record, kinds)
+            for number, record in _jsonl(path)]
 
 
 class ClipStore:
@@ -237,7 +251,7 @@ def pretrain(model: Stage1Model, manifest_path, clip_store: ClipStore,
     NumericError naming the step when the loss or the pre-clip gradient
     norm is not finite.
     """
-    records = load_manifest(manifest_path)
+    records = load_clips(manifest_path)
     if not records:
         raise ConfigError("manifest is empty")
     rng = SessionRng(cfg.seed)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import lora as lora_mod
 from .autodiff import no_grad
-from .errors import ConfigError, InputError, StateError, require_keys
+from .errors import ConfigError, InputError, StateError, require_types
 from .metrics import MetricReport, evaluate_timelines
 from .models import MGA_PROMPT, CAPTION_PROMPT, ModelConfig, Stage1Model
 from .nn import load_parameters
@@ -183,14 +183,31 @@ def captions_to_dict(video_id: str, captions: Sequence[Caption]) -> dict:
                           "text": c.text} for c in captions]}
 
 
+def read_timeline(path) -> tuple:
+    """(video id, PhaseTimeline) of a timeline JSON file, the id defaulting
+    to the file's stem.  A file that is not an object with a `segments` list
+    of {start_s, end_s, label} objects making a valid timeline raises an
+    InputError naming it."""
+    payload = require_types(path, read_json(path), {"segments": "list"})
+    for i, seg in enumerate(payload["segments"]):
+        require_types(f"{path}: segment {i}", seg,
+                      {"start_s": "float", "end_s": "float", "label": "str"})
+    try:
+        timeline = PhaseTimeline.from_dict(payload)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    return payload.get("video_id", Path(path).stem), timeline
+
+
 # -- model bundles ------------------------------------------------------------
 
 
 def _config(cls, values: dict, path: Path):
     """`cls(**values)` when `values` has exactly the fields of the dataclass
-    `cls`; otherwise an InputError naming `path` and the offending keys."""
-    require_keys(path, values, [f.name for f in fields(cls)])
-    return cls(**values)
+    `cls`, each of its field's type (int or float); otherwise an InputError
+    naming `path` and the offending keys."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    return cls(**require_types(path, values, kinds, exact=True))
 
 
 def _save_curve(out: Path, rows: List[dict]) -> None:
@@ -244,8 +261,12 @@ def load_stage1_bundle(stage1, lora=None) -> Stage1Model:
     _load_weights(stage1 / "stage1.wlcp", model.parameters())
     if lora is not None:
         lora = Path(lora)
-        spec = read_json(lora / "lora.json")
-        require_keys(lora / "lora.json", spec, ["rank", "alpha", "stage1"])
+        path = lora / "lora.json"
+        spec = require_types(path, read_json(path), {
+            "rank": "int", "alpha": "float", "stage1": "str"}, exact=True)
+        if spec["rank"] < 1:
+            raise InputError(f"{path}: rank must be at least 1, "
+                             f"not {spec['rank']}")
         lora_mod.attach(model, r=spec["rank"], alpha=spec["alpha"])
         _load_weights(lora / "lora.wlcp", lora_mod.adapter_parameters(model))
     return model
@@ -267,10 +288,13 @@ def save_temporal_bundle(out, model, classes: Sequence[str],
 def load_temporal_bundle(temporal) -> tuple:
     """Rebuild (model, class names) from a temporal bundle directory."""
     temporal = Path(temporal)
-    spec = read_json(temporal / "temporal.json")
-    require_keys(temporal / "temporal.json", spec,
-                 ["variant", "classes", "config"])
-    cfg = _config(TemporalConfig, spec["config"], temporal / "temporal.json")
+    path = temporal / "temporal.json"
+    spec = require_types(path, read_json(path), {
+        "variant": "str", "classes": "list", "config": "dict"}, exact=True)
+    if not all(type(c) is str for c in spec["classes"]):
+        raise InputError(f"{path}: classes must be strings, "
+                         f"not {spec['classes']!r}")
+    cfg = _config(TemporalConfig, spec["config"], path)
     model = build_temporal_model(spec["variant"], cfg, SessionRng(0))
     _load_weights(temporal / "temporal.wlcp", model.parameters())
     return model, spec["classes"]
@@ -286,6 +310,10 @@ def labels_for(timeline: PhaseTimeline, classes: Sequence[str],
                      sample(timeline, length, 1.0 / CLIP_SECONDS)])
 
 
+def _ground_truth(corpus, video_id: str) -> PhaseTimeline:
+    return read_timeline(Path(corpus) / "timelines" / f"{video_id}.json")[1]
+
+
 def dataset_from_dirs(features_dir, corpus, classes: Sequence[str],
                       video_ids) -> list:
     """(FeatureSequence, labels) pairs from feature files and a corpus's
@@ -293,9 +321,7 @@ def dataset_from_dirs(features_dir, corpus, classes: Sequence[str],
     dataset = []
     for vid in video_ids:
         feats = read_features(Path(features_dir) / f"{vid}.wlft")
-        gt = PhaseTimeline.from_dict(
-            read_json(Path(corpus) / "timelines" / f"{vid}.json"))
-        labels = labels_for(gt, classes, feats.shape[0])
+        labels = labels_for(_ground_truth(corpus, vid), classes, feats.shape[0])
         dataset.append((FeatureSequence(feats, vid), labels))
     return dataset
 
@@ -310,8 +336,7 @@ def evaluate_split(model, features_dir, corpus, classes: Sequence[str],
             final = model(FeatureSequence(feats, vid))[-1]
             labels = [classes[k] for k in final.labels]
             pred[vid] = merge_labels(labels, CLIP_SECONDS)
-            gt[vid] = PhaseTimeline.from_dict(
-                read_json(Path(corpus) / "timelines" / f"{vid}.json"))
+            gt[vid] = _ground_truth(corpus, vid)
     return evaluate_timelines(pred, gt, fps=1.0 / CLIP_SECONDS)
 
 

@@ -9,6 +9,7 @@ from surgflow.autodiff import (GELU_F32_POLY, Tensor, concat, getitem,
                                matmul, pad, power, reduce_mean, reshape,
                                softmax, transpose)
 from surgflow.errors import ConfigError, DimensionError, NumericError
+from surgflow.nn import causal_mask
 from surgflow.objectives import load_manifest, valor_loss
 from surgflow.optim import AdamW, CosineWarmupSchedule, clip_global_norm
 from surgflow.rng import SessionRng
@@ -263,6 +264,26 @@ def uncached_generate(model, video, prompt_ids, max_len=16):
             break
         generated.append(nxt)
     return generated, rows
+
+
+def reference_decode(model, ids, pad_mask, video, causal):
+    """The multimodal decoder over whole padded `ids`, one layer at a time:
+    self-attention over the ids under the causal mask and key padding,
+    cross-attention from the same `video.flat` node into every layer, and
+    the feed-forward.  The computation Stage1Model.decode_multimodal does
+    without a cache.  Returns (hidden, logits)."""
+    decoder, text = model.decoder, model.text_encoder
+    vid = video.flat
+    x = text.embed(ids)
+    mask = causal_mask(ids.shape[1]) if causal else None
+    for block, c_ln, c_attn in zip(text.blocks, decoder.cross_ln,
+                                   decoder.cross_attn):
+        normed = block.ln1(x)
+        x = x + block.attn(normed, normed, attn_mask=mask, key_pad=pad_mask)
+        x = x + c_attn(c_ln(x), vid)
+        x = x + block.ff(block.ln2(x))
+    hidden = decoder.ln_out(x)
+    return hidden, decoder.to_logits(hidden)
 
 
 def left_edge_rasterize(timeline, fps=1.0):

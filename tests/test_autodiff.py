@@ -739,10 +739,11 @@ class TestFloat32Gelu:
         np.testing.assert_array_equal(ad.gelu(Tensor(-x)).data, 0.0)
 
     def test_special_values_without_warnings(self):
-        """The values erf gave: -inf * cdf(-inf) = -inf * 0 is nan."""
+        """The values erf gave, except at -inf, where -inf * cdf(-inf) =
+        -inf * 0 is nan and gelu gives its limit -0.0."""
         x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 3.4e38, -3.4e38],
                      np.float32)
-        want = np.array([0.0, -0.0, np.inf, np.nan, np.nan, 3.4e38, -0.0],
+        want = np.array([0.0, -0.0, np.inf, -0.0, np.nan, 3.4e38, -0.0],
                         np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -826,6 +827,30 @@ class TestGeluGradientTails:
         assert np.isfinite(leaf.grad).all()
         assert clean.sum() > 0.9 * x.size
         assert leaf.grad[clean].tobytes() == want[clean].tobytes()
+
+
+class TestGeluAtMinusInfinity:
+    @DTYPE
+    def test_limit_at_minus_inf_and_old_bits_elsewhere(self, dtype):
+        """gelu(-inf) is its limit -0.0, in an array and as a 0-d value;
+        every other input, nan and +inf among them, keeps the bits of
+        x * cdf(x)."""
+        big = np.finfo(dtype).max
+        x = np.concatenate([
+            SessionRng(64).normal(5.0, (1000,), dtype),
+            np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e30,
+                      -1e30, big, -big, -np.inf], dtype)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = x * ad._normal_cdf(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ad.gelu(Tensor(x)).data
+            scalar = ad.gelu(Tensor(np.asarray(-np.inf, dtype))).data
+        at = x == -np.inf
+        assert got.dtype == scalar.dtype == dtype
+        assert got[at].tobytes() == np.full(2, -0.0, dtype).tobytes()
+        assert scalar.tobytes() == np.asarray(-0.0, dtype).tobytes()
+        assert got[~at].tobytes() == old[~at].tobytes()
 
 
 def _two(like):

@@ -525,6 +525,7 @@ class TestInputChecks:
         ("prototypes", {"incision": 3, "idle": "nothing happens"}),
         ("prototypes", ["a list", "of sentences"]),
         ("words", [{"text": "a", "start_s": 0.0}]),
+        ("words", [{"text": "a", "start_s": True, "end_s": 1.0}]),
     ])
     def test_malformed_json_input_names_the_file(self, runner, out_inputs,
                                                  tmp_path, name, payload):
@@ -546,6 +547,51 @@ class TestInputChecks:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert f"error: {path}: " in result.output
+
+    @pytest.mark.parametrize("name,payload,named", [
+        ("timeline", {"video_id": "v", "segments": 5},
+         "segments must be a list, not 5"),
+        ("timeline", [{"start_s": 0.0, "end_s": 1.0, "label": "a"}],
+         "expected a JSON object, not list"),
+        ("timeline", {"segments": [{"start_s": 0.0, "label": "a"}]},
+         "segment 0: missing key 'end_s'"),
+        ("timeline", {"segments": [{"start_s": 0.0, "end_s": "1",
+                                    "label": "a"}]},
+         "segment 0: end_s must be a number, not '1'"),
+        ("timeline", {"segments": [{"start_s": 2.0, "end_s": 1.0,
+                                    "label": "a"}]},
+         "segment has non-positive span"),
+        ("manifest", [1, 2], "1: expected a JSON object, not list"),
+        ("manifest", {"video": "video_000", "start_s": 0.0, "end_s": 1.0},
+         "1: missing key 'text'"),
+        ("manifest", {"video": "video_000", "text": "a", "start_s": True,
+                      "end_s": 1.0},
+         "1: start_s must be a number, not True"),
+    ])
+    def test_malformed_record_names_the_file(self, runner, out_inputs,
+                                             tmp_path, name, payload, named):
+        """A timeline read by `evaluate` or a clip manifest read by
+        `pretrain` that is not shaped as expected exits 1 naming the file
+        (the manifest with its line) and the key."""
+        ws = out_inputs
+        if name == "timeline":
+            path = tmp_path / "pred.json"
+            path.write_text(json.dumps(payload))
+            args = ["evaluate", "--pred", str(path), "--gt",
+                    str(ws / "corpus" / "timelines" / "video_000.json")]
+        else:
+            corpus = tmp_path / "corpus"
+            shutil.copytree(ws / "corpus", corpus)
+            path = corpus / "manifest.jsonl"
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text(json.dumps(payload) + "\n" + "".join(lines[1:]))
+            args = ["pretrain", "--corpus", str(corpus), "--max-steps", "1",
+                    "--out", str(tmp_path / "stage1")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        sep = ":" if name == "manifest" else ": "
+        assert f"error: {path}{sep}{named}" in result.output
 
     def test_malformed_config_file_is_usage_error(self, runner, tmp_path):
         cfg = tmp_path / "defaults.json"
@@ -616,6 +662,58 @@ class TestLoraBundle:
             del spec["rank"]
             path.write_text(json.dumps(spec))
         result = self.zeroshot(runner, out_inputs, lora, tmp_path)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"error: {path}: {named}" in result.output
+
+
+class TestBundleValueTypes:
+    """Each value of model.json, temporal.json and lora.json is checked
+    against its field's type (an int is a number, a bool is not an int),
+    and lora.json's rank is at least 1; any other value exits 1 naming the
+    file and the key, never with a traceback."""
+
+    @pytest.mark.parametrize("bundle,key,value,named", [
+        ("lora", "rank", "4", "rank must be an integer, not '4'"),
+        ("lora", "rank", True, "rank must be an integer, not True"),
+        ("lora", "rank", 0, "rank must be at least 1, not 0"),
+        ("lora", "alpha", "8", "alpha must be a number, not '8'"),
+        ("lora", "stage1", None, "stage1 must be a string, not None"),
+        ("stage1", "dim", "64", "dim must be an integer, not '64'"),
+        ("stage1", "n_heads", 4.0, "n_heads must be an integer, not 4.0"),
+        ("tcn", "config.hidden", 64.5, "hidden must be an integer, not 64.5"),
+        ("tcn", "config.smoothing_weight", "0.15",
+         "smoothing_weight must be a number, not '0.15'"),
+        ("tcn", "config", [], "config must be an object, not []"),
+        ("tcn", "variant", 1, "variant must be a string, not 1"),
+        ("tcn", "classes", [0, 1], "classes must be strings, not [0, 1]"),
+        ("tcn", "config.smoothing_weight", 1, None),
+        ("lora", "alpha", 2, None),
+    ])
+    def test_value_types(self, runner, out_inputs, lora_bundle, tmp_path,
+                         bundle, key, value, named):
+        ws = out_inputs
+        dirs = {"stage1": ws / "stage1", "tcn": ws / "tcn",
+                "lora": lora_bundle}
+        for name, src in dirs.items():
+            dirs[name] = tmp_path / name
+            shutil.copytree(src, dirs[name])
+        path = dirs[bundle] / {"stage1": "model.json", "tcn": "temporal.json",
+                               "lora": "lora.json"}[bundle]
+        spec = json.loads(path.read_text())
+        *parents, leaf = key.split(".")
+        target = spec
+        for part in parents:
+            target = target[part]
+        target[leaf] = value
+        path.write_text(json.dumps(spec))
+        result = runner.invoke(main, [
+            "segment", "--video", VIDEO.format(ws=ws),
+            "--stage1", str(dirs["stage1"]), "--temporal", str(dirs["tcn"]),
+            "--lora", str(dirs["lora"]), "--out", str(tmp_path / "pred.json")])
+        if named is None:
+            assert result.exit_code == 0, result.output
+            return
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert f"error: {path}: {named}" in result.output

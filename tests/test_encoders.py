@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TINY_TEXTS, make_tiny_model, tiny_clips
-from oracles import uncached_generate
+from oracles import reference_decode, uncached_generate
+from surgflow import autodiff as ad
 from surgflow.autodiff import Tensor
 from surgflow.errors import ConfigError, InputError
 from surgflow.models import (CAPTION_PROMPT, MGA_PROMPT, DecodeCache,
@@ -153,6 +154,46 @@ class TestDecoder:
         block.attn.w_q.weight.data = block.attn.w_q.weight.data + 0.5
         _, after = tiny_model.decode_multimodal(ids, pad, video, causal=True)
         assert not np.allclose(before.data, after.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(n_layers=st.integers(1, 2), causal=st.booleans(),
+           lengths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60)
+    def test_whole_decode_equals_reference_bit_for_bit(self, dtype, n_layers,
+                                                       causal, lengths, seed):
+        """A decode without a cache runs the cached loop from an empty cache;
+        its hidden states, logits and every parameter gradient equal, byte
+        for byte, the layer-by-layer whole-sequence decoder of the oracle,
+        padded rows included.  Two layers, so that one `video.flat` node
+        feeding every layer's cross-attention is what keeps the gradients'
+        summation order."""
+        model = make_tiny_model(seed % 4, n_layers=n_layers)
+        params = model.parameters()
+        for p in params.values():
+            p.data = p.data.astype(dtype)
+        rng = SessionRng(seed)
+        ids, pad = model.pad_batch([
+            [int(i) for i in rng.integers(0, len(model.vocab), (n,))]
+            for n in lengths])
+        clips = tiny_clips(rng, len(lengths))
+        weights = [Tensor(rng.normal(1.0, shape, dtype)) for shape in
+                   ((len(lengths), ids.shape[1], model.cfg.dim),
+                    (len(lengths), ids.shape[1], len(model.vocab)))]
+
+        def run(decode):
+            for p in params.values():
+                p.grad = None
+            video = model.encode_video_batch(clips)
+            outs = decode(model, ids, pad, video, causal)
+            loss = sum(ad.reduce_sum(out * w) for out, w in zip(outs, weights))
+            loss.backward()
+            return ([out.data.tobytes() for out in outs],
+                    {n: p.grad.tobytes() for n, p in params.items()
+                     if p.grad is not None})
+
+        got = run(lambda m, *args: m.decode_multimodal(*args))
+        assert got == run(reference_decode)
 
     def test_causal_mask_layout(self):
         mask = causal_mask(3)
