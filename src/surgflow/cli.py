@@ -141,6 +141,13 @@ def _fps_option(default: float):
                         callback=_positive)
 
 
+def _non_negative(ctx, param, value: float) -> float:
+    if not (math.isfinite(value) and value >= 0):
+        raise click.BadParameter(f"{value:g} is not a finite non-negative "
+                                 "number")
+    return value
+
+
 def _fractions(text: str) -> list:
     return [float(f) for f in text.split(",") if f]
 
@@ -266,7 +273,8 @@ def filter_cmd(video, out, fps, boxes, min_size, seed):
 @click.option("--words", required=True, type=IN,
               help="JSON list of {text, start_s, end_s} transcript words.")
 @click.option("--out", required=True, type=OUT)
-@click.option("--min-seconds", default=2.0, show_default=True)
+@click.option("--min-seconds", default=2.0, show_default=True,
+              callback=_non_negative)
 def split_clips_cmd(words, out, min_seconds):
     """Split a word-level transcript into sentence-aligned clips."""
     entries = [TranscriptWord(w["text"], w["start_s"], w["end_s"])
@@ -308,7 +316,7 @@ def project_labels_cmd(records, template_id, out):
 def pretrain_cmd(corpus, out, epochs, batch_size, lr_max, lr_min, max_steps,
                  seed):
     """Train the short-range video-language model on a clip manifest."""
-    meta = read_json(corpus / "meta.json")
+    meta = pl.read_meta(corpus)
     manifest = load_clips(corpus / "manifest.jsonl")
     vocab = Vocabulary.build([r["text"] for r in manifest]
                              + list(meta.get("prototypes", {}).values())
@@ -338,7 +346,7 @@ def pretrain_cmd(corpus, out, epochs, batch_size, lr_max, lr_min, max_steps,
 def finetune_lora_cmd(corpus, stage1, out, rank, alpha, epochs, batch_size,
                       lr_max, lr_min, max_steps, seed):
     """Adapt a frozen stage-1 model to a new domain with low-rank adapters."""
-    meta = read_json(corpus / "meta.json")
+    meta = pl.read_meta(corpus)
     model = pl.load_stage1_bundle(stage1)
     lora_mod.attach(model, r=rank, alpha=alpha, seed=seed)
     lora_mod.freeze_base(model)
@@ -358,7 +366,7 @@ def finetune_lora_cmd(corpus, stage1, out, rank, alpha, epochs, batch_size,
 def extract_features_cmd(corpus, stage1, out, lora):
     """Write one feature file per corpus video, one row per second."""
     out.mkdir(parents=True, exist_ok=True)
-    meta = read_json(corpus / "meta.json")
+    meta = pl.read_meta(corpus)
     model = pl.load_stage1_bundle(stage1, lora)
     for vid in meta["video_ids"]:
         frames = read_frame_grid(corpus / "videos" / f"{vid}.wlfg")
@@ -383,7 +391,7 @@ def extract_features_cmd(corpus, stage1, out, lora):
 def train_temporal_cmd(features_dir, corpus, variant, out, epochs, videos,
                        seed):
     """Train a long-range temporal segmentation model on features."""
-    meta = read_json(corpus / "meta.json")
+    meta = pl.read_meta(corpus)
     classes = meta["class_names"]
     video_ids = videos.split(",") if videos else meta["video_ids"]
     dataset = pl.dataset_from_dirs(features_dir, corpus, classes, video_ids)
@@ -399,7 +407,7 @@ def _read_video(video: Path, fps: float) -> np.ndarray:
     """Frames of `video`, refusing an fps other than its corpus's."""
     meta = video.parent.parent / "meta.json"
     if video.parent.name == "videos" and meta.is_file():
-        corpus_fps = read_json(meta)["fps"]
+        corpus_fps = pl.read_meta(meta.parent)["fps"]
         if fps != corpus_fps:
             raise ConfigError(f"--fps {fps:g} differs from the corpus frame "
                               f"rate {corpus_fps:g} in {meta}")
@@ -499,7 +507,7 @@ def evaluate_cmd(pred, gt, fps, out_csv, out_svg):
 def ablate_subset_cmd(features_dir, corpus, variant, fractions, train, test,
                       epochs, seed, out):
     """Retrain stage 2 on growing training subsets; one metric row each."""
-    meta = read_json(corpus / "meta.json")
+    meta = pl.read_meta(corpus)
     train_ids, test_ids = _split_videos(meta, train, test)
     rows = pl.ablate_subset(features_dir, corpus, meta["class_names"],
                             train_ids, test_ids, _fractions(fractions),
@@ -564,12 +572,11 @@ def _write_scatter_svg(path: Path, coords: np.ndarray, keys: list,
 @click.option("--seed", default=95, show_default=True)
 def gradcheck_cmd(mode, seed):
     """Verify every loss against central finite differences."""
-    from .diagnostics import gradient_suite
-    plan = {"f32": (np.float32, 1e-3), "f64": (np.float64, 1e-5)}
+    from .diagnostics import TOLERANCES, gradient_suite
     modes = ["f32", "f64"] if mode == "both" else [mode]
     failed = False
     for name in modes:
-        dtype, threshold = plan[name]
+        dtype, threshold = TOLERANCES[name]
         for loss, err in gradient_suite(dtype, seed).items():
             ok = err < threshold
             failed = failed or not ok

@@ -58,16 +58,15 @@ class ClipSpan:
     text: str
 
 
-def detect_static(frame: np.ndarray, prev_frame: np.ndarray,
-                  noise_delta: float = NOISE_DELTA) -> bool:
+def detect_static(frame: np.ndarray, prev_frame: np.ndarray) -> bool:
     """A frame is valid only when at least half its pixels differ from the
-    previous frame by more than the noise threshold (max over channels)."""
+    previous frame by more than NOISE_DELTA (max over channels)."""
     if frame.shape != prev_frame.shape:
         raise InputError("frame shapes differ")
     diff = np.abs(frame.astype(np.float32) - prev_frame.astype(np.float32))
     if diff.ndim == 3:
         diff = diff.max(axis=-1)
-    return float(np.mean(diff > noise_delta)) >= 0.5
+    return float(np.mean(diff > NOISE_DELTA)) >= 0.5
 
 
 def _point_free(x: int, y: int, boxes: Sequence[TextBox]) -> bool:
@@ -76,42 +75,29 @@ def _point_free(x: int, y: int, boxes: Sequence[TextBox]) -> bool:
 
 def _expand(x0: int, y0: int, x1: int, y1: int, width: int, height: int,
             boxes: Sequence[TextBox], order: Sequence[int]) -> tuple:
-    """Greedily expand each side (in `order`) as far as feasible."""
+    """Greedily expand each side in `order` (0 left, 1 right, 2 top,
+    3 bottom) up to the nearest edge of a box that overlaps the rectangle
+    across that side, or to the frame."""
+    lo, hi, size = [x0, y0], [x1, y1], (width, height)
+    spans = [((b.x0, b.x1), (b.y0, b.y1)) for b in boxes]
     for side in order:
-        if side == 0:     # left
-            limit = 0
-            for b in boxes:
-                if b.x1 <= x0 and b.intersects(b.x0, y0, b.x1, y1):
-                    limit = max(limit, b.x1)
-            x0 = limit
-        elif side == 1:   # right
-            limit = width
-            for b in boxes:
-                if b.x0 >= x1 and b.intersects(b.x0, y0, b.x1, y1):
-                    limit = min(limit, b.x0)
-            x1 = limit
-        elif side == 2:   # top
-            limit = 0
-            for b in boxes:
-                if b.y1 <= y0 and b.intersects(x0, b.y0, x1, b.y1):
-                    limit = max(limit, b.y1)
-            y0 = limit
-        else:             # bottom
-            limit = height
-            for b in boxes:
-                if b.y0 >= y1 and b.intersects(x0, b.y0, x1, b.y1):
-                    limit = min(limit, b.y0)
-            y1 = limit
-    return x0, y0, x1, y1
+        axis, upper = divmod(int(side), 2)
+        across = 1 - axis
+        edges = [s[axis] for s in spans
+                 if s[across][0] < hi[across] and lo[across] < s[across][1]]
+        if upper:
+            hi[axis] = min([size[axis]] + [a for a, _ in edges if a >= hi[axis]])
+        else:
+            lo[axis] = max([0] + [b for _, b in edges if b <= lo[axis]])
+    return lo[0], lo[1], hi[0], hi[1]
 
 
 def crop_search(width: int, height: int, boxes: Sequence[TextBox],
-                min_size: int = 224, iters: int = 256,
-                seed: int = 0) -> Optional[TextBox]:
+                min_size: int = 224, seed: int = 0) -> Optional[TextBox]:
     """Stochastic greedy search for a maximal-area crop avoiding all boxes.
 
     Seeds a random text-free pixel, greedily expands each side in random
-    order, and keeps the best rectangle over `iters` restarts.  Returns
+    order, and keeps the best rectangle over 256 restarts.  Returns
     None (non-valid) when the best crop is smaller than `min_size` in
     either dimension.
     """
@@ -124,7 +110,7 @@ def crop_search(width: int, height: int, boxes: Sequence[TextBox],
         rng = SessionRng(seed)
         best = None
         best_area = -1
-        for _ in range(iters):
+        for _ in range(256):
             for _ in range(32):
                 x = int(rng.integers(0, width))
                 y = int(rng.integers(0, height))
@@ -146,14 +132,13 @@ def crop_search(width: int, height: int, boxes: Sequence[TextBox],
     return TextBox(x0, y0, x1, y1)
 
 
-def median_filter_validity(signal: np.ndarray, fps: float,
-                           window_s: float = 3.0) -> np.ndarray:
-    """Sliding boolean median with edge replication over a window of
-    window_s seconds in whole frames, forced odd."""
+def median_filter_validity(signal: np.ndarray, fps: float) -> np.ndarray:
+    """Sliding boolean median with edge replication over a window of 3
+    seconds in whole frames, forced odd."""
     if fps <= 0:
         raise InputError("fps must be positive")
     signal = np.asarray(signal, bool)
-    w = to_frames(window_s, fps)
+    w = to_frames(3.0, fps)
     if w % 2 == 0:
         w += 1
     if w <= 1 or len(signal) == 0:

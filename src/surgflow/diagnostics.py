@@ -9,12 +9,15 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .models import CAPTION_PROMPT, MGA_PROMPT, ModelConfig, Stage1Model
-from .objectives import (make_masking_plan, mga_loss, mgc_loss, mlm_loss,
-                         valor_loss)
+from .objectives import (MGC_RATIO, MLM_RATIO, make_masking_plan, mga_loss,
+                         mgc_loss, mlm_loss, valor_loss)
 from .rng import SessionRng
 from .temporal import (TemporalConfig, build_temporal_model, soft_dice,
                        stage2_loss)
 from .vocab import Vocabulary
+
+# each gradcheck mode's dtype and the largest relative error it passes
+TOLERANCES = {"f32": (np.float32, 1e-3), "f64": (np.float64, 1e-5)}
 
 TOY_TEXTS = [
     "a small red square moves",
@@ -95,8 +98,8 @@ def gradient_suite(dtype=np.float32, seed: int = 95) -> Dict[str, float]:
     seqs = [cap_prompt + ids + [vocab.eos_id] for ids in caption_ids]
     ids, pad = model.pad_batch(seqs)
     maskable = model.maskable(ids, pad, len(cap_prompt))
-    plan_mgc = make_masking_plan(ids, maskable, vocab.mask_id, 0.6, rng)
-    plan_mlm = make_masking_plan(ids, maskable, vocab.mask_id, 0.1, rng)
+    plan_mgc = make_masking_plan(ids, maskable, vocab.mask_id, MGC_RATIO, rng)
+    plan_mlm = make_masking_plan(ids, maskable, vocab.mask_id, MLM_RATIO, rng)
 
     def f_mgc():
         video = model.encode_video_batch(clips)

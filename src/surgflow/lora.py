@@ -26,8 +26,7 @@ class LoraLinear(Module):
             raise ConfigError(f"rank {r} invalid for {d_in}x{d_out} projection")
         self.base = base
         base.weight.requires_grad = False
-        if base.bias is not None:
-            base.bias.requires_grad = False
+        base.bias.requires_grad = False
         self.rank = r
         self.alpha = alpha
         self.lora_a = Tensor(rng.normal(0.01, (r, d_in)), requires_grad=True)

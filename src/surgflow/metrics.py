@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -16,10 +16,16 @@ from .timeline import PhaseTimeline, runs, sample, to_frames
 OVERLAP_THRESHOLDS = (0.10, 0.25, 0.50)
 
 
-def frame_accuracy(pred: Sequence, gt: Sequence) -> float:
+def _pair(pred: Sequence, gt: Sequence) -> tuple:
+    """`pred` and `gt` as arrays, when they are equal-length and nonempty."""
     pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.shape != gt.shape or pred.size == 0:
         raise InputError("pred/gt must be equal-length nonempty sequences")
+    return pred, gt
+
+
+def frame_accuracy(pred: Sequence, gt: Sequence) -> float:
+    pred, gt = _pair(pred, gt)
     return 100.0 * float(np.mean(pred == gt))
 
 
@@ -27,9 +33,7 @@ def per_phase_metrics(pred: Sequence, gt: Sequence) -> Dict[str, float]:
     """Macro-averaged per-phase precision, recall, Jaccard, and F1 for one
     video.  Phases absent from both sides are excluded; phases present in
     exactly one side score 0."""
-    pred, gt = np.asarray(pred), np.asarray(gt)
-    if pred.shape != gt.shape or pred.size == 0:
-        raise InputError("pred/gt must be equal-length nonempty sequences")
+    pred, gt = _pair(pred, gt)
     phases = sorted(set(pred.tolist()) | set(gt.tolist()))
     precisions, recalls, jaccards, f1s = [], [], [], []
     for phase in phases:
@@ -85,9 +89,7 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
 
 def edit_score(pred: Sequence, gt: Sequence) -> float:
     """100 * (1 - normalized Levenshtein over segment-label sequences)."""
-    pred, gt = np.asarray(pred), np.asarray(gt)
-    if pred.shape != gt.shape or pred.size == 0:
-        raise InputError("pred/gt must be equal-length nonempty sequences")
+    pred, gt = _pair(pred, gt)
     seg_p = [s[0] for s in runs(pred)]
     seg_g = [s[0] for s in runs(gt)]
     denom = max(len(seg_p), len(seg_g))
@@ -99,9 +101,7 @@ def overlap_f1(pred: Sequence, gt: Sequence, tau: float) -> float:
 
     A predicted segment is a true positive when its best-IoU same-label
     unmatched ground-truth segment reaches IoU >= tau (ties count)."""
-    pred, gt = np.asarray(pred), np.asarray(gt)
-    if pred.shape != gt.shape or pred.size == 0:
-        raise InputError("pred/gt must be equal-length nonempty sequences")
+    pred, gt = _pair(pred, gt)
     seg_p = runs(pred)
     seg_g = runs(gt)
     matched = [False] * len(seg_g)
@@ -170,11 +170,6 @@ class MetricReport:
                          f'font-size="11">{value:.1f}</text>')
         parts.append("</svg>")
         write_text(path, "\n".join(parts))
-
-
-def rasterize(timeline: PhaseTimeline, fps: float = 1.0) -> List[str]:
-    """Sample a PhaseTimeline into a per-frame label list at `fps`."""
-    return sample(timeline, to_frames(timeline.duration, fps), fps)
 
 
 def evaluate_sequences(pairs: Dict[str, Tuple[Sequence, Sequence]]) -> MetricReport:

@@ -224,12 +224,12 @@ class SimilarityHead(Module):
     """Projection to the contrastive space, learned token weighting, and
     a positive temperature stored as the exp of a free parameter."""
 
-    def __init__(self, cfg: ModelConfig, rng: SessionRng, init_tau: float = 0.1):
+    def __init__(self, cfg: ModelConfig, rng: SessionRng):
         self.text_proj = Linear(cfg.dim, cfg.contrast_dim, rng)
         self.video_proj = Linear(cfg.dim, cfg.contrast_dim, rng)
         self.text_score = Linear(cfg.dim, 1, rng)
         self.video_score = Linear(cfg.dim, 1, rng)
-        self.log_tau = Tensor(np.array([np.log(init_tau)], np.float32),
+        self.log_tau = Tensor(np.array([np.log(0.1)], np.float32),
                               requires_grad=True)
 
     @property

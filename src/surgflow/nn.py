@@ -70,10 +70,10 @@ def load_parameters(params: Dict[str, Tensor], state: Dict[str, np.ndarray],
 
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng: SessionRng, bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng: SessionRng):
         scale = 1.0 / np.sqrt(d_in)
         self.weight = Tensor(rng.normal(scale, (d_in, d_out)), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out, np.float32), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(d_out, np.float32), requires_grad=True)
 
     @property
     def d_in(self) -> int:
@@ -88,13 +88,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim, np.float32), requires_grad=True)
         self.shift = Tensor(np.zeros(dim, np.float32), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.shift, self.eps)
+        return ad.layer_norm(x, self.gain, self.shift)
 
 
 class MultiHeadAttention(Module):

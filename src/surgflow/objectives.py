@@ -28,7 +28,6 @@ class MaskingPlan:
     positions: List[np.ndarray]        # per-sample masked index arrays
     original_ids: np.ndarray           # [B, N_t] pre-masking ids
     masked_ids: np.ndarray             # [B, N_t] with MASK substituted
-    ratio: float
 
     @property
     def total_masked(self) -> int:
@@ -51,7 +50,7 @@ def make_masking_plan(ids: np.ndarray, mask_flags: np.ndarray, mask_id: int,
         chosen = np.sort(cand[rng.choice(len(cand), count, replace=False)])
         masked[i, chosen] = mask_id
         positions.append(chosen.astype(np.int64))
-    return MaskingPlan(positions, ids.copy(), masked, ratio)
+    return MaskingPlan(positions, ids.copy(), masked)
 
 
 # -- fine-grained similarity -------------------------------------------------
@@ -147,12 +146,16 @@ class ValorLossReport:
     mlm: Tensor
 
 
+# the fraction of maskable caption tokens each masked objective hides
+MGC_RATIO = 0.6
+MLM_RATIO = 0.1
+
+
 def valor_loss(model: Stage1Model, clips: Sequence[np.ndarray],
                caption_ids: Sequence[Sequence[int]], rng: SessionRng,
-               mgc_ratio: float = 0.6, mlm_ratio: float = 0.1,
-               normalize_by_batch: bool = True,
                plans: tuple | None = None) -> ValorLossReport:
-    """Mean of the three stage-1 objectives on one paired batch."""
+    """Mean of the three stage-1 objectives on one paired batch; MGC and MLM
+    mask at MGC_RATIO and MLM_RATIO unless `plans` are given."""
     if len(clips) != len(caption_ids) or not clips:
         raise InputError("batch must be nonempty with index-aligned pairs")
     vocab = model.vocab
@@ -161,15 +164,15 @@ def valor_loss(model: Stage1Model, clips: Sequence[np.ndarray],
     mga_prompt = model.prompt_ids(MGA_PROMPT)
     mga_text = model.encode_text_batch(
         [mga_prompt + list(ids) for ids in caption_ids])
-    l_mga = mga_loss(model, mga_text, video, normalize_by_batch)
+    l_mga = mga_loss(model, mga_text, video, normalize_by_batch=True)
 
     cap_prompt = model.prompt_ids(CAPTION_PROMPT)
     seqs = [cap_prompt + list(ids) + [vocab.eos_id] for ids in caption_ids]
     ids, pad = model.pad_batch(seqs)
     maskable = model.maskable(ids, pad, len(cap_prompt))
     if plans is None:
-        plan_mgc = make_masking_plan(ids, maskable, vocab.mask_id, mgc_ratio, rng)
-        plan_mlm = make_masking_plan(ids, maskable, vocab.mask_id, mlm_ratio, rng)
+        plan_mgc = make_masking_plan(ids, maskable, vocab.mask_id, MGC_RATIO, rng)
+        plan_mlm = make_masking_plan(ids, maskable, vocab.mask_id, MLM_RATIO, rng)
     else:
         plan_mgc, plan_mlm = plans
     l_mgc = mgc_loss(model, plan_mgc, pad, video)
@@ -187,10 +190,6 @@ class PretrainConfig:
     batch_size: int = 8
     lr_max: float = 1e-4
     lr_min: float = 1e-9
-    clip_norm: float = 5.0
-    mgc_ratio: float = 0.6
-    mlm_ratio: float = 0.1
-    weight_decay: float = 0.01
     seed: int = 0
     max_steps: int | None = None   # truncate for smoke runs
 
@@ -259,8 +258,7 @@ def pretrain(model: Stage1Model, manifest_path, clip_store: ClipStore,
 
     def loss_of(batch):
         report = valor_loss(model, [clip_store.clip(records[i]) for i in batch],
-                            [caption_ids[i] for i in batch], rng,
-                            mgc_ratio=cfg.mgc_ratio, mlm_ratio=cfg.mlm_ratio)
+                            [caption_ids[i] for i in batch], rng)
         return report.total, {"L_MGA": float(report.mga.data),
                               "L_MGC": float(report.mgc.data),
                               "L_MLM": float(report.mlm.data),

@@ -13,6 +13,10 @@ from .errors import ConfigError, NumericError
 from .rng import SessionRng
 
 
+# the gradient-norm bound and decoupled weight decay of every training run
+CLIP_NORM = 5.0
+WEIGHT_DECAY = 0.01
+
 # Elements per group of `_grad_groups`: a group's gathered gradients,
 # weights and scratch stay in cache (measured sweep: see CHANGES.md).
 _GROUP_SIZE = 32768
@@ -38,7 +42,8 @@ def _grad_groups(params: Dict[str, Tensor]):
         yield group
 
 
-def clip_global_norm(params: Dict[str, Tensor], max_norm: float = 5.0) -> float:
+def clip_global_norm(params: Dict[str, Tensor],
+                     max_norm: float = CLIP_NORM) -> float:
     """Scale all gradients so their global L2 norm is at most `max_norm`.
 
     Returns the pre-clipping norm: per tensor, the float64 sum of squares of
@@ -103,13 +108,12 @@ class AdamW:
     autodiff may share between tensors.
     """
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
     def __init__(self, params: Dict[str, Tensor], lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+                 weight_decay: float = WEIGHT_DECAY):
         self.params = {n: p for n, p in params.items() if p.requires_grad}
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         # each tensor's offset into the flat moments of its dtype
@@ -173,17 +177,17 @@ def train(params: Dict[str, Tensor], n_items: int, batch_size: int,
           rng: SessionRng, max_steps: int | None = None) -> List[dict]:
     """Train `params` on shuffled epochs of `n_items` items in batches.
 
-    `cfg` supplies epochs, lr_max, lr_min, clip_norm and weight_decay.  The
-    rate warms up linearly over the first epoch, then cosine-decays to
-    lr_min at the last step; a single-step run uses lr_max.  Each step
-    clips the gradients to a global norm of cfg.clip_norm and takes one
-    AdamW step.  `loss_of(indices)` returns the batch loss and a row of
-    figures; the result has one {"step", "lr", **row, "grad_norm",
-    "clipped"} per step, with the pre-clip gradient norm and whether
-    clipping scaled the gradients.  Raises NumericError naming the step,
-    before any update, when the loss or the pre-clip gradient norm is not
-    finite.  Raises ConfigError, before the first step, when epochs,
-    batch_size or max_steps is below 1.
+    `cfg` supplies epochs, lr_max and lr_min.  The rate warms up linearly
+    over the first epoch, then cosine-decays to lr_min at the last step; a
+    single-step run uses lr_max.  Each step clips the gradients to a global
+    norm of CLIP_NORM and takes one AdamW step with WEIGHT_DECAY.
+    `loss_of(indices)` returns the batch loss and a row of figures; the
+    result has one {"step", "lr", **row, "grad_norm", "clipped"} per step,
+    with the pre-clip gradient norm and whether clipping scaled the
+    gradients.  Raises NumericError naming the step, before any update, when
+    the loss or the pre-clip gradient norm is not finite.  Raises
+    ConfigError, before the first step, when epochs, batch_size or max_steps
+    is below 1.
     """
     for name, value in (("epochs", cfg.epochs), ("batch_size", batch_size),
                         ("max_steps", max_steps)):
@@ -197,7 +201,7 @@ def train(params: Dict[str, Tensor], n_items: int, batch_size: int,
                                      warmup_steps=min(steps_per_epoch, total - 1),
                                      total_steps=total)
                 if total > 1 else None)
-    opt = AdamW(params, lr=cfg.lr_max, weight_decay=cfg.weight_decay)
+    opt = AdamW(params, lr=cfg.lr_max)
     rows: List[dict] = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n_items)
@@ -207,14 +211,14 @@ def train(params: Dict[str, Tensor], n_items: int, batch_size: int,
             loss, row = loss_of(order[start:start + batch_size])
             loss.backward()
             value = float(loss.data)
-            norm = clip_global_norm(params, cfg.clip_norm)
+            norm = clip_global_norm(params)
             if not (math.isfinite(value) and math.isfinite(norm)):
                 raise NumericError(f"step {step}: non-finite loss ({value}) "
                                    f"or gradient norm ({norm})")
             opt.lr = schedule.lr(step) if schedule else cfg.lr_max
             opt.step()
             rows.append({"step": step, "lr": opt.lr, **row, "grad_norm": norm,
-                         "clipped": norm > cfg.clip_norm and norm > 0})
+                         "clipped": norm > CLIP_NORM and norm > 0})
             if len(rows) >= total:
                 return rows
     return rows

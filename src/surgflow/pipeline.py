@@ -199,6 +199,32 @@ def read_timeline(path) -> tuple:
     return payload.get("video_id", Path(path).stem), timeline
 
 
+def _require_strings(path, key: str, values) -> None:
+    """An InputError naming `path` and `key` unless every item of `values`
+    (a list, or an object's values) is a string."""
+    items = values.values() if isinstance(values, dict) else values
+    if not all(type(v) is str for v in items):
+        raise InputError(f"{path}: {key} must be strings, not {values!r}")
+
+
+def read_meta(corpus) -> dict:
+    """A corpus's meta.json when `fps` is a finite positive number,
+    `video_ids` and `class_names` are lists of strings and `prototypes`,
+    when present, is an object of strings; otherwise an InputError naming
+    the file and the key.  Every command reads a corpus's metadata here."""
+    path = Path(corpus) / "meta.json"
+    meta = require_types(path, read_json(path), {
+        "fps": "float", "video_ids": "list", "class_names": "list"})
+    if "prototypes" in meta:
+        require_types(path, meta, {"prototypes": "dict"})
+    if not (math.isfinite(meta["fps"]) and meta["fps"] > 0):
+        raise InputError(f"{path}: fps must be a finite positive number, "
+                         f"not {meta['fps']!r}")
+    for key in ("video_ids", "class_names", "prototypes"):
+        _require_strings(path, key, meta.get(key, []))
+    return meta
+
+
 # -- model bundles ------------------------------------------------------------
 
 
@@ -291,9 +317,7 @@ def load_temporal_bundle(temporal) -> tuple:
     path = temporal / "temporal.json"
     spec = require_types(path, read_json(path), {
         "variant": "str", "classes": "list", "config": "dict"}, exact=True)
-    if not all(type(c) is str for c in spec["classes"]):
-        raise InputError(f"{path}: classes must be strings, "
-                         f"not {spec['classes']!r}")
+    _require_strings(path, "classes", spec["classes"])
     cfg = _config(TemporalConfig, spec["config"], path)
     model = build_temporal_model(spec["variant"], cfg, SessionRng(0))
     _load_weights(temporal / "temporal.wlcp", model.parameters())

@@ -2,9 +2,12 @@
 WLFT feature files, WLFG frame grids) and the text ones (JSON, JSONL, CSV, SVG,
 vocabularies).
 
-All integers are little-endian. WLCP layout:
-  magic "WLCP", u32 version, u32 entry count, then per entry
-  {u32 name length, utf-8 name bytes, u8 rank, u64 dims..., f32 payload}.
+All integers are little-endian, and every payload is f32. Layouts:
+  WLCP: magic "WLCP", u32 version, u32 entry count, then per entry
+        {u32 name length, utf-8 name bytes, u8 rank, u64 dims..., payload}.
+  WLFT: magic "WLFT", u32 version, u64 length, u64 dim, payload [length, dim].
+  WLFG: magic "WLFG", u64 frames, u64 height, u64 width, u64 channels, then
+        the payload [frames, height, width, channels]; it has no version.
 
 Every writer goes through `write_atomic`, so an interrupted write leaves the
 previous file (or none), never a truncated one.  This is the only module that

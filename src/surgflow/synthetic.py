@@ -154,7 +154,10 @@ def generate_video(spec: SyntheticSpec, video_id: str,
 
 def generate_corpus(spec: SyntheticSpec, n_videos: int, out_dir) -> dict:
     """Write videos, ground-truth timelines, a clip manifest, and corpus
-    metadata under `out_dir`.  Fully determined by spec.seed."""
+    metadata under `out_dir`.  Fully determined by spec.seed.  Raises
+    ConfigError, before writing anything, when n_videos is below 1."""
+    if n_videos < 1:
+        raise ConfigError(f"need at least one video, got {n_videos}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "videos").mkdir(exist_ok=True)

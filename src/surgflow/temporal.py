@@ -245,7 +245,7 @@ def build_temporal_model(variant: str, cfg: TemporalConfig,
 # -- losses ------------------------------------------------------------------
 
 
-def soft_dice(logits: Tensor, labels: np.ndarray, eps: float = 1e-6) -> Tensor:
+def soft_dice(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Macro-averaged soft dice over all classes; 0 iff prediction equals
     the one-hot ground truth on the simplex."""
     length, k = logits.shape
@@ -255,7 +255,7 @@ def soft_dice(logits: Tensor, labels: np.ndarray, eps: float = 1e-6) -> Tensor:
     y = Tensor(onehot)
     inter = ad.reduce_sum(probs * y, axis=0)
     denom = ad.reduce_sum(probs, axis=0) + ad.reduce_sum(y, axis=0)
-    dice = 1.0 - (2.0 * inter + eps) / (denom + eps)
+    dice = 1.0 - (2.0 * inter + 1e-6) / (denom + 1e-6)
     return ad.reduce_mean(dice)
 
 
@@ -276,7 +276,7 @@ def smoothing_penalty(logits: Tensor, clamp: float,
 
 
 def stage2_loss(outputs: Sequence[Tensor], labels: np.ndarray, variant: str,
-                cfg: TemporalConfig | None = None,
+                cfg: TemporalConfig,
                 prev: Sequence[np.ndarray] | None = None) -> Tensor:
     """TCN: summed frame-wise CE plus truncated-MSE smoothing.
     ASFormer: summed equally weighted CE and soft dice.
@@ -284,7 +284,6 @@ def stage2_loss(outputs: Sequence[Tensor], labels: np.ndarray, variant: str,
     `prev` holds one fixed previous-frame log-probability array per stage
     for the TCN smoothing term (see smoothing_penalty).
     """
-    cfg = cfg or TemporalConfig()
     labels = np.asarray(labels)
     prev = [None] * len(outputs) if prev is None else prev
     total = None
@@ -311,8 +310,6 @@ class TrainTemporalConfig:
     epochs: int = 150
     lr_max: float = 1e-3
     lr_min: float = 1e-7
-    clip_norm: float = 5.0
-    weight_decay: float = 0.01
     seed: int = 0
 
 

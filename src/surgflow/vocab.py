@@ -33,8 +33,6 @@ class Vocabulary:
                 seen.add(tok)
                 self.id_to_token.append(tok)
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise VocabError("duplicate tokens in vocabulary")
 
     def __len__(self) -> int:
         return len(self.id_to_token)

@@ -11,7 +11,8 @@ from surgflow.autodiff import (GELU_F32_POLY, Tensor, concat, getitem,
 from surgflow.errors import ConfigError, DimensionError, NumericError
 from surgflow.nn import causal_mask
 from surgflow.objectives import load_manifest, valor_loss
-from surgflow.optim import AdamW, CosineWarmupSchedule, clip_global_norm
+from surgflow.optim import (CLIP_NORM, AdamW, CosineWarmupSchedule,
+                            clip_global_norm)
 from surgflow.rng import SessionRng
 from surgflow.temporal import stage2_loss
 
@@ -286,6 +287,37 @@ def reference_decode(model, ids, pad_mask, video, causal):
     return hidden, decoder.to_logits(hidden)
 
 
+def reference_expand(x0, y0, x1, y1, width, height, boxes, order):
+    """Greedily expand each side (in `order`) as far as feasible, one
+    branch per side: the rule corpus._expand keeps once per axis."""
+    for side in order:
+        if side == 0:     # left
+            limit = 0
+            for b in boxes:
+                if b.x1 <= x0 and b.intersects(b.x0, y0, b.x1, y1):
+                    limit = max(limit, b.x1)
+            x0 = limit
+        elif side == 1:   # right
+            limit = width
+            for b in boxes:
+                if b.x0 >= x1 and b.intersects(b.x0, y0, b.x1, y1):
+                    limit = min(limit, b.x0)
+            x1 = limit
+        elif side == 2:   # top
+            limit = 0
+            for b in boxes:
+                if b.y1 <= y0 and b.intersects(x0, b.y0, x1, b.y1):
+                    limit = max(limit, b.y1)
+            y0 = limit
+        else:             # bottom
+            limit = height
+            for b in boxes:
+                if b.y0 >= y1 and b.intersects(x0, b.y0, x1, b.y1):
+                    limit = min(limit, b.y0)
+            y1 = limit
+    return x0, y0, x1, y1
+
+
 def left_edge_rasterize(timeline, fps=1.0):
     """Left-edge rasterisation: frame i takes the label at i / fps."""
     labels = []
@@ -323,7 +355,7 @@ def reference_pretrain(model, manifest_path, clip_store, cfg):
     else:
         schedule = None  # single-step run: constant peak rate
     params = model.parameters()
-    opt = AdamW(params, lr=cfg.lr_max, weight_decay=cfg.weight_decay)
+    opt = AdamW(params, lr=cfg.lr_max)
 
     rows = []
     step = 0
@@ -337,10 +369,9 @@ def reference_pretrain(model, manifest_path, clip_store, cfg):
             clips = [clip_store.clip(records[i]) for i in batch_idx]
             ids = [caption_ids[i] for i in batch_idx]
             opt.zero_grad()
-            report = valor_loss(model, clips, ids, rng,
-                                mgc_ratio=cfg.mgc_ratio, mlm_ratio=cfg.mlm_ratio)
+            report = valor_loss(model, clips, ids, rng)
             report.total.backward()
-            norm = clip_global_norm(params, cfg.clip_norm)
+            norm = clip_global_norm(params, CLIP_NORM)
             _check_finite_step(step, float(report.total.data), norm)
             opt.lr = schedule.lr(step) if schedule else cfg.lr_max
             opt.step()
@@ -352,7 +383,7 @@ def reference_pretrain(model, manifest_path, clip_store, cfg):
                 "L_MLM": float(report.mlm.data),
                 "L_total": float(report.total.data),
                 "grad_norm": norm,
-                "clipped": norm > cfg.clip_norm and norm > 0,
+                "clipped": norm > CLIP_NORM and norm > 0,
             })
             step += 1
             if step >= total_steps:
@@ -375,7 +406,7 @@ def reference_train_temporal(model, dataset, cfg):
     else:
         schedule = None  # single-step run: constant peak rate
     params = model.parameters()
-    opt = AdamW(params, lr=cfg.lr_max, weight_decay=cfg.weight_decay)
+    opt = AdamW(params, lr=cfg.lr_max)
     curve = []
     step = 0
     for _ in range(cfg.epochs):
@@ -388,7 +419,7 @@ def reference_train_temporal(model, dataset, cfg):
             loss = stage2_loss(outputs, labels, model.variant, model.cfg)
             loss.backward()
             _check_finite_step(step, float(loss.data),
-                               clip_global_norm(params, cfg.clip_norm))
+                               clip_global_norm(params, CLIP_NORM))
             opt.lr = schedule.lr(step) if schedule else cfg.lr_max
             opt.step()
             epoch_losses.append(float(loss.data))

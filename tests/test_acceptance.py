@@ -29,7 +29,7 @@ from surgflow.pipeline import ablate_subset
 from surgflow.corpus import TextBox, crop_search
 from surgflow.diagnostics import gradient_suite
 from surgflow.metrics import (edit_score, evaluate_timelines, frame_accuracy,
-                              overlap_f1, per_phase_metrics, rasterize)
+                              overlap_f1, per_phase_metrics)
 from surgflow.models import CAPTION_PROMPT, MGA_PROMPT, ModelConfig, Stage1Model
 from surgflow.objectives import (ClipStore, PretrainConfig, load_manifest,
                                  mga_loss_from_scores, pretrain,
@@ -295,27 +295,18 @@ def headline(tmp_path_factory):
     shifted = root / "shifted"
     shifted_test = shifted_meta["video_ids"][30:]
 
-    def shifted_zero_shot():
-        pairs = []
+    def shifted_zero_shot_accuracy():
+        pred, gt = {}, {}
         for vid in shifted_test:
             frames = read_frame_grid(shifted / "videos" / f"{vid}.wlfg")
-            tl = pl.zero_shot(frames, model, shifted_meta["prototypes"],
-                              shifted_meta["fps"])
-            gt = pl.PhaseTimeline.from_dict(
+            pred[vid] = pl.zero_shot(frames, model, shifted_meta["prototypes"],
+                                     shifted_meta["fps"])
+            gt[vid] = pl.PhaseTimeline.from_dict(
                 pl.read_json(shifted / "timelines" / f"{vid}.json")
             ).fill_gaps("idle")
-            pairs.append((tl, gt))
-        return pairs
+        return evaluate_timelines(pred, gt, fps=1.0).aggregate["accuracy"]
 
-    def mean_acc(pairs):
-        accs = []
-        for tl, gt in pairs:
-            g, p = rasterize(gt, 1.0), rasterize(tl, 1.0)
-            n = min(len(g), len(p))
-            accs.append(frame_accuracy(p[:n], g[:n]))
-        return float(np.mean(accs))
-
-    base_acc = mean_acc(shifted_zero_shot())
+    base_acc = shifted_zero_shot_accuracy()
     ref_frames = read_frame_grid(shifted / "videos" /
                                  f"{shifted_test[0]}.wlfg")
     ref_part = pl.partition(len(ref_frames) / shifted_meta["fps"], 1.0,
@@ -329,7 +320,7 @@ def headline(tmp_path_factory):
              ClipStore(shifted / "videos", shifted_meta["fps"]),
              PretrainConfig(epochs=1, batch_size=8, lr_max=1e-2,
                             lr_min=1e-4, seed=5))
-    tuned_acc = mean_acc(shifted_zero_shot())
+    tuned_acc = shifted_zero_shot_accuracy()
 
     lora.set_enabled(model, False)
     disabled_features = pl.extract_features(ref_frames, model,

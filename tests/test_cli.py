@@ -79,6 +79,15 @@ class TestExitCodes:
             "--out", str(workspace / "ablate.csv")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("videos", ["0", "-3"])
+    def test_no_videos_is_config_error(self, runner, tmp_path, videos):
+        out = tmp_path / "corpus"
+        result = runner.invoke(main, ["gen-synth", "--out", str(out),
+                                      "--videos", videos])
+        assert result.exit_code == 2
+        assert f"need at least one video, got {videos}" in result.output
+        assert not out.exists()
+
     def test_zero_epochs_is_config_error(self, runner, workspace, tmp_path):
         out = tmp_path / "stage1"
         args = ["pretrain", "--corpus", str(workspace / "corpus"), "--out",
@@ -494,6 +503,16 @@ FPS_COMMANDS = {
                  "{ws}/corpus/timelines"],
 }
 
+# Every command that reads a corpus's meta.json, and its other arguments.
+META_COMMANDS = {
+    "pretrain": ["--max-steps", "1"],
+    "finetune-lora": ["--stage1", "{ws}/stage1", "--max-steps", "1"],
+    "extract-features": ["--stage1", "{ws}/stage1"],
+    "train-temporal": ["--features", "{ws}/features", "--epochs", "1"],
+    "ablate-subset": ["--features", "{ws}/features", "--epochs", "1"],
+    "segment": ["--stage1", "{ws}/stage1", "--temporal", "{ws}/tcn"],
+}
+
 
 class TestInputChecks:
     """Numeric options are refused while the command line is parsed (exit
@@ -504,11 +523,15 @@ class TestInputChecks:
         *[(name, "--fps", value) for name in sorted(FPS_COMMANDS)
           for value in ("0", "-1", "nan", "inf")],
         ("ablate-subset", "--fractions", "0.5,abc"),
+        *[("split-clips", "--min-seconds", value)
+          for value in ("-1", "nan", "inf")],
     ])
     def test_bad_number_is_usage_error(self, runner, out_inputs, tmp_path,
                                        name, option, value):
-        args = FPS_COMMANDS.get(name, ["--features", "{ws}/features",
-                                       "--corpus", "{ws}/corpus"])
+        args = {**FPS_COMMANDS,
+                "ablate-subset": ["--features", "{ws}/features",
+                                  "--corpus", "{ws}/corpus"],
+                "split-clips": ["--words", "{ws}/inputs/words.json"]}[name]
         out = tmp_path / "out.json"
         result = runner.invoke(main, [name, option, value]
                                + [a.format(ws=out_inputs) for a in args]
@@ -592,6 +615,43 @@ class TestInputChecks:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         sep = ":" if name == "manifest" else ": "
         assert f"error: {path}{sep}{named}" in result.output
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("fps", None, "missing key 'fps'"),
+        ("fps", "8", "fps must be a number, not '8'"),
+        ("fps", 0, "fps must be a finite positive number, not 0"),
+        ("video_ids", 5, "video_ids must be a list, not 5"),
+        ("class_names", ["idle", 3],
+         "class_names must be strings, not ['idle', 3]"),
+        ("prototypes", {"idle": 3}, "prototypes must be strings, not "
+         "{'idle': 3}"),
+    ])
+    @pytest.mark.parametrize("name", sorted(META_COMMANDS))
+    def test_malformed_meta_names_the_file(self, runner, out_inputs,
+                                           tmp_path, name, key, value, named):
+        """Every command reads meta.json through pipeline.read_meta: a
+        missing or mistyped value (None: the key deleted) exits 1 naming
+        the file and the key, and leaves no output."""
+        ws, corpus = out_inputs, tmp_path / "corpus"
+        corpus.mkdir()
+        for part in ("videos", "timelines", "manifest.jsonl"):
+            (corpus / part).symlink_to(ws / "corpus" / part)
+        meta = json.loads((ws / "corpus" / "meta.json").read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        path = corpus / "meta.json"
+        path.write_text(json.dumps(meta))
+        where = (["--video", str(corpus / "videos" / "video_000.wlfg")]
+                 if name == "segment" else ["--corpus", str(corpus)])
+        out = tmp_path / "out"
+        result = runner.invoke(main, [name, *where, "--out", str(out)]
+                               + [a.format(ws=ws) for a in META_COMMANDS[name]])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"error: {path}: {named}" in result.output
+        assert not out.exists()
 
     def test_malformed_config_file_is_usage_error(self, runner, tmp_path):
         cfg = tmp_path / "defaults.json"

@@ -3,10 +3,11 @@ clip splitting, terminology correction, and label-to-language templates."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from oracles import max_empty_rect_area
+from oracles import max_empty_rect_area, reference_expand
 from surgflow.corpus import (ClipSpan, TEMPLATES, TextBox, TranscriptWord,
-                             correct_terms, crop_search, detect_static,
+                             _expand, correct_terms, crop_search, detect_static,
                              face_gate, load_term_table, median_filter_validity,
                              project_labels, split_clips)
 from surgflow.errors import InputError
@@ -47,7 +48,31 @@ class TestDetectStatic:
             detect_static(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
+@st.composite
+def frames_with_boxes(draw):
+    """A frame size, text boxes inside it and a seed pixel."""
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+
+    def span(size):
+        lo = draw(st.integers(0, size - 1))
+        return lo, draw(st.integers(lo + 1, size))
+
+    boxes = []
+    for _ in range(draw(st.integers(0, 8))):
+        (x0, x1), (y0, y1) = span(width), span(height)
+        boxes.append(TextBox(x0, y0, x1, y1))
+    x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+    return width, height, boxes, x, y
+
+
 class TestCropSearch:
+    @given(frame=frames_with_boxes(),
+           order=st.lists(st.integers(0, 3), max_size=8))
+    def test_expand_equals_reference(self, frame, order):
+        width, height, boxes, x, y = frame
+        args = (x, y, x + 1, y + 1, width, height, boxes, order)
+        assert _expand(*args) == reference_expand(*args)
+
     def test_no_boxes_returns_full_frame(self):
         crop = crop_search(640, 480, [], min_size=224)
         assert (crop.x0, crop.y0, crop.x1, crop.y1) == (0, 0, 640, 480)

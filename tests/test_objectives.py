@@ -168,7 +168,7 @@ class TestMaskingPlan:
         video = tiny_model.encode_video_batch(tiny_clips(SessionRng(6), 1))
         ids = np.array([[7, 8, 9]], np.int64)
         pad = np.zeros_like(ids, bool)
-        plan = MaskingPlan([np.empty(0, np.int64)], ids.copy(), ids.copy(), 0.5)
+        plan = MaskingPlan([np.empty(0, np.int64)], ids.copy(), ids.copy())
         with pytest.raises(InputError):
             mgc_loss(tiny_model, plan, pad, video)
 

@@ -294,8 +294,7 @@ class TestClipping:
 
 
 def loop_cfg(epochs):
-    return SimpleNamespace(epochs=epochs, lr_max=0.1, lr_min=1e-3,
-                           clip_norm=5.0, weight_decay=0.0)
+    return SimpleNamespace(epochs=epochs, lr_max=0.1, lr_min=1e-3)
 
 
 class TestTrain:
@@ -315,9 +314,11 @@ class TestTrain:
                      SessionRng(0))
         assert [r["step"] for r in rows] == [0]
         assert rows[0]["lr"] == 0.1
-        # the first AdamW step moves each weight by exactly lr
-        np.testing.assert_allclose(np.abs(params["x"].data - before), 0.1,
-                                   rtol=1e-5)
+        # the first AdamW step moves each weight by lr (sign(g) + decay w),
+        # and g = 2w has the weight's sign
+        np.testing.assert_allclose(
+            before - params["x"].data,
+            0.1 * (np.sign(before) + optim.WEIGHT_DECAY * before), rtol=1e-5)
 
     def test_max_steps_ends_partway_through_an_epoch(self):
         params = quad_params(5)
@@ -334,25 +335,24 @@ class TestTrain:
         assert batches == [list(first[:2]), list(first[2:4]), list(first[4:]),
                            list(second[:2])]
 
-    @pytest.mark.parametrize("clip_norm", [1.0, 100.0])
-    def test_rows_carry_pre_clip_norm_and_whether_it_clipped(self, clip_norm):
+    # the gradient norm starts near 3.9 * scale: below and above CLIP_NORM
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_rows_carry_pre_clip_norm_and_whether_it_clipped(self, scale):
         params = quad_params(9)
         norms = []
 
         def loss_of(batch):
-            loss = reduce_sum(params["x"] * params["x"])
-            # d/dx sum(x^2) = 2x, taken before this step's update
-            norms.append(float(np.linalg.norm(2.0 * params["x"].data.astype(
-                np.float64))))
+            loss = scale * reduce_sum(params["x"] * params["x"])
+            # d/dx scale sum(x^2) = 2 scale x, taken before this step's update
+            norms.append(float(np.linalg.norm(2.0 * scale * params["x"].data
+                                              .astype(np.float64))))
             return loss, {}
 
-        cfg = loop_cfg(1)
-        cfg.clip_norm = clip_norm
-        rows = train(params, 3, 1, loss_of, cfg, SessionRng(2))
+        rows = train(params, 3, 1, loss_of, loop_cfg(1), SessionRng(2))
         for row, norm in zip(rows, norms):
             assert row["grad_norm"] == pytest.approx(norm, rel=1e-6)
-            assert row["clipped"] is (norm > clip_norm)
-        assert {r["clipped"] for r in rows} == {clip_norm == 1.0}
+            assert row["clipped"] is (norm > optim.CLIP_NORM)
+        assert {r["clipped"] for r in rows} == {scale == 100.0}
 
     def test_nan_loss_stops_before_updating(self):
         params = quad_params(6)

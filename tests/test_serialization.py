@@ -232,7 +232,6 @@ UNREFERENCED_API = {
     "load_term_table": "reads the term table that correct_terms applies",
     "face_gate": "privacy filter for frames with faces, a corpus tool",
     "set_enabled": "switches adapters off to compare with the base model",
-    "rasterize": "samples a timeline per frame for callers of metrics",
 }
 
 

@@ -15,13 +15,13 @@ import surgflow
 from conftest import make_tiny_model
 from oracles import left_edge_rasterize
 from surgflow.errors import InputError
-from surgflow.metrics import evaluate_timelines, rasterize
+from surgflow.metrics import evaluate_timelines
 from surgflow.objectives import ClipStore
 from surgflow.pipeline import labels_for, partition, zero_shot
 from surgflow.rng import SessionRng
 from surgflow.serialization import write_frame_grid
 from surgflow.timeline import (IDLE, PhaseTimeline, Segment, frame_span,
-                               merge_labels, runs, sample)
+                               merge_labels, runs, sample, to_frames)
 
 LABELS = ["A", "B", "C", None]      # None leaves a gap
 
@@ -89,7 +89,7 @@ class TestSampling:
     @given(pieces=fractional_pieces)
     def test_training_labels_equal_evaluation_frames(self, pieces):
         gt = build_timeline(pieces)
-        frames = rasterize(gt, 1.0)
+        frames = sample(gt, to_frames(gt.duration, 1.0), 1.0)
         classes = sorted({"A", "B", "C", IDLE})
         got = labels_for(gt, classes, len(frames))
         assert [classes[k] for k in got] == frames
@@ -97,19 +97,21 @@ class TestSampling:
     @given(pieces=grid_pieces, fps=st.floats(1.0, 60.0))
     def test_grid_boundaries_match_left_edges(self, pieces, fps):
         tl = build_timeline(pieces, fps)
-        assert rasterize(tl, fps) == left_edge_rasterize(tl, fps)
+        n = to_frames(tl.duration, fps)
+        assert sample(tl, n, fps) == left_edge_rasterize(tl, fps)
 
     def test_midpoint_of_fractional_boundary(self):
         tl = PhaseTimeline([Segment(0.0, 1.4, "A"), Segment(1.4, 3.0, "B")])
-        assert rasterize(tl, 1.0) == ["A", "B", "B"]
+        assert sample(tl, to_frames(tl.duration, 1.0), 1.0) == ["A", "B", "B"]
         assert left_edge_rasterize(tl, 1.0) == ["A", "A", "B"]
         tl = PhaseTimeline([Segment(0.0, 1.6, "A"), Segment(1.6, 3.0, "B")])
-        assert rasterize(tl, 1.0) == left_edge_rasterize(tl, 1.0) == \
-               ["A", "A", "B"]
+        assert sample(tl, to_frames(tl.duration, 1.0), 1.0) == \
+               left_edge_rasterize(tl, 1.0) == ["A", "A", "B"]
 
     def test_gap_in_prediction_reads_idle(self):
         pred = PhaseTimeline([Segment(0, 2, "A"), Segment(3, 5, "B")])
-        assert rasterize(pred, 1.0) == ["A", "A", IDLE, "B", "B"]
+        assert sample(pred, to_frames(pred.duration, 1.0), 1.0) == \
+               ["A", "A", IDLE, "B", "B"]
         assert pred.label_at(2.5) == IDLE
         gt = merge_labels(["A", "A", IDLE, "B", "B"], 1.0)
         report = evaluate_timelines({"v": pred}, {"v": gt})
