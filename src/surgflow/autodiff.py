@@ -72,9 +72,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None,
+    def __init__(self, data, requires_grad: bool = False,
                  _parents: tuple = (), _backward: Callable | None = None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr

@@ -91,7 +91,7 @@ def gradient_suite(dtype=np.float32, seed: int = 95) -> Dict[str, float]:
     def f_mga():
         video = model.encode_video_batch(clips)
         text = model.encode_text_batch([mga_prompt + ids for ids in caption_ids])
-        return mga_loss(model, text, video)
+        return mga_loss(model, text, video, normalize_by_batch=True)
 
     results["mga_loss"] = grad_check(f_mga, params, eps)
 

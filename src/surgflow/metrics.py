@@ -66,9 +66,7 @@ def acc_micro(pairs: Sequence[Tuple[Sequence, Sequence]]) -> float:
         raise InputError("need at least one video")
     correct = total = 0
     for pred, gt in pairs:
-        pred, gt = np.asarray(pred), np.asarray(gt)
-        if pred.shape != gt.shape:
-            raise InputError("pred/gt length mismatch")
+        pred, gt = _pair(pred, gt)
         correct += int(np.sum(pred == gt))
         total += pred.size
     return 100.0 * correct / total

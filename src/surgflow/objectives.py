@@ -222,7 +222,7 @@ def load_clips(path) -> List[dict]:
 
 
 class ClipStore:
-    """Caches WLFG videos and serves clip frame ranges."""
+    """Caches frame grids (.wlfg) and serves clip frame ranges."""
 
     def __init__(self, root, fps: float):
         self.root = Path(root)

@@ -1,13 +1,12 @@
-"""Every artifact file surgflow writes: the binary formats (WLCP checkpoints,
-WLFT feature files, WLFG frame grids) and the text ones (JSON, JSONL, CSV, SVG,
-vocabularies).
+"""Every artifact file surgflow writes: the one binary format, WLCP, and the
+text ones (JSON, JSONL, CSV, SVG, vocabularies).
 
-All integers are little-endian, and every payload is f32. Layouts:
-  WLCP: magic "WLCP", u32 version, u32 entry count, then per entry
-        {u32 name length, utf-8 name bytes, u8 rank, u64 dims..., payload}.
-  WLFT: magic "WLFT", u32 version, u64 length, u64 dim, payload [length, dim].
-  WLFG: magic "WLFG", u64 frames, u64 height, u64 width, u64 channels, then
-        the payload [frames, height, width, channels]; it has no version.
+A WLCP file is a list of named f32 arrays.  All integers are little-endian:
+  magic "WLCP", u32 version, u32 entry count, then per entry
+  {u32 name length, utf-8 name bytes, u8 rank, u64 dims..., payload}.
+A checkpoint (.wlcp) holds one entry per parameter tensor, a feature table
+(.wlft) exactly one rank-2 entry "features" [clips, dim], and a frame grid
+(.wlfg) exactly one rank-4 entry "frames" [frames, height, width, channels].
 
 Every writer goes through `write_atomic`, so an interrupted write leaves the
 previous file (or none), never a truncated one.  This is the only module that
@@ -30,14 +29,13 @@ import numpy as np
 
 from .errors import InputError
 
-CHECKPOINT_MAGIC = b"WLCP"
-FEATURE_MAGIC = b"WLFT"
-FRAMEGRID_MAGIC = b"WLFG"
+MAGIC = b"WLCP"
 FORMAT_VERSION = 1
 
 
-def write_atomic(path, *chunks: bytes) -> None:
-    """Write `chunks` to a temporary file beside `path`, then rename it onto
+def write_atomic(path, *chunks) -> None:
+    """Write `chunks` (bytes-like: bytes, or a C-contiguous array, written
+    without a copy) to a temporary file beside `path`, then rename it onto
     `path` with os.replace; on failure the temporary file is removed."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
@@ -73,19 +71,14 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
     write_text(path, buf.getvalue())
 
 
-def write_checkpoint(path, entries: Dict[str, np.ndarray]) -> None:
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<II", FORMAT_VERSION, len(entries))
+def _write_wlcp(path, entries: Dict[str, np.ndarray]) -> None:
+    chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(entries))]
     for name, arr in entries.items():
         arr = np.ascontiguousarray(arr, dtype="<f4")
         nb = name.encode("utf-8")
-        buf += struct.pack("<I", len(nb))
-        buf += nb
-        buf += struct.pack("<B", arr.ndim)
-        buf += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-        buf += arr.tobytes()
-    write_atomic(path, buf)
+        chunks += [struct.pack(f"<I{len(nb)}sB{arr.ndim}Q", len(nb), nb,
+                               arr.ndim, *arr.shape), arr]
+    write_atomic(path, *chunks)
 
 
 def _need(path, raw: bytes, end: int) -> None:
@@ -101,13 +94,13 @@ def _unpack(path, fmt: str, raw: bytes, off: int) -> tuple:
     return struct.unpack_from(fmt, raw, off)
 
 
-def read_checkpoint(path) -> Dict[str, np.ndarray]:
+def _read_wlcp(path) -> Dict[str, np.ndarray]:
     raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise InputError(f"{path}: bad checkpoint magic")
+    if raw[:4] != MAGIC:
+        raise InputError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
     version, count = _unpack(path, "<II", raw, 4)
     if version != FORMAT_VERSION:
-        raise InputError(f"{path}: unsupported checkpoint version {version}")
+        raise InputError(f"{path}: unsupported format version {version}")
     off = 12
     out: Dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -129,48 +122,46 @@ def read_checkpoint(path) -> Dict[str, np.ndarray]:
         off += 4 * n
         out[name] = arr.copy()
     if off != len(raw):
-        raise InputError(f"{path}: trailing bytes in checkpoint")
+        raise InputError(f"{path}: trailing bytes")
     return out
+
+
+def _one_entry(path, name: str, rank: int) -> np.ndarray:
+    """The single rank-`rank` entry `name` of the file at `path`."""
+    entries = _read_wlcp(path)
+    if list(entries) != [name] or entries[name].ndim != rank:
+        found = [f"{k!r} of rank {v.ndim}" for k, v in entries.items()]
+        raise InputError(f"{path}: expected one rank-{rank} entry {name!r}, found "
+                         f"{len(found)}: {', '.join(found[:3])}"
+                         f"{', ...' if len(found) > 3 else ''}")
+    return entries[name]
+
+
+def write_checkpoint(path, entries: Dict[str, np.ndarray]) -> None:
+    _write_wlcp(path, entries)
+
+
+def read_checkpoint(path) -> Dict[str, np.ndarray]:
+    return _read_wlcp(path)
 
 
 def write_features(path, features: np.ndarray) -> None:
     """One video's [L, D] float32 feature matrix."""
-    features = np.ascontiguousarray(features, dtype="<f4")
-    if features.ndim != 2:
+    if np.ndim(features) != 2:
         raise InputError("features must be [L, D]")
-    write_atomic(path, FEATURE_MAGIC,
-                 struct.pack("<IQQ", FORMAT_VERSION, *features.shape),
-                 features.tobytes())
+    _write_wlcp(path, {"features": features})
 
 
 def read_features(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != FEATURE_MAGIC:
-        raise InputError(f"{path}: bad feature-file magic")
-    version, length, dim = _unpack(path, "<IQQ", raw, 4)
-    if version != FORMAT_VERSION:
-        raise InputError(f"{path}: unsupported feature version {version}")
-    expect = 24 + 4 * length * dim
-    if len(raw) != expect:
-        raise InputError(f"{path}: feature payload length mismatch")
-    return np.frombuffer(raw, dtype="<f4", offset=24).reshape(length, dim).copy()
+    return _one_entry(path, "features", 2)
 
 
 def write_frame_grid(path, frames: np.ndarray) -> None:
     """Raw [T, H, W, C] frame grid of unit-interval float32 intensities."""
-    frames = np.ascontiguousarray(frames, dtype="<f4")
-    if frames.ndim != 4:
+    if np.ndim(frames) != 4:
         raise InputError("frame grid must be [T, H, W, C]")
-    write_atomic(path, FRAMEGRID_MAGIC, struct.pack("<QQQQ", *frames.shape),
-                 frames.tobytes())
+    _write_wlcp(path, {"frames": frames})
 
 
 def read_frame_grid(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != FRAMEGRID_MAGIC:
-        raise InputError(f"{path}: bad frame-grid magic")
-    t, h, w, c = _unpack(path, "<QQQQ", raw, 4)
-    expect = 36 + 4 * t * h * w * c
-    if len(raw) != expect:
-        raise InputError(f"{path}: frame-grid payload length mismatch")
-    return np.frombuffer(raw, dtype="<f4", offset=36).reshape(t, h, w, c).copy()
+    return _one_entry(path, "frames", 4)

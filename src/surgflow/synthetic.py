@@ -5,7 +5,7 @@ ground-truth timelines."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -65,9 +65,7 @@ def shift_colors(spec: SyntheticSpec) -> SyntheticSpec:
                             tuple(1.0 - c for c in (p.color[2], p.color[0], p.color[1])),
                             p.tool, p.speed)
                for p in spec.phases]
-    return SyntheticSpec(shifted, spec.frame_size, spec.fps, spec.phase_seconds,
-                         spec.idle_seconds, spec.idle_gap_prob, spec.noise,
-                         spec.seed)
+    return replace(spec, phases=shifted)
 
 
 def caption_for(spec: SyntheticSpec, phase: str) -> str:

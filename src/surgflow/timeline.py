@@ -55,8 +55,8 @@ class PhaseTimeline:
             Segment(end, s.start_s, idle_label)
             for end, s in zip(ends, self.segments) if s.start_s > end + 1e-9])
 
-    def to_dict(self, video_id: str, fps: float = 1.0) -> dict:
-        return {"video_id": video_id, "fps": fps,
+    def to_dict(self, video_id: str) -> dict:
+        return {"video_id": video_id, "fps": 1.0,
                 "segments": [{"start_s": s.start_s, "end_s": s.end_s,
                               "label": s.label} for s in self.segments]}
 

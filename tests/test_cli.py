@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +18,8 @@ import surgflow
 from surgflow.cli import main
 from surgflow.synthetic import SyntheticSpec, generate_corpus
 from surgflow.serialization import (read_checkpoint, read_features,
-                                    write_checkpoint, write_features,
-                                    write_frame_grid)
+                                    read_frame_grid, write_checkpoint,
+                                    write_features, write_frame_grid)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +143,25 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert f"error: {path}: truncated" in result.output
         assert isinstance(result.exception, SystemExit)  # not a traceback
+
+    def test_old_layout_corpus_is_runtime_error(self, runner, workspace,
+                                                tmp_path):
+        """A corpus whose videos are in the retired WLFG layout (magic and
+        four u64 dims before the payload) is refused, naming the file."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        videos = sorted((corpus / "videos").glob("*.wlfg"))
+        for path in videos:
+            frames = read_frame_grid(path)
+            path.write_bytes(b"WLFG" + struct.pack("<4Q", *frames.shape)
+                             + frames.tobytes())
+        out = tmp_path / "features"
+        result = runner.invoke(main, [
+            "extract-features", "--corpus", str(corpus),
+            "--stage1", str(workspace / "stage1"), "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"error: {videos[0]}: bad magic" in result.output
+        assert not out.exists()
 
     def test_nan_features_is_runtime_error(self, runner, workspace, tmp_path):
         meta = json.loads((workspace / "corpus" / "meta.json").read_text())
@@ -816,6 +836,28 @@ class TestCorpusFrameRate:
             "--fps", "4", "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["segments"]
+
+
+class TestGradcheck:
+    def test_f32_passes(self, runner):
+        result = runner.invoke(main, ["gradcheck", "--mode", "f32"])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 7
+        assert all(line.startswith("f32 ") and line.endswith(" ok")
+                   for line in lines)
+
+    def test_error_above_threshold_fails(self, runner, monkeypatch):
+        from surgflow import diagnostics
+        threshold = diagnostics.TOLERANCES["f32"][1]
+        monkeypatch.setattr(diagnostics, "gradient_suite",
+                            lambda dtype, seed: {"mga_loss": threshold / 2,
+                                                 "mgc_loss": threshold * 2})
+        result = runner.invoke(main, ["gradcheck", "--mode", "f32"])
+        assert result.exit_code == 1
+        mga, mgc = result.output.splitlines()
+        assert mga.startswith("f32 mga_loss") and mga.endswith(" ok")
+        assert mgc.startswith("f32 mgc_loss") and mgc.endswith(" FAIL")
 
 
 class TestThreadDeterminism:

@@ -119,6 +119,15 @@ class TestWorkedExamples:
         pairs = [(["A"] * 10, ["A"] * 10), (["B"] * 90, ["C"] * 90)]
         assert acc_micro(pairs) == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("pairs", [
+        [([], [])],
+        [(["A"], ["A"]), ([], [])],
+        [(["A"], ["A", "B"])],
+    ])
+    def test_acc_micro_checks_each_pair(self, pairs):
+        with pytest.raises(InputError, match="equal-length nonempty"):
+            acc_micro(pairs)
+
     def test_edit_insertion(self):
         assert edit_score(["A", "A", "C", "B"], ["A", "A", "A", "B"]) == pytest.approx(66.67, abs=0.005)
 

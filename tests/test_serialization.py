@@ -1,5 +1,5 @@
-"""Artifact files: atomic writes, byte-exact round-trips of the binary
-formats and corruption detection, and the single writer module."""
+"""Artifact files: atomic writes, byte-exact round-trips of the one binary
+format and corruption detection, and the single writer module."""
 
 import ast
 import builtins
@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_tiny_model
 from surgflow import serialization
 from surgflow.errors import InputError
 from surgflow.metrics import MetricReport
@@ -458,6 +459,76 @@ class TestFrameGrid:
         path.write_bytes(b"XXXX" + b"\0" * 32)
         with pytest.raises(InputError):
             read_frame_grid(path)
+
+
+def write_old_wlft(path, features):
+    """A feature table in the retired WLFT layout: magic, u32 version,
+    u64 length, u64 dim, then the payload."""
+    features = np.asarray(features, "<f4")
+    path.write_bytes(b"WLFT" + struct.pack("<IQQ", 1, *features.shape)
+                     + features.tobytes())
+
+
+def write_old_wlfg(path, frames):
+    """A frame grid in the retired WLFG layout: magic, four u64 dims, then
+    the payload."""
+    frames = np.asarray(frames, "<f4")
+    path.write_bytes(b"WLFG" + struct.pack("<4Q", *frames.shape)
+                     + frames.tobytes())
+
+
+class TestOneFormat:
+    """A feature table is a WLCP file with one rank-2 entry "features", a
+    frame grid one with one rank-4 entry "frames"; anything else is
+    refused with an InputError naming the file."""
+
+    def test_feature_table_is_a_one_entry_checkpoint(self, tmp_path):
+        feats = SessionRng(3).normal(1.0, (4, 5))
+        path = tmp_path / "f.wlft"
+        write_features(path, feats)
+        out = read_checkpoint(path)
+        assert list(out) == ["features"]
+        np.testing.assert_array_equal(out["features"], feats)
+
+    def test_frame_grid_is_a_one_entry_checkpoint(self, tmp_path):
+        frames = SessionRng(4).uniform(0, 1, (3, 4, 4, 3))
+        path = tmp_path / "v.wlfg"
+        write_frame_grid(path, frames)
+        out = read_checkpoint(path)
+        assert list(out) == ["frames"]
+        np.testing.assert_array_equal(out["frames"], frames)
+
+    @pytest.mark.parametrize("read", [read_features, read_frame_grid])
+    def test_stage1_checkpoint_refused(self, tmp_path, read):
+        path = tmp_path / "stage1.wlcp"
+        write_checkpoint(path, make_tiny_model().state_dict())
+        with pytest.raises(InputError, match=re.escape(f"{path}: expected one")):
+            read(path)
+
+    @pytest.mark.parametrize("read,entries", [
+        (read_features, {"features": np.zeros((2, 3, 1), np.float32)}),
+        (read_features, {"features": np.zeros(3, np.float32)}),
+        (read_features, {"frames": np.zeros((2, 3), np.float32)}),
+        (read_features, {}),
+        (read_frame_grid, {"frames": np.zeros((2, 3), np.float32)}),
+        (read_frame_grid, {"frames": np.zeros((1, 2, 2, 3), np.float32),
+                           "fps": np.float32(8.0)}),
+    ])
+    def test_wrong_entry_or_rank_refused(self, tmp_path, read, entries):
+        path = tmp_path / "x.bin"
+        write_checkpoint(path, entries)
+        with pytest.raises(InputError, match=re.escape(f"{path}: expected one")):
+            read(path)
+
+    @pytest.mark.parametrize("write_old,read,shape", [
+        (write_old_wlft, read_features, (3, 2)),
+        (write_old_wlfg, read_frame_grid, (2, 2, 2, 3)),
+    ])
+    def test_old_layout_refused(self, tmp_path, write_old, read, shape):
+        path = tmp_path / "old.bin"
+        write_old(path, np.ones(shape))
+        with pytest.raises(InputError, match=re.escape(f"{path}: bad magic")):
+            read(path)
 
 
 class TestTruncation:

@@ -1,5 +1,6 @@
 """Procedural stand-in corpus: determinism, structure, and caption pairing."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -39,6 +40,15 @@ class TestSpec:
         assert all(a.color != b.color
                    for a, b in zip(spec.phases, shifted.phases))
         assert shifted.seed == spec.seed
+
+    def test_shift_colors_keeps_every_other_field(self):
+        spec = SyntheticSpec(frame_size=16, fps=4, phase_seconds=(2, 3),
+                             idle_seconds=(1, 2), idle_gap_prob=0.3,
+                             noise=0.05, seed=9)
+        shifted = shift_colors(spec)
+        for f in dataclasses.fields(spec):
+            if f.name != "phases":
+                assert getattr(shifted, f.name) == getattr(spec, f.name), f.name
 
 
 class TestText:
