@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import InputError
 from .rng import SessionRng
+from .serialization import unit_frames
 from .timeline import to_frames
 
 log = logging.getLogger(__name__)
@@ -60,10 +61,11 @@ class ClipSpan:
 
 def detect_static(frame: np.ndarray, prev_frame: np.ndarray) -> bool:
     """A frame is valid only when at least half its pixels differ from the
-    previous frame by more than NOISE_DELTA (max over channels)."""
+    previous frame by more than NOISE_DELTA (max over channels), both read
+    as intensities by `unit_frames`."""
     if frame.shape != prev_frame.shape:
         raise InputError("frame shapes differ")
-    diff = np.abs(frame.astype(np.float32) - prev_frame.astype(np.float32))
+    diff = np.abs(unit_frames(frame) - unit_frames(prev_frame))
     if diff.ndim == 3:
         diff = diff.max(axis=-1)
     return float(np.mean(diff > NOISE_DELTA)) >= 0.5

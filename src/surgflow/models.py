@@ -14,6 +14,7 @@ from .errors import ConfigError, InputError
 from .nn import (LayerNorm, Linear, Module, MultiHeadAttention,
                  TransformerBlock, causal_mask)
 from .rng import SessionRng
+from .serialization import unit_frames
 from .vocab import Vocabulary
 
 MGA_PROMPT = "Project the inputs into common space"
@@ -100,7 +101,7 @@ class VideoEncoder(Module):
         g_h, g_w = hgt // ps, wid // ps
         x = frames.reshape(b, nv, g_h, ps, g_w, ps, ch)
         x = x.transpose(0, 1, 2, 4, 3, 5, 6)
-        return x.reshape(b, nv * g_h * g_w, ps * ps * ch).astype(np.float32)
+        return unit_frames(x.reshape(b, nv * g_h * g_w, ps * ps * ch))
 
     def __call__(self, frames: np.ndarray) -> VideoTokens:
         """frames: [B, N_v, H, W, 3] already sampled to N_v."""

@@ -1,12 +1,16 @@
 """Every artifact file surgflow writes: the one binary format, WLCP, and the
 text ones (JSON, JSONL, CSV, SVG, vocabularies).
 
-A WLCP file is a list of named f32 arrays.  All integers are little-endian:
-  magic "WLCP", u32 version, u32 entry count, then per entry
-  {u32 name length, utf-8 name bytes, u8 rank, u64 dims..., payload}.
+A WLCP file is a list of named arrays, each float32 or uint8.  All integers
+are little-endian:
+  magic "WLCP", u32 version (2), u32 entry count, then per entry
+  {u32 name length, utf-8 name bytes, u8 dtype code (0 float32, 1 uint8),
+   u8 rank, u64 dims..., payload}.
+Version-1 files have no dtype byte and hold float32 only; they still read.
 A checkpoint (.wlcp) holds one entry per parameter tensor, a feature table
-(.wlft) exactly one rank-2 entry "features" [clips, dim], and a frame grid
-(.wlfg) exactly one rank-4 entry "frames" [frames, height, width, channels].
+(.wlft) exactly one rank-2 float32 entry "features" [clips, dim], and a frame
+grid (.wlfg) exactly one rank-4 uint8 entry "frames" [frames, height, width,
+channels] of 8-bit levels, which `unit_frames` turns into intensities.
 
 Every writer goes through `write_atomic`, so an interrupted write leaves the
 previous file (or none), never a truncated one.  This is the only module that
@@ -30,7 +34,8 @@ import numpy as np
 from .errors import InputError
 
 MAGIC = b"WLCP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DTYPES = (np.dtype("<f4"), np.dtype("u1"))  # indexed by the entry's dtype code
 
 
 def write_atomic(path, *chunks) -> None:
@@ -74,10 +79,12 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
 def _write_wlcp(path, entries: Dict[str, np.ndarray]) -> None:
     chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(entries))]
     for name, arr in entries.items():
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        arr = np.asarray(arr)
+        code = int(arr.dtype == np.uint8)
+        arr = np.asarray(arr, dtype=DTYPES[code], order="C")
         nb = name.encode("utf-8")
-        chunks += [struct.pack(f"<I{len(nb)}sB{arr.ndim}Q", len(nb), nb,
-                               arr.ndim, *arr.shape), arr]
+        chunks += [struct.pack(f"<I{len(nb)}sBB{arr.ndim}Q", len(nb), nb,
+                               code, arr.ndim, *arr.shape), arr]
     write_atomic(path, *chunks)
 
 
@@ -99,7 +106,7 @@ def _read_wlcp(path) -> Dict[str, np.ndarray]:
     if raw[:4] != MAGIC:
         raise InputError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
     version, count = _unpack(path, "<II", raw, 4)
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise InputError(f"{path}: unsupported format version {version}")
     off = 12
     out: Dict[str, np.ndarray] = {}
@@ -112,14 +119,22 @@ def _read_wlcp(path) -> Dict[str, np.ndarray]:
         except UnicodeDecodeError:
             raise InputError(f"{path}: entry name at byte {off} is not UTF-8")
         off += nlen
+        code = 0
+        if version > 1:
+            (code,) = _unpack(path, "<B", raw, off)
+            off += 1
+            if code >= len(DTYPES):
+                raise InputError(f"{path}: entry {name!r} has unknown dtype "
+                                 f"code {code}")
+        dtype = DTYPES[code]
         (rank,) = _unpack(path, "<B", raw, off)
         off += 1
         dims = _unpack(path, f"<{rank}Q", raw, off)
         off += 8 * rank
         n = math.prod(dims)  # exact: a corrupt dim cannot wrap around
-        _need(path, raw, off + 4 * n)
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
+        _need(path, raw, off + dtype.itemsize * n)
+        arr = np.frombuffer(raw, dtype=dtype, count=n, offset=off).reshape(dims)
+        off += dtype.itemsize * n
         out[name] = arr.copy()
     if off != len(raw):
         raise InputError(f"{path}: trailing bytes")
@@ -156,12 +171,31 @@ def read_features(path) -> np.ndarray:
     return _one_entry(path, "features", 2)
 
 
+def unit_frames(frames: np.ndarray) -> np.ndarray:
+    """Float32 intensities of a frame array.  8-bit levels k map to
+    k / 255 computed in float32, the one rule by which a frame grid's levels
+    become model input; any other dtype is cast to float32 as it is."""
+    if frames.dtype == np.uint8:
+        return np.divide(frames, np.float32(255), dtype=np.float32)
+    return frames.astype(np.float32)
+
+
 def write_frame_grid(path, frames: np.ndarray) -> None:
-    """Raw [T, H, W, C] frame grid of unit-interval float32 intensities."""
-    if np.ndim(frames) != 4:
+    """Raw [T, H, W, C] frame grid of uint8 levels; `unit_frames` reads
+    them as intensities in [0, 1].  Any other dtype is refused."""
+    frames = np.asarray(frames)
+    if frames.ndim != 4:
         raise InputError("frame grid must be [T, H, W, C]")
+    if frames.dtype != np.uint8:
+        raise InputError(f"frame grid must hold uint8 levels, got {frames.dtype}")
     _write_wlcp(path, {"frames": frames})
 
 
 def read_frame_grid(path) -> np.ndarray:
-    return _one_entry(path, "frames", 4)
+    """The uint8 [T, H, W, C] levels of the frame grid at `path`; a float32
+    grid (written before frames were 8-bit) is refused, naming the file."""
+    frames = _one_entry(path, "frames", 4)
+    if frames.dtype != np.uint8:
+        raise InputError(f"{path}: frame grid holds {frames.dtype}, expected "
+                         f"uint8 levels; regenerate the corpus")
+    return frames

@@ -84,7 +84,9 @@ def prototype_sentences(spec: SyntheticSpec) -> Dict[str, str]:
 
 def _render_phase(pattern: Optional[PhasePattern], n_frames: int, size: int,
                   noise: float, rng: SessionRng, frame_offset: int) -> np.ndarray:
-    frames = np.empty((n_frames, size, size, 3), np.float32)
+    """[n_frames, size, size, 3] uint8 levels k = rint(255 * clip(x, 0, 1))
+    of the noisy float32 intensities x."""
+    frames = np.empty((n_frames, size, size, 3), np.uint8)
     if pattern is None:
         base = np.full((size, size, 3), 0.5, np.float32)
     else:
@@ -100,7 +102,7 @@ def _render_phase(pattern: Optional[PhasePattern], n_frames: int, size: int,
             pos = pos if pos <= span else 2 * span - pos
             frame[pos:pos + square, pos:pos + square] = 1.0
         frame += rng.normal(noise, (size, size, 3))
-        frames[i] = np.clip(frame, 0.0, 1.0)
+        frames[i] = np.rint(np.float32(255) * np.clip(frame, 0.0, 1.0))
     return frames
 
 

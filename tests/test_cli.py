@@ -163,6 +163,23 @@ class TestExitCodes:
         assert f"error: {videos[0]}: bad magic" in result.output
         assert not out.exists()
 
+    def test_float_frame_corpus_is_runtime_error(self, runner, workspace,
+                                                 tmp_path):
+        """A corpus whose frame grids hold float32 intensities, as written
+        before frames were 8-bit, is refused, naming the first video."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        videos = sorted((corpus / "videos").glob("*.wlfg"))
+        for path in videos:
+            frames = read_frame_grid(path)
+            write_checkpoint(path, {"frames": frames / np.float32(255)})
+        out = tmp_path / "features"
+        result = runner.invoke(main, [
+            "extract-features", "--corpus", str(corpus),
+            "--stage1", str(workspace / "stage1"), "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"error: {videos[0]}: frame grid holds float32" in result.output
+
     def test_nan_features_is_runtime_error(self, runner, workspace, tmp_path):
         meta = json.loads((workspace / "corpus" / "meta.json").read_text())
         vid = meta["video_ids"][0]
@@ -319,8 +336,8 @@ class TestCorpusCommands:
         assert va == vb
 
     def test_filter_reports_validity_and_crop(self, runner, tmp_path):
-        frames = np.zeros((8, 32, 32, 3), np.float32)
-        frames[1::2] += 0.5  # alternating frames: everything moves
+        frames = np.zeros((8, 32, 32, 3), np.uint8)
+        frames[1::2] += 128  # alternating frames: everything moves
         video = tmp_path / "v.wlfg"
         write_frame_grid(video, frames)
         boxes = tmp_path / "boxes.json"
@@ -333,6 +350,29 @@ class TestCorpusCommands:
         payload = json.loads(out.read_text())
         assert len(payload["valid"]) == 8
         assert payload["crop"] == [10, 0, 32, 32]
+
+    def test_filter_reads_levels_as_intensities(self, runner, tmp_path,
+                                                monkeypatch):
+        """`filter` marks the same frames valid on a uint8 grid as on its
+        float32 k / 255 twin: 5-level flicker stays below NOISE_DELTA
+        (10/255) and 100-level flicker exceeds it."""
+        frames = np.full((48, 8, 8, 3), 128, np.uint8)
+        frames[1:24:2] += 5
+        frames[25::2] = 28
+        video = tmp_path / "v.wlfg"
+        write_frame_grid(video, frames)
+
+        def valid():
+            out = tmp_path / "filter.json"
+            result = runner.invoke(main, ["filter", "--video", str(video),
+                                          "--out", str(out), "--force"])
+            assert result.exit_code == 0, result.output
+            return json.loads(out.read_text())["valid"]
+        levels = valid()
+        monkeypatch.setattr("surgflow.cli.read_frame_grid",
+                            lambda path: frames / np.float32(255))
+        assert valid() == levels
+        assert True in levels and False in levels
 
     def test_project_labels_verbatim(self, runner, tmp_path):
         records = tmp_path / "records.jsonl"

@@ -47,6 +47,16 @@ class TestDetectStatic:
         with pytest.raises(InputError):
             detect_static(np.zeros((2, 2)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("step,moves", [(5, False), (20, True)])
+    def test_levels_compare_as_intensities(self, step, moves):
+        """8-bit levels are read as k / 255, so a 5-level change stays
+        below NOISE_DELTA (10/255) and a 20-level change exceeds it."""
+        prev = np.full((4, 4, 3), 128, np.uint8)
+        frame = prev + np.uint8(step)
+        assert detect_static(frame, prev) is moves
+        assert detect_static(frame / np.float32(255),
+                             prev / np.float32(255)) is moves
+
 
 @st.composite
 def frames_with_boxes(draw):

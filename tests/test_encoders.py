@@ -70,6 +70,19 @@ class TestVideoEncoder:
         expect = frames[0, 0, :4, :4, :].reshape(-1)
         np.testing.assert_allclose(patches[0, 0], expect)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_frames=st.integers(1, 3))
+    def test_levels_patch_like_their_float_twin(self, seed, n_frames):
+        """A uint8 clip and its float32 k / 255 twin give the same patch
+        bytes: the encoder reads levels by the one conversion rule."""
+        levels = SessionRng(seed).integers(0, 256, (1, n_frames, 8, 8, 3))
+        levels = levels.astype(np.uint8)
+        encoder = make_tiny_model().video_encoder
+        got = encoder.patches(levels)
+        want = encoder.patches(levels.astype(np.float32) / np.float32(255))
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
     def test_batch_order_independence(self, tiny_model):
         clips = tiny_clips(SessionRng(3), 2)
         fwd = tiny_model.encode_video_batch(clips).tokens.data

@@ -3,6 +3,7 @@ format and corruption detection, and the single writer module."""
 
 import ast
 import builtins
+import math
 import re
 import struct
 from pathlib import Path
@@ -25,7 +26,7 @@ from surgflow.vocab import Vocabulary
 WRITERS = {
     "checkpoint": lambda p: write_checkpoint(p, {"a": np.arange(6.0)}),
     "features": lambda p: write_features(p, np.ones((3, 2))),
-    "frame_grid": lambda p: write_frame_grid(p, np.ones((2, 2, 2, 3))),
+    "frame_grid": lambda p: write_frame_grid(p, np.ones((2, 2, 2, 3), np.uint8)),
     "json": lambda p: write_json(p, {"a": [1, 2, 3]}),
     "text": lambda p: write_text(p, "line one\nline two\n"),
     "csv": lambda p: write_csv(p, ["a", "b"], [[1, 2.5], ["x", ""]]),
@@ -371,6 +372,43 @@ class TestCheckpoint:
         with pytest.raises(InputError):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    @pytest.mark.parametrize("shape", [(), (1,), (2, 3, 1, 4)])
+    def test_round_trip_keeps_rank_and_dtype(self, tmp_path, dtype, shape):
+        arr = np.arange(math.prod(shape), dtype=dtype).reshape(shape) + 1
+        path = tmp_path / "m.wlcp"
+        write_checkpoint(path, {"a": arr})
+        out = read_checkpoint(path)["a"]
+        assert out.dtype == dtype and out.shape == shape
+        np.testing.assert_array_equal(out, arr)
+
+    def test_version_1_still_reads(self, tmp_path):
+        """Version 1 has no dtype byte and holds float32 only."""
+        w, s = np.arange(6, dtype="<f4").reshape(2, 3), np.float32(2.5)
+        path = tmp_path / "v1.wlcp"
+        path.write_bytes(b"WLCP" + struct.pack("<II", 1, 2)
+                         + struct.pack("<I1sB2Q", 1, b"w", 2, 2, 3) + w.tobytes()
+                         + struct.pack("<I1sB1Q", 1, b"s", 1, 1) + s.tobytes())
+        out = read_checkpoint(path)
+        assert list(out) == ["w", "s"]
+        assert out["w"].dtype == np.float32 and out["s"].shape == (1,)
+        np.testing.assert_array_equal(out["w"], w)
+        np.testing.assert_array_equal(out["s"], [2.5])
+
+    @pytest.mark.parametrize("at,value,message", [
+        (4, 3, "unsupported format version 3"),
+        (18, 2, "unknown dtype code 2"),  # after magic, version, count, name
+    ])
+    def test_unknown_version_or_dtype_refused(self, tmp_path, at, value,
+                                              message):
+        path = tmp_path / "m.wlcp"
+        write_checkpoint(path, {"ab": np.zeros((1, 2), np.float32)})
+        raw = bytearray(path.read_bytes())
+        raw[at] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InputError, match=re.escape(f"{path}: ") + ".*"
+                           + re.escape(message)):
+            read_checkpoint(path)
 
     def test_corrupt_entry_names_the_file(self, tmp_path):
         """A name that is not UTF-8, and dims whose product overflows 64
@@ -378,7 +416,7 @@ class TestCheckpoint:
         path = tmp_path / "m.wlcp"
         write_checkpoint(path, {"ab": np.zeros((1, 2), np.float32)})
         good = path.read_bytes()
-        name_at, dims_at = 16, 19  # after magic, version, count, name length
+        name_at, dims_at = 16, 20  # after magic, version, count, name length
         for at, patch in ((name_at, b"\xff"),
                           (dims_at, struct.pack("<2Q", 2 ** 32, 2 ** 32))):
             path.write_bytes(good[:at] + patch + good[at + len(patch):])
@@ -443,16 +481,36 @@ class TestFeatures:
             read_features(path)
 
 
+def levels(rng, shape):
+    """Random 8-bit frame levels."""
+    return rng.integers(0, 256, shape).astype(np.uint8)
+
+
 class TestFrameGrid:
     def test_round_trip(self, tmp_path):
-        frames = SessionRng(2).uniform(0, 1, (5, 4, 6, 3))
+        frames = levels(SessionRng(2), (5, 4, 6, 3))
         path = tmp_path / "v.wlfg"
         write_frame_grid(path, frames)
-        np.testing.assert_array_equal(read_frame_grid(path), frames)
+        out = read_frame_grid(path)
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, frames)
 
     def test_rank_enforced(self, tmp_path):
         with pytest.raises(InputError):
-            write_frame_grid(tmp_path / "v.wlfg", np.zeros((2, 2, 2), np.float32))
+            write_frame_grid(tmp_path / "v.wlfg", np.zeros((2, 2, 2), np.uint8))
+
+    def test_float_grid_refused(self, tmp_path):
+        """Frame grids hold 8-bit levels: a float grid is refused on write,
+        and one written before (a float32 "frames" entry) on read, naming
+        the file."""
+        frames = np.zeros((2, 2, 2, 3), np.float32)
+        with pytest.raises(InputError, match="uint8"):
+            write_frame_grid(tmp_path / "v.wlfg", frames)
+        path = tmp_path / "old.wlfg"
+        write_checkpoint(path, {"frames": frames})
+        with pytest.raises(InputError,
+                           match=re.escape(f"{path}: frame grid holds float32")):
+            read_frame_grid(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "v.wlfg"
@@ -491,7 +549,7 @@ class TestOneFormat:
         np.testing.assert_array_equal(out["features"], feats)
 
     def test_frame_grid_is_a_one_entry_checkpoint(self, tmp_path):
-        frames = SessionRng(4).uniform(0, 1, (3, 4, 4, 3))
+        frames = levels(SessionRng(4), (3, 4, 4, 3))
         path = tmp_path / "v.wlfg"
         write_frame_grid(path, frames)
         out = read_checkpoint(path)
@@ -541,7 +599,7 @@ class TestTruncation:
                                                 "s": np.float32(2.0)}),
                  read_checkpoint),
         "wlft": (lambda p: write_features(p, np.ones((3, 2))), read_features),
-        "wlfg": (lambda p: write_frame_grid(p, np.ones((2, 2, 1, 3))),
+        "wlfg": (lambda p: write_frame_grid(p, np.ones((2, 2, 1, 3), np.uint8)),
                  read_frame_grid),
     }
 

@@ -77,7 +77,7 @@ class TestFrameSpan:
 
     def test_clip_store_record_past_end_raises(self, tmp_path):
         write_frame_grid(tmp_path / "v.wlfg", np.zeros((32, 4, 4, 3),
-                                                      np.float32))
+                                                      np.uint8))
         store = ClipStore(tmp_path, 8.0)
         assert len(store.clip({"video": "v", "start_s": 3.0,
                                "end_s": 4.0})) == 8
