@@ -32,7 +32,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, DimensionError, InputError, NumericError
 
@@ -44,8 +43,10 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _PDF_ZERO_BEYOND = 40.0
 
 # P(u), lowest order first: the float32 normal cdf is
-# 0.5 * (1 + tanh(x * P(x * x))), a minimax fit to scipy's erf in float64.
-# P's positive leading coefficient saturates tanh for large |x|.
+# 0.5 * (1 + tanh(x * P(x * x))).  P was fitted (minimax) to SciPy's float64
+# erf, the float64 cdf's source before it moved to math.erf; the two erfs
+# differ by at most 3 ulp, so the fit holds for either.  P's positive
+# leading coefficient saturates tanh for large |x|.
 GELU_F32_POLY = (0.79788494, 0.036333084, -3.2594173e-05, -5.5306573e-05,
                  3.964822e-06, -1.3227015e-07, 1.7563779e-09)
 
@@ -280,15 +281,22 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.maximum(a.data, 0.0), (a,), bwd)
 
 
+def erf(x: np.ndarray) -> np.ndarray:
+    """The standard library's math.erf of each element of float64 `x`, in a
+    new float64 array of x's shape (0-d stays 0-d)."""
+    return np.fromiter(map(math.erf, x.flat), np.float64,
+                       x.size).reshape(x.shape)
+
+
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """The standard normal cdf of `x` in a new array of x's dtype: from
-    scipy's erf for float64, and for float32 as 0.5 * (1 + tanh(x * P(x*x)))
-    with P = GELU_F32_POLY, which stays within 1e-7 of the float64 erf
-    value.  Each element's value depends on it alone, not on the array's
-    size or shape."""
+    """The standard normal cdf of `x` in a new array of x's dtype: for
+    float64 0.5 * (1 + erf(x * (1 / sqrt(2)))) with the standard library's
+    math.erf (via `erf`), and for float32 0.5 * (1 + tanh(x * P(x*x))) with
+    P = GELU_F32_POLY, which stays within 1e-7 of the float64 value.  Each
+    element's value depends on it alone, not on the array's size or
+    shape."""
     if x.dtype == np.float64:
-        cdf = np.asarray(x * _INV_SQRT2)  # an array even for 0-d x, so out= works
-        erf(cdf, out=cdf)
+        cdf = erf(x * _INV_SQRT2)
     else:
         u = np.asarray(x * x)
         cdf = np.asarray(u * GELU_F32_POLY[-1])
@@ -304,11 +312,11 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU x * cdf(x) with the normal cdf of `_normal_cdf`: scipy's erf for
-    float64, a tanh-of-polynomial form within 1e-7 of it for float32.  The
-    backward pass uses the exact normal pdf: g * (cdf + x * pdf(x)), which
-    is finite for every non-nan x and exactly g or 0 for |x| >= 40.  The
-    value at -inf is its limit -0.0."""
+    """GELU x * cdf(x) with the normal cdf of `_normal_cdf`: the standard
+    library's math.erf for float64, a tanh-of-polynomial form within 1e-7
+    of it for float32.  The backward pass uses the exact normal pdf:
+    g * (cdf + x * pdf(x)), which is finite for every non-nan x and exactly
+    g or 0 for |x| >= 40.  The value at -inf is its limit -0.0."""
     a = _wrap(a)
     x = a.data
     # |x| > 1.8e19 overflows x * x to the saturated cdf, and x = -inf gives

@@ -75,7 +75,7 @@ def _write_run_manifest(target: Path, command: str, config: dict,
         "config_hash": hashlib.sha256(blob).hexdigest(),
         "seed": seed,
         "git_describe": _git_describe(),
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.perf_counter() - t0, 3),
     }
     write_text(path, json.dumps(payload, indent=2, default=str) + "\n")
 
@@ -95,7 +95,7 @@ def command(name: str):
     def decorate(fn):
         @functools.wraps(fn)
         def run(force: bool = False, **params):
-            t0 = time.time()
+            t0 = time.perf_counter()
             paths = [params[k] for k in outputs if params[k] is not None]
             created = [p for p in paths if not p.exists()]
             try:

@@ -328,14 +328,24 @@ def load_temporal_bundle(temporal) -> tuple:
 
 
 def labels_for(timeline: PhaseTimeline, classes: Sequence[str],
-               length: int) -> np.ndarray:
-    """Class index of each of `length` one-second clips (timeline.sample)."""
-    return np.array([classes.index(label) for label in
-                     sample(timeline, length, 1.0 / CLIP_SECONDS)])
+               length: int, source="timeline") -> np.ndarray:
+    """Class index of each of `length` one-second clips (timeline.sample);
+    a label outside `classes` raises an InputError naming `source`."""
+    labels = sample(timeline, length, 1.0 / CLIP_SECONDS)
+    try:
+        return np.array([classes.index(label) for label in labels])
+    except ValueError:
+        unknown = next(label for label in labels if label not in classes)
+        raise InputError(f"{source}: label {unknown!r} is not one of the "
+                         f"classes {list(classes)}") from None
+
+
+def _timeline_path(corpus, video_id: str) -> Path:
+    return Path(corpus) / "timelines" / f"{video_id}.json"
 
 
 def _ground_truth(corpus, video_id: str) -> PhaseTimeline:
-    return read_timeline(Path(corpus) / "timelines" / f"{video_id}.json")[1]
+    return read_timeline(_timeline_path(corpus, video_id))[1]
 
 
 def dataset_from_dirs(features_dir, corpus, classes: Sequence[str],
@@ -345,7 +355,9 @@ def dataset_from_dirs(features_dir, corpus, classes: Sequence[str],
     dataset = []
     for vid in video_ids:
         feats = read_features(Path(features_dir) / f"{vid}.wlft")
-        labels = labels_for(_ground_truth(corpus, vid), classes, feats.shape[0])
+        path = _timeline_path(corpus, vid)
+        labels = labels_for(read_timeline(path)[1], classes, feats.shape[0],
+                            path)
         dataset.append((FeatureSequence(feats, vid), labels))
     return dataset
 

@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from surgflow.autodiff import (GELU_F32_POLY, Tensor, concat, getitem,
                                matmul, pad, power, reduce_mean, reshape,
@@ -147,14 +146,22 @@ def reference_layer_norm(x, gain, bias, g, eps=1e-5):
                  g.reshape(-1, dim).sum(axis=0)]
 
 
+def math_erf_cdf(x):
+    """0.5 * (1 + math.erf(x * (1 / sqrt(2)))) of each element of float64
+    `x`, in Python floats, as an array of x's shape."""
+    return np.array([0.5 * (1.0 + math.erf(v * (1.0 / math.sqrt(2.0))))
+                     for v in np.ravel(x).tolist()],
+                    np.float64).reshape(np.shape(x))
+
+
 def reference_gelu(x, g):
     """GELU and its input gradient for upstream gradient `g`, in the
     out-of-place arithmetic autodiff.gelu computes in place: the normal cdf
-    from scipy's erf for float64, and for float32 as
+    from the standard library's math.erf for float64, and for float32 as
     0.5 * (1 + tanh(x * P(x * x))) with P = autodiff.GELU_F32_POLY by
     Horner's rule."""
     if x.dtype == np.float64:
-        cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+        cdf = math_erf_cdf(x)
     else:
         u = x * x
         p = GELU_F32_POLY[-1]

@@ -1,6 +1,7 @@
 """CLI harness: exit codes, overwrite protection, run manifests, and a
 small end-to-end artifact chain."""
 
+import itertools
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +198,32 @@ class TestExitCodes:
         assert "step 0" in result.output
         assert not (tmp_path / "tcn" / "temporal.wlcp").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["train-temporal", "--epochs", "1"],
+        ["ablate-subset", "--epochs", "1", "--fractions", "1.0",
+         "--train", "{v0}", "--test", "{v1}"]])
+    def test_unknown_timeline_label_is_runtime_error(self, runner, workspace,
+                                                      tmp_path, args):
+        """A ground-truth label outside the corpus's classes names the
+        timeline file, the label and the classes."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        meta = json.loads((corpus / "meta.json").read_text())
+        v0, v1 = meta["video_ids"][:2]
+        timeline = corpus / "timelines" / f"{v0}.json"
+        payload = json.loads(timeline.read_text())
+        payload["segments"][0]["label"] = "incison"
+        timeline.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            a.format(v0=v0, v1=v1) for a in args] + [
+            "--features", str(workspace / "features"), "--corpus",
+            str(corpus), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert (f"error: {timeline}: label 'incison' is not one of the "
+                f"classes {meta['class_names']}") in result.output
+        assert not out.exists()
+
     def test_evaluate_length_mismatch_is_runtime_error(self, runner,
                                                        tmp_path):
         for name, end in (("pred", 50.0), ("gt", 5.0)):
@@ -219,6 +247,20 @@ class TestRunManifests:
         assert manifest["seed"] == 3
         assert len(manifest["config_hash"]) == 64
         assert manifest["wall_time_s"] >= 0
+
+    def test_wall_time_ignores_clock_steps(self, runner, tmp_path,
+                                           monkeypatch):
+        """Each time.time() reading is an hour before the last, as after a
+        clock step; the recorded duration stays non-negative."""
+        readings = itertools.count(1e9, -3600.0)
+        monkeypatch.setattr(time, "time", lambda: next(readings))
+        out = tmp_path / "corpus"
+        result = runner.invoke(main, ["gen-synth", "--out", str(out),
+                                      "--videos", "1"])
+        monkeypatch.undo()
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert 0 <= manifest["wall_time_s"] < 3600
 
     def test_file_outputs_get_sidecar_manifest(self, runner, tmp_path):
         words = tmp_path / "words.json"
