@@ -32,14 +32,13 @@ from .corpus import (TextBox, TranscriptWord, crop_search, detect_static,
                      median_filter_validity, project_labels, split_clips)
 from .errors import ConfigError, InputError, SurgflowError
 from .metrics import evaluate_timelines
-from .models import CAPTION_PROMPT, MGA_PROMPT, ModelConfig, Stage1Model
+from .models import ModelConfig, Stage1Model, stage1_vocabulary
 from .objectives import (ClipStore, PretrainConfig, load_clips, load_manifest,
                          pretrain)
 from .rng import SessionRng
 from .serialization import (read_features, read_frame_grid, read_json,
                             write_csv, write_features, write_json,
                             write_text)
-from .vocab import Vocabulary
 
 
 # -- plumbing -----------------------------------------------------------------
@@ -318,9 +317,8 @@ def pretrain_cmd(corpus, out, epochs, batch_size, lr_max, lr_min, max_steps,
     """Train the short-range video-language model on a clip manifest."""
     meta = pl.read_meta(corpus)
     manifest = load_clips(corpus / "manifest.jsonl")
-    vocab = Vocabulary.build([r["text"] for r in manifest]
-                             + list(meta.get("prototypes", {}).values())
-                             + [MGA_PROMPT, CAPTION_PROMPT])
+    vocab = stage1_vocabulary([r["text"] for r in manifest]
+                              + list(meta.get("prototypes", {}).values()))
     model = Stage1Model(ModelConfig(), vocab, SessionRng(seed))
     cfg = PretrainConfig(epochs=epochs, batch_size=batch_size, lr_max=lr_max,
                          lr_min=lr_min, seed=seed, max_steps=max_steps)

@@ -1,13 +1,12 @@
 """Corpus construction tooling: validity filtering of presentation-style
-videos, text-free crop search, transcript clip splitting, terminology
-correction, and label-to-language projection."""
+videos, text-free crop search, transcript clip splitting, and
+label-to-language projection."""
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -15,8 +14,6 @@ from .errors import InputError
 from .rng import SessionRng
 from .serialization import unit_frames
 from .timeline import to_frames
-
-log = logging.getLogger(__name__)
 
 NOISE_DELTA = 10.0 / 255.0
 
@@ -71,10 +68,6 @@ def detect_static(frame: np.ndarray, prev_frame: np.ndarray) -> bool:
     return float(np.mean(diff > NOISE_DELTA)) >= 0.5
 
 
-def _point_free(x: int, y: int, boxes: Sequence[TextBox]) -> bool:
-    return all(not b.intersects(x, y, x + 1, y + 1) for b in boxes)
-
-
 def _expand(x0: int, y0: int, x1: int, y1: int, width: int, height: int,
             boxes: Sequence[TextBox], order: Sequence[int]) -> tuple:
     """Greedily expand each side in `order` (0 left, 1 right, 2 top,
@@ -116,7 +109,7 @@ def crop_search(width: int, height: int, boxes: Sequence[TextBox],
             for _ in range(32):
                 x = int(rng.integers(0, width))
                 y = int(rng.integers(0, height))
-                if _point_free(x, y, boxes):
+                if not any(b.intersects(x, y, x + 1, y + 1) for b in boxes):
                     break
             else:
                 continue
@@ -176,31 +169,6 @@ def split_clips(words: Sequence[TranscriptWord],
     return out
 
 
-def correct_terms(text: str, table: Dict[str, str]) -> str:
-    """Case-insensitive, whole-word, longest-match-first phrase replacement."""
-    if not table:
-        return text
-    for phrase in sorted(table, key=len, reverse=True):
-        pattern = r"\b" + re.escape(phrase) + r"\b"
-        text = re.sub(pattern, table[phrase], text, flags=re.IGNORECASE)
-    return text
-
-
-def load_term_table(path) -> Dict[str, str]:
-    """Two-column UTF-8 TSV of lowercase phrase -> replacement."""
-    table = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise InputError(f"bad lookup-table row: {line!r}")
-            table[cols[0].lower()] = cols[1]
-    return table
-
-
 TEMPLATES = {
     "cataract_tool_phase": ("The surgeon is using a {TOOL} during the {PHASE} "
                             "phase of cataract surgery."),
@@ -231,16 +199,3 @@ def project_labels(record: Dict[str, object], template_id: str) -> str:
         values[slot] = " and ".join(value) if isinstance(value, list) else str(value)
     return template.format(**values)
 
-
-def face_gate(frame: np.ndarray,
-              detector: Callable[[np.ndarray], List[TextBox]] | None = None) -> bool:
-    """Frames with any face detection are non-valid.  Detector failures are
-    fail-closed: the frame is marked non-valid and the error logged."""
-    if detector is None:
-        return True  # stub detector: no faces
-    try:
-        detections = detector(frame)
-    except Exception:
-        log.exception("face detector failed; marking frame non-valid")
-        return False
-    return len(detections) == 0

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
-from .models import CAPTION_PROMPT, MGA_PROMPT, ModelConfig, Stage1Model
-from .objectives import (MGC_RATIO, MLM_RATIO, make_masking_plan, mga_loss,
-                         mgc_loss, mlm_loss, valor_loss)
+from .models import ModelConfig, Stage1Model, stage1_vocabulary
+from .objectives import (mga_loss, mgc_loss, mlm_loss, stage1_batch,
+                         valor_loss)
 from .rng import SessionRng
 from .temporal import (TemporalConfig, build_temporal_model, soft_dice,
                        stage2_loss)
-from .vocab import Vocabulary
 
 # each gradcheck mode's dtype and the largest relative error it passes
 TOLERANCES = {"f32": (np.float32, 1e-3), "f64": (np.float64, 1e-5)}
@@ -38,8 +38,7 @@ def _toy_model(dtype, seed: int = 0) -> Stage1Model:
     cfg = ModelConfig(dim=8, n_layers=1, n_heads=2, ff_mult=2, n_frames=1,
                       frame_size=8, patch_size=4, max_text_len=16,
                       contrast_dim=4)
-    vocab = Vocabulary.build(TOY_TEXTS + [MGA_PROMPT, CAPTION_PROMPT])
-    model = Stage1Model(cfg, vocab, SessionRng(seed))
+    model = Stage1Model(cfg, stage1_vocabulary(TOY_TEXTS), SessionRng(seed))
     # Jitter away from the near-symmetric init so best-match token pairs in
     # the similarity have margins well above the finite-difference step;
     # otherwise the max over matches flips inside the central difference.
@@ -48,25 +47,10 @@ def _toy_model(dtype, seed: int = 0) -> Stage1Model:
         p.data = p.data + jitter.normal(0.4, p.data.shape).astype(p.dtype)
     return _cast(model, dtype)
 
+
 def _pick(model, names: List[str]) -> List[Tensor]:
     params = model.parameters()
     return [params[n] for n in names]
-
-
-def _stage1_params(model: Stage1Model) -> List[Tensor]:
-    return _pick(model, [
-        "head.log_tau",
-        "head.text_proj.weight",
-        "head.video_score.bias",
-        "video_encoder.patch_embed.bias",
-        "video_encoder.blocks.0.ln1.shift",
-        "video_encoder.blocks.0.attn.w_q.weight",
-        "text_encoder.blocks.0.attn.w_k.weight",
-        "text_encoder.token_embed",
-        "text_encoder.ln_out.gain",
-        "decoder.cross_attn.0.w_v.weight",
-        "decoder.to_logits.bias",
-    ])
 
 
 def gradient_suite(dtype=np.float32, seed: int = 95) -> Dict[str, float]:
@@ -80,39 +64,43 @@ def gradient_suite(dtype=np.float32, seed: int = 95) -> Dict[str, float]:
     results: Dict[str, float] = {}
     rng = SessionRng(seed + 1)
     model = _toy_model(dtype, seed)
-    vocab = model.vocab
     clips = [rng.uniform(0.0, 1.0, (3, 8, 8, 3), np.float32) for _ in range(2)]
-    caption_ids = [vocab.encode(t) for t in TOY_TEXTS[:2]]
-    params = _stage1_params(model)
+    caption_ids = [model.vocab.encode(t) for t in TOY_TEXTS[:2]]
+    params = _pick(model, [
+        "head.log_tau",
+        "head.text_proj.weight",
+        "head.video_score.bias",
+        "video_encoder.patch_embed.bias",
+        "video_encoder.blocks.0.ln1.shift",
+        "video_encoder.blocks.0.attn.w_q.weight",
+        "text_encoder.blocks.0.attn.w_k.weight",
+        "text_encoder.token_embed",
+        "text_encoder.ln_out.gain",
+        "decoder.cross_attn.0.w_v.weight",
+        "decoder.to_logits.bias",
+    ])
 
-    mga_prompt = model.prompt_ids(MGA_PROMPT)
-    cap_prompt = model.prompt_ids(CAPTION_PROMPT)
+    plan_state = copy.deepcopy(rng)
+    batch = stage1_batch(model, caption_ids, rng)
 
     def f_mga():
         video = model.encode_video_batch(clips)
-        text = model.encode_text_batch([mga_prompt + ids for ids in caption_ids])
-        return mga_loss(model, text, video, normalize_by_batch=True)
-
-    results["mga_loss"] = grad_check(f_mga, params, eps)
-
-    seqs = [cap_prompt + ids + [vocab.eos_id] for ids in caption_ids]
-    ids, pad = model.pad_batch(seqs)
-    maskable = model.maskable(ids, pad, len(cap_prompt))
-    plan_mgc = make_masking_plan(ids, maskable, vocab.mask_id, MGC_RATIO, rng)
-    plan_mlm = make_masking_plan(ids, maskable, vocab.mask_id, MLM_RATIO, rng)
+        return mga_loss(model, model.encode_text_batch(batch.mga_ids), video)
 
     def f_mgc():
         video = model.encode_video_batch(clips)
-        return mgc_loss(model, plan_mgc, pad, video)
+        return mgc_loss(model, batch.mgc, batch.pad, video)
 
     def f_mlm():
         video = model.encode_video_batch(clips)
-        return mlm_loss(model, plan_mlm, pad, video)
+        return mlm_loss(model, batch.mlm, batch.pad, video)
 
     def f_valor():
-        return valor_loss(model, clips, caption_ids, rng,
-                          plans=(plan_mgc, plan_mlm)).total
+        # every call draws `batch`'s plans again, from the same state
+        return valor_loss(model, clips, caption_ids,
+                          copy.deepcopy(plan_state)).total
 
+    results["mga_loss"] = grad_check(f_mga, params, eps)
     results["mgc_loss"] = grad_check(f_mgc, params, eps)
     results["mlm_loss"] = grad_check(f_mlm, params, eps)
     results["valor_loss"] = grad_check(f_valor, params, eps)

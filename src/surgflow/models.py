@@ -3,7 +3,7 @@ multimodal decoder, similarity head, and caption generation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Sequence
 
 import numpy as np
@@ -19,6 +19,11 @@ from .vocab import Vocabulary
 
 MGA_PROMPT = "Project the inputs into common space"
 CAPTION_PROMPT = "Describe the video with natural language"
+
+
+def stage1_vocabulary(texts: Sequence[str]) -> Vocabulary:
+    """The vocabulary of `texts` and both prompts."""
+    return Vocabulary.build(list(texts) + [MGA_PROMPT, CAPTION_PROMPT])
 
 
 @dataclass
@@ -262,8 +267,7 @@ class Stage1Model(Module):
     """The full short-range video-language model."""
 
     def __init__(self, cfg: ModelConfig, vocab: Vocabulary, rng: SessionRng):
-        cfg.vocab_size = len(vocab)
-        self.cfg = cfg
+        self.cfg = cfg = replace(cfg, vocab_size=len(vocab))
         self._vocab = vocab
         self.video_encoder = VideoEncoder(cfg, rng)
         self.text_encoder = TextEncoder(cfg, vocab, rng)

@@ -29,10 +29,6 @@ class MaskingPlan:
     original_ids: np.ndarray           # [B, N_t] pre-masking ids
     masked_ids: np.ndarray             # [B, N_t] with MASK substituted
 
-    @property
-    def total_masked(self) -> int:
-        return sum(len(p) for p in self.positions)
-
 
 def make_masking_plan(ids: np.ndarray, mask_flags: np.ndarray, mask_id: int,
                       ratio: float, rng: SessionRng) -> MaskingPlan:
@@ -102,16 +98,17 @@ def mga_loss_from_scores(s: Tensor, tau: Tensor,
     return loss
 
 
-def mga_loss(model: Stage1Model, text: TextTokens, video: VideoTokens,
-             normalize_by_batch: bool = False) -> Tensor:
+def mga_loss(model: Stage1Model, text: TextTokens,
+             video: VideoTokens) -> Tensor:
+    """The batch-normalised contrastive loss that training runs."""
     e_t, w_t = model.head.pool_text(text)
     e_v, w_v = model.head.pool_video(video)
     s = similarity_matrix(e_t, w_t, text.pad_mask, e_v, w_v)
-    return mga_loss_from_scores(s, model.head.tau, normalize_by_batch)
+    return mga_loss_from_scores(s, model.head.tau, normalize_by_batch=True)
 
 
 def _masked_token_nll(logits: Tensor, plan: MaskingPlan) -> Tensor:
-    if plan.total_masked == 0:
+    if not any(map(len, plan.positions)):
         raise InputError("masking plan is empty")
     b_idx = np.concatenate([np.full(len(p), i, np.int64)
                             for i, p in enumerate(plan.positions)])
@@ -151,32 +148,44 @@ MGC_RATIO = 0.6
 MLM_RATIO = 0.1
 
 
+@dataclass
+class Stage1Batch:
+    """The token side of one stage-1 batch."""
+    mga_ids: List[List[int]]           # MGA_PROMPT + caption, per sample
+    pad: np.ndarray                    # [B, N_t] caption-side padding
+    mgc: MaskingPlan
+    mlm: MaskingPlan
+
+
+def stage1_batch(model: Stage1Model, caption_ids: Sequence[Sequence[int]],
+                 rng: SessionRng) -> Stage1Batch:
+    """The alignment texts, and the captions (CAPTION_PROMPT + caption + EOS,
+    padded) masked for MGC and then for MLM from `rng`, each plan choosing
+    among `model.maskable` tokens at its ratio."""
+    vocab = model.vocab
+    mga_prompt = model.prompt_ids(MGA_PROMPT)
+    cap_prompt = model.prompt_ids(CAPTION_PROMPT)
+    ids, pad = model.pad_batch(
+        [cap_prompt + list(c) + [vocab.eos_id] for c in caption_ids])
+    maskable = model.maskable(ids, pad, len(cap_prompt))
+    plan_mgc = make_masking_plan(ids, maskable, vocab.mask_id, MGC_RATIO, rng)
+    plan_mlm = make_masking_plan(ids, maskable, vocab.mask_id, MLM_RATIO, rng)
+    return Stage1Batch([mga_prompt + list(c) for c in caption_ids], pad,
+                       plan_mgc, plan_mlm)
+
+
 def valor_loss(model: Stage1Model, clips: Sequence[np.ndarray],
-               caption_ids: Sequence[Sequence[int]], rng: SessionRng,
-               plans: tuple | None = None) -> ValorLossReport:
-    """Mean of the three stage-1 objectives on one paired batch; MGC and MLM
-    mask at MGC_RATIO and MLM_RATIO unless `plans` are given."""
+               caption_ids: Sequence[Sequence[int]],
+               rng: SessionRng) -> ValorLossReport:
+    """Mean of the three stage-1 objectives on one paired batch, whose token
+    side is `stage1_batch(model, caption_ids, rng)`."""
     if len(clips) != len(caption_ids) or not clips:
         raise InputError("batch must be nonempty with index-aligned pairs")
-    vocab = model.vocab
+    batch = stage1_batch(model, caption_ids, rng)
     video = model.encode_video_batch(clips)
-
-    mga_prompt = model.prompt_ids(MGA_PROMPT)
-    mga_text = model.encode_text_batch(
-        [mga_prompt + list(ids) for ids in caption_ids])
-    l_mga = mga_loss(model, mga_text, video, normalize_by_batch=True)
-
-    cap_prompt = model.prompt_ids(CAPTION_PROMPT)
-    seqs = [cap_prompt + list(ids) + [vocab.eos_id] for ids in caption_ids]
-    ids, pad = model.pad_batch(seqs)
-    maskable = model.maskable(ids, pad, len(cap_prompt))
-    if plans is None:
-        plan_mgc = make_masking_plan(ids, maskable, vocab.mask_id, MGC_RATIO, rng)
-        plan_mlm = make_masking_plan(ids, maskable, vocab.mask_id, MLM_RATIO, rng)
-    else:
-        plan_mgc, plan_mlm = plans
-    l_mgc = mgc_loss(model, plan_mgc, pad, video)
-    l_mlm = mlm_loss(model, plan_mlm, pad, video)
+    l_mga = mga_loss(model, model.encode_text_batch(batch.mga_ids), video)
+    l_mgc = mgc_loss(model, batch.mgc, batch.pad, video)
+    l_mlm = mlm_loss(model, batch.mlm, batch.pad, video)
     total = (l_mga + l_mgc + l_mlm) / 3.0
     return ValorLossReport(total, l_mga, l_mgc, l_mlm)
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import lora as lora_mod
 from .autodiff import no_grad
 from .errors import ConfigError, InputError, StateError, require_types
-from .metrics import MetricReport, evaluate_timelines
+from .metrics import MetricReport, evaluate_sequences
 from .models import MGA_PROMPT, CAPTION_PROMPT, ModelConfig, Stage1Model
 from .nn import load_parameters
 from .objectives import similarity_matrix
@@ -25,8 +25,8 @@ from .serialization import (read_checkpoint, read_features, read_json,
 from .temporal import (FeatureSequence, TemporalConfig, TrainTemporalConfig,
                        build_temporal_model, train_temporal)
 from .timeline import (CAPTION_SECONDS, CLIP_SECONDS, IDLE, PhaseTimeline,
-                       Segment, frame_span, merge_labels, runs, sample,
-                       to_frames)
+                       Segment, frame_span, runs, sample, to_frames)
+from .timeline import merge_labels  # noqa: F401 (perfbench's pl.merge_labels)
 from .vocab import Vocabulary
 
 
@@ -301,7 +301,11 @@ def load_stage1_bundle(stage1, lora=None) -> Stage1Model:
 def save_temporal_bundle(out, model, classes: Sequence[str],
                          curve: List[float]) -> None:
     """Write the temporal bundle into directory `out`: the weights
-    (temporal.wlcp), temporal.json, and curve.csv, one loss per epoch."""
+    (temporal.wlcp), temporal.json, and curve.csv, one loss per epoch.
+    `classes` must hold one name per class of the model."""
+    if len(classes) != model.cfg.num_classes:
+        raise ConfigError(f"{len(classes)} class names for a "
+                          f"{model.cfg.num_classes}-class model")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     write_checkpoint(out / "temporal.wlcp", model.state_dict())
@@ -312,13 +316,17 @@ def save_temporal_bundle(out, model, classes: Sequence[str],
 
 
 def load_temporal_bundle(temporal) -> tuple:
-    """Rebuild (model, class names) from a temporal bundle directory."""
+    """Rebuild (model, class names) from a temporal bundle directory, whose
+    temporal.json names one class per num_classes."""
     temporal = Path(temporal)
     path = temporal / "temporal.json"
     spec = require_types(path, read_json(path), {
         "variant": "str", "classes": "list", "config": "dict"}, exact=True)
     _require_strings(path, "classes", spec["classes"])
     cfg = _config(TemporalConfig, spec["config"], path)
+    if len(spec["classes"]) != cfg.num_classes:
+        raise InputError(f"{path}: {len(spec['classes'])} classes for "
+                         f"num_classes {cfg.num_classes}")
     model = build_temporal_model(spec["variant"], cfg, SessionRng(0))
     _load_weights(temporal / "temporal.wlcp", model.parameters())
     return model, spec["classes"]
@@ -340,40 +348,39 @@ def labels_for(timeline: PhaseTimeline, classes: Sequence[str],
                          f"classes {list(classes)}") from None
 
 
-def _timeline_path(corpus, video_id: str) -> Path:
-    return Path(corpus) / "timelines" / f"{video_id}.json"
-
-
-def _ground_truth(corpus, video_id: str) -> PhaseTimeline:
-    return read_timeline(_timeline_path(corpus, video_id))[1]
-
-
 def dataset_from_dirs(features_dir, corpus, classes: Sequence[str],
                       video_ids) -> list:
     """(FeatureSequence, labels) pairs from feature files and a corpus's
-    ground-truth timelines."""
+    ground-truth timelines.  A feature table whose row count differs from
+    its timeline's seconds by more than one raises an InputError naming
+    both files."""
     dataset = []
     for vid in video_ids:
-        feats = read_features(Path(features_dir) / f"{vid}.wlft")
-        path = _timeline_path(corpus, vid)
-        labels = labels_for(read_timeline(path)[1], classes, feats.shape[0],
-                            path)
+        table = Path(features_dir) / f"{vid}.wlft"
+        feats = read_features(table)
+        path = Path(corpus) / "timelines" / f"{vid}.json"
+        timeline = read_timeline(path)[1]
+        seconds = to_frames(timeline.duration, 1.0 / CLIP_SECONDS)
+        if abs(feats.shape[0] - seconds) > 1:
+            raise InputError(f"{table} has {feats.shape[0]} rows but {path} "
+                             f"covers {seconds} seconds")
+        labels = labels_for(timeline, classes, feats.shape[0], path)
         dataset.append((FeatureSequence(feats, vid), labels))
     return dataset
 
 
 def evaluate_split(model, features_dir, corpus, classes: Sequence[str],
                    video_ids) -> MetricReport:
-    """Score a temporal model's final stage on the given corpus videos."""
-    pred, gt = {}, {}
+    """Score a temporal model's final stage on the given corpus videos,
+    read by dataset_from_dirs."""
+    pairs = {}
     with no_grad():
-        for vid in video_ids:
-            feats = read_features(Path(features_dir) / f"{vid}.wlft")
-            final = model(FeatureSequence(feats, vid))[-1]
-            labels = [classes[k] for k in final.labels]
-            pred[vid] = merge_labels(labels, CLIP_SECONDS)
-            gt[vid] = _ground_truth(corpus, vid)
-    return evaluate_timelines(pred, gt, fps=1.0 / CLIP_SECONDS)
+        for seq, labels in dataset_from_dirs(features_dir, corpus, classes,
+                                             video_ids):
+            final = model(seq)[-1]
+            pairs[seq.video_id] = ([classes[k] for k in final.labels],
+                                   [classes[k] for k in labels])
+    return evaluate_sequences(pairs)
 
 
 def fit_temporal(dataset: list, num_classes: int, variant: str, epochs: int,

@@ -224,6 +224,32 @@ class TestExitCodes:
                 f"classes {meta['class_names']}") in result.output
         assert not out.exists()
 
+    def test_misspelled_held_out_label_is_runtime_error(self, runner,
+                                                        workspace, tmp_path):
+        """A held-out timeline is read by the rule training reads, so a
+        label outside the classes fails instead of scoring as a miss."""
+        corpus, features = tmp_path / "corpus", tmp_path / "features"
+        for args in (["gen-synth", "--out", str(corpus), "--videos", "3",
+                      "--seed", "3"],
+                     ["extract-features", "--corpus", str(corpus),
+                      "--stage1", str(workspace / "stage1"), "--out",
+                      str(features)]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        timeline = corpus / "timelines" / "video_001.json"
+        payload = json.loads(timeline.read_text())
+        payload["segments"][1]["label"] = "incison"
+        timeline.write_text(json.dumps(payload))
+        out = tmp_path / "ablate.csv"
+        result = runner.invoke(main, [
+            "ablate-subset", "--features", str(features), "--corpus",
+            str(corpus), "--train", "video_000,video_002", "--test",
+            "video_001", "--fractions", "1.0", "--epochs", "1", "--out",
+            str(out)])
+        assert result.exit_code == 1, result.output
+        assert f"error: {timeline}: label 'incison'" in result.output
+        assert not out.exists()
+
     def test_evaluate_length_mismatch_is_runtime_error(self, runner,
                                                        tmp_path):
         for name, end in (("pred", 50.0), ("gt", 5.0)):
@@ -591,6 +617,29 @@ class TestPipelineChain:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert all(name in result.output for name in named)
+
+    @pytest.mark.parametrize("change", [-1, 1], ids=["fewer", "more"])
+    def test_segment_rejects_class_count_mismatch(self, runner, workspace,
+                                                  tmp_path, change):
+        """temporal.json must name one class per num_classes; a list one
+        short or one long exits 1 naming the file."""
+        tcn = tmp_path / "tcn"
+        shutil.copytree(workspace / "tcn", tcn)
+        path = tcn / "temporal.json"
+        spec = json.loads(path.read_text())
+        n = spec["config"]["num_classes"]
+        spec["classes"] = (spec["classes"][:-1] if change < 0
+                           else spec["classes"] + ["extra"])
+        path.write_text(json.dumps(spec))
+        result = runner.invoke(main, [
+            "segment", "--video",
+            str(workspace / "corpus" / "videos" / "video_000.wlfg"),
+            "--stage1", str(workspace / "stage1"), "--temporal", str(tcn),
+            "--out", str(tmp_path / "pred.json")])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert (f"error: {path}: {n + change} classes for num_classes {n}"
+                in result.output)
 
 
 FPS_COMMANDS = {

@@ -1,5 +1,5 @@
 """Corpus tooling: validity filters, crop search vs an exhaustive oracle,
-clip splitting, terminology correction, and label-to-language templates."""
+clip splitting, and label-to-language templates."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from oracles import max_empty_rect_area, reference_expand
 from surgflow.corpus import (ClipSpan, TEMPLATES, TextBox, TranscriptWord,
-                             _expand, correct_terms, crop_search, detect_static,
-                             face_gate, load_term_table, median_filter_validity,
-                             project_labels, split_clips)
+                             _expand, crop_search, detect_static,
+                             median_filter_validity, project_labels,
+                             split_clips)
 from surgflow.errors import InputError
 from surgflow.rng import SessionRng
 
@@ -214,34 +214,6 @@ class TestSplitClips:
             split_clips(words([("b.", 5.0, 6.0), ("a.", 0.0, 1.0)]))
 
 
-class TestCorrectTerms:
-    def test_asr_error_fixed(self):
-        table = {"fake o emulsification": "phacoemulsification"}
-        out = correct_terms("performing fake o emulsification now", table)
-        assert out == "performing phacoemulsification now"
-
-    def test_case_insensitive_whole_word(self):
-        table = {"phaco": "phacoemulsification"}
-        assert correct_terms("Phaco begins", table) == "phacoemulsification begins"
-        assert correct_terms("phacolike", table) == "phacolike"
-
-    def test_longest_match_first(self):
-        table = {"cap": "capsule", "cap tear": "capsulorhexis"}
-        assert correct_terms("a cap tear", table) == "a capsulorhexis"
-
-    def test_table_loading(self, tmp_path):
-        path = tmp_path / "terms.tsv"
-        path.write_text("fake o emulsification\tphacoemulsification\n"
-                        "kerry tome\tkeratome\n", encoding="utf-8")
-        table = load_term_table(path)
-        assert table == {"fake o emulsification": "phacoemulsification",
-                         "kerry tome": "keratome"}
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("badrow\n")
-        with pytest.raises(InputError):
-            load_term_table(path)
-
-
 class TestProjectLabels:
     def test_cataract_template_verbatim(self):
         out = project_labels({"tools": ["keratome"], "phase": "incision"},
@@ -273,19 +245,3 @@ class TestProjectLabels:
     def test_template_registry(self):
         assert set(TEMPLATES) == {"cataract_tool_phase", "triplet", "phase_only"}
 
-
-class TestFaceGate:
-    def test_no_detector_passes(self):
-        assert face_gate(np.zeros((4, 4, 3))) is True
-
-    def test_detection_blocks(self):
-        det = lambda f: [TextBox(0, 0, 2, 2)]
-        assert face_gate(np.zeros((4, 4, 3)), det) is False
-
-    def test_empty_detection_passes(self):
-        assert face_gate(np.zeros((4, 4, 3)), lambda f: []) is True
-
-    def test_detector_failure_fails_closed(self):
-        def broken(frame):
-            raise RuntimeError("model not loaded")
-        assert face_gate(np.zeros((4, 4, 3)), broken) is False

@@ -13,9 +13,11 @@ from surgflow import autodiff as ad
 from surgflow.autodiff import Tensor
 from surgflow.errors import ConfigError, InputError
 from surgflow.models import (CAPTION_PROMPT, MGA_PROMPT, DecodeCache,
-                             ModelConfig, VideoTokens, uniform_sample_indices)
+                             ModelConfig, Stage1Model, VideoTokens,
+                             uniform_sample_indices)
 from surgflow.nn import MultiHeadAttention, causal_mask
 from surgflow.rng import SessionRng
+from surgflow.vocab import Vocabulary
 
 
 class TestFrameSampling:
@@ -53,6 +55,18 @@ class TestModelConfig:
     def test_token_counts(self):
         cfg = ModelConfig(frame_size=32, patch_size=8)
         assert cfg.grid == 4 and cfg.spatial_tokens == 16
+
+    def test_models_built_from_one_config_keep_their_vocab_size(self):
+        """Each model records its own vocabulary's size; the caller's
+        config is left as it was."""
+        cfg = ModelConfig(dim=8, n_layers=1, n_heads=2, ff_mult=2,
+                          n_frames=2, frame_size=8, patch_size=4,
+                          max_text_len=16, contrast_dim=4)
+        small = Stage1Model(cfg, Vocabulary.build(["a"]), SessionRng(0))
+        large = Stage1Model(cfg, Vocabulary.build(TINY_TEXTS), SessionRng(0))
+        assert cfg.vocab_size == 0
+        assert small.cfg.vocab_size == len(small.vocab)
+        assert large.cfg.vocab_size == len(large.vocab) > len(small.vocab)
 
 
 class TestVideoEncoder:

@@ -1,22 +1,25 @@
 """Stage-1 objectives: contrastive closed forms, the fine-grained similarity
 against a nested-loop oracle, masking-plan properties, and the combined loss."""
 
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import TINY_TEXTS, make_tiny_model, tiny_clips
 from oracles import brute_similarity, reference_pretrain
-from surgflow import lora
+from surgflow import lora, objectives
 from surgflow.autodiff import Tensor
 from surgflow.errors import ConfigError, InputError, NumericError
 from surgflow.models import CAPTION_PROMPT, MGA_PROMPT
 from surgflow.objectives import (ClipStore, MaskingPlan, PretrainConfig,
                                  load_manifest, make_masking_plan, mga_loss,
                                  mga_loss_from_scores, mgc_loss, mlm_loss,
-                                 pretrain, similarity_matrix, valor_loss)
+                                 pretrain, similarity_matrix, stage1_batch,
+                                 valor_loss)
 from surgflow.rng import SessionRng
 
 ONE = Tensor(np.array(1.0, np.float64))
@@ -189,9 +192,13 @@ class TestValorLoss:
         plan_rng = SessionRng(8)
         plans = (make_masking_plan(ids, maskable, vocab.mask_id, 0.6, plan_rng),
                  make_masking_plan(ids, maskable, vocab.mask_id, 0.1, plan_rng))
+        batch = stage1_batch(model, caption_ids, SessionRng(8))
+        np.testing.assert_array_equal(batch.pad, pad)
+        for want, got in zip(plans, (batch.mgc, batch.mlm)):
+            np.testing.assert_array_equal(got.masked_ids, want.masked_ids)
+            np.testing.assert_array_equal(got.original_ids, want.original_ids)
 
-        report = valor_loss(model, clips, caption_ids, SessionRng(9),
-                            plans=plans)
+        report = valor_loss(model, clips, caption_ids, SessionRng(8))
         total = report.total.item()
         assert total == pytest.approx(
             (report.mga.item() + report.mgc.item() + report.mlm.item()) / 3.0,
@@ -200,8 +207,9 @@ class TestValorLoss:
         # recompute each component independently from the same inputs
         video = model.encode_video_batch(clips)
         mga_prompt = model.prompt_ids(MGA_PROMPT)
-        text = model.encode_text_batch([mga_prompt + list(c) for c in caption_ids])
-        assert mga_loss(model, text, video, True).item() == pytest.approx(
+        assert batch.mga_ids == [mga_prompt + list(c) for c in caption_ids]
+        text = model.encode_text_batch(batch.mga_ids)
+        assert mga_loss(model, text, video).item() == pytest.approx(
             report.mga.item(), abs=1e-6)
         assert mgc_loss(model, plans[0], pad, video).item() == pytest.approx(
             report.mgc.item(), abs=1e-6)
@@ -304,3 +312,51 @@ class TestPretrainLoop:
         path.write_text('{"a": 1}\n\n{"a": \n')
         with pytest.raises(InputError, match=re.escape(f"{path}:3: ")):
             load_manifest(path)
+
+
+BATCH_RULE_NAMES = ("MGC_RATIO", "MLM_RATIO")
+
+
+def _batch_rule_uses(tree):
+    """Line numbers in `tree` of each call of make_masking_plan or of a
+    `.maskable(` method, and of each name, attribute or import of
+    MGC_RATIO or MLM_RATIO."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            if (isinstance(fn, ast.Name) and fn.id == "make_masking_plan"
+                    or isinstance(fn, ast.Attribute)
+                    and fn.attr in ("make_masking_plan", "maskable")):
+                yield node.lineno
+        elif (isinstance(node, ast.Name) and node.id in BATCH_RULE_NAMES
+              or isinstance(node, ast.Attribute)
+              and node.attr in BATCH_RULE_NAMES):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if any(a.name in BATCH_RULE_NAMES for a in node.names):
+                yield node.lineno
+
+
+class TestOneBatchRule:
+    """Only `objectives` builds a stage-1 batch's masking plans; the
+    gradient audit and training both take them from `stage1_batch`."""
+
+    SRC = Path(objectives.__file__).parent
+
+    def test_no_module_but_objectives_restates_the_batch_rule(self):
+        found = [f"{path.name}:{line}"
+                 for path in sorted(self.SRC.glob("*.py"))
+                 if path.name != "objectives.py"
+                 for line in _batch_rule_uses(ast.parse(path.read_text()))]
+        assert found == []
+
+    def test_checker_sees_each_use(self):
+        source = """
+make_masking_plan(i, f, m, r, g); obj.make_masking_plan(i, f, m, r, g)
+model.maskable(ids, pad, 3); x = MGC_RATIO; y = objectives.MLM_RATIO
+from .objectives import MLM_RATIO
+def maskable(self, ids, pad, n): pass
+make_masking_plan; model.maskable; stage1_batch(m, c, r)
+"""
+        assert sorted(_batch_rule_uses(ast.parse(source))) == \
+            [2] * 2 + [3] * 3 + [4]

@@ -11,6 +11,7 @@ from surgflow import autodiff as ad
 from surgflow import lora
 from surgflow import pipeline as pl
 from surgflow.errors import ConfigError, InputError, StateError
+from surgflow.metrics import evaluate_timelines
 from surgflow.models import CAPTION_PROMPT
 from surgflow.pipeline import (Caption, PhaseTimeline, Segment,
                                captions_to_dict, dense_caption,
@@ -345,6 +346,52 @@ class TestAblateSubset:
                              [1.0], "tcn", epochs=1, seed=0)
         assert fits == []
 
+    def test_evaluate_split_scores_as_evaluate_timelines(self, tmp_path):
+        """Held-out scoring gives the `evaluate` command's report, bit for
+        bit, on the predicted and ground-truth timelines."""
+        ids = TestNoTape.stage2_split(tmp_path)
+        classes = TestNoTape.SPLIT_CLASSES
+        model = build_temporal_model(
+            "tcn", TemporalConfig(num_classes=2, feature_dim=8),
+            SessionRng(3))
+        report = pl.evaluate_split(model, tmp_path / "features",
+                                   tmp_path / "corpus", classes, ids)
+        pred, gt = {}, {}
+        for seq, _ in pl.dataset_from_dirs(tmp_path / "features",
+                                           tmp_path / "corpus", classes, ids):
+            labels = [classes[k] for k in model(seq)[-1].labels]
+            pred[seq.video_id] = merge_labels(labels, 1.0)
+            gt[seq.video_id] = pl.read_timeline(
+                tmp_path / "corpus" / "timelines" / f"{seq.video_id}.json")[1]
+        assert report.to_json() == evaluate_timelines(pred, gt).to_json()
+
+
+class TestDatasetFromDirs:
+    """A feature table may differ from its timeline's seconds by one row."""
+
+    @pytest.mark.parametrize("rows", [11, 12, 13])
+    def test_one_row_either_way_is_labelled(self, tmp_path, rows):
+        ids = TestNoTape.stage2_split(tmp_path, n_videos=1)
+        table = tmp_path / "features" / f"{ids[0]}.wlft"
+        write_features(table, np.ones((rows, 8)))
+        [(seq, labels)] = pl.dataset_from_dirs(
+            tmp_path / "features", tmp_path / "corpus",
+            TestNoTape.SPLIT_CLASSES, ids)
+        assert seq.features.shape == (rows, 8)
+        assert labels.tolist() == [0] * 3 + [1] * (rows - 3)
+
+    @pytest.mark.parametrize("rows", [10, 14])
+    def test_two_rows_off_names_both_files(self, tmp_path, rows):
+        ids = TestNoTape.stage2_split(tmp_path, n_videos=1)
+        table = tmp_path / "features" / f"{ids[0]}.wlft"
+        write_features(table, np.ones((rows, 8)))
+        timeline = tmp_path / "corpus" / "timelines" / f"{ids[0]}.json"
+        with pytest.raises(InputError) as info:
+            pl.dataset_from_dirs(tmp_path / "features", tmp_path / "corpus",
+                                 TestNoTape.SPLIT_CLASSES, ids)
+        assert str(info.value) == (f"{table} has {rows} rows but {timeline} "
+                                   "covers 12 seconds")
+
 
 class TestPca:
     def test_axis_aligned_variance_ratios(self):
@@ -495,3 +542,15 @@ class TestBundles:
         assert loaded_classes == classes
         assert loaded.variant == variant and loaded.cfg == cfg
         _assert_same_state(model, loaded)
+
+    @pytest.mark.parametrize("classes", [["idle", "cut"],
+                                         ["idle", "cut", "clip", "rinse"]])
+    def test_temporal_bundle_needs_one_name_per_class(self, tmp_path,
+                                                      classes):
+        model = build_temporal_model(
+            "tcn", TemporalConfig(num_classes=3, feature_dim=4, hidden=4),
+            SessionRng(6))
+        with pytest.raises(ConfigError, match=f"{len(classes)} class names "
+                           "for a 3-class model"):
+            save_temporal_bundle(tmp_path, model, classes, [1.0])
+        assert list(tmp_path.iterdir()) == []

@@ -230,9 +230,6 @@ def _dead_helpers(sources, other_text=""):
 
 # Public names nothing in the repo calls, each kept on purpose.
 UNREFERENCED_API = {
-    "correct_terms": "transcript term correction, a corpus tool of the paper",
-    "load_term_table": "reads the term table that correct_terms applies",
-    "face_gate": "privacy filter for frames with faces, a corpus tool",
     "set_enabled": "switches adapters off to compare with the base model",
 }
 
