@@ -173,11 +173,8 @@ def _json_entries(path: Path, what: str, ok, kind: type = list):
 def _split_videos(meta: dict, train: str | None, test: str | None) -> tuple:
     ids = list(meta["video_ids"])
     if train or test:
-        train_ids = train.split(",") if train else []
-        test_ids = test.split(",") if test else []
-        unknown = (set(train_ids) | set(test_ids)) - set(ids)
-        if unknown:
-            raise ConfigError(f"unknown video ids: {sorted(unknown)}")
+        train_ids = pl.parse_video_ids(train, ids) if train else []
+        test_ids = pl.parse_video_ids(test, ids) if test else []
         if not train_ids:
             train_ids = [v for v in ids if v not in set(test_ids)]
         if not test_ids:
@@ -368,7 +365,8 @@ def extract_features_cmd(corpus, stage1, out, lora):
     model = pl.load_stage1_bundle(stage1, lora)
     for vid in meta["video_ids"]:
         frames = read_frame_grid(corpus / "videos" / f"{vid}.wlfg")
-        part = pl.partition(len(frames) / meta["fps"], fps=meta["fps"])
+        part = pl.partition(len(frames) / meta["fps"], pl.CLIP_SECONDS,
+                            meta["fps"])
         seq = pl.extract_features(frames, model, part, vid)
         write_features(out / f"{vid}.wlft", seq.features)
 
@@ -391,7 +389,8 @@ def train_temporal_cmd(features_dir, corpus, variant, out, epochs, videos,
     """Train a long-range temporal segmentation model on features."""
     meta = pl.read_meta(corpus)
     classes = meta["class_names"]
-    video_ids = videos.split(",") if videos else meta["video_ids"]
+    video_ids = (pl.parse_video_ids(videos, meta["video_ids"]) if videos
+                 else meta["video_ids"])
     dataset = pl.dataset_from_dirs(features_dir, corpus, classes, video_ids)
     model, curve = pl.fit_temporal(dataset, len(classes), variant, epochs, seed)
     pl.save_temporal_bundle(out, model, classes, curve)

@@ -34,11 +34,9 @@ def per_phase_metrics(pred: Sequence, gt: Sequence) -> Dict[str, float]:
     video.  Phases absent from both sides are excluded; phases present in
     exactly one side score 0."""
     pred, gt = _pair(pred, gt)
-    phases = sorted(set(pred.tolist()) | set(gt.tolist()))
-    precisions, recalls, jaccards, f1s = [], [], [], []
-    for phase in phases:
-        in_pred = pred == phase
-        in_gt = gt == phase
+    rows = []  # (precision, recall, jaccard, f1) of each phase
+    for phase in sorted(set(pred.tolist()) | set(gt.tolist())):
+        in_pred, in_gt = pred == phase, gt == phase
         tp = float(np.sum(in_pred & in_gt))
         p_total = float(np.sum(in_pred))
         g_total = float(np.sum(in_gt))
@@ -48,16 +46,9 @@ def per_phase_metrics(pred: Sequence, gt: Sequence) -> Dict[str, float]:
         jaccard = tp / union if union else 0.0
         f1 = (2 * precision * recall / (precision + recall)
               if precision + recall else 0.0)
-        precisions.append(precision)
-        recalls.append(recall)
-        jaccards.append(jaccard)
-        f1s.append(f1)
-    return {
-        "precision": 100.0 * float(np.mean(precisions)),
-        "recall": 100.0 * float(np.mean(recalls)),
-        "jaccard": 100.0 * float(np.mean(jaccards)),
-        "f1": 100.0 * float(np.mean(f1s)),
-    }
+        rows.append((precision, recall, jaccard, f1))
+    return {name: 100.0 * float(np.mean(column)) for name, column in
+            zip(("precision", "recall", "jaccard", "f1"), zip(*rows))}
 
 
 def acc_micro(pairs: Sequence[Tuple[Sequence, Sequence]]) -> float:

@@ -54,8 +54,8 @@ class Caption:
 # -- operations ---------------------------------------------------------------
 
 
-def partition(duration_s: float, clip_seconds: float = CLIP_SECONDS,
-              fps: float = 8.0) -> List[Clip]:
+def partition(duration_s: float, clip_seconds: float,
+              fps: float) -> List[Clip]:
     """Non-overlapping equal-length clips covering [0, duration); the final
     partial clip is kept (encoders repeat-pad short clips)."""
     if duration_s <= 0:
@@ -77,20 +77,24 @@ def clip_timeline(labels: Sequence[str], part: List[Clip]) -> PhaseTimeline:
                           for label, a, b in runs(labels)])
 
 
+def _encoded_chunks(frames, model: Stage1Model, part, batch_size: int):
+    """Encode `part`'s clips `batch_size` at a time, one batch call each."""
+    clips = [frames[c.start_frame:c.end_frame] for c in part]
+    for start in range(0, len(clips), batch_size):
+        yield model.encode_video_batch(clips[start:start + batch_size])
+
+
 def extract_features(frames: np.ndarray, model: Stage1Model,
                      part: List[Clip], video_id: str = "",
                      batch_size: int = 16) -> FeatureSequence:
     """Per clip: encode video, decode the alignment prompt non-causally with
     cross-attention into the clip, and average the decoder's hidden tokens
     into one row of width `model.cfg.dim`."""
-    prompt = model.prompt_ids(MGA_PROMPT)
+    prompt = np.asarray(model.prompt_ids(MGA_PROMPT), np.int64)
     rows = []
     with no_grad():
-        for start in range(0, len(part), batch_size):
-            chunk = part[start:start + batch_size]
-            clips = [frames[c.start_frame:c.end_frame] for c in chunk]
-            video = model.encode_video_batch(clips)
-            ids = np.tile(np.asarray(prompt, np.int64), (len(clips), 1))
+        for video in _encoded_chunks(frames, model, part, batch_size):
+            ids = np.tile(prompt, (video.tokens.shape[0], 1))
             pad = np.zeros_like(ids, bool)
             hidden, _ = model.decode_multimodal(ids, pad, video, causal=False)
             rows.append(hidden.data.mean(axis=1))
@@ -100,7 +104,7 @@ def extract_features(frames: np.ndarray, model: Stage1Model,
 def segment(frames: np.ndarray, model: Stage1Model, temporal_model,
             class_names: Sequence[str], fps: float) -> tuple:
     """Two-stage segmentation; returns (PhaseTimeline, final-stage logits)."""
-    part = partition(len(frames) / fps, fps=fps)
+    part = partition(len(frames) / fps, CLIP_SECONDS, fps)
     with no_grad():
         final = temporal_model(extract_features(frames, model, part))[-1]
     return clip_timeline([class_names[k] for k in final.labels], part), final
@@ -119,12 +123,9 @@ def zero_shot(frames: np.ndarray, model: Stage1Model,
         text = model.encode_text_batch(
             [prompt + model.vocab.encode(prototypes[c]) for c in class_names])
         e_t, w_t = model.head.pool_text(text)
-        part = partition(len(frames) / fps, fps=fps)
+        part = partition(len(frames) / fps, CLIP_SECONDS, fps)
         labels = []
-        for start in range(0, len(part), batch_size):
-            chunk = part[start:start + batch_size]
-            clips = [frames[c.start_frame:c.end_frame] for c in chunk]
-            video = model.encode_video_batch(clips)
+        for video in _encoded_chunks(frames, model, part, batch_size):
             e_v, w_v = model.head.pool_video(video)
             scores = similarity_matrix(e_t, w_t, text.pad_mask, e_v, w_v)
             labels.extend(class_names[k] for k in scores.data.argmax(axis=0))
@@ -135,7 +136,7 @@ def dense_caption(frames: np.ndarray, model: Stage1Model, temporal_model,
                   class_names: Sequence[str], fps: float,
                   max_len: int = 16) -> List[Caption]:
     """Caption each predicted non-idle segment in consecutive chunks of at
-    most CAPTION_SECONDS, re-encoding all frames of each chunk."""
+    most CAPTION_SECONDS, each encoded from `ModelConfig.n_frames` frames."""
     timeline, _ = segment(frames, model, temporal_model, class_names, fps)
     prompt = model.prompt_ids(CAPTION_PROMPT)
     captions = []
@@ -369,17 +370,24 @@ def dataset_from_dirs(features_dir, corpus, classes: Sequence[str],
     return dataset
 
 
-def evaluate_split(model, features_dir, corpus, classes: Sequence[str],
-                   video_ids) -> MetricReport:
-    """Score a temporal model's final stage on the given corpus videos,
-    read by dataset_from_dirs."""
-    pairs = {}
+def parse_video_ids(text: str, known: Sequence[str]) -> list:
+    """The ids of a comma-separated list; an id that is not one of `known`,
+    or is listed twice, raises a ConfigError naming it."""
+    ids = text.split(",")
+    for vid in ids:
+        if vid not in known or ids.count(vid) > 1:
+            raise ConfigError(f"video id {vid!r} is " + (
+                "listed twice" if vid in known else "not a corpus video"))
+    return ids
+
+
+def evaluate_split(model, dataset: list, classes) -> MetricReport:
+    """Score a temporal model's final stage on loaded (FeatureSequence,
+    labels) pairs, as dataset_from_dirs returns them."""
     with no_grad():
-        for seq, labels in dataset_from_dirs(features_dir, corpus, classes,
-                                             video_ids):
-            final = model(seq)[-1]
-            pairs[seq.video_id] = ([classes[k] for k in final.labels],
-                                   [classes[k] for k in labels])
+        pairs = {seq.video_id: ([classes[k] for k in model(seq)[-1].labels],
+                                [classes[k] for k in labels])
+                 for seq, labels in dataset}
     return evaluate_sequences(pairs)
 
 
@@ -401,7 +409,7 @@ ABLATION_METRICS = ("accuracy", "edit", "overlap_f1@0.50", "acc_micro")
 def ablate_subset(features_dir, corpus, classes, train_ids, test_ids,
                   fractions, variant: str, epochs: int, seed: int) -> list:
     """Train on seeded nested subsets of the training videos and evaluate
-    each model on the fixed held-out split."""
+    each model on the fixed held-out split, both read before any training."""
     if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]")
     if not train_ids or not test_ids:
@@ -409,17 +417,19 @@ def ablate_subset(features_dir, corpus, classes, train_ids, test_ids,
     shared = sorted(set(train_ids) & set(test_ids))
     if shared:
         raise ConfigError(f"videos in both the training and held-out splits: {shared}")
+    counts = [int(round(f * len(train_ids))) for f in fractions]
+    if 0 in counts:
+        raise ConfigError(f"fraction {fractions[counts.index(0)]} selects zero videos")
     order = SessionRng(seed).permutation(len(train_ids))
+    largest = sorted(order[:max(counts)])
+    loaded = dict(zip(largest, dataset_from_dirs(
+        features_dir, corpus, classes, [train_ids[i] for i in largest])))
+    held_out = dataset_from_dirs(features_dir, corpus, classes, test_ids)
     rows = []
-    for fraction in fractions:
-        count = int(round(fraction * len(train_ids)))
-        if count < 1:
-            raise ConfigError(f"fraction {fraction} selects zero videos")
-        chosen = [train_ids[i] for i in sorted(order[:count])]
-        dataset = dataset_from_dirs(features_dir, corpus, classes, chosen)
+    for fraction, count in zip(fractions, counts):
+        dataset = [loaded[i] for i in sorted(order[:count])]
         model, _ = fit_temporal(dataset, len(classes), variant, epochs, seed)
-        report = evaluate_split(model, features_dir, corpus, classes,
-                                test_ids)
+        report = evaluate_split(model, held_out, classes)
         rows.append({"fraction": fraction, "videos": count,
                      **{k: report.aggregate[k] for k in ABLATION_METRICS}})
     return rows

@@ -250,6 +250,26 @@ class TestExitCodes:
         assert f"error: {timeline}: label 'incison'" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, bad", [
+        (["train-temporal", "--videos", "video_000,video_007"],
+         "'video_007' is not a corpus video"),
+        (["train-temporal", "--videos", "video_001,video_001"],
+         "'video_001' is listed twice"),
+        (["ablate-subset", "--train", "video_000,video_000", "--test",
+          "video_001"], "'video_000' is listed twice"),
+        (["ablate-subset", "--train", "video_000", "--test",
+          "video_001,video_001"], "'video_001' is listed twice")],
+        ids=["unknown", "twice", "twice-train", "twice-test"])
+    def test_bad_video_list_is_config_error(self, runner, workspace,
+                                            tmp_path, args, bad):
+        out = tmp_path / "out"
+        result = runner.invoke(main, args + [
+            "--features", str(workspace / "features"), "--corpus",
+            str(workspace / "corpus"), "--epochs", "1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"error: video id {bad}" in result.output
+        assert not out.exists()
+
     def test_evaluate_length_mismatch_is_runtime_error(self, runner,
                                                        tmp_path):
         for name, end in (("pred", 50.0), ("gt", 5.0)):
@@ -261,6 +281,32 @@ class TestExitCodes:
             "--gt", str(tmp_path / "gt.json")])
         assert result.exit_code == 1
         assert "v0" in result.output and "50" in result.output
+
+
+class TestAblationDeterminism:
+    def test_seeded_runs_write_equal_csv(self, runner, workspace, tmp_path):
+        """Two seeded ablate-subset runs over nested fractions write
+        byte-equal ablation.csv files."""
+        corpus, features = tmp_path / "corpus", tmp_path / "features"
+        for args in (["gen-synth", "--out", str(corpus), "--videos", "4",
+                      "--seed", "3"],
+                     ["extract-features", "--corpus", str(corpus),
+                      "--stage1", str(workspace / "stage1"), "--out",
+                      str(features)]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        outs = [tmp_path / f"ablation{i}.csv" for i in range(2)]
+        for out in outs:
+            result = runner.invoke(main, [
+                "ablate-subset", "--features", str(features), "--corpus",
+                str(corpus), "--train", "video_000,video_001,video_002",
+                "--test", "video_003", "--fractions", "0.5,1.0",
+                "--epochs", "3", "--seed", "4", "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        first = outs[0].read_bytes()
+        assert first == outs[1].read_bytes()
+        assert [line.split(",")[:2] for line in first.decode().split()] == [
+            ["fraction", "videos"], ["0.5", "2"], ["1.0", "3"]]
 
 
 class TestRunManifests:

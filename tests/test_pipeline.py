@@ -54,7 +54,7 @@ class TestPartition:
 
     def test_nonpositive_duration(self):
         with pytest.raises(InputError):
-            partition(0.0)
+            partition(0.0, 1.0, 8.0)
 
 
 class TestTimeline:
@@ -311,8 +311,10 @@ class TestNoTape:
             outputs.extend(out)
             return out
         monkeypatch.setattr(model, "forward", kept)
-        pl.evaluate_split(model, tmp_path / "features", tmp_path / "corpus",
-                          self.SPLIT_CLASSES, ids)
+        dataset = pl.dataset_from_dirs(tmp_path / "features",
+                                       tmp_path / "corpus",
+                                       self.SPLIT_CLASSES, ids)
+        pl.evaluate_split(model, dataset, self.SPLIT_CLASSES)
         assert len(outputs) == 4 * len(ids)
         assert not any(t.requires_grad for t in outputs)
 
@@ -346,6 +348,60 @@ class TestAblateSubset:
                              [1.0], "tcn", epochs=1, seed=0)
         assert fits == []
 
+    @staticmethod
+    def count_fits(monkeypatch):
+        """Make fit_temporal record the arguments of each call; returns the
+        record."""
+        fits, fit = [], pl.fit_temporal
+
+        def counted(*args):
+            fits.append(args)
+            return fit(*args)
+        monkeypatch.setattr(pl, "fit_temporal", counted)
+        return fits
+
+    @staticmethod
+    def ablate(root, ids, fractions):
+        """ablate_subset on the tiny split: ids[:3] train, ids[3:] held out."""
+        return pl.ablate_subset(root / "features", root / "corpus",
+                                TestNoTape.SPLIT_CLASSES, ids[:3], ids[3:],
+                                fractions, "tcn", epochs=1, seed=0)
+
+    def test_bad_held_out_label_rejected_before_training(self, tmp_path,
+                                                         monkeypatch):
+        ids = TestNoTape.stage2_split(tmp_path)
+        path = tmp_path / "corpus" / "timelines" / f"{ids[3]}.json"
+        payload = read_json(path)
+        payload["segments"][1]["label"] = "cutt"
+        write_json(path, payload)
+        fits = self.count_fits(monkeypatch)
+        with pytest.raises(InputError, match="label 'cutt'") as err:
+            self.ablate(tmp_path, ids, [0.5, 1.0])
+        assert str(path) in str(err.value)
+        assert fits == []
+
+    def test_zero_video_fraction_rejected_before_training(self, tmp_path,
+                                                          monkeypatch):
+        ids = TestNoTape.stage2_split(tmp_path)
+        fits = self.count_fits(monkeypatch)
+        with pytest.raises(ConfigError, match="fraction 0.01 selects zero"):
+            self.ablate(tmp_path, ids, [1.0, 0.01])
+        assert fits == []
+
+    def test_each_table_read_once(self, tmp_path, monkeypatch):
+        ids = TestNoTape.stage2_split(tmp_path)
+        reads, read = [], pl.read_features
+
+        def counted(path):
+            reads.append(path.stem)
+            return read(path)
+        monkeypatch.setattr(pl, "read_features", counted)
+        fits = self.count_fits(monkeypatch)
+        rows = self.ablate(tmp_path, ids, [0.5, 1.0])
+        assert [r["videos"] for r in rows] == [len(f[0]) for f in fits]
+        assert [len(f[0]) for f in fits] == [2, 3]
+        assert sorted(reads) == ids
+
     def test_evaluate_split_scores_as_evaluate_timelines(self, tmp_path):
         """Held-out scoring gives the `evaluate` command's report, bit for
         bit, on the predicted and ground-truth timelines."""
@@ -354,11 +410,11 @@ class TestAblateSubset:
         model = build_temporal_model(
             "tcn", TemporalConfig(num_classes=2, feature_dim=8),
             SessionRng(3))
-        report = pl.evaluate_split(model, tmp_path / "features",
-                                   tmp_path / "corpus", classes, ids)
+        dataset = pl.dataset_from_dirs(tmp_path / "features",
+                                       tmp_path / "corpus", classes, ids)
+        report = pl.evaluate_split(model, dataset, classes)
         pred, gt = {}, {}
-        for seq, _ in pl.dataset_from_dirs(tmp_path / "features",
-                                           tmp_path / "corpus", classes, ids):
+        for seq, _ in dataset:
             labels = [classes[k] for k in model(seq)[-1].labels]
             pred[seq.video_id] = merge_labels(labels, 1.0)
             gt[seq.video_id] = pl.read_timeline(
