@@ -17,6 +17,14 @@ alone decides whether a node is recorded: only while a tape is recorded
 (outside ``no_grad``) and only when some input requires grad.  Otherwise
 the op returns a constant tensor.
 
+``backward`` consumes the tape it runs.  Each interior node, once its
+closure has run, drops its grad, its parents and its closure (with the
+arrays the closure kept), so the graph is freed as the sweep goes and
+neither a caller's loss nor a kept interior tensor holds it alive.  Every
+``data`` array stays readable.  A spent node's closure is ``_spent``: a
+second ``backward`` from the same loss, or from a new loss built on an
+interior tensor of a spent graph, raises a StateError.
+
 A kernel writes in place only into arrays it allocated in the same call,
 and never into an array its backward closure keeps once the forward pass
 has returned.  In-place steps use the ufuncs, operands and order of the
@@ -33,7 +41,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InputError, NumericError
+from .errors import (ConfigError, DimensionError, InputError, NumericError,
+                     StateError)
 
 DEFAULT_DTYPE = np.float32
 
@@ -63,12 +72,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _spent(grad: np.ndarray) -> None:
+    """The backward closure of an interior node that a backward has run."""
+    raise StateError("backward() already freed this graph")
+
+
 class Tensor:
     """A node in the computation graph.
 
     Leaves with ``requires_grad=True`` accumulate gradients in ``grad``
     after ``backward``.  Interior nodes keep references to their parents
-    and a backward closure.
+    and a backward closure until a backward runs them.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -111,7 +125,8 @@ class Tensor:
     # -- autodiff ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from this (scalar) tensor."""
+        """Reverse-mode sweep from this (scalar) tensor; it consumes the
+        tape (see the module docstring)."""
         if self.size != 1:
             raise DimensionError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -126,15 +141,17 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and id(p) not in seen)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:  # popped, so a node run and spent is referenced no more
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
             if node._parents:
-                node.grad = None  # free interior grads
+                node.grad = None
+                node._parents = ()
+                node._backward = _spent
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -707,7 +724,8 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     """Compare reverse-mode gradients of scalar `f` against central differences.
 
     Returns the maximum relative error over all coordinates of `params`.
-    `f` must be deterministic and must read the params' current data.
+    `f` must be deterministic and must read the params' current data.  The
+    finite-difference evaluations of `f` record no tape.
     """
     if eps is not None and eps <= 0:
         raise InputError("eps must be positive")
@@ -720,20 +738,21 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
                 for p in params]
     worst = 0.0
-    for p, a in zip(params, analytic):
-        h = eps if eps is not None else (1e-6 if p.dtype == np.float64 else 1e-2)
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = float(f().data)
-            flat[i] = orig - h
-            down = float(f().data)
-            flat[i] = orig
-            if not (math.isfinite(up) and math.isfinite(down)):
-                raise NumericError("f produced a non-finite value during FD")
-            numeric = (up - down) / (2.0 * h)
-            ad = float(a.reshape(-1)[i])
-            denom = max(abs(ad) + abs(numeric), 1.0)
-            worst = max(worst, abs(ad - numeric) / denom)
+    with no_grad():
+        for p, a in zip(params, analytic):
+            h = eps if eps is not None else (1e-6 if p.dtype == np.float64 else 1e-2)
+            flat = p.data.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = float(f().data)
+                flat[i] = orig - h
+                down = float(f().data)
+                flat[i] = orig
+                if not (math.isfinite(up) and math.isfinite(down)):
+                    raise NumericError("f produced a non-finite value during FD")
+                numeric = (up - down) / (2.0 * h)
+                ad = float(a.reshape(-1)[i])
+                denom = max(abs(ad) + abs(numeric), 1.0)
+                worst = max(worst, abs(ad - numeric) / denom)
     return worst

@@ -370,20 +370,31 @@ def dataset_from_dirs(features_dir, corpus, classes: Sequence[str],
     return dataset
 
 
+def _require_distinct(ids) -> None:
+    """A ConfigError naming the first id of `ids` that is listed twice."""
+    seen = set()
+    for vid in ids:
+        if vid in seen:
+            raise ConfigError(f"video id {vid!r} is listed twice")
+        seen.add(vid)
+
+
 def parse_video_ids(text: str, known: Sequence[str]) -> list:
     """The ids of a comma-separated list; an id that is not one of `known`,
     or is listed twice, raises a ConfigError naming it."""
     ids = text.split(",")
     for vid in ids:
-        if vid not in known or ids.count(vid) > 1:
-            raise ConfigError(f"video id {vid!r} is " + (
-                "listed twice" if vid in known else "not a corpus video"))
+        if vid not in known:
+            raise ConfigError(f"video id {vid!r} is not a corpus video")
+    _require_distinct(ids)
     return ids
 
 
 def evaluate_split(model, dataset: list, classes) -> MetricReport:
     """Score a temporal model's final stage on loaded (FeatureSequence,
-    labels) pairs, as dataset_from_dirs returns them."""
+    labels) pairs, as dataset_from_dirs returns them; a video id listed
+    twice raises a ConfigError."""
+    _require_distinct(seq.video_id for seq, _ in dataset)
     with no_grad():
         pairs = {seq.video_id: ([classes[k] for k in model(seq)[-1].labels],
                                 [classes[k] for k in labels])
@@ -409,15 +420,19 @@ ABLATION_METRICS = ("accuracy", "edit", "overlap_f1@0.50", "acc_micro")
 def ablate_subset(features_dir, corpus, classes, train_ids, test_ids,
                   fractions, variant: str, epochs: int, seed: int) -> list:
     """Train on seeded nested subsets of the training videos and evaluate
-    each model on the fixed held-out split, both read before any training."""
+    each model on the fixed held-out split, both read before any training.
+    A fraction f of n videos selects floor(f * n + 0.5) of them (half
+    rounds up); an id listed twice, in either split, raises a ConfigError."""
     if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]")
     if not train_ids or not test_ids:
         raise ConfigError("the training and held-out splits must both be non-empty")
+    _require_distinct(train_ids)
+    _require_distinct(test_ids)
     shared = sorted(set(train_ids) & set(test_ids))
     if shared:
         raise ConfigError(f"videos in both the training and held-out splits: {shared}")
-    counts = [int(round(f * len(train_ids))) for f in fractions]
+    counts = [math.floor(f * len(train_ids) + 0.5) for f in fractions]
     if 0 in counts:
         raise ConfigError(f"fraction {fractions[counts.index(0)]} selects zero videos")
     order = SessionRng(seed).permutation(len(train_ids))

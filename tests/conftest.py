@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -31,6 +34,21 @@ def make_tiny_model(seed: int = 0, n_layers: int = 1) -> Stage1Model:
 def tiny_clips(rng: SessionRng, n: int, frames: int = 3):
     return [rng.uniform(0.0, 1.0, (frames, 8, 8, 3), np.float32)
             for _ in range(n)]
+
+
+def traced_bytes(fn):
+    """(bytes still allocated, peak bytes) of `fn()` under tracemalloc,
+    counted from its start, and what `fn` returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current - base, peak - base, out
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import TINY_TEXTS, make_tiny_model, tiny_clips
+from conftest import TINY_TEXTS, make_tiny_model, tiny_clips, traced_bytes
 from oracles import (math_erf_cdf, reference_attention, reference_gelu,
                      reference_layer_norm, reference_linear,
                      reference_multihead_attention, unfused_attention,
@@ -19,7 +19,8 @@ from oracles import (math_erf_cdf, reference_attention, reference_gelu,
 from surgflow import autodiff as ad
 from surgflow import nn
 from surgflow.autodiff import Tensor, grad_check
-from surgflow.errors import ConfigError, DimensionError, InputError, NumericError
+from surgflow.errors import (ConfigError, DimensionError, InputError,
+                             NumericError, StateError)
 from surgflow.objectives import valor_loss
 from surgflow.optim import AdamW, clip_global_norm
 from surgflow.rng import SessionRng
@@ -506,6 +507,63 @@ class TestFusedTransformerOps:
         assert _tape_nodes(loss) == nodes
 
 
+class TestTapeLifetime:
+    """backward consumes the tape: it frees each interior node's parents
+    and closure once run, keeps every value, and a spent node raises."""
+
+    @staticmethod
+    def shared_graph():
+        """Leaves x and w and a loss that reads the interior y twice."""
+        rng = SessionRng(48)
+        x = Tensor(rng.normal(1.0, (3, 4), np.float64), requires_grad=True)
+        w = Tensor(rng.normal(1.0, (4,), np.float64), requires_grad=True)
+        y = x * w
+        return x, w, y, ad.reduce_sum(y * y + y)
+
+    def test_second_backward_raises_and_keeps_the_grads(self):
+        x, w, y, loss = self.shared_graph()
+        loss.backward()
+        grads = [x.grad.tobytes(), w.grad.tobytes()]
+        values = [y.data.tobytes(), loss.data.tobytes()]
+        with pytest.raises(StateError, match="already freed this graph"):
+            loss.backward()
+        assert [x.grad.tobytes(), w.grad.tobytes()] == grads
+        assert [y.data.tobytes(), loss.data.tobytes()] == values
+
+    def test_loss_on_an_interior_tensor_of_a_spent_graph_raises(self):
+        x, w, y, loss = self.shared_graph()
+        loss.backward()
+        again = ad.reduce_sum(y * 2.0)
+        with pytest.raises(StateError, match="already freed this graph"):
+            again.backward()
+
+    def test_spent_nodes_drop_parents_and_closure(self):
+        x, w, y, loss = self.shared_graph()
+        loss.backward()
+        assert y._parents == () and loss._parents == ()
+        assert y._backward is ad._spent and loss._backward is ad._spent
+        assert y.grad is None and loss.grad is None
+        assert x._parents == () and x._backward is None
+
+    def test_stage1_step_keeps_little_more_than_the_leaf_grads(self):
+        """After backward on a toy stage-1 step, with its loss report still
+        held, the bytes left are the leaf grads and a few KiB of objects
+        (measured 13.1 KiB more than the grads; 219.9 KiB more when
+        backward kept the tape)."""
+        model = make_tiny_model()
+        ids = [model.vocab.encode(t) for t in TINY_TEXTS[:2]]
+        clips = tiny_clips(SessionRng(7), 2)
+
+        def step():
+            report = valor_loss(model, clips, ids, SessionRng(9))
+            report.total.backward()
+            return report
+        left, _, report = traced_bytes(step)
+        grads = sum(p.grad.nbytes for p in model.parameters().values())
+        assert grads > 0 and np.isfinite(report.mga.data)
+        assert left <= grads + 32 * 1024
+
+
 def _bit_equal(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -909,11 +967,12 @@ class TestSub:
             a = Tensor(rng.normal(1.0, (3, 4), dtype), requires_grad=True)
             b = Tensor(rng.normal(1.0, b_shape, dtype), requires_grad=True)
             out = fn(a, b)
+            nodes = _tape_nodes(out)  # counted before backward consumes it
             weights = Tensor(rng.normal(1.0, out.shape, dtype))
             ad.reduce_sum(out * weights).backward()
-            results.append((out, a, b))
-        (out, a, b), (ref_out, ref_a, ref_b) = results
-        assert _tape_nodes(out) == 1
+            results.append((out, a, b, nodes))
+        (out, a, b, nodes), (ref_out, ref_a, ref_b, _) = results
+        assert nodes == 1
         assert out.dtype == ref_out.dtype == dtype
         assert out.data.tobytes() == ref_out.data.tobytes()
         for got, want in ((a, ref_a), (b, ref_b)):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import TINY_TEXTS, make_tiny_model, tiny_clips, traced_bytes
 from oracles import reference_adamw_step, reference_clip_global_norm
 from surgflow import optim
 from surgflow.autodiff import Tensor, reduce_sum
 from surgflow.errors import ConfigError, NumericError
+from surgflow.objectives import valor_loss
 from surgflow.optim import AdamW, CosineWarmupSchedule, clip_global_norm, train
 from surgflow.rng import SessionRng
 from surgflow.temporal import (TemporalConfig, build_temporal_model,
@@ -319,6 +321,25 @@ class TestTrain:
         np.testing.assert_allclose(
             before - params["x"].data,
             0.1 * (np.sign(before) + optim.WEIGHT_DECAY * before), rtol=1e-5)
+
+    def test_peak_memory_holds_one_tape(self):
+        """The loop drops each step's tape before the next forward: three
+        stage-1 steps peak within a few KiB of one (measured 10.8 KiB
+        higher; 258.2 KiB when the previous tape lived on)."""
+        def peak(steps):
+            model = make_tiny_model()
+            clips = tiny_clips(SessionRng(7), 8)
+            ids = [model.vocab.encode(TINY_TEXTS[i % 3]) for i in range(8)]
+            rng = SessionRng(9)
+
+            def loss_of(batch):
+                report = valor_loss(model, [clips[i] for i in batch],
+                                    [ids[i] for i in batch], rng)
+                return report.total, {}
+            return traced_bytes(lambda: train(
+                model.parameters(), 8, 4, loss_of, loop_cfg(2), rng,
+                max_steps=steps))[1]
+        assert peak(3) <= peak(1) + 32 * 1024
 
     def test_max_steps_ends_partway_through_an_epoch(self):
         params = quad_params(5)

@@ -402,6 +402,47 @@ class TestAblateSubset:
         assert [len(f[0]) for f in fits] == [2, 3]
         assert sorted(reads) == ids
 
+    @pytest.mark.parametrize("train, test", [
+        (["v0", "v1", "v0"], ["v3"]), (["v0", "v1"], ["v3", "v2", "v3"])],
+        ids=["train", "held-out"])
+    def test_repeated_id_rejected_before_reading(self, tmp_path, monkeypatch,
+                                                 train, test):
+        TestNoTape.stage2_split(tmp_path)
+        reads = []
+        monkeypatch.setattr(pl, "read_features", reads.append)
+        fits = self.count_fits(monkeypatch)
+        repeated = train[0] if len(set(train)) < len(train) else test[0]
+        with pytest.raises(ConfigError,
+                           match=f"video id '{repeated}' is listed twice"):
+            pl.ablate_subset(tmp_path / "features", tmp_path / "corpus",
+                             TestNoTape.SPLIT_CLASSES, train, test,
+                             [1.0], "tcn", epochs=1, seed=0)
+        assert reads == [] and fits == []
+
+    def test_evaluate_split_refuses_a_repeated_video(self, tmp_path):
+        ids = TestNoTape.stage2_split(tmp_path)
+        model = build_temporal_model(
+            "tcn", TemporalConfig(num_classes=2, feature_dim=8),
+            SessionRng(3))
+        dataset = pl.dataset_from_dirs(tmp_path / "features",
+                                       tmp_path / "corpus",
+                                       TestNoTape.SPLIT_CLASSES,
+                                       [ids[0], ids[1], ids[0]])
+        with pytest.raises(ConfigError, match="'v0' is listed twice"):
+            pl.evaluate_split(model, dataset, TestNoTape.SPLIT_CLASSES)
+
+    @pytest.mark.parametrize("n_train, fraction, count", [
+        (1, 0.5, 1), (5, 0.5, 3), (5, 0.1, 1), (2, 0.25, 1), (4, 0.5, 2),
+        (5, 0.7, 4)])
+    def test_subset_size_rounds_half_up(self, tmp_path, monkeypatch,
+                                        n_train, fraction, count):
+        ids = TestNoTape.stage2_split(tmp_path, n_videos=n_train + 1)
+        fits = self.count_fits(monkeypatch)
+        [row] = pl.ablate_subset(tmp_path / "features", tmp_path / "corpus",
+                                 TestNoTape.SPLIT_CLASSES, ids[:-1], ids[-1:],
+                                 [fraction], "tcn", epochs=1, seed=0)
+        assert row["videos"] == len(fits[0][0]) == count
+
     def test_evaluate_split_scores_as_evaluate_timelines(self, tmp_path):
         """Held-out scoring gives the `evaluate` command's report, bit for
         bit, on the predicted and ground-truth timelines."""

@@ -6,6 +6,7 @@ import builtins
 import math
 import re
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -269,17 +270,26 @@ x = used()
 
 
 TAPE_FIELDS = ("_backward", "_parents")
+# the assignments by which Tensor.backward spends a node it has run
+SPENDS = {("_parents", "()"), ("_backward", "_spent")}
 
 
-def _tape_writes(tree, scope=""):
-    """(scope, line) of each write to a tensor's `_backward` or `_parents`:
-    an assignment to or deletion of the attribute, a setattr naming it, or
-    a call passing it by keyword.  scope is the dotted name of the enclosing
-    classes and functions, "" at module level."""
+def _scoped(tree, scope=""):
+    """(scope, node) of each node under `tree`: scope is the dotted name of
+    the enclosing classes and functions, "" at module level."""
     for node in ast.iter_child_nodes(tree):
+        yield scope, node
         inner = scope
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = f"{scope}.{node.name}" if scope else node.name
+        yield from _scoped(node, inner)
+
+
+def _tape_writes(tree):
+    """(scope, line) of each write to a tensor's `_backward` or `_parents`:
+    an assignment to or deletion of the attribute, a setattr naming it, or
+    a call passing it by keyword."""
+    for scope, node in _scoped(tree):
         if (isinstance(node, ast.Attribute) and node.attr in TAPE_FIELDS
                 and not isinstance(node.ctx, ast.Load)):
             yield scope, node.lineno
@@ -289,20 +299,34 @@ def _tape_writes(tree, scope=""):
                     isinstance(a, ast.Constant) and a.value in TAPE_FIELDS
                     for a in node.args)):
             yield scope, node.lineno
-        yield from _tape_writes(node, inner)
+
+
+def _recording_writes(tree):
+    """The (scope, line) of `_tape_writes` outside `Tensor.__init__` and
+    `_node`, less one per `<x>._parents = ()` or `<x>._backward = _spent`
+    statement of `Tensor.backward` itself."""
+    spends = Counter(
+        (scope, node.lineno) for scope, node in _scoped(tree)
+        if scope == "Tensor.backward" and isinstance(node, ast.Assign)
+        and len(node.targets) == 1 and isinstance(node.targets[0], ast.Attribute)
+        and (node.targets[0].attr, ast.unparse(node.value)) in SPENDS)
+    writes = Counter(w for w in _tape_writes(tree)
+                     if w[0] not in ("Tensor.__init__", "_node"))
+    return sorted((writes - spends).elements())
 
 
 class TestOneRecordingRule:
     """Only `autodiff._node` gives a tensor parents and a backward closure
-    (through `Tensor.__init__`); every op hands its closure to it."""
+    (through `Tensor.__init__`); every op hands its closure to it.  The one
+    other write is `Tensor.backward` spending a node it has run: it sets
+    `_parents = ()` and `_backward = _spent`."""
 
     SRC = Path(serialization.__file__).parent
 
     def test_no_code_but_node_records_a_tape_node(self):
         found = [f"{path.name}:{line} ({scope})"
                  for path in sorted(self.SRC.glob("*.py"))
-                 for scope, line in _tape_writes(ast.parse(path.read_text()))
-                 if scope not in ("Tensor.__init__", "_node")]
+                 for scope, line in _recording_writes(ast.parse(path.read_text()))]
         assert found == []
 
     def test_checker_sees_each_tape_write(self):
@@ -322,6 +346,26 @@ def _node(d, p, b):
         assert sorted(_tape_writes(ast.parse(source))) == sorted(
             [("", 2)] * 3 + [("", 3)] * 3 + [("", 4)] * 2
             + [("Tensor.__init__", 8), ("_node", 12), ("_node.bwd", 11)])
+
+    def test_checker_admits_only_the_spends_of_backward(self):
+        """A recording write in Tensor.backward, or a spend anywhere else,
+        is still reported."""
+        source = """
+class Tensor:
+    def backward(self):
+        node._parents = (); node._backward = _spent
+        node._backward = bwd
+        node._parents = (a,); node._backward = _spent
+        node._parents = node._backward = ()
+        def inner():
+            node._parents = ()
+def _spend(node):
+    node._parents = (); node._backward = _spent
+"""
+        assert _recording_writes(ast.parse(source)) == sorted(
+            [("Tensor.backward", 5), ("Tensor.backward", 6)]
+            + [("Tensor.backward", 7)] * 2
+            + [("Tensor.backward.inner", 9)] + [("_spend", 11)] * 2)
 
 
 class TestCheckpoint:
