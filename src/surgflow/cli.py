@@ -23,22 +23,20 @@ import time
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from . import lora as lora_mod
 from . import pipeline as pl
-from .corpus import (TextBox, TranscriptWord, crop_search, detect_static,
-                     median_filter_validity, project_labels, split_clips)
+from .corpus import (TextBox, TranscriptWord, crop_search, frame_validity,
+                     project_labels, split_clips)
 from .errors import ConfigError, InputError, SurgflowError
 from .metrics import evaluate_timelines
 from .models import ModelConfig, Stage1Model, stage1_vocabulary
 from .objectives import (ClipStore, PretrainConfig, load_clips, load_manifest,
                          pretrain)
 from .rng import SessionRng
-from .serialization import (read_features, read_frame_grid, read_json,
-                            write_csv, write_features, write_json,
-                            write_text)
+from .serialization import (read_frame_grid, read_json, write_csv,
+                            write_features, write_json, write_text)
 
 
 # -- plumbing -----------------------------------------------------------------
@@ -54,11 +52,9 @@ def _git_describe() -> str:
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=10,
             cwd=Path(__file__).resolve().parent)
-        if out.returncode == 0:
-            return out.stdout.strip()
     except OSError:
-        pass
-    return "unknown"
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 def _write_run_manifest(target: Path, command: str, config: dict,
@@ -172,16 +168,13 @@ def _json_entries(path: Path, what: str, ok, kind: type = list):
 
 def _split_videos(meta: dict, train: str | None, test: str | None) -> tuple:
     ids = list(meta["video_ids"])
-    if train or test:
-        train_ids = pl.parse_video_ids(train, ids) if train else []
-        test_ids = pl.parse_video_ids(test, ids) if test else []
-        if not train_ids:
-            train_ids = [v for v in ids if v not in set(test_ids)]
-        if not test_ids:
-            test_ids = [v for v in ids if v not in set(train_ids)]
-        return train_ids, test_ids
-    cut = max(1, int(round(0.75 * len(ids))))
-    return ids[:cut], ids[cut:]
+    if not (train or test):
+        cut = max(1, int(round(0.75 * len(ids))))
+        return ids[:cut], ids[cut:]
+    train_ids = pl.parse_video_ids(train, ids) if train else []
+    test_ids = pl.parse_video_ids(test, ids) if test else []
+    return (train_ids or [v for v in ids if v not in test_ids],
+            test_ids or [v for v in ids if v not in train_ids])
 
 
 def _load_config_file(ctx, param, value):
@@ -244,13 +237,8 @@ def gen_synth(out, videos, seed, shifted):
 @click.option("--seed", default=0, show_default=True)
 def filter_cmd(video, out, fps, boxes, min_size, seed):
     """Mark static frames invalid (median-filtered) and find a text-free crop."""
-    frames = _read_video(video, fps)
-    valid = np.ones(len(frames), bool)
-    for i in range(1, len(frames)):
-        valid[i] = detect_static(frames[i], frames[i - 1])
-    if len(frames) > 1:
-        valid[0] = valid[1]
-    valid = median_filter_validity(valid, fps)
+    frames = pl.read_video(video, fps)
+    valid = frame_validity(frames, fps)
     crop = None
     if boxes is not None:
         box_list = [TextBox(*b) for b in _json_entries(
@@ -400,17 +388,6 @@ def train_temporal_cmd(features_dir, corpus, variant, out, epochs, videos,
 # -- inference ----------------------------------------------------------------
 
 
-def _read_video(video: Path, fps: float) -> np.ndarray:
-    """Frames of `video`, refusing an fps other than its corpus's."""
-    meta = video.parent.parent / "meta.json"
-    if video.parent.name == "videos" and meta.is_file():
-        corpus_fps = pl.read_meta(meta.parent)["fps"]
-        if fps != corpus_fps:
-            raise ConfigError(f"--fps {fps:g} differs from the corpus frame "
-                              f"rate {corpus_fps:g} in {meta}")
-    return read_frame_grid(video)
-
-
 @command("segment")
 @click.option("--video", required=True, type=IN)
 @click.option("--stage1", required=True, type=IN)
@@ -420,7 +397,7 @@ def _read_video(video: Path, fps: float) -> np.ndarray:
 @click.option("--out", required=True, type=OUT)
 def segment_cmd(video, stage1, temporal, lora, fps, out):
     """Two-stage phase segmentation of one video into a timeline JSON."""
-    frames = _read_video(video, fps)
+    frames = pl.read_video(video, fps)
     model = pl.load_stage1_bundle(stage1, lora)
     temporal_model, classes = pl.load_temporal_bundle(temporal)
     timeline, _ = pl.segment(frames, model, temporal_model, classes, fps)
@@ -437,7 +414,7 @@ def segment_cmd(video, stage1, temporal, lora, fps, out):
 @click.option("--out", required=True, type=OUT)
 def zeroshot_cmd(video, stage1, prototypes, lora, fps, out):
     """Per-clip phase prediction by similarity to prototype sentences."""
-    frames = _read_video(video, fps)
+    frames = pl.read_video(video, fps)
     model = pl.load_stage1_bundle(stage1, lora)
     protos = _json_entries(prototypes, "an object of prototype sentences",
                            lambda s: isinstance(s, str), dict)
@@ -454,7 +431,7 @@ def zeroshot_cmd(video, stage1, prototypes, lora, fps, out):
 @click.option("--out", required=True, type=OUT)
 def caption_cmd(video, stage1, temporal, lora, fps, out):
     """Dense captioning of predicted non-idle segments."""
-    frames = _read_video(video, fps)
+    frames = pl.read_video(video, fps)
     model = pl.load_stage1_bundle(stage1, lora)
     temporal_model, classes = pl.load_temporal_bundle(temporal)
     captions = pl.dense_caption(frames, model, temporal_model, classes, fps)
@@ -521,43 +498,8 @@ def ablate_subset_cmd(features_dir, corpus, variant, fractions, train, test,
 @click.option("--coords-csv", default=None, type=OUT)
 def pca_plot_cmd(features_dir, out, coords_csv):
     """Project all feature rows to 2-D principal components as an SVG."""
-    files = sorted(features_dir.glob("*.wlft"))
-    if not files:
-        raise ConfigError(f"no feature files in {features_dir}")
-    blocks = [(f.stem, read_features(f)) for f in files]
-    rows = np.concatenate([b for _, b in blocks], axis=0)
-    _, coords, ratios = pl.pca_export(rows, k=2)
-    keys = [vid for vid, b in blocks for _ in range(b.shape[0])]
-    _write_scatter_svg(out, coords, keys, ratios)
-    if coords_csv:
-        write_csv(coords_csv, ["video", "pc1", "pc2"],
-                  ([vid, f"{x:.6f}", f"{y:.6f}"]
-                   for vid, (x, y) in zip(keys, coords)))
+    ratios = pl.pca_plot(features_dir, out, coords_csv)
     click.echo(f"explained variance ratios: {ratios.tolist()}")
-
-
-_PALETTE = ["#4878a8", "#a84848", "#48a878", "#a8a048", "#7848a8", "#48a0a8"]
-
-
-def _write_scatter_svg(path: Path, coords: np.ndarray, keys: list,
-                       ratios: np.ndarray, size: int = 420) -> None:
-    lo = coords.min(axis=0)
-    span = np.maximum(coords.max(axis=0) - lo, 1e-9)
-    key_ids = {k: i for i, k in enumerate(dict.fromkeys(keys))}
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}">']
-    margin = 20
-    scale = size - 2 * margin
-    for (x, y), key in zip(coords, keys):
-        px = margin + scale * (x - lo[0]) / span[0]
-        py = size - margin - scale * (y - lo[1]) / span[1]
-        color = _PALETTE[key_ids[key] % len(_PALETTE)]
-        parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3" '
-                     f'fill="{color}" fill-opacity="0.7"/>')
-    parts.append(f'<text x="{margin}" y="{size - 4}" font-size="11">'
-                 f'explained: {ratios[0]:.2f}, {ratios[1]:.2f}</text>')
-    parts.append("</svg>")
-    write_text(path, "\n".join(parts))
 
 
 # -- diagnostics --------------------------------------------------------------

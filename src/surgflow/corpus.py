@@ -103,8 +103,7 @@ def crop_search(width: int, height: int, boxes: Sequence[TextBox],
         best = (0, 0, width, height)
     else:
         rng = SessionRng(seed)
-        best = None
-        best_area = -1
+        best, best_area = None, -1
         for _ in range(256):
             for _ in range(32):
                 x = int(rng.integers(0, width))
@@ -142,6 +141,17 @@ def median_filter_validity(signal: np.ndarray, fps: float) -> np.ndarray:
     padded = np.pad(signal, half, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, w)
     return windows.sum(axis=1) * 2 > w
+
+
+def frame_validity(frames: np.ndarray, fps: float) -> np.ndarray:
+    """Per-frame validity: `detect_static` of each frame against the one
+    before (frame 0 copies frame 1), then `median_filter_validity`."""
+    valid = np.ones(len(frames), bool)
+    for i in range(1, len(frames)):
+        valid[i] = detect_static(frames[i], frames[i - 1])
+    if len(frames) > 1:
+        valid[0] = valid[1]
+    return median_filter_validity(valid, fps)
 
 
 def split_clips(words: Sequence[TranscriptWord],

@@ -10,7 +10,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .serialization import write_csv, write_text
+from .serialization import write_csv, write_svg
 from .timeline import PhaseTimeline, runs, sample, to_frames
 
 OVERLAP_THRESHOLDS = (0.10, 0.25, 0.50)
@@ -147,8 +147,7 @@ class MetricReport:
                    if k in self.aggregate]
         width, bar_h, gap = 420, 18, 6
         height = (bar_h + gap) * len(metrics) + 20
-        parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-                 f'height="{height}">']
+        parts = []
         for i, (name, value) in enumerate(metrics):
             y = 10 + i * (bar_h + gap)
             w = 2.5 * value
@@ -157,8 +156,7 @@ class MetricReport:
             parts.append(f'<text x="4" y="{y + 13}" font-size="11">{name}</text>')
             parts.append(f'<text x="{145 + w:.1f}" y="{y + 13}" '
                          f'font-size="11">{value:.1f}</text>')
-        parts.append("</svg>")
-        write_text(path, "\n".join(parts))
+        write_svg(path, width, height, parts)
 
 
 def evaluate_sequences(pairs: Dict[str, Tuple[Sequence, Sequence]]) -> MetricReport:
@@ -170,11 +168,9 @@ def evaluate_sequences(pairs: Dict[str, Tuple[Sequence, Sequence]]) -> MetricRep
         row = {"accuracy": frame_accuracy(pred, gt)}
         row.update(per_phase_metrics(pred, gt))
         row["edit"] = edit_score(pred, gt)
-        taus = []
-        for tau in OVERLAP_THRESHOLDS:
-            val = overlap_f1(pred, gt, tau)
-            row[f"overlap_f1@{tau:.2f}"] = val
-            taus.append(val)
+        taus = [overlap_f1(pred, gt, tau) for tau in OVERLAP_THRESHOLDS]
+        row.update({f"overlap_f1@{tau:.2f}": val
+                    for tau, val in zip(OVERLAP_THRESHOLDS, taus)})
         row["avg_overlap_f1"] = float(np.mean(taus))
         report.per_video[vid] = row
     for name in MetricReport.VIDEO_METRICS:

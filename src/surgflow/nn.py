@@ -19,34 +19,34 @@ class Module:
     how weight-shared references avoid double registration.
     """
 
-    def parameters(self, prefix: str = "") -> Dict[str, Tensor]:
-        out: Dict[str, Tensor] = {}
+    def _members(self) -> Iterator[tuple]:
+        """(name, value) of each public Tensor or Module attribute, and
+        (`name.i`, module) of each Module in a list or tuple attribute."""
         for name, value in vars(self).items():
             if name.startswith("_"):
                 continue
-            key = f"{prefix}{name}"
-            if isinstance(value, Tensor):
-                out[key] = value
-            elif isinstance(value, Module):
-                out.update(value.parameters(f"{key}."))
+            if isinstance(value, (Tensor, Module)):
+                yield name, value
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        out.update(item.parameters(f"{key}.{i}."))
+                        yield f"{name}.{i}", item
+
+    def parameters(self, prefix: str = "") -> Dict[str, Tensor]:
+        out: Dict[str, Tensor] = {}
+        for name, value in self._members():
+            if isinstance(value, Tensor):
+                out[prefix + name] = value
+            else:
+                out.update(value.parameters(f"{prefix}{name}."))
         return out
 
     def modules(self) -> Iterator["Module"]:
         """Yield this module and all submodules (shared refs excluded)."""
         yield self
-        for name, value in vars(self).items():
-            if name.startswith("_"):
-                continue
+        for _, value in self._members():
             if isinstance(value, Module):
                 yield from value.modules()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.modules()
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {n: p.data.copy() for n, p in self.parameters().items()}

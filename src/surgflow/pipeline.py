@@ -1,7 +1,7 @@
 """End-to-end orchestration: clip partitioning, feature extraction, two-stage
-segmentation, zero-shot phase prediction, dense captioning, PCA export, the
-stage-1, LoRA and temporal model bundles (this is the one module that names
-their files), and the training-subset ablation."""
+segmentation, zero-shot phase prediction, dense captioning, the PCA export and
+plot, the corpus frame-rate rule, the stage-1, LoRA and temporal model bundles
+(the one module that names their files), and the training-subset ablation."""
 
 from __future__ import annotations
 
@@ -20,8 +20,9 @@ from .models import MGA_PROMPT, CAPTION_PROMPT, ModelConfig, Stage1Model
 from .nn import load_parameters
 from .objectives import similarity_matrix
 from .rng import SessionRng
-from .serialization import (read_checkpoint, read_features, read_json,
-                            write_checkpoint, write_csv, write_json)
+from .serialization import (read_checkpoint, read_features,
+                            read_frame_grid, read_json, write_checkpoint,
+                            write_csv, write_json, write_svg)
 from .temporal import (FeatureSequence, TemporalConfig, TrainTemporalConfig,
                        build_temporal_model, train_temporal)
 from .timeline import (CAPTION_SECONDS, CLIP_SECONDS, IDLE, PhaseTimeline,
@@ -175,6 +176,46 @@ def pca_export(embeddings: np.ndarray, k: int = 2) -> tuple:
     return comp, centered @ comp.T, ratios
 
 
+def pca_plot(features_dir, out, coords_csv=None) -> np.ndarray:
+    """Draw every row of the feature tables in `features_dir`, read in sorted
+    order, at its top two principal components as an SVG scatter coloured
+    by video, with the (video, pc1, pc2) rows also written to `coords_csv`
+    when given; returns the explained-variance ratios."""
+    files = sorted(Path(features_dir).glob("*.wlft"))
+    if not files:
+        raise ConfigError(f"no feature files in {features_dir}")
+    blocks = [(f.stem, read_features(f)) for f in files]
+    _, coords, ratios = pca_export(np.concatenate([b for _, b in blocks]), k=2)
+    keys = [vid for vid, b in blocks for _ in range(b.shape[0])]
+    _write_scatter_svg(out, coords, keys, ratios)
+    if coords_csv:
+        write_csv(coords_csv, ["video", "pc1", "pc2"],
+                  ([vid, f"{x:.6f}", f"{y:.6f}"]
+                   for vid, (x, y) in zip(keys, coords)))
+    return ratios
+
+
+_PALETTE = ["#4878a8", "#a84848", "#48a878", "#a8a048", "#7848a8", "#48a0a8"]
+
+
+def _write_scatter_svg(path, coords, keys, ratios, size=420) -> None:
+    lo = coords.min(axis=0)
+    span = np.maximum(coords.max(axis=0) - lo, 1e-9)
+    colors = {k: _PALETTE[i % len(_PALETTE)]
+              for i, k in enumerate(dict.fromkeys(keys))}
+    margin = 20
+    scale = size - 2 * margin
+    parts = []
+    for (x, y), key in zip(coords, keys):
+        px = margin + scale * (x - lo[0]) / span[0]
+        py = size - margin - scale * (y - lo[1]) / span[1]
+        parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3" '
+                     f'fill="{colors[key]}" fill-opacity="0.7"/>')
+    parts.append(f'<text x="{margin}" y="{size - 4}" font-size="11">'
+                 f'explained: {ratios[0]:.2f}, {ratios[1]:.2f}</text>')
+    write_svg(path, size, size, parts)
+
+
 # -- JSON artifacts -----------------------------------------------------------
 
 
@@ -224,6 +265,18 @@ def read_meta(corpus) -> dict:
     for key in ("video_ids", "class_names", "prototypes"):
         _require_strings(path, key, meta.get(key, []))
     return meta
+
+
+def read_video(video, fps: float) -> np.ndarray:
+    """Frames of `video`, refusing an fps other than its corpus's."""
+    video = Path(video)
+    meta = video.parent.parent / "meta.json"
+    if video.parent.name == "videos" and meta.is_file():
+        corpus_fps = read_meta(meta.parent)["fps"]
+        if fps != corpus_fps:
+            raise ConfigError(f"--fps {fps:g} differs from the corpus frame "
+                              f"rate {corpus_fps:g} in {meta}")
+    return read_frame_grid(video)
 
 
 # -- model bundles ------------------------------------------------------------

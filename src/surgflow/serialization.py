@@ -76,6 +76,13 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
     write_text(path, buf.getvalue())
 
 
+def write_svg(path, width: int, height: int, elements: Iterable[str]) -> None:
+    """An SVG document of the given pixel size, one element per line."""
+    write_text(path, "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}">', *elements, "</svg>"]))
+
+
 def _write_wlcp(path, entries: Dict[str, np.ndarray]) -> None:
     chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(entries))]
     for name, arr in entries.items():
@@ -193,9 +200,11 @@ def write_frame_grid(path, frames: np.ndarray) -> None:
 
 def read_frame_grid(path) -> np.ndarray:
     """The uint8 [T, H, W, C] levels of the frame grid at `path`; a float32
-    grid (written before frames were 8-bit) is refused, naming the file."""
+    grid (from before frames were 8-bit) or an empty one is refused."""
     frames = _one_entry(path, "frames", 4)
     if frames.dtype != np.uint8:
         raise InputError(f"{path}: frame grid holds {frames.dtype}, expected "
                          f"uint8 levels; regenerate the corpus")
+    if len(frames) == 0:
+        raise InputError(f"{path}: frame grid holds no frames")
     return frames

@@ -128,9 +128,7 @@ def generate_video(spec: SyntheticSpec, video_id: str,
                                                     spec.idle_seconds[1] + 1))))
         schedule.append((pattern, int(rng.integers(spec.phase_seconds[0],
                                                    spec.phase_seconds[1] + 1))))
-    chunks = []
-    segments = []
-    records = []
+    chunks, segments, records = [], [], []
     t = 0
     for pattern, seconds in schedule:
         n_frames = seconds * spec.fps

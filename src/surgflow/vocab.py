@@ -14,12 +14,8 @@ RESERVED = [PAD, MASK, BOS, EOS, UNK]
 
 def tokenize(text: str) -> List[str]:
     """Lowercased whitespace tokenization; punctuation is stripped per word."""
-    out = []
-    for word in text.lower().split():
-        word = word.strip(".,!?;:\"'()")
-        if word:
-            out.append(word)
-    return out
+    words = (word.strip(".,!?;:\"'()") for word in text.lower().split())
+    return [word for word in words if word]
 
 
 class Vocabulary:
@@ -64,12 +60,9 @@ class Vocabulary:
     def encode(self, text: str, strict: bool = False) -> List[int]:
         ids = []
         for tok in tokenize(text):
-            if tok not in self.token_to_id:
-                if strict:
-                    raise VocabError(f"unknown token: {tok!r}")
-                ids.append(self.unk_id)
-            else:
-                ids.append(self.token_to_id[tok])
+            if strict and tok not in self.token_to_id:
+                raise VocabError(f"unknown token: {tok!r}")
+            ids.append(self.token_to_id.get(tok, self.unk_id))
         return ids
 
     def decode(self, ids: Iterable[int]) -> str:
@@ -84,10 +77,7 @@ class Vocabulary:
 
     @classmethod
     def build(cls, texts: Iterable[str]) -> "Vocabulary":
-        tokens = []
-        for text in texts:
-            tokens.extend(tokenize(text))
-        return cls(sorted(set(tokens)))
+        return cls(sorted({tok for text in texts for tok in tokenize(text)}))
 
     def save(self, path) -> None:
         write_text(path, "\n".join(self.id_to_token) + "\n")

@@ -7,8 +7,9 @@ import numpy as np
 from surgflow.autodiff import (GELU_F32_POLY, Tensor, concat, getitem,
                                matmul, pad, power, reduce_mean, reshape,
                                softmax, transpose)
+from surgflow.corpus import detect_static, median_filter_validity
 from surgflow.errors import ConfigError, DimensionError, NumericError
-from surgflow.nn import causal_mask
+from surgflow.nn import Module, causal_mask
 from surgflow.objectives import load_manifest, valor_loss
 from surgflow.optim import (CLIP_NORM, AdamW, CosineWarmupSchedule,
                             clip_global_norm)
@@ -323,6 +324,51 @@ def reference_expand(x0, y0, x1, y1, width, height, boxes, order):
                     limit = min(limit, b.y0)
             y1 = limit
     return x0, y0, x1, y1
+
+
+def reference_frame_validity(frames, fps):
+    """The validity loop as `surgflow filter` ran it inline: each frame
+    against its predecessor, frame 0 copying frame 1, then the median."""
+    valid = np.ones(len(frames), bool)
+    for i in range(1, len(frames)):
+        valid[i] = detect_static(frames[i], frames[i - 1])
+    if len(frames) > 1:
+        valid[0] = valid[1]
+    return median_filter_validity(valid, fps)
+
+
+def reference_parameters(module, prefix=""):
+    """Module.parameters as it walked the attributes before the walk was
+    shared with modules(): `_` names skipped, a Tensor is a parameter, a
+    Module (alone or in a list or tuple) a child."""
+    out = {}
+    for name, value in vars(module).items():
+        if name.startswith("_"):
+            continue
+        key = f"{prefix}{name}"
+        if isinstance(value, Tensor):
+            out[key] = value
+        elif isinstance(value, Module):
+            out.update(reference_parameters(value, f"{key}."))
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                if isinstance(item, Module):
+                    out.update(reference_parameters(item, f"{key}.{i}."))
+    return out
+
+
+def reference_modules(module):
+    """Module.modules by the same walk, before it was shared."""
+    yield module
+    for name, value in vars(module).items():
+        if name.startswith("_"):
+            continue
+        if isinstance(value, Module):
+            yield from reference_modules(value)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                if isinstance(item, Module):
+                    yield from reference_modules(item)
 
 
 def left_edge_rasterize(timeline, fps=1.0):

@@ -134,6 +134,18 @@ class TestExitCodes:
                                       "--out", str(tmp_path / "o.json")])
         assert result.exit_code == 1
 
+    def test_empty_frame_grid_is_runtime_error(self, runner, tmp_path):
+        """A grid of 0 frames is refused naming the file, not scored as a
+        NaN fraction of valid frames."""
+        video = tmp_path / "v.wlfg"
+        write_frame_grid(video, np.zeros((0, 32, 32, 3), np.uint8))
+        out = tmp_path / "f.json"
+        result = runner.invoke(main, ["filter", "--video", str(video),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"error: {video}: frame grid holds no frames" in result.output
+        assert not out.exists()
+
     def test_truncated_feature_file_is_runtime_error(self, runner, tmp_path):
         features = tmp_path / "features"
         features.mkdir()
@@ -438,6 +450,46 @@ class TestRunWrapper:
         assert second.exit_code == 2
         assert "--force" in second.output
         assert _snapshot(out) == before
+
+
+# Every command's settable options, in the order `--help` lists them.  An
+# option added or removed shows here as an edit of this table.
+OPTIONS = {
+    "gen-synth": "--out --videos --seed --shifted --force",
+    "filter": "--video --out --fps --boxes --min-size --seed --force",
+    "split-clips": "--words --out --min-seconds --force",
+    "project-labels": "--records --template --out --force",
+    "pretrain": "--corpus --out --epochs --batch-size --lr-max --lr-min "
+                "--max-steps --seed --force",
+    "finetune-lora": "--corpus --stage1 --out --rank --alpha --epochs "
+                     "--batch-size --lr-max --lr-min --max-steps --seed "
+                     "--force",
+    "extract-features": "--corpus --stage1 --out --lora --force",
+    "train-temporal": "--features --corpus --variant --out --epochs "
+                      "--videos --seed --force",
+    "segment": "--video --stage1 --temporal --lora --fps --out --force",
+    "zeroshot": "--video --stage1 --prototypes --lora --fps --out --force",
+    "caption": "--video --stage1 --temporal --lora --fps --out --force",
+    "evaluate": "--pred --gt --fps --out-csv --out-svg --force",
+    "ablate-subset": "--features --corpus --variant --fractions --train "
+                     "--test --epochs --seed --out --force",
+    "pca-plot": "--features --out --coords-csv --force",
+    "gradcheck": "--mode --seed",
+}
+
+
+def _flags(params):
+    return " ".join(o for p in params for o in p.opts + p.secondary_opts)
+
+
+class TestOptionLedger:
+    def test_every_command_has_exactly_its_listed_options(self):
+        assert {name: _flags(cmd.params)
+                for name, cmd in main.commands.items()} == OPTIONS
+        assert list(main.commands) == list(OPTIONS)
+
+    def test_group_options(self):
+        assert _flags(main.params) == "--config --version"
 
 
 class TestCorpusCommands:

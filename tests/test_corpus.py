@@ -4,12 +4,14 @@ clip splitting, and label-to-language templates."""
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import max_empty_rect_area, reference_expand
+from oracles import (max_empty_rect_area, reference_expand,
+                     reference_frame_validity)
 from surgflow.corpus import (ClipSpan, TEMPLATES, TextBox, TranscriptWord,
                              _expand, crop_search, detect_static,
-                             median_filter_validity, project_labels,
-                             split_clips)
+                             frame_validity, median_filter_validity,
+                             project_labels, split_clips)
 from surgflow.errors import InputError
 from surgflow.rng import SessionRng
 
@@ -187,6 +189,30 @@ class TestMedianFilter:
     def test_bad_fps(self):
         with pytest.raises(InputError):
             median_filter_validity(np.ones(3, bool), fps=0)
+
+
+# uint8 frame grids of 1 to 12 small frames; levels 0 and 5 differ by less
+# than NOISE_DELTA (10/255), 0 and 60 or 200 by more
+GRIDS = st.tuples(st.integers(1, 12), st.integers(1, 4), st.integers(1, 4)
+                  ).flatmap(lambda shape: arrays(
+                      np.uint8, shape + (3,),
+                      elements=st.sampled_from([0, 5, 60, 200])))
+
+
+class TestFrameValidity:
+    @given(GRIDS, st.sampled_from([1.0, 2.0, 8.0]))
+    def test_equals_the_inline_loop(self, frames, fps):
+        out = frame_validity(frames, fps)
+        assert out.dtype == bool and out.shape == (len(frames),)
+        np.testing.assert_array_equal(
+            out, reference_frame_validity(frames, fps))
+
+    @given(GRIDS, st.sampled_from([1.0, 2.0, 8.0]))
+    def test_levels_read_as_intensities(self, frames, fps):
+        """A uint8 grid and its float32 k / 255 twin get the same vector."""
+        np.testing.assert_array_equal(
+            frame_validity(frames, fps),
+            frame_validity(frames / np.float32(255), fps))
 
 
 def words(spans):

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_model, tiny_clips
+from oracles import reference_modules, reference_parameters
 from surgflow import lora
 from surgflow.autodiff import Tensor, reduce_sum
 from surgflow.errors import ConfigError, InputError, StateError
 from surgflow.nn import Module, MultiHeadAttention, load_parameters
 from surgflow.optim import AdamW
 from surgflow.rng import SessionRng
+from surgflow.temporal import TemporalConfig, build_temporal_model
 
 
 class Host(Module):
@@ -213,3 +215,46 @@ class TestParameterCount:
         # shared decoder/text-encoder blocks must not be wrapped twice
         video = model.encode_video_batch(tiny_clips(SessionRng(13), 1))
         assert video.tokens.data.shape[0] == 1
+
+
+def _walked_models():
+    attached = make_tiny_model(n_layers=2)
+    lora.attach(attached, r=2, seed=1)
+    cfg = TemporalConfig(num_classes=3, feature_dim=4, hidden=4, tcn_layers=2,
+                         tcn_refinements=2, asf_encoder_layers=2,
+                         asf_decoder_layers=2)
+    return {"stage1": make_tiny_model(n_layers=2), "stage1+lora": attached,
+            "tcn": build_temporal_model("tcn", cfg, SessionRng(0)),
+            "asformer": build_temporal_model("asformer", cfg, SessionRng(0))}
+
+
+WALKED = ["stage1", "stage1+lora", "tcn", "asformer"]
+
+
+class TestModuleWalk:
+    """parameters() and modules() share one attribute walk; names, order
+    and identities are those of the separate walks they replaced, which
+    checkpoint entry order and AdamW's moment layout depend on."""
+
+    @pytest.mark.parametrize("name", WALKED)
+    def test_parameters_match_reference(self, name):
+        model = _walked_models()[name]
+        got, want = model.parameters(), reference_parameters(model)
+        assert list(got) == list(want)
+        assert all(got[k] is want[k] for k in want)
+
+    @pytest.mark.parametrize("name", WALKED)
+    def test_modules_match_reference(self, name):
+        model = _walked_models()[name]
+        walk = model.modules()
+        assert iter(walk) is walk  # an iterator, not a list
+        assert [id(m) for m in walk] == [id(m) for m in reference_modules(model)]
+
+    def test_prefix_and_skipped_names(self):
+        host = Host(8, 2, 2, SessionRng(3))
+        host._shared = host.layers[0]  # a shared reference is not walked
+        host.layers = tuple(host.layers)
+        names = list(host.parameters("m."))
+        assert names == ["m." + k for k in reference_parameters(host)]
+        assert names[:2] == ["m.layers.0.w_q.weight", "m.layers.0.w_q.bias"]
+        assert len(names) == 16 and len(list(host.modules())) == 11

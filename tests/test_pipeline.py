@@ -561,6 +561,40 @@ class TestPca:
             pca_export(np.eye(5, 3), k=k)
 
 
+class TestPcaPlot:
+    def test_no_tables_is_config_error(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("not a feature table")
+        with pytest.raises(ConfigError, match=f"no feature files in {tmp_path}"):
+            pl.pca_plot(tmp_path, tmp_path / "pca.svg")
+        assert not (tmp_path / "pca.svg").exists()
+
+    def test_writes_scatter_and_coordinates(self, tmp_path):
+        rng = SessionRng(11)
+        tables = {"b": rng.normal(1.0, (3, 4)), "a": rng.normal(1.0, (2, 4))}
+        for vid, rows in tables.items():
+            write_features(tmp_path / f"{vid}.wlft", rows)
+        svg, csv = tmp_path / "pca.svg", tmp_path / "pca.csv"
+        ratios = pl.pca_plot(tmp_path, svg, csv)
+        _, coords, expected = pca_export(
+            np.concatenate([tables["a"], tables["b"]]).astype(np.float32), k=2)
+        np.testing.assert_array_equal(ratios, expected)
+        lines = svg.read_text().splitlines()
+        assert lines[0] == ('<svg xmlns="http://www.w3.org/2000/svg" '
+                            'width="420" height="420">')
+        assert lines[-1] == "</svg>"
+        assert sum(line.startswith("<circle") for line in lines) == 5
+        rows = csv.read_text().splitlines()
+        assert rows[0] == "video,pc1,pc2"
+        assert [r.split(",")[0] for r in rows[1:]] == ["a"] * 2 + ["b"] * 3
+        assert rows[1] == f"a,{coords[0, 0]:.6f},{coords[0, 1]:.6f}"
+
+    def test_coordinates_optional(self, tmp_path):
+        write_features(tmp_path / "v.wlft", SessionRng(12).normal(1.0, (3, 2)))
+        pl.pca_plot(tmp_path, tmp_path / "pca.svg")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pca.svg",
+                                                              "v.wlft"]
+
+
 def _assert_same_state(a, b):
     sa, sb = a.state_dict(), b.state_dict()
     assert list(sa) == list(sb)

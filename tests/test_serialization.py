@@ -21,7 +21,8 @@ from surgflow.rng import SessionRng
 from surgflow.serialization import (read_checkpoint, read_features,
                                     read_frame_grid, write_checkpoint,
                                     write_csv, write_features,
-                                    write_frame_grid, write_json, write_text)
+                                    write_frame_grid, write_json, write_svg,
+                                    write_text)
 from surgflow.vocab import Vocabulary
 
 WRITERS = {
@@ -90,6 +91,26 @@ class TestCsv:
         write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2.5], ["x,y", ""]])
         assert (tmp_path / "t.csv").read_bytes() == \
             b'a,b\r\n1,2.5\r\n"x,y",\r\n'
+
+
+class TestSvg:
+    def test_document_frames_the_elements(self, tmp_path):
+        write_svg(tmp_path / "p.svg", 40, 30, ['<circle r="1"/>', "<g/>"])
+        assert (tmp_path / "p.svg").read_text() == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="40" height="30">\n'
+            '<circle r="1"/>\n<g/>\n</svg>')
+
+    def test_metric_chart_is_one_bar_per_metric(self, tmp_path):
+        report = MetricReport(per_video={"v0": {"accuracy": 90.0}},
+                              aggregate={"accuracy": 90.0, "edit": 80.0},
+                              std={})
+        report.write_svg(tmp_path / "m.svg")
+        lines = (tmp_path / "m.svg").read_text().splitlines()
+        assert lines[0] == ('<svg xmlns="http://www.w3.org/2000/svg" '
+                            'width="420" height="68">')
+        assert lines[1] == ('<rect x="140" y="10" width="225.0" height="18" '
+                            'fill="#4878a8"/>')
+        assert len(lines) == 2 + 3 * 2 and lines[-1] == "</svg>"
 
 
 def _write_calls(tree):
@@ -267,6 +288,39 @@ def decorated(): pass
 x = used()
 """
         assert _dead_helpers([source], "Dead") == ["dead", "decorated"]
+
+
+def _numpy_imports(tree):
+    """Line numbers of the statements in `tree` that import NumPy or one of
+    its submodules, as `import numpy...` or `from numpy... import`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            yield node.lineno
+
+
+class TestThinCli:
+    """The CLI does no array work: `cli.py` parses options, calls the
+    library once per command and writes the result, without NumPy."""
+
+    CLI = Path(serialization.__file__).parent / "cli.py"
+
+    def test_cli_imports_no_numpy(self):
+        assert list(_numpy_imports(ast.parse(self.CLI.read_text()))) == []
+
+    def test_checker_sees_each_form_of_numpy_import(self):
+        source = """
+import numpy as np; import os, numpy; import numpy.linalg
+from numpy import ndarray; from numpy.lib import stride_tricks as st
+import numpyro; from .numpy import x; from numpy_helpers import y
+import click
+"""
+        assert list(_numpy_imports(ast.parse(source))) == [2] * 3 + [3] * 2
 
 
 TAPE_FIELDS = ("_backward", "_parents")
@@ -557,6 +611,13 @@ class TestFrameGrid:
         path = tmp_path / "v.wlfg"
         path.write_bytes(b"XXXX" + b"\0" * 32)
         with pytest.raises(InputError):
+            read_frame_grid(path)
+
+    def test_empty_grid_refused_on_read(self, tmp_path):
+        path = tmp_path / "v.wlfg"
+        write_frame_grid(path, np.zeros((0, 4, 4, 3), np.uint8))
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: frame grid holds no frames")):
             read_frame_grid(path)
 
 
