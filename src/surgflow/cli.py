@@ -35,8 +35,8 @@ from .models import ModelConfig, Stage1Model, stage1_vocabulary
 from .objectives import (ClipStore, PretrainConfig, load_clips, load_manifest,
                          pretrain)
 from .rng import SessionRng
-from .serialization import (read_frame_grid, read_json, write_csv,
-                            write_features, write_json, write_text)
+from .serialization import (read_json, read_video, write_csv, write_features,
+                            write_json, write_text)
 
 
 # -- plumbing -----------------------------------------------------------------
@@ -129,13 +129,6 @@ def _positive(ctx, param, value: float) -> float:
     return value
 
 
-def _fps_option(default: float):
-    """--fps, refused while the command line is parsed (exit 2) unless it
-    is a finite positive number."""
-    return click.option("--fps", default=default, show_default=True,
-                        callback=_positive)
-
-
 def _non_negative(ctx, param, value: float) -> float:
     if not (math.isfinite(value) and value >= 0):
         raise click.BadParameter(f"{value:g} is not a finite non-negative "
@@ -169,7 +162,7 @@ def _json_entries(path: Path, what: str, ok, kind: type = list):
 def _split_videos(meta: dict, train: str | None, test: str | None) -> tuple:
     ids = list(meta["video_ids"])
     if not (train or test):
-        cut = max(1, int(round(0.75 * len(ids))))
+        cut = min(len(ids) - 1, max(1, int(round(0.75 * len(ids)))))
         return ids[:cut], ids[cut:]
     train_ids = pl.parse_video_ids(train, ids) if train else []
     test_ids = pl.parse_video_ids(test, ids) if test else []
@@ -230,14 +223,13 @@ def gen_synth(out, videos, seed, shifted):
 @command("filter")
 @click.option("--video", required=True, type=IN)
 @click.option("--out", required=True, type=OUT)
-@_fps_option(8.0)
 @click.option("--boxes", type=IN,
               help="JSON list of [x0, y0, x1, y1] text boxes.")
 @click.option("--min-size", default=224, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-def filter_cmd(video, out, fps, boxes, min_size, seed):
+def filter_cmd(video, out, boxes, min_size, seed):
     """Mark static frames invalid (median-filtered) and find a text-free crop."""
-    frames = pl.read_video(video, fps)
+    frames, fps = read_video(video)
     valid = frame_validity(frames, fps)
     crop = None
     if boxes is not None:
@@ -352,9 +344,12 @@ def extract_features_cmd(corpus, stage1, out, lora):
     meta = pl.read_meta(corpus)
     model = pl.load_stage1_bundle(stage1, lora)
     for vid in meta["video_ids"]:
-        frames = read_frame_grid(corpus / "videos" / f"{vid}.wlfg")
-        part = pl.partition(len(frames) / meta["fps"], pl.CLIP_SECONDS,
-                            meta["fps"])
+        path = corpus / "videos" / f"{vid}.wlfg"
+        frames, fps = read_video(path)
+        if fps != meta["fps"]:
+            raise InputError(f"{path}: frame rate {fps:g} differs from the "
+                             f"fps {meta['fps']:g} in {corpus / 'meta.json'}")
+        part = pl.partition(len(frames) / fps, pl.CLIP_SECONDS, fps)
         seq = pl.extract_features(frames, model, part, vid)
         write_features(out / f"{vid}.wlft", seq.features)
 
@@ -393,11 +388,10 @@ def train_temporal_cmd(features_dir, corpus, variant, out, epochs, videos,
 @click.option("--stage1", required=True, type=IN)
 @click.option("--temporal", required=True, type=IN)
 @click.option("--lora", default=None, type=IN)
-@_fps_option(8.0)
 @click.option("--out", required=True, type=OUT)
-def segment_cmd(video, stage1, temporal, lora, fps, out):
+def segment_cmd(video, stage1, temporal, lora, out):
     """Two-stage phase segmentation of one video into a timeline JSON."""
-    frames = pl.read_video(video, fps)
+    frames, fps = read_video(video)
     model = pl.load_stage1_bundle(stage1, lora)
     temporal_model, classes = pl.load_temporal_bundle(temporal)
     timeline, _ = pl.segment(frames, model, temporal_model, classes, fps)
@@ -410,11 +404,10 @@ def segment_cmd(video, stage1, temporal, lora, fps, out):
 @click.option("--prototypes", required=True, type=IN,
               help="JSON dict of class -> prototype sentence.")
 @click.option("--lora", default=None, type=IN)
-@_fps_option(8.0)
 @click.option("--out", required=True, type=OUT)
-def zeroshot_cmd(video, stage1, prototypes, lora, fps, out):
+def zeroshot_cmd(video, stage1, prototypes, lora, out):
     """Per-clip phase prediction by similarity to prototype sentences."""
-    frames = pl.read_video(video, fps)
+    frames, fps = read_video(video)
     model = pl.load_stage1_bundle(stage1, lora)
     protos = _json_entries(prototypes, "an object of prototype sentences",
                            lambda s: isinstance(s, str), dict)
@@ -427,11 +420,10 @@ def zeroshot_cmd(video, stage1, prototypes, lora, fps, out):
 @click.option("--stage1", required=True, type=IN)
 @click.option("--temporal", required=True, type=IN)
 @click.option("--lora", default=None, type=IN)
-@_fps_option(8.0)
 @click.option("--out", required=True, type=OUT)
-def caption_cmd(video, stage1, temporal, lora, fps, out):
+def caption_cmd(video, stage1, temporal, lora, out):
     """Dense captioning of predicted non-idle segments."""
-    frames = pl.read_video(video, fps)
+    frames, fps = read_video(video)
     model = pl.load_stage1_bundle(stage1, lora)
     temporal_model, classes = pl.load_temporal_bundle(temporal)
     captions = pl.dense_caption(frames, model, temporal_model, classes, fps)
@@ -450,7 +442,7 @@ def _load_timelines(path: Path) -> dict:
 @click.option("--pred", required=True, type=IN,
               help="Timeline JSON or directory of them.")
 @click.option("--gt", required=True, type=IN)
-@_fps_option(1.0)
+@click.option("--fps", default=1.0, show_default=True, callback=_positive)
 @click.option("--out-csv", default=None, type=OUT)
 @click.option("--out-svg", default=None, type=OUT)
 def evaluate_cmd(pred, gt, fps, out_csv, out_svg):

@@ -193,7 +193,7 @@ def project_labels(record: Dict[str, object], template_id: str) -> str:
     if template_id not in TEMPLATES:
         raise InputError(f"unknown template: {template_id}")
     template = TEMPLATES[template_id]
-    slots = set(re.findall(r"{(\w+)}", template))
+    slots = dict.fromkeys(re.findall(r"{(\w+)}", template))
     values = {}
     for slot in slots:
         key = slot.lower()

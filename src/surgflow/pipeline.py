@@ -1,10 +1,11 @@
 """End-to-end orchestration: clip partitioning, feature extraction, two-stage
 segmentation, zero-shot phase prediction, dense captioning, the PCA export and
-plot, the corpus frame-rate rule, the stage-1, LoRA and temporal model bundles
-(the one module that names their files), and the training-subset ablation."""
+plot, the stage-1, LoRA and temporal model bundles (the one module that names
+their files), and the training-subset ablation."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -20,9 +21,8 @@ from .models import MGA_PROMPT, CAPTION_PROMPT, ModelConfig, Stage1Model
 from .nn import load_parameters
 from .objectives import similarity_matrix
 from .rng import SessionRng
-from .serialization import (read_checkpoint, read_features,
-                            read_frame_grid, read_json, write_checkpoint,
-                            write_csv, write_json, write_svg)
+from .serialization import (read_checkpoint, read_features, read_json,
+                            write_checkpoint, write_csv, write_json, write_svg)
 from .temporal import (FeatureSequence, TemporalConfig, TrainTemporalConfig,
                        build_temporal_model, train_temporal)
 from .timeline import (CAPTION_SECONDS, CLIP_SECONDS, IDLE, PhaseTimeline,
@@ -267,18 +267,6 @@ def read_meta(corpus) -> dict:
     return meta
 
 
-def read_video(video, fps: float) -> np.ndarray:
-    """Frames of `video`, refusing an fps other than its corpus's."""
-    video = Path(video)
-    meta = video.parent.parent / "meta.json"
-    if video.parent.name == "videos" and meta.is_file():
-        corpus_fps = read_meta(meta.parent)["fps"]
-        if fps != corpus_fps:
-            raise ConfigError(f"--fps {fps:g} differs from the corpus frame "
-                              f"rate {corpus_fps:g} in {meta}")
-    return read_frame_grid(video)
-
-
 # -- model bundles ------------------------------------------------------------
 
 
@@ -296,6 +284,10 @@ def _save_curve(out: Path, rows: List[dict]) -> None:
 
 def _load_weights(path: Path, params: dict) -> None:
     load_parameters(params, read_checkpoint(path), path)
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def save_stage1_bundle(out, model: Stage1Model, rows: List[dict]) -> None:
@@ -316,7 +308,8 @@ def save_lora_bundle(out, model: Stage1Model, stage1,
                      rows: List[dict]) -> None:
     """Write the LoRA bundle into directory `out` for the adapters attached
     to `model`, which was loaded from the stage-1 bundle `stage1`: the
-    adapter factors alone (lora.wlcp), lora.json, and curve.csv."""
+    adapter factors alone (lora.wlcp), lora.json (with the sha256 of the
+    base's stage1.wlcp), and curve.csv."""
     adapters = lora_mod.iter_adapters(model)
     if not adapters:
         raise StateError("no adapters attached")
@@ -326,13 +319,16 @@ def save_lora_bundle(out, model: Stage1Model, stage1,
         name: p.data for name, p in lora_mod.adapter_parameters(model).items()})
     write_json(out / "lora.json", {"rank": adapters[0].rank,
                                    "alpha": adapters[0].alpha,
-                                   "stage1": str(stage1)})
+                                   "stage1": str(stage1),
+                                   "stage1_sha256": _sha256(
+                                       Path(stage1) / "stage1.wlcp")})
     _save_curve(out, rows)
 
 
 def load_stage1_bundle(stage1, lora=None) -> Stage1Model:
     """Rebuild the model of a stage-1 bundle, with the adapters of the LoRA
-    bundle `lora` attached when one is given."""
+    bundle `lora` attached when one is given; a LoRA bundle trained on
+    another base is refused."""
     stage1 = Path(stage1)
     vocab = Vocabulary.load(stage1 / "vocab.txt")
     cfg = _config(ModelConfig, read_json(stage1 / "model.json"),
@@ -343,10 +339,14 @@ def load_stage1_bundle(stage1, lora=None) -> Stage1Model:
         lora = Path(lora)
         path = lora / "lora.json"
         spec = require_types(path, read_json(path), {
-            "rank": "int", "alpha": "float", "stage1": "str"}, exact=True)
+            "rank": "int", "alpha": "float", "stage1": "str",
+            "stage1_sha256": "str"}, exact=True)
         if spec["rank"] < 1:
             raise InputError(f"{path}: rank must be at least 1, "
                              f"not {spec['rank']}")
+        if spec["stage1_sha256"] != _sha256(stage1 / "stage1.wlcp"):
+            raise InputError(f"{path}: adapters were trained on another "
+                             f"stage-1 bundle than {stage1}")
         lora_mod.attach(model, r=spec["rank"], alpha=spec["alpha"])
         _load_weights(lora / "lora.wlcp", lora_mod.adapter_parameters(model))
     return model

@@ -9,8 +9,9 @@ are little-endian:
 Version-1 files have no dtype byte and hold float32 only; they still read.
 A checkpoint (.wlcp) holds one entry per parameter tensor, a feature table
 (.wlft) exactly one rank-2 float32 entry "features" [clips, dim], and a frame
-grid (.wlfg) exactly one rank-4 uint8 entry "frames" [frames, height, width,
-channels] of 8-bit levels, which `unit_frames` turns into intensities.
+grid (.wlfg) exactly two entries: a rank-4 uint8 "frames" [frames, height,
+width, channels] of 8-bit levels, which `unit_frames` turns into intensities,
+and a 0-d float32 "fps", the frame rate the video is timed at.
 
 Every writer goes through `write_atomic`, so an interrupted write leaves the
 previous file (or none), never a truncated one.  This is the only module that
@@ -148,15 +149,16 @@ def _read_wlcp(path) -> Dict[str, np.ndarray]:
     return out
 
 
-def _one_entry(path, name: str, rank: int) -> np.ndarray:
-    """The single rank-`rank` entry `name` of the file at `path`."""
-    entries = _read_wlcp(path)
-    if list(entries) != [name] or entries[name].ndim != rank:
+def _exact_entries(path, entries: dict, ranks: dict) -> dict:
+    """`entries`, read from `path`, when they are exactly the names of
+    `ranks`, each of its rank."""
+    if {k: v.ndim for k, v in entries.items()} != ranks:
         found = [f"{k!r} of rank {v.ndim}" for k, v in entries.items()]
-        raise InputError(f"{path}: expected one rank-{rank} entry {name!r}, found "
+        want = " and ".join(f"one rank-{r} entry {k!r}" for k, r in ranks.items())
+        raise InputError(f"{path}: expected {want}, found "
                          f"{len(found)}: {', '.join(found[:3])}"
                          f"{', ...' if len(found) > 3 else ''}")
-    return entries[name]
+    return entries
 
 
 def write_checkpoint(path, entries: Dict[str, np.ndarray]) -> None:
@@ -175,7 +177,7 @@ def write_features(path, features: np.ndarray) -> None:
 
 
 def read_features(path) -> np.ndarray:
-    return _one_entry(path, "features", 2)
+    return _exact_entries(path, _read_wlcp(path), {"features": 2})["features"]
 
 
 def unit_frames(frames: np.ndarray) -> np.ndarray:
@@ -187,24 +189,40 @@ def unit_frames(frames: np.ndarray) -> np.ndarray:
     return frames.astype(np.float32)
 
 
-def write_frame_grid(path, frames: np.ndarray) -> None:
-    """Raw [T, H, W, C] frame grid of uint8 levels; `unit_frames` reads
-    them as intensities in [0, 1].  Any other dtype is refused."""
+def write_frame_grid(path, frames: np.ndarray, fps: float) -> None:
+    """Raw [T, H, W, C] frame grid of uint8 levels, timed at `fps` frames
+    per second.  Any other dtype, or a rate that is not finite and positive
+    or that float32 does not hold exactly, is refused."""
     frames = np.asarray(frames)
     if frames.ndim != 4:
         raise InputError("frame grid must be [T, H, W, C]")
     if frames.dtype != np.uint8:
         raise InputError(f"frame grid must hold uint8 levels, got {frames.dtype}")
-    _write_wlcp(path, {"frames": frames})
+    if not (math.isfinite(fps) and fps > 0 and float(np.float32(fps)) == fps):
+        raise InputError(f"frame grid fps must be a finite positive number "
+                         f"that float32 holds exactly, not {fps!r}")
+    _write_wlcp(path, {"frames": frames, "fps": np.float32(fps)})
+
+
+def read_video(path) -> tuple:
+    """The uint8 [T, H, W, C] levels and the frame rate of the grid at `path`,
+    refusing a grid from an older build, an empty one or a bad fps."""
+    entries = _read_wlcp(path)
+    frames = entries.get("frames", np.empty(0))
+    if frames.ndim == 4 and frames.dtype != np.uint8:
+        raise InputError(f"{path}: frame grid holds {frames.dtype}, expected "
+                         f"uint8 levels; regenerate the corpus")
+    if frames.ndim == 4 and "fps" not in entries:
+        raise InputError(f"{path}: frame grid holds no fps; regenerate the corpus")
+    fps = float(_exact_entries(path, entries, {"frames": 4, "fps": 0})["fps"])
+    if len(frames) == 0:
+        raise InputError(f"{path}: frame grid holds no frames")
+    if not (math.isfinite(fps) and fps > 0):
+        raise InputError(f"{path}: frame grid fps must be a finite positive "
+                         f"number, not {fps!r}")
+    return frames, fps
 
 
 def read_frame_grid(path) -> np.ndarray:
-    """The uint8 [T, H, W, C] levels of the frame grid at `path`; a float32
-    grid (from before frames were 8-bit) or an empty one is refused."""
-    frames = _one_entry(path, "frames", 4)
-    if frames.dtype != np.uint8:
-        raise InputError(f"{path}: frame grid holds {frames.dtype}, expected "
-                         f"uint8 levels; regenerate the corpus")
-    if len(frames) == 0:
-        raise InputError(f"{path}: frame grid holds no frames")
-    return frames
+    """The frames of `read_video(path)`."""
+    return read_video(path)[0]

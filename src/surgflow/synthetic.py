@@ -165,7 +165,8 @@ def generate_corpus(spec: SyntheticSpec, n_videos: int, out_dir) -> dict:
     video_ids = []
     for i in range(n_videos):
         video = generate_video(spec, f"video_{i:03d}", root.child(i))
-        write_frame_grid(out / "videos" / f"{video.video_id}.wlfg", video.frames)
+        write_frame_grid(out / "videos" / f"{video.video_id}.wlfg", video.frames,
+                         spec.fps)
         write_json(out / "timelines" / f"{video.video_id}.json",
                    video.timeline.to_dict(video.video_id))
         manifest_rows.extend(video.clip_records)

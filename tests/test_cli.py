@@ -138,7 +138,7 @@ class TestExitCodes:
         """A grid of 0 frames is refused naming the file, not scored as a
         NaN fraction of valid frames."""
         video = tmp_path / "v.wlfg"
-        write_frame_grid(video, np.zeros((0, 32, 32, 3), np.uint8))
+        write_frame_grid(video, np.zeros((0, 32, 32, 3), np.uint8), 8.0)
         out = tmp_path / "f.json"
         result = runner.invoke(main, ["filter", "--video", str(video),
                                       "--out", str(out)])
@@ -321,6 +321,19 @@ class TestAblationDeterminism:
             ["fraction", "videos"], ["0.5", "2"], ["1.0", "3"]]
 
 
+    def test_default_split_keeps_a_held_out_video(self, runner, workspace,
+                                                  tmp_path):
+        """With no --train or --test, a 2-video corpus trains on one video
+        and scores the other."""
+        out = tmp_path / "ablation.csv"
+        result = runner.invoke(main, [
+            "ablate-subset", "--features", str(workspace / "features"),
+            "--corpus", str(workspace / "corpus"), "--fractions", "1.0",
+            "--epochs", "1", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_text().split()[1].split(",")[:2] == ["1.0", "1"]
+
+
 class TestRunManifests:
     def test_manifest_written_with_hash_and_seed(self, runner, tmp_path):
         out = tmp_path / "corpus"
@@ -456,7 +469,7 @@ class TestRunWrapper:
 # option added or removed shows here as an edit of this table.
 OPTIONS = {
     "gen-synth": "--out --videos --seed --shifted --force",
-    "filter": "--video --out --fps --boxes --min-size --seed --force",
+    "filter": "--video --out --boxes --min-size --seed --force",
     "split-clips": "--words --out --min-seconds --force",
     "project-labels": "--records --template --out --force",
     "pretrain": "--corpus --out --epochs --batch-size --lr-max --lr-min "
@@ -467,9 +480,9 @@ OPTIONS = {
     "extract-features": "--corpus --stage1 --out --lora --force",
     "train-temporal": "--features --corpus --variant --out --epochs "
                       "--videos --seed --force",
-    "segment": "--video --stage1 --temporal --lora --fps --out --force",
-    "zeroshot": "--video --stage1 --prototypes --lora --fps --out --force",
-    "caption": "--video --stage1 --temporal --lora --fps --out --force",
+    "segment": "--video --stage1 --temporal --lora --out --force",
+    "zeroshot": "--video --stage1 --prototypes --lora --out --force",
+    "caption": "--video --stage1 --temporal --lora --out --force",
     "evaluate": "--pred --gt --fps --out-csv --out-svg --force",
     "ablate-subset": "--features --corpus --variant --fractions --train "
                      "--test --epochs --seed --out --force",
@@ -505,7 +518,7 @@ class TestCorpusCommands:
         frames = np.zeros((8, 32, 32, 3), np.uint8)
         frames[1::2] += 128  # alternating frames: everything moves
         video = tmp_path / "v.wlfg"
-        write_frame_grid(video, frames)
+        write_frame_grid(video, frames, 8.0)
         boxes = tmp_path / "boxes.json"
         boxes.write_text(json.dumps([[0, 0, 10, 32]]))
         out = tmp_path / "filter.json"
@@ -526,7 +539,7 @@ class TestCorpusCommands:
         frames[1:24:2] += 5
         frames[25::2] = 28
         video = tmp_path / "v.wlfg"
-        write_frame_grid(video, frames)
+        write_frame_grid(video, frames, 8.0)
 
         def valid():
             out = tmp_path / "filter.json"
@@ -535,9 +548,11 @@ class TestCorpusCommands:
             assert result.exit_code == 0, result.output
             return json.loads(out.read_text())["valid"]
         levels = valid()
-        monkeypatch.setattr("surgflow.cli.read_frame_grid",
-                            lambda path: frames / np.float32(255))
+        reads = []
+        monkeypatch.setattr("surgflow.cli.read_video", lambda path: (
+            reads.append(path) or frames / np.float32(255), 8.0))
         assert valid() == levels
+        assert reads == [video]
         assert True in levels and False in levels
 
     def test_project_labels_verbatim(self, runner, tmp_path):
@@ -615,8 +630,7 @@ class TestPipelineChain:
             "segment", "--video",
             str(workspace / "corpus" / "videos" / f"{vid}.wlfg"),
             "--stage1", str(workspace / "stage1"),
-            "--temporal", str(workspace / "tcn"),
-            "--fps", str(meta["fps"]), "--out", str(out)])
+            "--temporal", str(workspace / "tcn"), "--out", str(out)])
         assert result.exit_code == 0, result.output
         payload = json.loads(out.read_text())
         assert payload["video_id"] == vid
@@ -649,8 +663,7 @@ class TestPipelineChain:
             "zeroshot", "--video",
             str(workspace / "corpus" / "videos" / f"{vid}.wlfg"),
             "--stage1", str(workspace / "stage1"),
-            "--prototypes", str(protos),
-            "--fps", str(meta["fps"]), "--out", str(out)])
+            "--prototypes", str(protos), "--out", str(out)])
         assert result.exit_code == 0, result.output
         payload = json.loads(out.read_text())
         assert payload["segments"]
@@ -740,18 +753,6 @@ class TestPipelineChain:
                 in result.output)
 
 
-FPS_COMMANDS = {
-    "segment": ["--video", VIDEO, "--stage1", "{ws}/stage1", "--temporal",
-                "{ws}/tcn"],
-    "zeroshot": ["--video", VIDEO, "--stage1", "{ws}/stage1",
-                 "--prototypes", "{ws}/inputs/protos.json"],
-    "caption": ["--video", VIDEO, "--stage1", "{ws}/stage1", "--temporal",
-                "{ws}/tcn"],
-    "filter": ["--video", VIDEO],
-    "evaluate": ["--pred", "{ws}/corpus/timelines", "--gt",
-                 "{ws}/corpus/timelines"],
-}
-
 # Every command that reads a corpus's meta.json, and its other arguments.
 META_COMMANDS = {
     "pretrain": ["--max-steps", "1"],
@@ -759,7 +760,6 @@ META_COMMANDS = {
     "extract-features": ["--stage1", "{ws}/stage1"],
     "train-temporal": ["--features", "{ws}/features", "--epochs", "1"],
     "ablate-subset": ["--features", "{ws}/features", "--epochs", "1"],
-    "segment": ["--stage1", "{ws}/stage1", "--temporal", "{ws}/tcn"],
 }
 
 
@@ -769,15 +769,15 @@ class TestInputChecks:
     never with a traceback."""
 
     @pytest.mark.parametrize("name,option,value", [
-        *[(name, "--fps", value) for name in sorted(FPS_COMMANDS)
-          for value in ("0", "-1", "nan", "inf")],
+        *[("evaluate", "--fps", value) for value in ("0", "-1", "nan", "inf")],
         ("ablate-subset", "--fractions", "0.5,abc"),
         *[("split-clips", "--min-seconds", value)
           for value in ("-1", "nan", "inf")],
     ])
     def test_bad_number_is_usage_error(self, runner, out_inputs, tmp_path,
                                        name, option, value):
-        args = {**FPS_COMMANDS,
+        args = {"evaluate": ["--pred", "{ws}/corpus/timelines", "--gt",
+                             "{ws}/corpus/timelines"],
                 "ablate-subset": ["--features", "{ws}/features",
                                   "--corpus", "{ws}/corpus"],
                 "split-clips": ["--words", "{ws}/inputs/words.json"]}[name]
@@ -892,10 +892,9 @@ class TestInputChecks:
             meta[key] = value
         path = corpus / "meta.json"
         path.write_text(json.dumps(meta))
-        where = (["--video", str(corpus / "videos" / "video_000.wlfg")]
-                 if name == "segment" else ["--corpus", str(corpus)])
         out = tmp_path / "out"
-        result = runner.invoke(main, [name, *where, "--out", str(out)]
+        result = runner.invoke(main, [name, "--corpus", str(corpus),
+                                      "--out", str(out)]
                                + [a.format(ws=ws) for a in META_COMMANDS[name]])
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)  # not a traceback
@@ -976,6 +975,27 @@ class TestLoraBundle:
         assert f"error: {path}: {named}" in result.output
 
 
+    def test_other_base_is_refused(self, runner, out_inputs, lora_bundle,
+                                   tmp_path):
+        """Adapters trained on one stage-1 bundle and loaded onto another
+        exit 1 naming lora.json."""
+        ws = out_inputs
+        stage1 = tmp_path / "stage1"
+        shutil.copytree(ws / "stage1", stage1)
+        state = read_checkpoint(stage1 / "stage1.wlcp")
+        name = next(iter(state))
+        state[name] = state[name] + np.float32(1)
+        write_checkpoint(stage1 / "stage1.wlcp", state)
+        result = runner.invoke(main, [
+            "zeroshot", "--video", VIDEO.format(ws=ws), "--stage1",
+            str(stage1), "--lora", str(lora_bundle), "--prototypes",
+            str(ws / "inputs" / "protos.json"), "--out",
+            str(tmp_path / "zs.json")])
+        assert result.exit_code == 1, result.output
+        assert (f"error: {lora_bundle / 'lora.json'}: adapters were trained "
+                f"on another stage-1 bundle than {stage1}") in result.output
+
+
 class TestBundleValueTypes:
     """Each value of model.json, temporal.json and lora.json is checked
     against its field's type (an int is a number, a bool is not an int),
@@ -1028,8 +1048,20 @@ class TestBundleValueTypes:
         assert f"error: {path}: {named}" in result.output
 
 
+# The commands that read one video, and their other arguments.
+VIDEO_COMMANDS = {
+    "segment": ["--stage1", "{ws}/stage1", "--temporal", "{ws}/tcn"],
+    "zeroshot": ["--stage1", "{ws}/stage1",
+                 "--prototypes", "{ws}/inputs/protos.json"],
+    "caption": ["--stage1", "{ws}/stage1", "--temporal", "{ws}/tcn"],
+    "filter": [],
+}
+
+
 class TestCorpusFrameRate:
-    """A corpus video read at any rate but its corpus's is refused."""
+    """A video is timed at the frame rate its grid holds, wherever the
+    grid sits; extract-features refuses a grid whose rate is not its
+    corpus's."""
 
     @pytest.fixture(scope="class")
     def corpus4(self, tmp_path_factory):
@@ -1038,33 +1070,55 @@ class TestCorpusFrameRate:
         assert meta["fps"] == 4
         return root / "videos" / f"{meta['video_ids'][0]}.wlfg"
 
-    @pytest.mark.parametrize("name", ["segment", "zeroshot", "caption",
-                                      "filter"])
-    def test_default_fps_is_rejected(self, runner, out_inputs, corpus4,
-                                     tmp_path, name):
-        args = {"segment": ["--stage1", "{ws}/stage1", "--temporal", "{ws}/tcn"],
-                "zeroshot": ["--stage1", "{ws}/stage1",
-                             "--prototypes", "{ws}/inputs/protos.json"],
-                "caption": ["--stage1", "{ws}/stage1", "--temporal", "{ws}/tcn"],
-                "filter": []}[name]
-        out = tmp_path / "out.json"
-        result = runner.invoke(main, [name, "--video", str(corpus4),
-                                      "--out", str(out)]
-                               + [a.format(ws=out_inputs) for a in args])
-        assert result.exit_code == 2
-        assert "--fps 8" in result.output and "frame rate 4" in result.output
-        assert not out.exists()
+    def run(self, runner, ws, name, video, out):
+        return runner.invoke(main, [name, "--video", str(video), "--out",
+                                    str(out)]
+                             + [a.format(ws=ws) for a in VIDEO_COMMANDS[name]])
 
-    def test_corpus_fps_is_accepted(self, runner, workspace, corpus4,
-                                    tmp_path):
-        out = tmp_path / "pred.json"
-        result = runner.invoke(main, [
-            "segment", "--video", str(corpus4),
-            "--stage1", str(workspace / "stage1"),
-            "--temporal", str(workspace / "tcn"),
-            "--fps", "4", "--out", str(out)])
+    @pytest.mark.parametrize("name", sorted(VIDEO_COMMANDS))
+    def test_corpus_video_runs_at_its_rate(self, runner, out_inputs, corpus4,
+                                           tmp_path, name):
+        """A 4-fps corpus video runs with no frame-rate option and is timed
+        at 4 fps: its timelines end at frames / 4 seconds."""
+        out = tmp_path / "out.json"
+        result = self.run(runner, out_inputs, name, corpus4, out)
         assert result.exit_code == 0, result.output
-        assert json.loads(out.read_text())["segments"]
+        payload, n = json.loads(out.read_text()), len(read_frame_grid(corpus4))
+        if name == "filter":
+            assert len(payload["valid"]) == n
+        elif name == "caption":
+            assert 0 < payload["captions"][-1]["end_s"] <= n / 4
+        else:
+            assert payload["segments"][-1]["end_s"] == n / 4
+
+    @pytest.mark.parametrize("name", ["segment", "zeroshot", "caption"])
+    def test_loose_copy_matches_corpus_video(self, runner, out_inputs,
+                                             tmp_path, name):
+        """A grid copied out of its corpus gives byte-identical output."""
+        video = Path(VIDEO.format(ws=out_inputs))
+        loose = tmp_path / "loose" / video.name
+        loose.parent.mkdir()
+        shutil.copyfile(video, loose)
+        outs = [tmp_path / "corpus.json", tmp_path / "loose.json"]
+        for path, out in zip((video, loose), outs):
+            result = self.run(runner, out_inputs, name, path, out)
+            assert result.exit_code == 0, result.output
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_extract_features_refuses_other_rate(self, runner, workspace,
+                                                 tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        path = corpus / "videos" / "video_001.wlfg"
+        write_frame_grid(path, read_frame_grid(path), 4)
+        out = tmp_path / "features"
+        result = runner.invoke(main, [
+            "extract-features", "--corpus", str(corpus),
+            "--stage1", str(workspace / "stage1"), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert (f"error: {path}: frame rate 4 differs from the fps 8 in "
+                f"{corpus / 'meta.json'}") in result.output
+        assert not out.exists()
 
 
 class TestGradcheck:

@@ -1,6 +1,11 @@
 """Corpus tooling: validity filters, crop search vs an exhaustive oracle,
 clip splitting, and label-to-language templates."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -263,6 +268,21 @@ class TestProjectLabels:
         with pytest.raises(InputError):
             project_labels({"tools": [], "phase": "incision"},
                            "cataract_tool_phase")
+
+    def test_first_missing_slot_in_template_order(self):
+        """A record lacking VERB and TARGET names VERB, the first of them
+        in the template, under every string hash seed."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from surgflow.corpus import project_labels\n"
+                "try: project_labels({'tools': ['grasper']}, 'triplet')\n"
+                "except Exception as exc: print(exc)")
+        for seed in range(6):
+            out = subprocess.run(
+                [sys.executable, "-c", code, src], capture_output=True,
+                text=True, check=True, timeout=60,
+                env=dict(os.environ, PYTHONHASHSEED=str(seed)))
+            assert out.stdout == "record missing slot: VERB\n", seed
 
     def test_unknown_template(self):
         with pytest.raises(InputError):

@@ -233,7 +233,8 @@ class TestPretrainLoop:
         for i, text in enumerate(TINY_TEXTS[:n_videos]):
             vid = f"v{i}"
             write_frame_grid(videos / f"{vid}.wlfg",
-                             rng.integers(0, 256, (4, 8, 8, 3)).astype(np.uint8))
+                             rng.integers(0, 256, (4, 8, 8, 3)).astype(np.uint8),
+                             4.0)
             records.append({"video": vid, "start_s": 0.0, "end_s": 1.0,
                             "text": text})
         manifest = tmp_path / "manifest.jsonl"

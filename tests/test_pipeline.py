@@ -2,6 +2,9 @@
 zero-shot prediction, dense captioning, the PCA export, and model bundles."""
 
 import contextlib
+import hashlib
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -637,16 +640,37 @@ class TestBundles:
 
     def test_lora_bundle_holds_only_the_adapter_factors(self, tmp_path):
         model = make_tiny_model(seed=4)
+        stage1, out = tmp_path / "stage1", tmp_path / "lora"
+        save_stage1_bundle(stage1, model, ROWS)
         adapters = lora.attach(model, r=2, seed=1)
-        save_lora_bundle(tmp_path, model, tmp_path / "stage1", ROWS)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
+        save_lora_bundle(out, model, stage1, ROWS)
+        assert sorted(p.name for p in out.iterdir()) == [
             "curve.csv", "lora.json", "lora.wlcp"]
-        saved = read_checkpoint(tmp_path / "lora.wlcp")
+        saved = read_checkpoint(out / "lora.wlcp")
         assert len(saved) == 2 * len(adapters)
         assert list(saved) == [f"lora.{name}" for name in model.parameters()
                                if ".lora_" in name]
-        assert read_json(tmp_path / "lora.json") == {
-            "rank": 2, "alpha": 2.0, "stage1": str(tmp_path / "stage1")}
+        assert read_json(out / "lora.json") == {
+            "rank": 2, "alpha": 2.0, "stage1": str(stage1),
+            "stage1_sha256": hashlib.sha256(
+                (stage1 / "stage1.wlcp").read_bytes()).hexdigest()}
+
+    def test_lora_bundle_refuses_another_base(self, tmp_path):
+        """Adapters load onto a copy of the base they were trained on, and
+        are refused on any other base, naming lora.json."""
+        stage1, other, adapters = (tmp_path / n for n in ("a", "b", "lora"))
+        model = make_tiny_model(seed=4)
+        save_stage1_bundle(stage1, model, ROWS)
+        save_stage1_bundle(other, make_tiny_model(seed=5), ROWS)
+        lora.attach(model, r=2, seed=1)
+        save_lora_bundle(adapters, model, stage1, ROWS)
+        shutil.copytree(stage1, tmp_path / "copy")
+        _assert_same_state(model, load_stage1_bundle(tmp_path / "copy",
+                                                     adapters))
+        with pytest.raises(InputError, match=re.escape(
+                f"{adapters / 'lora.json'}: adapters were trained on another "
+                f"stage-1 bundle than {other}")):
+            load_stage1_bundle(other, adapters)
 
     def test_lora_bundle_needs_adapters(self, tmp_path):
         with pytest.raises(StateError, match="no adapters"):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import make_tiny_model
 from surgflow import serialization
@@ -19,8 +21,8 @@ from surgflow.metrics import MetricReport
 from surgflow.nn import Linear
 from surgflow.rng import SessionRng
 from surgflow.serialization import (read_checkpoint, read_features,
-                                    read_frame_grid, write_checkpoint,
-                                    write_csv, write_features,
+                                    read_frame_grid, read_video,
+                                    write_checkpoint, write_csv, write_features,
                                     write_frame_grid, write_json, write_svg,
                                     write_text)
 from surgflow.vocab import Vocabulary
@@ -28,7 +30,8 @@ from surgflow.vocab import Vocabulary
 WRITERS = {
     "checkpoint": lambda p: write_checkpoint(p, {"a": np.arange(6.0)}),
     "features": lambda p: write_features(p, np.ones((3, 2))),
-    "frame_grid": lambda p: write_frame_grid(p, np.ones((2, 2, 2, 3), np.uint8)),
+    "frame_grid": lambda p: write_frame_grid(p, np.ones((2, 2, 2, 3), np.uint8),
+                                             8.0),
     "json": lambda p: write_json(p, {"a": [1, 2, 3]}),
     "text": lambda p: write_text(p, "line one\nline two\n"),
     "csv": lambda p: write_csv(p, ["a", "b"], [[1, 2.5], ["x", ""]]),
@@ -585,14 +588,56 @@ class TestFrameGrid:
     def test_round_trip(self, tmp_path):
         frames = levels(SessionRng(2), (5, 4, 6, 3))
         path = tmp_path / "v.wlfg"
-        write_frame_grid(path, frames)
+        write_frame_grid(path, frames, 8.0)
         out = read_frame_grid(path)
         assert out.dtype == np.uint8
         np.testing.assert_array_equal(out, frames)
 
+    @given(frames=arrays(np.uint8, array_shapes(min_dims=4, max_dims=4,
+                                                max_side=4)),
+           fps=st.floats(0.0, exclude_min=True, allow_infinity=False,
+                         width=32))
+    def test_video_round_trip(self, tmp_path_factory, frames, fps):
+        """Every non-empty uint8 grid and every positive rate that float32
+        holds exactly come back from read_video as written."""
+        path = tmp_path_factory.mktemp("grid") / "v.wlfg"
+        write_frame_grid(path, frames, fps)
+        out, rate = read_video(path)
+        assert out.dtype == np.uint8 and type(rate) is float
+        np.testing.assert_array_equal(out, frames)
+        assert rate == fps
+
+    @pytest.mark.parametrize("fps", [0, -1.0, math.nan, math.inf, 29.97])
+    def test_bad_rate_refused_on_write(self, tmp_path, fps):
+        """A rate that is not finite and positive, or that float32 does
+        not hold exactly, is refused before anything is written."""
+        path = tmp_path / "v.wlfg"
+        with pytest.raises(InputError, match="fps must be a finite positive"):
+            write_frame_grid(path, np.zeros((2, 2, 2, 3), np.uint8), fps)
+        assert not path.exists()
+
+    def test_grid_without_rate_refused(self, tmp_path):
+        """A grid of uint8 frames alone, as older builds wrote, is refused
+        naming the file and asking for the corpus to be regenerated."""
+        path = tmp_path / "old.wlfg"
+        write_checkpoint(path, {"frames": np.zeros((2, 2, 2, 3), np.uint8)})
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: frame grid holds no fps; regenerate the corpus")):
+            read_video(path)
+
+    @pytest.mark.parametrize("fps", [0.0, -8.0, math.nan])
+    def test_bad_stored_rate_refused_on_read(self, tmp_path, fps):
+        path = tmp_path / "v.wlfg"
+        write_checkpoint(path, {"frames": np.zeros((2, 2, 2, 3), np.uint8),
+                                "fps": np.float32(fps)})
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: frame grid fps must be a finite positive number")):
+            read_video(path)
+
     def test_rank_enforced(self, tmp_path):
         with pytest.raises(InputError):
-            write_frame_grid(tmp_path / "v.wlfg", np.zeros((2, 2, 2), np.uint8))
+            write_frame_grid(tmp_path / "v.wlfg", np.zeros((2, 2, 2), np.uint8),
+                             8.0)
 
     def test_float_grid_refused(self, tmp_path):
         """Frame grids hold 8-bit levels: a float grid is refused on write,
@@ -600,7 +645,7 @@ class TestFrameGrid:
         the file."""
         frames = np.zeros((2, 2, 2, 3), np.float32)
         with pytest.raises(InputError, match="uint8"):
-            write_frame_grid(tmp_path / "v.wlfg", frames)
+            write_frame_grid(tmp_path / "v.wlfg", frames, 8.0)
         path = tmp_path / "old.wlfg"
         write_checkpoint(path, {"frames": frames})
         with pytest.raises(InputError,
@@ -615,7 +660,7 @@ class TestFrameGrid:
 
     def test_empty_grid_refused_on_read(self, tmp_path):
         path = tmp_path / "v.wlfg"
-        write_frame_grid(path, np.zeros((0, 4, 4, 3), np.uint8))
+        write_frame_grid(path, np.zeros((0, 4, 4, 3), np.uint8), 8.0)
         with pytest.raises(InputError, match=re.escape(
                 f"{path}: frame grid holds no frames")):
             read_frame_grid(path)
@@ -639,8 +684,8 @@ def write_old_wlfg(path, frames):
 
 class TestOneFormat:
     """A feature table is a WLCP file with one rank-2 entry "features", a
-    frame grid one with one rank-4 entry "frames"; anything else is
-    refused with an InputError naming the file."""
+    frame grid one with a rank-4 entry "frames" and a 0-d entry "fps";
+    anything else is refused with an InputError naming the file."""
 
     def test_feature_table_is_a_one_entry_checkpoint(self, tmp_path):
         feats = SessionRng(3).normal(1.0, (4, 5))
@@ -650,13 +695,15 @@ class TestOneFormat:
         assert list(out) == ["features"]
         np.testing.assert_array_equal(out["features"], feats)
 
-    def test_frame_grid_is_a_one_entry_checkpoint(self, tmp_path):
+    def test_frame_grid_is_a_two_entry_checkpoint(self, tmp_path):
         frames = levels(SessionRng(4), (3, 4, 4, 3))
         path = tmp_path / "v.wlfg"
-        write_frame_grid(path, frames)
+        write_frame_grid(path, frames, 4)
         out = read_checkpoint(path)
-        assert list(out) == ["frames"]
+        assert list(out) == ["frames", "fps"]
         np.testing.assert_array_equal(out["frames"], frames)
+        assert out["fps"].dtype == np.float32 and out["fps"].shape == ()
+        assert out["fps"] == 4.0
 
     @pytest.mark.parametrize("read", [read_features, read_frame_grid])
     def test_stage1_checkpoint_refused(self, tmp_path, read):
@@ -671,8 +718,9 @@ class TestOneFormat:
         (read_features, {"frames": np.zeros((2, 3), np.float32)}),
         (read_features, {}),
         (read_frame_grid, {"frames": np.zeros((2, 3), np.float32)}),
-        (read_frame_grid, {"frames": np.zeros((1, 2, 2, 3), np.float32),
-                           "fps": np.float32(8.0)}),
+        (read_frame_grid, {"frames": np.zeros((1, 2, 2, 3), np.uint8),
+                           "fps": np.float32(8.0),
+                           "extra": np.zeros(1, np.float32)}),
     ])
     def test_wrong_entry_or_rank_refused(self, tmp_path, read, entries):
         path = tmp_path / "x.bin"
@@ -701,7 +749,8 @@ class TestTruncation:
                                                 "s": np.float32(2.0)}),
                  read_checkpoint),
         "wlft": (lambda p: write_features(p, np.ones((3, 2))), read_features),
-        "wlfg": (lambda p: write_frame_grid(p, np.ones((2, 2, 1, 3), np.uint8)),
+        "wlfg": (lambda p: write_frame_grid(p, np.ones((2, 2, 1, 3), np.uint8),
+                                            8.0),
                  read_frame_grid),
     }
 

@@ -9,7 +9,7 @@ import pytest
 from surgflow.errors import ConfigError
 from surgflow.pipeline import PhaseTimeline
 from surgflow.rng import SessionRng
-from surgflow.serialization import read_frame_grid
+from surgflow.serialization import read_frame_grid, read_video
 from surgflow.synthetic import (DEFAULT_PHASES, PhasePattern, SyntheticSpec,
                                 caption_for, generate_corpus,
                                 generate_video, prototype_sentences,
@@ -125,7 +125,8 @@ class TestCorpus:
                     (tmp_path / "manifest.jsonl").read_text().splitlines()]
         assert {r["video"] for r in manifest} == set(meta["video_ids"])
         for vid in meta["video_ids"]:
-            frames = read_frame_grid(tmp_path / "videos" / f"{vid}.wlfg")
+            frames, fps = read_video(tmp_path / "videos" / f"{vid}.wlfg")
+            assert fps == meta["fps"]
             tl = PhaseTimeline.from_dict(json.loads(
                 (tmp_path / "timelines" / f"{vid}.json").read_text()))
             assert len(frames) == int(tl.duration) * meta["fps"]

@@ -76,8 +76,8 @@ class TestFrameSpan:
         assert tl.duration == 300 / 29.97
 
     def test_clip_store_record_past_end_raises(self, tmp_path):
-        write_frame_grid(tmp_path / "v.wlfg", np.zeros((32, 4, 4, 3),
-                                                      np.uint8))
+        write_frame_grid(tmp_path / "v.wlfg",
+                         np.zeros((32, 4, 4, 3), np.uint8), 8.0)
         store = ClipStore(tmp_path, 8.0)
         assert len(store.clip({"video": "v", "start_s": 3.0,
                                "end_s": 4.0})) == 8
