@@ -31,12 +31,10 @@ from .corpus import (TextBox, TranscriptWord, crop_search, frame_validity,
                      project_labels, split_clips)
 from .errors import ConfigError, InputError, SurgflowError
 from .metrics import evaluate_timelines
-from .models import ModelConfig, Stage1Model, stage1_vocabulary
-from .objectives import (ClipStore, PretrainConfig, load_clips, load_manifest,
-                         pretrain)
+from .models import ModelConfig, Stage1Model
+from .objectives import PretrainConfig, load_manifest
 from .rng import SessionRng
-from .serialization import (read_json, read_video, write_csv, write_features,
-                            write_json, write_text)
+from .serialization import read_json, read_video, write_csv, write_json, write_text
 
 
 # -- plumbing -----------------------------------------------------------------
@@ -292,15 +290,11 @@ def project_labels_cmd(records, template_id, out):
 def pretrain_cmd(corpus, out, epochs, batch_size, lr_max, lr_min, max_steps,
                  seed):
     """Train the short-range video-language model on a clip manifest."""
-    meta = pl.read_meta(corpus)
-    manifest = load_clips(corpus / "manifest.jsonl")
-    vocab = stage1_vocabulary([r["text"] for r in manifest]
-                              + list(meta.get("prototypes", {}).values()))
-    model = Stage1Model(ModelConfig(), vocab, SessionRng(seed))
+    model = Stage1Model(ModelConfig(), pl.corpus_vocabulary(corpus),
+                        SessionRng(seed))
     cfg = PretrainConfig(epochs=epochs, batch_size=batch_size, lr_max=lr_max,
                          lr_min=lr_min, seed=seed, max_steps=max_steps)
-    store = ClipStore(corpus / "videos", meta["fps"])
-    rows = pretrain(model, corpus / "manifest.jsonl", store, cfg)
+    rows = pl.train_stage1(model, corpus, cfg)
     pl.save_stage1_bundle(out, model, rows)
     click.echo(f"{len(rows)} steps, final loss {rows[-1]['L_total']:.4f}")
 
@@ -321,14 +315,12 @@ def pretrain_cmd(corpus, out, epochs, batch_size, lr_max, lr_min, max_steps,
 def finetune_lora_cmd(corpus, stage1, out, rank, alpha, epochs, batch_size,
                       lr_max, lr_min, max_steps, seed):
     """Adapt a frozen stage-1 model to a new domain with low-rank adapters."""
-    meta = pl.read_meta(corpus)
     model = pl.load_stage1_bundle(stage1)
     lora_mod.attach(model, r=rank, alpha=alpha, seed=seed)
     lora_mod.freeze_base(model)
     cfg = PretrainConfig(epochs=epochs, batch_size=batch_size, lr_max=lr_max,
                          lr_min=lr_min, seed=seed, max_steps=max_steps)
-    store = ClipStore(corpus / "videos", meta["fps"])
-    rows = pretrain(model, corpus / "manifest.jsonl", store, cfg)
+    rows = pl.train_stage1(model, corpus, cfg)
     pl.save_lora_bundle(out, model, stage1, rows)
     click.echo(f"{len(rows)} steps, final loss {rows[-1]['L_total']:.4f}")
 
@@ -340,18 +332,7 @@ def finetune_lora_cmd(corpus, stage1, out, rank, alpha, epochs, batch_size,
 @click.option("--lora", default=None, type=IN)
 def extract_features_cmd(corpus, stage1, out, lora):
     """Write one feature file per corpus video, one row per second."""
-    out.mkdir(parents=True, exist_ok=True)
-    meta = pl.read_meta(corpus)
-    model = pl.load_stage1_bundle(stage1, lora)
-    for vid in meta["video_ids"]:
-        path = corpus / "videos" / f"{vid}.wlfg"
-        frames, fps = read_video(path)
-        if fps != meta["fps"]:
-            raise InputError(f"{path}: frame rate {fps:g} differs from the "
-                             f"fps {meta['fps']:g} in {corpus / 'meta.json'}")
-        part = pl.partition(len(frames) / fps, pl.CLIP_SECONDS, fps)
-        seq = pl.extract_features(frames, model, part, vid)
-        write_features(out / f"{vid}.wlft", seq.features)
+    pl.extract_corpus_features(corpus, pl.load_stage1_bundle(stage1, lora), out)
 
 
 # -- stage 2 ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .models import (CAPTION_PROMPT, MGA_PROMPT, Stage1Model, TextTokens,
                      VideoTokens)
 from .optim import train
 from .rng import SessionRng
-from .serialization import read_frame_grid
+from .serialization import read_video
 from .timeline import frame_span
 
 
@@ -222,25 +222,41 @@ def load_manifest(path) -> List[dict]:
 
 def load_clips(path) -> List[dict]:
     """The records of a clip manifest, each an object with string `video`
-    and `text` and numeric `start_s` and `end_s`; otherwise an InputError
-    naming the manifest line of the first record that is not."""
+    and `text` and numeric `start_s` and `end_s`, with `end_s` after
+    `start_s`; otherwise an InputError naming the manifest line of the first
+    record that is not."""
     kinds = {"video": "str", "text": "str", "start_s": "float",
              "end_s": "float"}
-    return [require_types(f"{path}:{number}", record, kinds)
-            for number, record in _jsonl(path)]
+    records = []
+    for number, record in _jsonl(path):
+        require_types(f"{path}:{number}", record, kinds)
+        if not record["end_s"] > record["start_s"]:
+            raise InputError(f"{path}:{number}: end_s {record['end_s']!r} "
+                             f"is not after start_s {record['start_s']!r}")
+        records.append(record)
+    return records
 
 
 class ClipStore:
-    """Caches frame grids (.wlfg) and serves clip frame ranges."""
+    """Reads frame grids (.wlfg) held to the rate `fps`; serves clip ranges."""
 
     def __init__(self, root, fps: float):
         self.root = Path(root)
         self.fps = fps
         self._cache: Dict[str, np.ndarray] = {}
 
+    def read(self, video_id: str) -> np.ndarray:
+        """A grid's frames, uncached; refused unless it is timed at `fps`."""
+        path = self.root / f"{video_id}.wlfg"
+        frames, fps = read_video(path)
+        if fps != self.fps:
+            raise InputError(f"{path}: frame rate {fps:g} differs from the "
+                             f"corpus fps {self.fps:g}")
+        return frames
+
     def video(self, video_id: str) -> np.ndarray:
         if video_id not in self._cache:
-            self._cache[video_id] = read_frame_grid(self.root / f"{video_id}.wlfg")
+            self._cache[video_id] = self.read(video_id)
         return self._cache[video_id]
 
     def clip(self, record: dict) -> np.ndarray:

@@ -1,7 +1,7 @@
 """End-to-end orchestration: clip partitioning, feature extraction, two-stage
 segmentation, zero-shot phase prediction, dense captioning, the PCA export and
-plot, the stage-1, LoRA and temporal model bundles (the one module that names
-their files), and the training-subset ablation."""
+plot, the corpus reader and the stage-1, LoRA and temporal model bundles (the
+one module that names their files), and the training-subset ablation."""
 
 from __future__ import annotations
 
@@ -15,14 +15,18 @@ import numpy as np
 
 from . import lora as lora_mod
 from .autodiff import no_grad
-from .errors import ConfigError, InputError, StateError, require_types
+from .errors import (ConfigError, InputError, StateError, VocabError,
+                     require_types)
 from .metrics import MetricReport, evaluate_sequences
-from .models import MGA_PROMPT, CAPTION_PROMPT, ModelConfig, Stage1Model
+from .models import (MGA_PROMPT, CAPTION_PROMPT, ModelConfig, Stage1Model,
+                     stage1_vocabulary)
 from .nn import load_parameters
-from .objectives import similarity_matrix
+from .objectives import (ClipStore, PretrainConfig, load_clips, pretrain,
+                         similarity_matrix)
 from .rng import SessionRng
 from .serialization import (read_checkpoint, read_features, read_json,
-                            write_checkpoint, write_csv, write_json, write_svg)
+                            write_checkpoint, write_csv, write_features,
+                            write_json, write_svg)
 from .temporal import (FeatureSequence, TemporalConfig, TrainTemporalConfig,
                        build_temporal_model, train_temporal)
 from .timeline import (CAPTION_SECONDS, CLIP_SECONDS, IDLE, PhaseTimeline,
@@ -115,14 +119,22 @@ def zero_shot(frames: np.ndarray, model: Stage1Model,
               prototypes: Dict[str, str], fps: float,
               batch_size: int = 16) -> PhaseTimeline:
     """Per-clip class prediction by fine-grained similarity to encoded
-    prototype sentences; clip-wise argmax concatenated into a timeline."""
+    prototype sentences; clip-wise argmax concatenated into a timeline.  A
+    prototype word outside the model's vocabulary raises an InputError
+    naming the class and the word."""
     if len(prototypes) < 2:
         raise ConfigError("zero-shot needs at least two classes")
     class_names = sorted(prototypes)
     prompt = model.prompt_ids(MGA_PROMPT)
+    ids = []
+    for name in class_names:
+        try:
+            ids.append(prompt + model.vocab.encode(prototypes[name], strict=True))
+        except VocabError as exc:
+            raise InputError(f"prototype of class {name!r}: "
+                             f"{exc.args[0]}") from None
     with no_grad():
-        text = model.encode_text_batch(
-            [prompt + model.vocab.encode(prototypes[c]) for c in class_names])
+        text = model.encode_text_batch(ids)
         e_t, w_t = model.head.pool_text(text)
         part = partition(len(frames) / fps, CLIP_SECONDS, fps)
         labels = []
@@ -216,7 +228,7 @@ def _write_scatter_svg(path, coords, keys, ratios, size=420) -> None:
     write_svg(path, size, size, parts)
 
 
-# -- JSON artifacts -----------------------------------------------------------
+# -- JSON artifacts and corpora -----------------------------------------------
 
 
 def captions_to_dict(video_id: str, captions: Sequence[Caption]) -> dict:
@@ -251,9 +263,10 @@ def _require_strings(path, key: str, values) -> None:
 
 def read_meta(corpus) -> dict:
     """A corpus's meta.json when `fps` is a finite positive number,
-    `video_ids` and `class_names` are lists of strings and `prototypes`,
-    when present, is an object of strings; otherwise an InputError naming
-    the file and the key.  Every command reads a corpus's metadata here."""
+    `video_ids` and `class_names` are lists of distinct strings and
+    `prototypes`, when present, is an object of strings; otherwise an
+    InputError naming the file and the key (and a repeated value).  Every
+    command reads a corpus's metadata here."""
     path = Path(corpus) / "meta.json"
     meta = require_types(path, read_json(path), {
         "fps": "float", "video_ids": "list", "class_names": "list"})
@@ -264,7 +277,40 @@ def read_meta(corpus) -> dict:
                          f"not {meta['fps']!r}")
     for key in ("video_ids", "class_names", "prototypes"):
         _require_strings(path, key, meta.get(key, []))
+    for key in ("video_ids", "class_names"):
+        repeated = [v for i, v in enumerate(meta[key]) if v in meta[key][:i]]
+        if repeated:
+            raise InputError(f"{path}: {key} lists {repeated[0]!r} twice")
     return meta
+
+
+def corpus_vocabulary(corpus) -> Vocabulary:
+    """The stage-1 vocabulary of a corpus's clip captions and prototypes."""
+    meta = read_meta(corpus)
+    captions = [r["text"] for r in load_clips(Path(corpus) / "manifest.jsonl")]
+    return stage1_vocabulary(captions + list(meta.get("prototypes", {}).values()))
+
+
+def train_stage1(model: Stage1Model, corpus, cfg: PretrainConfig) -> List[dict]:
+    """objectives.pretrain's rows for a corpus's clip manifest, after every
+    corpus grid is read and held to meta.json's rate."""
+    meta = read_meta(corpus)
+    store = ClipStore(Path(corpus) / "videos", meta["fps"])
+    for vid in meta["video_ids"]:
+        store.video(vid)
+    return pretrain(model, Path(corpus) / "manifest.jsonl", store, cfg)
+
+
+def extract_corpus_features(corpus, model: Stage1Model, out) -> None:
+    """Write each corpus video's features, one row per clip, to out/<id>.wlft."""
+    meta = read_meta(corpus)
+    store = ClipStore(Path(corpus) / "videos", meta["fps"])
+    Path(out).mkdir(parents=True, exist_ok=True)
+    for vid in meta["video_ids"]:
+        frames = store.read(vid)
+        part = partition(len(frames) / store.fps, CLIP_SECONDS, store.fps)
+        write_features(Path(out) / f"{vid}.wlft",
+                       extract_features(frames, model, part, vid).features)
 
 
 # -- model bundles ------------------------------------------------------------

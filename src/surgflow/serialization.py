@@ -8,7 +8,7 @@ are little-endian:
    u8 rank, u64 dims..., payload}.
 Version-1 files have no dtype byte and hold float32 only; they still read.
 A checkpoint (.wlcp) holds one entry per parameter tensor, a feature table
-(.wlft) exactly one rank-2 float32 entry "features" [clips, dim], and a frame
+exactly one rank-2 float32 entry "features" [clips, dim], and a frame
 grid (.wlfg) exactly two entries: a rank-4 uint8 "frames" [frames, height,
 width, channels] of 8-bit levels, which `unit_frames` turns into intensities,
 and a 0-d float32 "fps", the frame rate the video is timed at.

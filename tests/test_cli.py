@@ -901,6 +901,69 @@ class TestInputChecks:
         assert f"error: {path}: {named}" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("start_s,end_s", [(5.0, 3.0), (2.0, 2.0)])
+    def test_empty_or_reversed_clip_span_is_refused(self, runner, out_inputs,
+                                                    tmp_path, start_s, end_s):
+        """A manifest record that does not end after it starts exits 1
+        naming its line, rather than training on a one-frame clip."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(out_inputs / "corpus", corpus)
+        path = corpus / "manifest.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record.update(start_s=start_s, end_s=end_s)
+        lines[1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+        out = tmp_path / "stage1"
+        result = runner.invoke(main, ["pretrain", "--corpus", str(corpus),
+                                      "--max-steps", "1", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert (f"error: {path}:2: end_s {end_s!r} is not after start_s "
+                f"{start_s!r}") in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("video_ids", "video_000"),
+                                           ("class_names", "idle")])
+    def test_repeated_meta_value_is_refused(self, runner, out_inputs,
+                                            tmp_path, key, value):
+        """A video id or class name listed twice in meta.json exits 1
+        naming the file and the value, rather than training on the video
+        twice or saving a model with a repeated class."""
+        ws, corpus = out_inputs, tmp_path / "corpus"
+        corpus.mkdir()
+        for part in ("videos", "timelines", "manifest.jsonl"):
+            (corpus / part).symlink_to(ws / "corpus" / part)
+        meta = json.loads((ws / "corpus" / "meta.json").read_text())
+        meta[key].append(value)
+        path = corpus / "meta.json"
+        path.write_text(json.dumps(meta))
+        out = tmp_path / "tcn"
+        result = runner.invoke(main, [
+            "train-temporal", "--features", str(ws / "features"), "--corpus",
+            str(corpus), "--epochs", "1", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert f"error: {path}: {key} lists {value!r} twice" in result.output
+        assert not out.exists()
+
+    def test_unknown_prototype_word_is_refused(self, runner, out_inputs,
+                                               tmp_path):
+        """Prototype words outside the model's vocabulary exit 1 naming the
+        class and the word, rather than all encoding to the unknown token."""
+        ws = out_inputs
+        meta = json.loads((ws / "corpus" / "meta.json").read_text())
+        protos = {c: s.replace(f" {c} ", f" {c}zz ") if c != "idle" else s
+                  for c, s in meta["prototypes"].items()}
+        path = tmp_path / "protos.json"
+        path.write_text(json.dumps(protos))
+        out = tmp_path / "zs.json"
+        result = runner.invoke(main, [
+            "zeroshot", "--video", VIDEO.format(ws=ws), "--stage1",
+            str(ws / "stage1"), "--prototypes", str(path), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert ("error: prototype of class 'incision': unknown token: "
+                "'incisionzz'\n") in result.output
+        assert not out.exists()
+
     def test_malformed_config_file_is_usage_error(self, runner, tmp_path):
         cfg = tmp_path / "defaults.json"
         cfg.write_text("{gen-synth")
@@ -1116,8 +1179,29 @@ class TestCorpusFrameRate:
             "extract-features", "--corpus", str(corpus),
             "--stage1", str(workspace / "stage1"), "--out", str(out)])
         assert result.exit_code == 1, result.output
-        assert (f"error: {path}: frame rate 4 differs from the fps 8 in "
-                f"{corpus / 'meta.json'}") in result.output
+        assert (f"error: {path}: frame rate 4 differs from the corpus "
+                f"fps 8") in result.output
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("name", ["pretrain", "finetune-lora"])
+    def test_training_refuses_other_rate(self, runner, workspace, tmp_path,
+                                         name):
+        """Stage-1 training holds every corpus grid to meta.json's rate
+        before its first step, as extract-features does."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        path = corpus / "videos" / "video_001.wlfg"
+        write_frame_grid(path, read_frame_grid(path), 4)
+        out = tmp_path / "out"
+        stage1 = ["--stage1", str(workspace / "stage1")]
+        result = runner.invoke(main, [
+            name, "--corpus", str(corpus), "--out", str(out), "--max-steps",
+            "1", "--batch-size", "2"] + (stage1 if name == "finetune-lora"
+                                         else []))
+        assert result.exit_code == 1, result.output
+        assert (f"error: {path}: frame rate 4 differs from the corpus "
+                f"fps 8") in result.output
         assert not out.exists()
 
 

@@ -24,7 +24,9 @@ from surgflow.pipeline import (Caption, PhaseTimeline, Segment,
                                save_stage1_bundle, save_temporal_bundle,
                                segment, write_json, zero_shot)
 from surgflow.rng import SessionRng
-from surgflow.serialization import read_checkpoint, write_features
+from surgflow.serialization import (read_checkpoint, read_video,
+                                    write_features, write_frame_grid)
+from surgflow.synthetic import SyntheticSpec, generate_corpus
 from surgflow.temporal import (FramePrediction, TemporalConfig,
                                build_temporal_model)
 
@@ -127,6 +129,35 @@ class TestFeatureExtraction:
         a = extract_features(frames, model, part, batch_size=2).features
         b = extract_features(frames, model, part, batch_size=16).features
         np.testing.assert_allclose(a, b, atol=1e-5)
+
+
+class TestCorpusFeatures:
+    """extract_corpus_features writes one table per corpus video, reading
+    each grid through the corpus's ClipStore."""
+
+    def test_tables_match_a_per_video_loop(self, tmp_path):
+        corpus, model = tmp_path / "corpus", make_tiny_model()
+        meta = generate_corpus(SyntheticSpec(seed=5, frame_size=8), 2, corpus)
+        pl.extract_corpus_features(corpus, model, tmp_path / "features")
+        assert sorted(p.name for p in (tmp_path / "features").iterdir()) == [
+            f"{vid}.wlft" for vid in meta["video_ids"]]
+        for vid in meta["video_ids"]:
+            frames, fps = read_video(corpus / "videos" / f"{vid}.wlfg")
+            part = partition(len(frames) / fps, pl.CLIP_SECONDS, fps)
+            write_features(tmp_path / "want.wlft",
+                           extract_features(frames, model, part, vid).features)
+            assert (tmp_path / "features" / f"{vid}.wlft").read_bytes() == \
+                (tmp_path / "want.wlft").read_bytes()
+
+    def test_grid_at_another_rate_is_refused(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        generate_corpus(SyntheticSpec(seed=5, frame_size=8), 2, corpus)
+        path = corpus / "videos" / "video_001.wlfg"
+        write_frame_grid(path, read_video(path)[0], 4.0)
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: frame rate 4 differs from the corpus fps 8")):
+            pl.extract_corpus_features(corpus, make_tiny_model(),
+                                       tmp_path / "features")
 
 
 class TestZeroShot:

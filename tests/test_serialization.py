@@ -196,6 +196,43 @@ x = f"{out}/curve.csv"; y = "run_manifest.json"; z = "meta.json"
             list(range(1, len(BUNDLE_FILES) + 1)) + [len(BUNDLE_FILES) + 1]
 
 
+CORPUS_DIRS = ("videos", "timelines")
+CORPUS_FILES = ("meta.json", "manifest.jsonl", ".wlft")
+
+
+def _corpus_names(tree):
+    """Line numbers of the string literals in `tree` that name a corpus
+    directory (equal to it) or a corpus file (containing it)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and (node.value in CORPUS_DIRS
+                     or any(name in node.value for name in CORPUS_FILES))):
+            yield node.lineno
+
+
+class TestOneCorpusReader:
+    """Only `pipeline` names the directories and files of a corpus, and
+    `synthetic`, which writes one; every other module reads a corpus
+    through `pipeline`."""
+
+    SRC = Path(serialization.__file__).parent
+
+    def test_no_module_but_pipeline_names_a_corpus_file(self):
+        found = [f"{path.name}:{line}"
+                 for path in sorted(self.SRC.glob("*.py"))
+                 if path.name not in ("pipeline.py", "synthetic.py")
+                 for line in _corpus_names(ast.parse(path.read_text()))]
+        assert found == []
+
+    def test_checker_sees_each_corpus_name(self):
+        source = """
+a = corpus / "videos"; b = corpus / "timelines"; c = "meta.json"
+d = f"{corpus}/manifest.jsonl"; e = out / f"{vid}.wlft"; f = "*.wlft"
+x = "--videos"; y = "videos/v.wlfg"; z = {"videos": 3}; w = "manifest"
+"""
+        assert sorted(_corpus_names(ast.parse(source))) == [2] * 3 + [3] * 3 + [4]
+
+
 def _training_calls(tree):
     """Line numbers of the calls in `tree` that build an optimizer or a
     schedule or clip gradients: AdamW, CosineWarmupSchedule and

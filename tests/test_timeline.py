@@ -3,6 +3,7 @@ by training labels and evaluation, gap handling, evaluation lengths, and the
 import layering that keeps the timeline module light."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,21 @@ class TestFrameSpan:
                                "end_s": 4.0})) == 8
         with pytest.raises(InputError):
             store.clip({"video": "v", "start_s": 4.0, "end_s": 5.0})
+
+    def test_clip_store_holds_grids_to_its_rate(self, tmp_path):
+        """`read` refuses a grid at another rate and caches nothing; `video`
+        caches what `read` returns."""
+        for vid, fps in (("v8", 8.0), ("v4", 4.0)):
+            write_frame_grid(tmp_path / f"{vid}.wlfg",
+                             np.zeros((32, 4, 4, 3), np.uint8), fps)
+        store = ClipStore(tmp_path, 8.0)
+        assert store.read("v8") is not store.read("v8")
+        assert store.video("v8") is store.video("v8")
+        for read in (store.read, store.video):
+            with pytest.raises(InputError, match=re.escape(
+                    f"{tmp_path / 'v4.wlfg'}: frame rate 4 differs from the "
+                    "corpus fps 8")):
+                read("v4")
 
 
 class TestSampling:
