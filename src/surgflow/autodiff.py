@@ -375,26 +375,58 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(np.matmul(a.data, b.data), (a, b), bwd)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+           low_rank: tuple | None = None) -> Tensor:
     """x @ weight + bias for x [..., d_in] and weight [d_in, d_out], recorded
     as one tape node; the weight gradient is one [d_in, d_out] GEMM over all
-    leading positions."""
+    leading positions.
+
+    With `low_rank=(a, b, scaling)`, a [r, d_in] and b [d_out, r], the node
+    adds the low-rank delta scaling * (x @ a.T) @ b.T, with the bits of
+    matmul, transpose, mul and add nodes composing it; its closure keeps x
+    and the [..., r] product x @ a.T, and the factor gradients are each one
+    GEMM over all leading positions."""
     x = _wrap(x)
     if weight.ndim != 2 or x.ndim < 1 or x.shape[-1] != weight.shape[0]:
         raise DimensionError(f"linear shape mismatch: {x.shape} x {weight.shape}")
+    d_in, d_out = weight.shape
     val = np.matmul(x.data, weight.data)
     if bias is not None:
         val = _widened(val, bias.data)
         val += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if low_rank is not None:
+        a, b, scaling = low_rank
+        if a.ndim != 2 or a.shape[1] != d_in or b.shape != (d_out, a.shape[0]):
+            raise DimensionError(f"low-rank factors {a.shape} and {b.shape} "
+                                 f"do not fit a {d_in}x{d_out} linear")
+        r = a.shape[0]
+        low = np.matmul(x.data, a.data.T)
+        delta = np.matmul(low, b.data.T)
+        delta *= np.asarray(scaling, delta.dtype)
+        val = _widened(val, delta)
+        val += delta
+        parents += (a, b)
     def bwd(g):
-        d_in, d_out = weight.shape
         if weight.requires_grad:
             _accum(weight, x.data.reshape(-1, d_in).T @ g.reshape(-1, d_out))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.reshape(-1, d_out).sum(axis=0))
+        dx = np.matmul(g, weight.data.T) if x.requires_grad else None
+        if low_rank is not None:
+            sg = g * np.asarray(scaling, g.dtype)
+            d_low = np.matmul(sg, b.data)
+            if b.requires_grad:
+                _accum(b, sg.reshape(-1, d_out).T @ low.reshape(-1, r))
+            if a.requires_grad:
+                _accum(a, d_low.reshape(-1, r).T @ x.data.reshape(-1, d_in))
+            if x.requires_grad:
+                dx_low = np.matmul(d_low, a.data)
+                dx = _widened(dx, dx_low)
+                dx += dx_low
         if x.requires_grad:
-            _accum(x, np.matmul(g, weight.data.T))
-    return _node(val, (x, weight) if bias is None else (x, weight, bias), bwd)
+            _accum(x, dx)
+    return _node(val, parents, bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -8,6 +8,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import autodiff as ad
+from . import lora
 from .autodiff import Tensor, grad_check
 from .models import ModelConfig, Stage1Model, stage1_vocabulary
 from .objectives import (mga_loss, mgc_loss, mlm_loss, stage1_batch,
@@ -104,6 +105,22 @@ def gradient_suite(dtype=np.float32, seed: int = 95) -> Dict[str, float]:
     results["mgc_loss"] = grad_check(f_mgc, params, eps)
     results["mlm_loss"] = grad_check(f_mlm, params, eps)
     results["valor_loss"] = grad_check(f_valor, params, eps)
+
+    # the same loss through seeded adapters on the frozen model, each B
+    # jittered off its zero init so that A's gradient is not zero, and each
+    # A to the scale of the base weights so that the delta's share of the
+    # input gradient is too
+    lora.attach(model, r=2, seed=seed)
+    lora.freeze_base(model)
+    jitter = SessionRng(seed + 4)
+    for adapter in lora.iter_adapters(model):
+        for factor in (adapter.lora_a, adapter.lora_b):
+            factor.data = factor.data + jitter.normal(0.4, factor.shape)
+    _cast(model, dtype)
+    results["lora_loss"] = grad_check(f_valor, _pick(model, [
+        "video_encoder.blocks.0.attn.w_q.lora_a",
+        "decoder.cross_attn.0.w_v.lora_b",
+    ]), eps)
 
     tcfg = TemporalConfig(num_classes=3, feature_dim=4, hidden=4,
                           tcn_layers=2, tcn_refinements=1,

@@ -2,10 +2,13 @@
 
 Forward through an adapted projection computes W x + (alpha/r) B A x with
 A [r, d_in], B [d_out, r]; B starts at zero so attaching is output-neutral.
+An enabled, unmerged adapter is one `autodiff.linear` tape node (its
+`low_rank` form), whose closure keeps only x and the [..., r] product A x.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List
 
 import numpy as np
@@ -39,11 +42,10 @@ class LoraLinear(Module):
         return self.alpha / self.rank
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = self.base(x)
-        if self.enabled and not self.merged:
-            low = ad.matmul(x, ad.transpose(self.lora_a))
-            out = out + self.scaling * ad.matmul(low, ad.transpose(self.lora_b))
-        return out
+        if not self.enabled or self.merged:
+            return self.base(x)
+        return ad.linear(x, self.base.weight, self.base.bias,
+                         low_rank=(self.lora_a, self.lora_b, self.scaling))
 
     def merge(self) -> None:
         if self.merged:
@@ -67,6 +69,8 @@ def attach(model: Module, r: int = 8, alpha: float | None = None,
         raise ConfigError("model has no attention layers")
     if alpha is None:
         alpha = float(r)
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"alpha must be finite and positive, not {alpha}")
     rng = SessionRng(seed)
     adapters = []
     for layer in attn_layers:

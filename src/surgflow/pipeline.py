@@ -390,6 +390,9 @@ def load_stage1_bundle(stage1, lora=None) -> Stage1Model:
         if spec["rank"] < 1:
             raise InputError(f"{path}: rank must be at least 1, "
                              f"not {spec['rank']}")
+        if not (math.isfinite(spec["alpha"]) and spec["alpha"] > 0):
+            raise InputError(f"{path}: alpha must be finite and positive, "
+                             f"not {spec['alpha']}")
         if spec["stage1_sha256"] != _sha256(stage1 / "stage1.wlcp"):
             raise InputError(f"{path}: adapters were trained on another "
                              f"stage-1 bundle than {stage1}")

@@ -5,8 +5,8 @@ import math
 import numpy as np
 
 from surgflow.autodiff import (GELU_F32_POLY, Tensor, concat, getitem,
-                               matmul, pad, power, reduce_mean, reshape,
-                               softmax, transpose)
+                               linear, matmul, pad, power, reduce_mean,
+                               reshape, softmax, transpose)
 from surgflow.corpus import detect_static, median_filter_validity
 from surgflow.errors import ConfigError, DimensionError, NumericError
 from surgflow.nn import Module, causal_mask
@@ -89,6 +89,16 @@ def unfused_linear(x: Tensor, weight: Tensor,
     if bias is not None:
         out = out + bias
     return out
+
+
+def unfused_lora_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
+                        a: Tensor, b: Tensor, scaling: float) -> Tensor:
+    """x @ weight + bias + scaling * (x @ a.T) @ b.T as seven nodes (linear,
+    two transposes, two matmuls, mul and add): the formulation that
+    autodiff.linear with `low_rank=(a, b, scaling)` computes as one node."""
+    out = linear(x, weight, bias)
+    low = matmul(x, transpose(a))
+    return out + scaling * matmul(low, transpose(b))
 
 
 def unfused_layer_norm(x: Tensor, gain: Tensor, bias: Tensor,

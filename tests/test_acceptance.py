@@ -52,8 +52,8 @@ class TestGradientSuite:
         for dtype, tol in ((np.float32, 1e-3), (np.float64, 1e-5)):
             report = gradient_suite(dtype)
             assert set(report) == {"mga_loss", "mgc_loss", "mlm_loss",
-                                   "valor_loss", "tcn_loss", "ce_dice_loss",
-                                   "soft_dice"}
+                                   "valor_loss", "lora_loss", "tcn_loss",
+                                   "ce_dice_loss", "soft_dice"}
             for name, err in report.items():
                 assert err < tol, f"{name} ({np.dtype(dtype).name}): {err}"
         assert time.time() - t0 < 120.0

@@ -15,9 +15,10 @@ from conftest import TINY_TEXTS, make_tiny_model, tiny_clips, traced_bytes
 from oracles import (math_erf_cdf, reference_attention, reference_gelu,
                      reference_layer_norm, reference_linear,
                      reference_multihead_attention, unfused_attention,
-                     unfused_conv1d, unfused_layer_norm, unfused_linear)
+                     unfused_conv1d, unfused_layer_norm, unfused_linear,
+                     unfused_lora_linear)
 from surgflow import autodiff as ad
-from surgflow import nn
+from surgflow import lora, nn
 from surgflow.autodiff import Tensor, grad_check
 from surgflow.errors import (ConfigError, DimensionError, InputError,
                              NumericError, StateError)
@@ -322,6 +323,10 @@ def _tape_nodes(root):
     return count
 
 
+def _lora_linear(x, weight, bias, a, b, scaling):
+    return ad.linear(x, weight, bias, low_rank=(a, b, scaling))
+
+
 def _compare_to_unfused(fused_op, unfused_op, arrays, trainable, dtype, tol,
                         seed, atol=None, **kwargs):
     """Run both ops on fresh leaves of `arrays` (None passes through) with the
@@ -392,6 +397,29 @@ class TestFusedTransformerOps:
                             dtype, tol, seed + 1)
 
     @DTYPES
+    @given(lead=st.lists(st.integers(1, 3), max_size=1).map(tuple),
+           t=st.integers(1, 40), d_in=st.integers(1, 8),
+           d_out=st.integers(1, 8), r=st.integers(1, 4),
+           with_bias=st.booleans(),
+           trainable=st.tuples(*[st.booleans()] * 5),
+           scaling=st.sampled_from([1.0, 0.5, 8.0 / 3.0]),
+           seed=st.integers(0, 2 ** 16))
+    def test_lora_linear_matches_unfused(self, dtype, tol, lead, t, d_in,
+                                         d_out, r, with_bias, trainable,
+                                         scaling, seed):
+        """The low-rank form against its seven-node composition, for 2-D
+        and 3-D x and every mix of frozen and trainable x, base and
+        factors."""
+        rng = SessionRng(seed)
+        arrays = [rng.normal(1.0, lead + (t, d_in), dtype),
+                  rng.normal(1.0, (d_in, d_out), dtype),
+                  rng.normal(1.0, (d_out,), dtype) if with_bias else None,
+                  rng.normal(1.0, (r, d_in), dtype),
+                  rng.normal(1.0, (d_out, r), dtype)]
+        _compare_to_unfused(_lora_linear, unfused_lora_linear, arrays,
+                            trainable, dtype, tol, seed + 1, scaling=scaling)
+
+    @DTYPES
     @given(lead=LEAD, t=st.integers(1, 40), dim=st.integers(1, 16),
            trainable=st.tuples(st.booleans(), st.booleans(), st.booleans()),
            seed=st.integers(0, 2 ** 16))
@@ -440,6 +468,17 @@ class TestFusedTransformerOps:
         assert out._parents == expected
         assert _tape_nodes(out) == 1
 
+    def test_lora_linear_one_tape_node(self):
+        """An enabled adapter over a frozen base is one node whose parents
+        are x and the two factors."""
+        rng = SessionRng(47)
+        base = nn.Linear(3, 4, rng)
+        adapter = lora.LoraLinear(base, 2, 4.0, rng)
+        x = rand64(rng, (2, 5, 3))
+        out = adapter(x)
+        assert out._parents == (x, adapter.lora_a, adapter.lora_b)
+        assert _tape_nodes(out) == 1
+
     def test_layer_norm_one_tape_node(self):
         rng = SessionRng(43)
         x, gain, bias = rand64(rng, (2, 5, 3)), rand64(rng, (3,)), rand64(rng, (3,))
@@ -457,6 +496,15 @@ class TestFusedTransformerOps:
     def test_linear_shape_error(self):
         with pytest.raises(DimensionError):
             ad.linear(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 4), (4, 2)),
+                                                  ((2, 3), (4, 3)),
+                                                  ((3,), (4, 3))])
+    def test_low_rank_shape_error(self, a_shape, b_shape):
+        """x [5, 3] and weight [3, 4] need a [r, 3] and b [4, r]."""
+        with pytest.raises(DimensionError, match="low-rank"):
+            ad.linear(t64(np.ones((5, 3))), t64(np.ones((3, 4))), low_rank=(
+                t64(np.ones(a_shape)), t64(np.ones(b_shape)), 1.0))
 
     def test_attention_shape_error(self):
         with pytest.raises(DimensionError):
@@ -493,6 +541,19 @@ class TestFusedTransformerOps:
         report = valor_loss(model, tiny_clips(SessionRng(7), 2), ids,
                             SessionRng(9))
         assert _tape_nodes(report.total) == 211
+
+    def test_lora_valor_loss_step_records_186_nodes(self):
+        """The same step with rank-2 adapters on every query and value
+        projection and the base frozen, as in LoRA fine-tuning: each
+        adapted projection is one node, and no node is recorded where
+        nothing it depends on is trainable."""
+        model = make_tiny_model(n_layers=2)
+        lora.attach(model, r=2, seed=0)
+        lora.freeze_base(model)
+        ids = [model.vocab.encode(t) for t in TINY_TEXTS[:2]]
+        report = valor_loss(model, tiny_clips(SessionRng(7), 2), ids,
+                            SessionRng(9))
+        assert _tape_nodes(report.total) == 186
 
     @pytest.mark.parametrize("variant, nodes", [("tcn", 142),
                                                 ("asformer", 217)])
@@ -746,8 +807,9 @@ class TestInPlaceKernels:
         _against_reference(fn, reference, arrays, [True] * len(arrays), 53,
                            g_dtype=g_dtype)
 
-    @pytest.mark.parametrize("op", ["linear", "layer_norm", "attention",
-                                    "gelu", "conv1d"])
+    @pytest.mark.parametrize("op", ["linear", "linear/low_rank",
+                                    "layer_norm", "attention", "gelu",
+                                    "conv1d"])
     def test_backward_mutates_nothing(self, op):
         """A backward closure leaves g, the inputs' data and the output's
         data as they were, and a second call with the same g gives the same
@@ -1145,7 +1207,8 @@ class TestGetitemGradient:
         np.testing.assert_array_equal(x.grad, expected)
 
 
-# Every op that records a tape node: (call, input shapes).
+# Every op that records a tape node, and each further form of one under
+# "<op>/<form>": (call, input shapes).
 RECORDING_OPS = {
     "add": (ad.add, [(3, 4), (4,)]),
     "sub": (ad.sub, [(3, 4), (4,)]),
@@ -1156,6 +1219,8 @@ RECORDING_OPS = {
     "gelu": (ad.gelu, [(3, 4)]),
     "matmul": (ad.matmul, [(2, 3, 4), (4, 2)]),
     "linear": (ad.linear, [(2, 3, 4), (4, 2), (2,)]),
+    "linear/low_rank": (lambda x, w, bias, a, b: _lora_linear(
+        x, w, bias, a, b, 0.5), [(2, 3, 4), (4, 2), (2,), (3, 4), (2, 3)]),
     "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)]),
     "transpose": (lambda a: ad.transpose(a, (2, 0, 1)), [(2, 3, 4)]),
     "concat": (lambda *p: ad.concat(p, axis=1), [(3, 4), (3, 2), (3, 1)]),
@@ -1200,7 +1265,7 @@ class TestNoGrad:
                      if isinstance(fn, ast.FunctionDef) and any(
                          isinstance(c, ast.Call) and getattr(c.func, "id", "") == "_node"
                          for c in ast.walk(fn))}
-        assert recording == set(RECORDING_OPS)
+        assert recording == {op.partition("/")[0] for op in RECORDING_OPS}
 
     @OPS
     def test_results_are_constants(self, op):

@@ -1037,6 +1037,18 @@ class TestLoraBundle:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert f"error: {path}: {named}" in result.output
 
+    def test_nonpositive_alpha_is_refused(self, runner, workspace, tmp_path):
+        """An adapter scale of 0 would leave the output untouched whatever
+        the training: exit 2 before training, no bundle left."""
+        out = tmp_path / "lora"
+        result = runner.invoke(main, [
+            "finetune-lora", "--corpus", str(workspace / "corpus"),
+            "--stage1", str(workspace / "stage1"), "--out", str(out),
+            "--rank", "2", "--alpha", "0", "--max-steps", "1"])
+        assert result.exit_code == 2, result.output
+        assert "error: alpha must be finite and positive, not 0.0" \
+            in result.output
+        assert not out.exists()
 
     def test_other_base_is_refused(self, runner, out_inputs, lora_bundle,
                                    tmp_path):
@@ -1062,8 +1074,9 @@ class TestLoraBundle:
 class TestBundleValueTypes:
     """Each value of model.json, temporal.json and lora.json is checked
     against its field's type (an int is a number, a bool is not an int),
-    and lora.json's rank is at least 1; any other value exits 1 naming the
-    file and the key, never with a traceback."""
+    and lora.json's rank is at least 1 and its alpha finite and positive;
+    any other value exits 1 naming the file and the key, never with a
+    traceback."""
 
     @pytest.mark.parametrize("bundle,key,value,named", [
         ("lora", "rank", "4", "rank must be an integer, not '4'"),
@@ -1081,6 +1094,9 @@ class TestBundleValueTypes:
         ("tcn", "classes", [0, 1], "classes must be strings, not [0, 1]"),
         ("tcn", "config.smoothing_weight", 1, None),
         ("lora", "alpha", 2, None),
+        ("lora", "alpha", 0, "alpha must be finite and positive, not 0"),
+        ("lora", "alpha", float("nan"),
+         "alpha must be finite and positive, not nan"),
     ])
     def test_value_types(self, runner, out_inputs, lora_bundle, tmp_path,
                          bundle, key, value, named):
@@ -1210,7 +1226,7 @@ class TestGradcheck:
         result = runner.invoke(main, ["gradcheck", "--mode", "f32"])
         assert result.exit_code == 0, result.output
         lines = result.output.splitlines()
-        assert len(lines) == 7
+        assert len(lines) == 8
         assert all(line.startswith("f32 ") and line.endswith(" ok")
                    for line in lines)
 

@@ -1,5 +1,5 @@
 """Low-rank adapters: output-neutral attach, base freezing, exact disable,
-merge folding, and parameter accounting."""
+merge folding, one-node forward, and parameter accounting."""
 
 import hashlib
 
@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_model, tiny_clips
-from oracles import reference_modules, reference_parameters
+from oracles import (reference_modules, reference_parameters,
+                     unfused_lora_linear)
 from surgflow import lora
 from surgflow.autodiff import Tensor, reduce_sum
 from surgflow.errors import ConfigError, InputError, StateError
-from surgflow.nn import Module, MultiHeadAttention, load_parameters
+from surgflow.nn import Linear, Module, MultiHeadAttention, load_parameters
 from surgflow.optim import AdamW
 from surgflow.rng import SessionRng
 from surgflow.temporal import TemporalConfig, build_temporal_model
@@ -78,6 +79,27 @@ class TestRandomConfigs:
         # merging folds the delta into the base weights
         lora.merge(host)
         np.testing.assert_allclose(host(x).data, adapted_out, atol=1e-5)
+
+
+class TestOneNodeForward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_enabled_equals_unfused_and_disabled_equals_base(self, dtype):
+        """An enabled adapter has the bits of the seven-node composition;
+        a disabled one those of its base projection alone."""
+        rng = SessionRng(14)
+        adapter = lora.LoraLinear(Linear(8, 6, rng), 3, 5.0, rng)
+        for p in adapter.parameters().values():
+            p.data = p.data.astype(dtype)
+        adapter.lora_b.data = rng.normal(0.3, adapter.lora_b.shape, dtype)
+        x = Tensor(rng.normal(1.0, (2, 5, 8), dtype), requires_grad=True)
+        want = unfused_lora_linear(x, adapter.base.weight, adapter.base.bias,
+                                   adapter.lora_a, adapter.lora_b,
+                                   adapter.scaling)
+        got = adapter(x).data
+        assert got.dtype == dtype
+        assert got.tobytes() == want.data.tobytes()
+        adapter.enabled = False
+        assert adapter(x).data.tobytes() == adapter.base(x).data.tobytes()
 
 
 class TestFreezing:
@@ -151,6 +173,17 @@ class TestStateMachine:
         host = Host(8, 2, 1, SessionRng(8))
         with pytest.raises(ConfigError):
             lora.attach(host, r=r)
+
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, float("nan"),
+                                       float("inf")])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        """A zero alpha scales the delta, and so the factors' gradients, to
+        zero: such adapters could never change the output."""
+        host = Host(8, 2, 1, SessionRng(8))
+        with pytest.raises(ConfigError, match="alpha must be finite and "
+                                              "positive"):
+            lora.attach(host, r=2, alpha=alpha)
+        assert lora.iter_adapters(host) == []
 
     def test_no_attention_layers(self):
         class Bare(Module):
