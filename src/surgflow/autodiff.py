@@ -45,6 +45,7 @@ from .errors import (ConfigError, DimensionError, InputError, NumericError,
                      StateError)
 
 DEFAULT_DTYPE = np.float32
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -89,8 +90,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False,
                  _parents: tuple = (), _backward: Callable | None = None):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        arr = data if type(data) is np.ndarray else np.asarray(data)
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -387,12 +388,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     and the [..., r] product x @ a.T, and the factor gradients are each one
     GEMM over all leading positions."""
     x = _wrap(x)
-    if weight.ndim != 2 or x.ndim < 1 or x.shape[-1] != weight.shape[0]:
-        raise DimensionError(f"linear shape mismatch: {x.shape} x {weight.shape}")
-    d_in, d_out = weight.shape
-    val = np.matmul(x.data, weight.data)
+    xd, wd = x.data, weight.data
+    if wd.ndim != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[0]:
+        raise DimensionError(f"linear shape mismatch: {xd.shape} x {wd.shape}")
+    d_in, d_out = wd.shape
+    val = np.matmul(xd, wd)
     if bias is not None:
-        val = _widened(val, bias.data)
+        if bias.data.dtype != val.dtype:
+            val = _widened(val, bias.data)
         val += bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
     if low_rank is not None:
@@ -401,7 +404,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             raise DimensionError(f"low-rank factors {a.shape} and {b.shape} "
                                  f"do not fit a {d_in}x{d_out} linear")
         r = a.shape[0]
-        low = np.matmul(x.data, a.data.T)
+        low = np.matmul(xd, a.data.T)
         delta = np.matmul(low, b.data.T)
         delta *= np.asarray(scaling, delta.dtype)
         val = _widened(val, delta)
@@ -617,7 +620,7 @@ def _split_heads(x: np.ndarray, heads: int | None) -> np.ndarray:
     when heads is None."""
     if heads is None:
         return x
-    return np.swapaxes(x.reshape(x.shape[:-1] + (heads, -1)), -2, -3)
+    return x.reshape(x.shape[:-1] + (heads, -1)).swapaxes(-2, -3)
 
 
 def _merge_heads(x: np.ndarray, heads: int | None) -> np.ndarray:
@@ -625,7 +628,7 @@ def _merge_heads(x: np.ndarray, heads: int | None) -> np.ndarray:
     heads is None."""
     if heads is None:
         return x
-    x = np.swapaxes(x, -2, -3)
+    x = x.swapaxes(-2, -3)
     return x.reshape(x.shape[:-2] + (-1,))
 
 
@@ -647,6 +650,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     the result (and each input gradient) has its heads merged back,
     [..., Tq, h * dv]; the same arithmetic as reshaping and transposing
     around the call, without their tape nodes.
+
+    The scores are shifted by their row's fmax, not max, which changes only
+    a NaN's bit pattern: a row holding a NaN is NaN throughout either way.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
@@ -658,21 +664,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
                              f"do not split into {heads} heads")
     qd, kd, vd = (_split_heads(a.data, heads) for a in (q, k, v))
     scale = np.asarray(1.0 / np.sqrt(qd.shape[-1]), q.dtype)
-    p = np.matmul(qd, np.swapaxes(kd, -1, -2))
+    p = np.matmul(qd, kd.swapaxes(-1, -2))
     p *= scale
     if bias is not None:
         p = _widened(p, bias)
         p += bias
-    p -= p.max(axis=-1, keepdims=True)
+    p -= np.fmax.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     def bwd(g):
         g = _split_heads(g, heads)
         if v.requires_grad:
-            _accum(v, _merge_heads(np.matmul(np.swapaxes(p, -1, -2), g), heads))
+            _accum(v, _merge_heads(np.matmul(p.swapaxes(-1, -2), g), heads))
         if not (q.requires_grad or k.requires_grad):
             return
-        ds = _widened(np.matmul(g, np.swapaxes(vd, -1, -2)), p)  # dP
+        ds = _widened(np.matmul(g, vd.swapaxes(-1, -2)), p)  # dP
         t = ds * p
         ds -= t.sum(axis=-1, keepdims=True)
         ds *= p
@@ -680,7 +686,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
         if q.requires_grad:
             _accum(q, _merge_heads(np.matmul(ds, kd), heads))
         if k.requires_grad:
-            _accum(k, _merge_heads(np.matmul(np.swapaxes(ds, -1, -2), qd), heads))
+            _accum(k, _merge_heads(np.matmul(ds.swapaxes(-1, -2), qd), heads))
     return _node(_merge_heads(np.matmul(p, vd), heads), (q, k, v), bwd)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, StateError
 from .nn import (LayerNorm, Linear, Module, MultiHeadAttention,
                  TransformerBlock, causal_mask)
 from .rng import SessionRng
@@ -160,19 +160,31 @@ class DecodeCache:
     cross-attention keys and values of the video tokens, and the
     self-attention keys and values of the first `length` text positions,
     each [B, T, C] with the heads unsplit.  Every decode runs through one;
-    a whole decode starts from an empty one."""
+    a whole decode starts from an empty one.  A layer's `text` entry holds
+    the first call's key and value nodes; the first continuation copies
+    them into two [B, capacity, C] arrays, which every continuation writes
+    in place and attends over views of, so a continuation records no tape."""
     video: list = field(default_factory=list)
     text: dict = field(default_factory=dict)
     length: int = 0
 
-    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple:
-        """Cached keys and values followed by (k, v), all kept."""
-        if self.length:
-            past_k, past_v = self.text[layer]
-            k = ad.concat([past_k[:, :self.length], k], axis=1)
-            v = ad.concat([past_v[:, :self.length], v], axis=1)
-        self.text[layer] = (k, v)
-        return k, v
+    def extend(self, layer: int, k: Tensor, v: Tensor, capacity: int) -> tuple:
+        """Cached keys and values followed by (k, v): (k, v) themselves on
+        an empty cache, else views of the buffers (k, v) are written into."""
+        if not self.length:
+            self.text[layer] = (k, v)
+            return k, v
+        if k.requires_grad or v.requires_grad:
+            raise StateError("a cached continuation cannot record a tape")
+        start, end = self.length, self.length + k.shape[1]
+        bufs = self.text[layer]
+        if isinstance(bufs[0], Tensor):  # the first continuation seeds them
+            rest = (k.shape[0], capacity - start, k.shape[2])
+            bufs = self.text[layer] = tuple(np.concatenate(
+                [t.data[:, :start], np.empty(rest, t.dtype)], axis=1) for t in bufs)
+        for buf, new in zip(bufs, (k, v)):
+            buf[:, start:end] = new.data
+        return tuple(Tensor(buf[:, :end]) for buf in bufs)
 
 
 class MultimodalDecoder(Module):
@@ -188,6 +200,7 @@ class MultimodalDecoder(Module):
                            for _ in range(cfg.n_layers)]
         self.ln_out = LayerNorm(cfg.dim)
         self.to_logits = Linear(cfg.dim, vocab_size, rng)
+        self._causal = causal_mask(cfg.max_text_len)
 
     def __call__(self, ids: np.ndarray, pad_mask: np.ndarray,
                  video: VideoTokens, causal: bool,
@@ -197,7 +210,8 @@ class MultimodalDecoder(Module):
         Without a cache, `ids` are decoded whole, padding masked, against an
         empty cache.  With one, `ids` are unpadded and continue the cache's
         `length` positions, attending to those through its keys and values,
-        and only the last position is returned.  The video is projected into
+        and only the last position is returned; a continuation of a nonempty
+        cache must be causal and record no tape.  The video is projected into
         cross-attention keys and values on a cache's first call.
         """
         whole = cache is None
@@ -205,21 +219,24 @@ class MultimodalDecoder(Module):
             cache = DecodeCache()
         elif pad_mask.any():
             raise InputError("cached decoding takes unpadded ids")
+        elif cache.length and not causal:
+            raise InputError("a cached continuation decodes causally")
         if not cache.video:
             flat = video.flat
             cache.video = [c_attn.keys_values(flat) for c_attn in self.cross_attn]
-        start, n_t = cache.length, ids.shape[1]
+        start, end = cache.length, cache.length + ids.shape[1]
         x = self._text_encoder.embed(ids, start)
-        mask = causal_mask(start + n_t)[start:] if causal else None
+        mask = self._causal[start:end, :end] if causal else None
         key_pad = pad_mask if whole else None
         for i, (block, c_ln, c_attn) in enumerate(zip(
                 self._text_encoder.blocks, self.cross_ln, self.cross_attn)):
             normed = block.ln1(x)
-            kv = cache.extend(i, *block.attn.keys_values(normed))
+            kv = cache.extend(i, *block.attn.keys_values(normed),
+                              self.cfg.max_text_len)
             x = x + block.attn(normed, attn_mask=mask, key_pad=key_pad, kv=kv)
             x = x + c_attn(c_ln(x), kv=cache.video[i])
             x = x + block.ff(block.ln2(x))
-        cache.length += n_t
+        cache.length = end
         if not whole:
             x = x[:, -1:]
         hidden = self.ln_out(x)

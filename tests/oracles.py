@@ -9,6 +9,7 @@ from surgflow.autodiff import (GELU_F32_POLY, Tensor, concat, getitem,
                                reshape, softmax, transpose)
 from surgflow.corpus import detect_static, median_filter_validity
 from surgflow.errors import ConfigError, DimensionError, NumericError
+from surgflow.models import DecodeCache
 from surgflow.nn import Module, causal_mask
 from surgflow.objectives import load_manifest, valor_loss
 from surgflow.optim import (CLIP_NORM, AdamW, CosineWarmupSchedule,
@@ -283,6 +284,21 @@ def uncached_generate(model, video, prompt_ids, max_len=16):
             break
         generated.append(nxt)
     return generated, rows
+
+
+class ConcatDecodeCache(DecodeCache):
+    """The K/V cache before its preallocated buffers: a continuation
+    concatenates the cached keys and values with the new ones (a getitem
+    and a concat per layer for each) and keeps the result.  The reference
+    whose bits models.DecodeCache's in-place buffers keep."""
+
+    def extend(self, layer, k, v, capacity=None):
+        if self.length:
+            past_k, past_v = self.text[layer]
+            k = concat([past_k[:, :self.length], k], axis=1)
+            v = concat([past_v[:, :self.length], v], axis=1)
+        self.text[layer] = (k, v)
+        return k, v
 
 
 def reference_decode(model, ids, pad_mask, video, causal):

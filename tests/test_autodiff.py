@@ -830,6 +830,118 @@ class TestInPlaceKernels:
         assert grads[0] == grads[1]
 
 
+EDGE_SCORES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -1e9, 2.0, -3.0])
+
+
+def _split(x, heads):
+    """[..., T, heads * d] -> [..., heads, T, d] by reshape and transpose."""
+    x = x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
+    return np.swapaxes(x, -2, -3)
+
+
+class TestAttentionEdgeValues:
+    """attention shifts the scores by their row's fmax, the unfused
+    composition's softmax by max: on scores holding NaN, +-inf, +-0.0 and
+    -1e9-masked keys the two agree on where the result is NaN and,
+    everywhere else, bit for bit, zero signs included."""
+
+    @staticmethod
+    def check(q, k, v, bias, heads):
+        with np.errstate(all="ignore"):
+            got = ad.attention(Tensor(q), Tensor(k), Tensor(v), bias,
+                               heads=heads).data
+            if heads is None:
+                want = unfused_attention(Tensor(q), Tensor(k), Tensor(v),
+                                         bias).data
+            else:
+                want = unfused_attention(*(Tensor(_split(a, heads))
+                                           for a in (q, k, v)), bias).data
+                want = np.swapaxes(want, -2, -3)
+                want = want.reshape(want.shape[:-2] + (-1,))
+        nan = np.isnan(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @DTYPE
+    @pytest.mark.parametrize("heads", [None, 2])
+    @given(lead=st.lists(st.integers(1, 2), max_size=1).map(tuple),
+           tq=st.integers(1, 5), tk=st.integers(1, 5), d=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_max_shifted_composition(self, dtype, heads, lead, tq,
+                                             tk, d, seed):
+        """q, k and v hold a few edge values, some query rows are signed
+        zeros (so their scores are zeros), the bias holds edge values at
+        random scores and -1e9 at random padded keys."""
+        rng = SessionRng(seed)
+        width = (heads or 1) * d
+
+        def edged(shape, rate, rest):
+            pick = EDGE_SCORES[rng.integers(0, len(EDGE_SCORES), shape)]
+            return np.where(rng.uniform(0.0, 1.0, shape) < rate, pick, rest)
+
+        q, k, v = (edged(shape, 0.05, rng.normal(1.0, shape, dtype))
+                   .astype(dtype) for shape in [lead + (tq, width)]
+                   + [lead + (tk, width)] * 2)
+        q[..., rng.uniform(0.0, 1.0, tq) < 0.4, :] = (0.0, -0.0)[
+            rng.integers(0, 2)]
+        pad = rng.uniform(0.0, 1.0, lead + (1,) * (heads is not None)
+                          + (1, tk)) < 0.3
+        bias = (edged((tq, tk), 0.4, 0.0)
+                + np.where(pad, -1e9, 0.0)).astype(np.float32)
+        self.check(q, k, v, bias, heads)
+
+    @DTYPE
+    @pytest.mark.parametrize("heads", [None, 2])
+    def test_hand_rows(self, dtype, heads):
+        """Zero queries, so each score row is its bias row: a NaN, +inf,
+        all -inf, zeros of both signs beside a -1e9 key, and finite."""
+        bias = np.array([[np.nan, 0.0, 1.0], [np.inf, 0.0, -1e9],
+                         [-np.inf, -np.inf, -np.inf], [-0.0, 0.0, -1e9],
+                         [-0.0, -0.0, -0.0], [1.0, -1e9, 2.0]], np.float32)
+        q = np.full((6, 2 * (heads or 1)), -0.0, dtype)
+        k = SessionRng(55).normal(1.0, (3, q.shape[1]), dtype)
+        v = SessionRng(56).normal(1.0, (3, q.shape[1]), dtype)
+        v[0] = -0.0
+        self.check(q, k, v, bias, heads)
+
+
+class TestTensorDtypes:
+    """A Tensor holds a plain float32 or float64 ndarray: such an array as
+    given, anything else through np.asarray and, unless that is float32 or
+    float64, a cast to float32."""
+
+    class Sub(np.ndarray):
+        pass
+
+    @pytest.mark.parametrize("data, dtype, shape", [
+        (1.5, np.float64, ()),
+        ([1, 2, 3], np.float32, (3,)),
+        ([[1.0, 2.0]], np.float64, (1, 2)),
+        (np.ones(3, np.float32).sum(), np.float32, ()),
+        (np.ones(3).sum(), np.float64, ()),
+        (np.arange(3).sum(), np.float32, ()),
+        (np.array(2.0), np.float64, ()),
+        (np.array(2.0, np.float32), np.float32, ()),
+        (np.arange(6).reshape(2, 3), np.float32, (2, 3)),
+        (np.ones(4, np.float16), np.float32, (4,)),
+        (np.ones(4, bool), np.float32, (4,)),
+        (np.ones((2, 2)).view(Sub), np.float64, (2, 2)),
+        (np.ones(2, np.float32).view(Sub), np.float32, (2,)),
+        (np.ones(2, np.int32).view(Sub), np.float32, (2,)),
+    ])
+    def test_dtype_and_shape(self, data, dtype, shape):
+        t = Tensor(data)
+        assert type(t.data) is np.ndarray
+        assert t.dtype == dtype and t.shape == shape
+        np.testing.assert_array_equal(t.data, np.asarray(data, dtype))
+
+    @DTYPE
+    def test_float_array_is_kept(self, dtype):
+        a = np.ones(3, dtype)
+        assert Tensor(a).data is a
+
+
 class TestFloat64Cdf:
     """float64 _normal_cdf is the standard library's math.erf cdf, element
     by element and bit for bit, in an array of x's shape."""

@@ -2,16 +2,18 @@
 pooling, caption generation, and the seeded initial weights."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TINY_TEXTS, make_tiny_model, tiny_clips
-from oracles import reference_decode, uncached_generate
+from oracles import ConcatDecodeCache, reference_decode, uncached_generate
 from surgflow import autodiff as ad
+from surgflow import models
 from surgflow.autodiff import Tensor
-from surgflow.errors import ConfigError, InputError
+from surgflow.errors import ConfigError, InputError, StateError
 from surgflow.models import (CAPTION_PROMPT, MGA_PROMPT, DecodeCache,
                              ModelConfig, Stage1Model, VideoTokens,
                              uniform_sample_indices)
@@ -328,6 +330,82 @@ class TestCachedDecoding:
         for got, want in zip(rows, want_rows):
             assert got.dtype == dtype
             np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(n_layers=st.integers(1, 2), prompt_len=st.integers(1, 12),
+           max_len=st.integers(1, 16), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40)
+    def test_buffers_equal_concat_cache_bit_for_bit(self, dtype, n_layers,
+                                                    prompt_len, max_len, seed):
+        """Every step's logits and the caption ids of the in-place buffers
+        equal, byte for byte, those of the concatenating cache."""
+        model = make_tiny_model(seed % 4, n_layers=n_layers)
+        for p in model.parameters().values():
+            p.data = p.data.astype(dtype)
+        rng = SessionRng(seed)
+        cfg = model.cfg
+        video = VideoTokens(Tensor(rng.normal(
+            1.0, (1, cfg.n_frames, cfg.spatial_tokens, cfg.dim), dtype)))
+        prompt = [int(i) for i in rng.integers(0, len(model.vocab),
+                                               (prompt_len,))]
+        rows = self.spy_logits(model)
+        with mock.patch.object(models, "DecodeCache", ConcatDecodeCache):
+            want_ids = model.generate_caption(video, prompt, max_len)
+        want_rows = rows[:]
+        del rows[:]
+        assert model.generate_caption(video, prompt, max_len) == want_ids
+        assert [r.dtype for r in rows] == [dtype] * len(want_rows)
+        assert [r.tobytes() for r in rows] == [r.tobytes() for r in want_rows]
+
+    def test_buffers_allocated_once_and_written_in_place(self, tiny_model):
+        """A first call keeps its key and value nodes; the first
+        continuation copies them into two [B, max_text_len, C] arrays per
+        layer, which later continuations write into, not replace."""
+        video = tiny_model.encode_video_batch(tiny_clips(SessionRng(12), 1))
+        cache = DecodeCache()
+
+        def decode(ids):
+            ids = np.array([ids])
+            with ad.no_grad():
+                tiny_model.decode_multimodal(ids, np.zeros_like(ids, bool),
+                                             video, True, cache)
+        decode([7, 8, 9])
+        assert all(isinstance(t, Tensor) for t in cache.text[0])
+        decode([10])
+        bufs = cache.text[0]
+        cfg = tiny_model.cfg
+        assert [b.shape for b in bufs] == [(1, cfg.max_text_len, cfg.dim)] * 2
+        decode([11, 12])
+        assert cache.text[0] is bufs and cache.length == 6
+
+    def test_non_causal_continuation_refused(self):
+        """A continuation's earlier positions never see the new ones, so a
+        non-causal one would differ from the whole non-causal decode."""
+        model = make_tiny_model(0, n_layers=2)
+        video = model.encode_video_batch(tiny_clips(SessionRng(13), 1))
+        cache = DecodeCache()
+        with ad.no_grad():
+            first = np.array([[7, 8, 9]])
+            model.decode_multimodal(first, np.zeros_like(first, bool), video,
+                                    False, cache)
+            more = np.array([[10, 11]])
+            with pytest.raises(InputError, match="causally"):
+                model.decode_multimodal(more, np.zeros_like(more, bool),
+                                        video, False, cache)
+
+    def test_continuation_refuses_a_tape(self, tiny_model):
+        """The buffers are constants, so a recorded continuation would drop
+        the gradients to the earlier keys and values."""
+        video = tiny_model.encode_video_batch(tiny_clips(SessionRng(14), 1))
+        cache = DecodeCache()
+        first = np.array([[7, 8, 9]])
+        _, logits = tiny_model.decode_multimodal(
+            first, np.zeros_like(first, bool), video, True, cache)
+        assert logits.requires_grad
+        more = np.array([[10]])
+        with pytest.raises(StateError):
+            tiny_model.decode_multimodal(more, np.zeros_like(more, bool),
+                                         video, True, cache)
 
     def test_decodes_two_positions_per_step_after_the_first(self, tiny_model):
         video = tiny_model.encode_video_batch(tiny_clips(SessionRng(9), 1))
