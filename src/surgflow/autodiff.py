@@ -30,7 +30,17 @@ and never into an array its backward closure keeps once the forward pass
 has returned.  In-place steps use the ufuncs, operands and order of the
 out-of-place expression they replace (at most swapping the operands of a
 ``*`` or ``+``), and a buffer is first cast to the dtype the out-of-place
-step would promote to, so the results are bit-identical to it.
+step would promote to, so the results are bit-identical to it under the
+sum rule.
+
+The sum rule: a sum along an array's last axis is the BLAS product
+``a @ ones[n, 1]`` (``_sum_last``), and a sum over the rows of a 2-D array
+is ``ones[M] @ a`` (``_sum_rows``), not NumPy's pairwise reduce.  Every
+bias and gain gradient, row mean and last-axis sum of the kernels and of
+``reduce_sum``, ``reduce_mean``, ``softmax`` and ``log_softmax`` follows
+it; other axes keep NumPy's sum.  BLAS adds in another order than the
+pairwise sum, so the bits differ from ``a.sum(...)``, within a bound that
+tests/test_sum_rule.py states against a float64 sum.
 """
 
 from __future__ import annotations
@@ -71,6 +81,46 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+_ONES: dict = {}
+
+
+def _ones(n: int, dtype) -> np.ndarray:
+    """A read-only [n] vector of ones in `dtype`: a slice of one cached
+    buffer per dtype, replaced by a longer one when n exceeds it."""
+    buf = _ONES.get(dtype)
+    if buf is None or buf.shape[0] < n:
+        buf = np.ones(n, dtype)
+        buf.flags.writeable = False
+        _ONES[dtype] = buf
+    return buf[:n]
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """`a` summed along its last axis, which is kept: a @ ones[n, 1]."""
+    return np.matmul(a, _ones(a.shape[-1], a.dtype)[:, None])
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of 2-D `a` summed: ones[M] @ a, of shape [N]."""
+    return np.matmul(_ones(a.shape[0], a.dtype), a)
+
+
+def _is_last(axis, ndim: int) -> bool:
+    """True when `axis` (an int, a tuple or None) names exactly the last of
+    `ndim` axes."""
+    if type(axis) is tuple:
+        axis = axis[0] if len(axis) == 1 else None
+    return ndim > 0 and axis in (-1, ndim - 1)
+
+
+def _sum_kept(a: np.ndarray, axis) -> np.ndarray:
+    """`a` summed along `axis` (all axes when None), which is kept: by the
+    sum rule when it is a's last axis, else by NumPy's sum."""
+    if _is_last(axis, a.ndim):
+        return _sum_last(a)
+    return a.sum(axis=axis, keepdims=True)
 
 
 def _spent(grad: np.ndarray) -> None:
@@ -414,7 +464,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if weight.requires_grad:
             _accum(weight, x.data.reshape(-1, d_in).T @ g.reshape(-1, d_out))
         if bias is not None and bias.requires_grad:
-            _accum(bias, g.reshape(-1, d_out).sum(axis=0))
+            _accum(bias, _sum_rows(g.reshape(-1, d_out)))
         dx = np.matmul(g, weight.data.T) if x.requires_grad else None
         if low_rank is not None:
             sg = g * np.asarray(scaling, g.dtype)
@@ -504,10 +554,11 @@ def getitem(a: Tensor, index) -> Tensor:
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup into `weight` by integer id array."""
+    """Row lookup into `weight` by integer id array; an id outside
+    [0, rows) raises an InputError."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
-        raise IndexError("embedding id out of range")
+        raise InputError(f"token id outside [0, {weight.shape[0]})")
     return getitem(weight, ids)
 
 
@@ -515,15 +566,20 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
+    """Sum over `axis` (all axes when None), by the sum rule along the last
+    axis."""
     a = _wrap(a)
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape))
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+    val = _sum_kept(a.data, axis)
+    return _node(val if keepdims else np.squeeze(val, axis), (a,), bwd)
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
+    """Mean over `axis` (all axes when None), by the sum rule along the last
+    axis."""
     a = _wrap(a)
     def bwd(g):
         count = a.size if axis is None else np.prod(
@@ -531,7 +587,11 @@ def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape) / count)
-    return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
+    if _is_last(axis, a.ndim):
+        val = _row_mean(a.data)
+    else:
+        val = a.data.mean(axis=axis, keepdims=True)
+    return _node(val if keepdims else np.squeeze(val, axis), (a,), bwd)
 
 
 def reduce_max(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -555,32 +615,35 @@ def reduce_max(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along `axis`."""
+    """Numerically stabilized softmax along `axis`, whose sums follow the
+    sum rule when it is the last axis."""
     x = _wrap(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    val = e / e.sum(axis=axis, keepdims=True)
+    val = e / _sum_kept(e, axis)
     def bwd(g):
-        dot = (g * val).sum(axis=axis, keepdims=True)
+        dot = _sum_kept(g * val, axis)
         _accum(x, val * (g - dot))
     return _node(val, (x,), bwd)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Log-softmax along `axis`, whose sums follow the sum rule when it is
+    the last axis."""
     x = _wrap(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    lse = np.log(_sum_kept(np.exp(shifted), axis))
     val = shifted - lse
     def bwd(g):
-        _accum(x, g - np.exp(val) * g.sum(axis=axis, keepdims=True))
+        _accum(x, g - np.exp(val) * _sum_kept(g, axis))
     return _node(val, (x,), bwd)
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
-    """a.mean(axis=-1, keepdims=True) in two calls with the same bits: the
-    same pairwise sum, divided in a's dtype (a float32 mean divides in
-    float64, which rounds to the same float32 quotient)."""
-    m = np.add.reduce(a, axis=-1, keepdims=True)
+    """The mean along a's last axis, kept: a @ ones[n, 1] divided by n in
+    place, in a's dtype.  Bit-identical to the out-of-place arithmetic
+    under the sum rule, which sums the last axis as a @ ones[n, 1]."""
+    m = _sum_last(a)
     m /= a.shape[-1]
     return m
 
@@ -599,9 +662,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def bwd(g):
         dim = g.shape[-1]
         if gain.requires_grad:
-            _accum(gain, (g * x_hat).reshape(-1, dim).sum(axis=0))
+            _accum(gain, _sum_rows((g * x_hat).reshape(-1, dim)))
         if bias.requires_grad:
-            _accum(bias, g.reshape(-1, dim).sum(axis=0))
+            _accum(bias, _sum_rows(g.reshape(-1, dim)))
         if x.requires_grad:
             d = g * gain.data
             t = d * x_hat
@@ -671,7 +734,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
         p += bias
     p -= np.fmax.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= _sum_last(p)
     def bwd(g):
         g = _split_heads(g, heads)
         if v.requires_grad:
@@ -680,7 +743,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
             return
         ds = _widened(np.matmul(g, vd.swapaxes(-1, -2)), p)  # dP
         t = ds * p
-        ds -= t.sum(axis=-1, keepdims=True)
+        ds -= _sum_last(t)
         ds *= p
         ds *= scale
         if q.requires_grad:
@@ -739,7 +802,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         if kernel.requires_grad:
             _accum(kernel, (taps.T @ g).reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
-            _accum(bias, g)
+            _accum(bias, _sum_rows(g))
         if x.requires_grad:
             g_taps = g @ w.T  # [T, k*C_in]
             if k == 1:

@@ -60,6 +60,30 @@ def brute_similarity(e_t, w_t, e_v, w_v):
     return 0.5 * (t2v + v2t)
 
 
+def product_sum_last(a):
+    """`a` summed along its last axis, which is kept, as the product
+    a @ ones[n, 1]: the sum rule of the autodiff kernels, in NumPy."""
+    return np.matmul(a, np.ones((a.shape[-1], 1), a.dtype))
+
+
+def product_sum_rows(a):
+    """The rows of 2-D `a` summed as the product ones[M] @ a: the sum rule's
+    row sum, in NumPy."""
+    return np.matmul(np.ones(a.shape[0], a.dtype), a)
+
+
+def pairwise_sum_last(a):
+    """a.sum(axis=-1, keepdims=True), NumPy's pairwise sum: the autodiff
+    kernels' last-axis sum before the sum rule."""
+    return a.sum(axis=-1, keepdims=True)
+
+
+def pairwise_sum_rows(a):
+    """a.sum(axis=0) of 2-D `a`, NumPy's pairwise sum: the kernels' row sum
+    before the sum rule."""
+    return a.sum(axis=0)
+
+
 def unfused_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
                    dilation: int = 1) -> Tensor:
     """Same-padded dilated 1-D convolution composed from tape ops (pad, one
@@ -129,33 +153,34 @@ def unfused_attention(q: Tensor, k: Tensor, v: Tensor,
 def reference_linear(x, weight, bias, g):
     """x @ weight + bias and the gradients of x, weight and bias (None
     without a bias) for upstream gradient `g`, in the out-of-place
-    arithmetic autodiff.linear computes partly in place."""
+    arithmetic autodiff.linear computes partly in place, under the sum
+    rule."""
     val = np.matmul(x, weight)
     if bias is not None:
         val = val + bias
     d_in, d_out = weight.shape
     grads = [np.matmul(g, weight.T),
              x.reshape(-1, d_in).T @ g.reshape(-1, d_out),
-             None if bias is None else g.reshape(-1, d_out).sum(axis=0)]
+             None if bias is None else product_sum_rows(g.reshape(-1, d_out))]
     return val, grads
 
 
 def reference_layer_norm(x, gain, bias, g, eps=1e-5):
     """Layer normalization over the last axis and the gradients of x, gain
     and bias for upstream gradient `g`, in the out-of-place arithmetic
-    autodiff.layer_norm computes in place."""
-    mu = x.mean(axis=-1, keepdims=True)
+    autodiff.layer_norm computes in place, under the sum rule."""
+    dim = x.shape[-1]
+    mu = product_sum_last(x) / dim
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = product_sum_last(centered * centered) / dim
     inv = (var + np.asarray(eps, var.dtype)) ** -0.5
     x_hat = centered * inv
     val = x_hat * gain + bias
-    dim = g.shape[-1]
     d = g * gain
-    dx = inv * (d - d.mean(axis=-1, keepdims=True) - x_hat *
-                (d * x_hat).mean(axis=-1, keepdims=True))
-    return val, [dx, (g * x_hat).reshape(-1, dim).sum(axis=0),
-                 g.reshape(-1, dim).sum(axis=0)]
+    dx = inv * (d - product_sum_last(d) / dim - x_hat *
+                (product_sum_last(d * x_hat) / dim))
+    return val, [dx, product_sum_rows((g * x_hat).reshape(-1, dim)),
+                 product_sum_rows(g.reshape(-1, dim))]
 
 
 def math_erf_cdf(x):
@@ -187,15 +212,15 @@ def reference_gelu(x, g):
 def reference_attention(q, k, v, g, bias=None):
     """softmax(q k^T / sqrt(d) + bias) v and the gradients of q, k and v for
     upstream gradient `g`, in the out-of-place arithmetic
-    autodiff.attention computes in place."""
+    autodiff.attention computes in place, under the sum rule."""
     scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), q.dtype)
     scores = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
     if bias is not None:
         scores = scores + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = e / product_sum_last(e)
     dp = np.matmul(g, np.swapaxes(v, -1, -2))
-    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+    ds = p * (dp - product_sum_last(dp * p)) * scale
     return np.matmul(p, v), [np.matmul(ds, k),
                              np.matmul(np.swapaxes(ds, -1, -2), q),
                              np.matmul(np.swapaxes(p, -1, -2), g)]

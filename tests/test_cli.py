@@ -1244,23 +1244,35 @@ class TestGradcheck:
 
 
 class TestThreadDeterminism:
-    """A seeded pretrain writes the same bytes whatever WL_THREADS is."""
+    """A seeded pretrain, feature extraction and stage-2 training write the
+    same bytes whatever WL_THREADS is, BLAS products with ones included."""
 
     THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-    def pretrain(self, corpus, out, threads):
+    def cli(self, args, threads):
+        """Run `surgflow <args>` in a new interpreter under WL_THREADS."""
         env = {k: v for k, v in os.environ.items()
                if k not in self.THREAD_VARS}
         src = str(Path(surgflow.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
         env["WL_THREADS"] = str(threads)
-        subprocess.run(
-            [sys.executable, "-m", "surgflow.cli", "pretrain",
-             "--corpus", str(corpus), "--out", str(out), "--max-steps", "4",
-             "--epochs", "1", "--seed", "3"],
-            env=env, check=True, capture_output=True, timeout=300)
+        subprocess.run([sys.executable, "-m", "surgflow.cli", *args],
+                       env=env, check=True, capture_output=True, timeout=300)
+
+    def pretrain(self, corpus, out, threads):
+        self.cli(["pretrain", "--corpus", str(corpus), "--out", str(out),
+                  "--max-steps", "4", "--epochs", "1", "--seed", "3"],
+                 threads)
+
+    def outputs(self, args, out, threads):
+        """{file name: bytes} that `surgflow <args> --out <out>/t<threads>`
+        writes, its run manifest (which records the wall time) left out."""
+        target = out / f"t{threads}"
+        self.cli(args + ["--out", str(target)], threads)
+        return {p.name: p.read_bytes() for p in sorted(target.iterdir())
+                if p.name != "run_manifest.json"}
 
     def test_pretrain_bytes_equal_across_thread_counts(self, tmp_path):
         generate_corpus(SyntheticSpec(seed=3), 4, tmp_path / "corpus")
@@ -1270,6 +1282,23 @@ class TestThreadDeterminism:
         for name in ("stage1.wlcp", "curve.csv"):
             assert (tmp_path / "t1" / name).read_bytes() == \
                 (tmp_path / "t2" / name).read_bytes(), name
+
+    def test_features_bytes_equal_across_thread_counts(self, workspace,
+                                                       tmp_path):
+        args = ["extract-features", "--corpus", str(workspace / "corpus"),
+                "--stage1", str(workspace / "stage1")]
+        one, two = (self.outputs(args, tmp_path, t) for t in (1, 2))
+        assert len(one) == 2 and all(n.endswith(".wlft") for n in one)
+        assert one == two
+
+    def test_temporal_bundle_bytes_equal_across_thread_counts(self, workspace,
+                                                              tmp_path):
+        args = ["train-temporal", "--features", str(workspace / "features"),
+                "--corpus", str(workspace / "corpus"), "--variant", "asformer",
+                "--epochs", "2"]
+        one, two = (self.outputs(args, tmp_path, t) for t in (1, 2))
+        assert sorted(one) == ["curve.csv", "temporal.json", "temporal.wlcp"]
+        assert one == two
 
 
 class TestThreadCap:

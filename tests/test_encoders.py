@@ -121,6 +121,20 @@ class TestTextEncoder:
         with pytest.raises(InputError):
             tiny_model.text_encoder.embed(bad)
 
+    @pytest.mark.parametrize("bad_id", [-1, "vocab size"])
+    def test_out_of_vocabulary_id_is_input_error(self, tiny_model, bad_id):
+        """The one id check, in autodiff.embedding, refuses an id below 0
+        or past the vocabulary, through embed and through a caption prompt."""
+        bad_id = len(tiny_model.vocab) if bad_id == "vocab size" else bad_id
+        good = tiny_model.prompt_ids(CAPTION_PROMPT)
+        with pytest.raises(InputError, match="token id outside"):
+            tiny_model.text_encoder.embed(np.array([good + [bad_id]]))
+        with pytest.raises(InputError, match="token id outside"):
+            ad.embedding(tiny_model.text_encoder.token_embed, [bad_id])
+        video = tiny_model.encode_video_batch(tiny_clips(SessionRng(7), 1))
+        with pytest.raises(InputError, match="token id outside"):
+            tiny_model.generate_caption(video, [bad_id] + good, max_len=2)
+
     def test_maskable_excludes_prompt_and_reserved(self, tiny_model):
         vocab = tiny_model.vocab
         prompt = tiny_model.prompt_ids(CAPTION_PROMPT)
