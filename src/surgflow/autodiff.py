@@ -587,10 +587,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape) / count)
-    if _is_last(axis, a.ndim):
-        val = _row_mean(a.data)
-    else:
-        val = a.data.mean(axis=axis, keepdims=True)
+    val = _mean_kept(a.data, axis)
     return _node(val if keepdims else np.squeeze(val, axis), (a,), bwd)
 
 
@@ -627,15 +624,25 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(val, (x,), bwd)
 
 
+def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """The log-softmax of `x` along `axis`, in a new array."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(_sum_kept(np.exp(shifted), axis))
+
+
+def _log_softmax_grad(val: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The input gradient of a log-softmax along `axis` whose value is
+    `val`, for upstream gradient `g`."""
+    return g - np.exp(val) * _sum_kept(g, axis)
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Log-softmax along `axis`, whose sums follow the sum rule when it is
     the last axis."""
     x = _wrap(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(_sum_kept(np.exp(shifted), axis))
-    val = shifted - lse
+    val = _log_softmax(x.data, axis)
     def bwd(g):
-        _accum(x, g - np.exp(val) * _sum_kept(g, axis))
+        _accum(x, _log_softmax_grad(val, g, axis))
     return _node(val, (x,), bwd)
 
 
@@ -646,6 +653,15 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     m = _sum_last(a)
     m /= a.shape[-1]
     return m
+
+
+def _mean_kept(a: np.ndarray, axis) -> np.ndarray:
+    """`a` averaged along `axis` (all axes when None), which is kept: by
+    `_row_mean` when it is a's last axis, else by NumPy's mean.  The mean
+    of `reduce_mean` and of the fused loss kernels."""
+    if _is_last(axis, a.ndim):
+        return _row_mean(a)
+    return a.mean(axis=axis, keepdims=True)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -754,7 +770,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of integer `targets` under `logits` [N, K]."""
+    """Mean negative log-likelihood of integer `targets` under `logits`
+    [N, K], recorded as one tape node.  Its value and gradient are those of
+    log_softmax along the classes, the pick of each row's target (getitem),
+    reduce_mean and a negation (mul by -1.0) composed, with their ufuncs in
+    their order.  A target outside [0, K) raises an InputError."""
+    logits = _wrap(logits)
     targets = np.asarray(targets)
     if logits.ndim != 2:
         raise DimensionError("cross_entropy expects [N, K] logits")
@@ -762,10 +783,50 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if targets.shape != (n,):
         raise DimensionError("targets length must match logits rows")
     if targets.size and (targets.min() < 0 or targets.max() >= k):
-        raise IndexError("target class id out of range")
-    logp = log_softmax(logits, axis=-1)
-    picked = getitem(logp, (np.arange(n), targets))
-    return mul(reduce_mean(picked), -1.0)
+        raise InputError(f"target class id outside [0, {k})")
+    logp = _log_softmax(logits.data, -1)
+    pick = (np.arange(n), targets)
+    neg = np.asarray(-1.0, logp.dtype)
+    val = np.squeeze(_mean_kept(logp[pick], None), None) * neg
+    def bwd(g):
+        full = np.zeros_like(logp)
+        np.add.at(full, pick, np.broadcast_to(g * neg, (n,)) / n)
+        _accum(logits, _log_softmax_grad(logp, full, -1))
+    return _node(val, (logits,), bwd)
+
+
+def truncated_mse(logits: Tensor, clamp: float,
+                  prev: np.ndarray | None = None) -> Tensor:
+    """The truncated MSE between consecutive frames' log-probabilities,
+    recorded as one tape node: with logp the log-softmax of `logits` [L, K]
+    along its classes and d = logp[1:] - prev, the mean of
+    clamp - relu(clamp - d * d), that is of min(d * d, clamp).
+
+    `prev` holds the previous frames' log-probabilities [L - 1, K] and
+    defaults to logp[:-1]; either way it is a constant, so no gradient
+    flows through the previous frame.  The value and gradient are those of
+    the log_softmax, getitem, sub, mul, sub, relu, sub and reduce_mean
+    nodes composing it, with their ufuncs in their order.  With one row
+    the mean is over no elements and is NaN."""
+    logits = _wrap(logits)
+    logp = _log_softmax(logits.data, 1)
+    prev = logp[:-1] if prev is None else Tensor(prev).data
+    diff = logp[1:] - prev
+    sq = diff * diff
+    c = np.asarray(clamp, sq.dtype)
+    inner = c - sq
+    val = np.squeeze(_mean_kept(c - np.maximum(inner, 0.0), None), None)
+    def bwd(g):
+        d = np.broadcast_to(g, sq.shape) / sq.size  # reduce_mean
+        np.negative(d, out=d)                        # clamp - relu
+        d *= inner > 0                               # relu
+        np.negative(d, out=d)                        # clamp - d * d
+        d *= diff                                    # d * d, once per operand
+        d += d
+        full = np.zeros_like(logp)
+        full[1:] = d                                 # logp[1:]
+        _accum(logits, _log_softmax_grad(logp, full, 1))
+    return _node(val, (logits,), bwd)
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,

@@ -261,18 +261,13 @@ def soft_dice(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def smoothing_penalty(logits: Tensor, clamp: float,
                       prev: np.ndarray | None = None) -> Tensor:
-    """Truncated MSE between consecutive frame log-probabilities.
+    """Truncated MSE between consecutive frame log-probabilities
+    (`autodiff.truncated_mse`).
 
     The previous frame is detached, as in the cited formulation; `prev`
     fixes its log-probabilities instead of taking them from `logits`.
     """
-    logp = ad.log_softmax(logits, axis=1)
-    if prev is None:
-        prev = logp.data[:-1]
-    diff = logp[1:] - Tensor(prev)
-    sq = diff * diff
-    capped = clamp - ad.relu(clamp - sq)
-    return ad.reduce_mean(capped)
+    return ad.truncated_mse(logits, clamp, prev)
 
 
 def stage2_loss(outputs: Sequence[Tensor], labels: np.ndarray, variant: str,

@@ -5,8 +5,8 @@ import math
 import numpy as np
 
 from surgflow.autodiff import (GELU_F32_POLY, Tensor, concat, getitem,
-                               linear, matmul, pad, power, reduce_mean,
-                               reshape, softmax, transpose)
+                               linear, log_softmax, matmul, mul, pad, power,
+                               reduce_mean, relu, reshape, softmax, transpose)
 from surgflow.corpus import detect_static, median_filter_validity
 from surgflow.errors import ConfigError, DimensionError, NumericError
 from surgflow.models import DecodeCache
@@ -148,6 +148,31 @@ def unfused_attention(q: Tensor, k: Tensor, v: Tensor,
     if bias is not None:
         scores = scores + Tensor(bias)
     return matmul(softmax(scores, axis=-1), v)
+
+
+def composed_cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean negative log-likelihood as four tape nodes (log_softmax, getitem
+    of each row's target, reduce_mean, mul by -1.0): the composition
+    autodiff.cross_entropy computes as one node."""
+    targets = np.asarray(targets)
+    logp = log_softmax(logits, axis=-1)
+    picked = getitem(logp, (np.arange(logits.shape[0]), targets))
+    return mul(reduce_mean(picked), -1.0)
+
+
+def composed_truncated_mse(logits: Tensor, clamp: float,
+                           prev: np.ndarray | None = None) -> Tensor:
+    """The truncated MSE smoothing term as eight tape nodes (log_softmax,
+    getitem, sub, mul, sub, relu, sub, reduce_mean), as
+    temporal.smoothing_penalty composed it: the composition
+    autodiff.truncated_mse computes as one node."""
+    logp = log_softmax(logits, axis=1)
+    if prev is None:
+        prev = logp.data[:-1]
+    diff = logp[1:] - Tensor(prev)
+    sq = diff * diff
+    capped = clamp - relu(clamp - sq)
+    return reduce_mean(capped)
 
 
 def reference_linear(x, weight, bias, g):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import TINY_TEXTS, make_tiny_model, tiny_clips, traced_bytes
-from oracles import (math_erf_cdf, reference_attention, reference_gelu,
+from oracles import (composed_cross_entropy, composed_truncated_mse,
+                     math_erf_cdf, reference_attention, reference_gelu,
                      reference_layer_norm, reference_linear,
                      reference_multihead_attention, unfused_attention,
                      unfused_conv1d, unfused_layer_norm, unfused_linear,
@@ -25,7 +26,8 @@ from surgflow.errors import (ConfigError, DimensionError, InputError,
 from surgflow.objectives import valor_loss
 from surgflow.optim import AdamW, clip_global_norm
 from surgflow.rng import SessionRng
-from surgflow.temporal import TemporalConfig, build_temporal_model, stage2_loss
+from surgflow.temporal import (TemporalConfig, build_temporal_model,
+                               smoothing_penalty, stage2_loss)
 
 
 def t64(data, requires_grad=True):
@@ -109,8 +111,9 @@ class TestForward:
         assert out.item() < 1e-6
 
     def test_cross_entropy_bad_target(self):
-        with pytest.raises((InputError, IndexError)):
-            ad.cross_entropy(t64(np.zeros((2, 3))), np.array([0, 3]))
+        for targets in ([0, 3], [-1, 0]):
+            with pytest.raises(InputError, match=r"outside \[0, 3\)"):
+                ad.cross_entropy(t64(np.zeros((2, 3))), np.array(targets))
 
     def test_layer_norm_statistics(self):
         x = rand64(SessionRng(4), (5, 8))
@@ -531,18 +534,19 @@ class TestFusedTransformerOps:
         out = block(x, attn_mask=nn.causal_mask(128), key_pad=pad)
         assert _tape_nodes(out) == 12
 
-    def test_valor_loss_step_records_211_nodes(self):
+    def test_valor_loss_step_records_205_nodes(self):
         """A two-layer stage-1 model's training step, as in pretraining: its
         12 multi-head attention calls (2 video-encoder, 2 text-encoder and
-        8 decoder, self and cross for MGC and MLM) record 5 nodes each.  The
-        count depends on the depth, not on the widths."""
+        8 decoder, self and cross for MGC and MLM) record 5 nodes each, and
+        each cross-entropy (MGC and MLM) one.  The count depends on the
+        depth, not on the widths."""
         model = make_tiny_model(n_layers=2)
         ids = [model.vocab.encode(t) for t in TINY_TEXTS[:2]]
         report = valor_loss(model, tiny_clips(SessionRng(7), 2), ids,
                             SessionRng(9))
-        assert _tape_nodes(report.total) == 211
+        assert _tape_nodes(report.total) == 205
 
-    def test_lora_valor_loss_step_records_186_nodes(self):
+    def test_lora_valor_loss_step_records_180_nodes(self):
         """The same step with rank-2 adapters on every query and value
         projection and the base frozen, as in LoRA fine-tuning: each
         adapted projection is one node, and no node is recorded where
@@ -553,14 +557,15 @@ class TestFusedTransformerOps:
         ids = [model.vocab.encode(t) for t in TINY_TEXTS[:2]]
         report = valor_loss(model, tiny_clips(SessionRng(7), 2), ids,
                             SessionRng(9))
-        assert _tape_nodes(report.total) == 186
+        assert _tape_nodes(report.total) == 180
 
-    @pytest.mark.parametrize("variant, nodes", [("tcn", 142),
-                                                ("asformer", 217)])
+    @pytest.mark.parametrize("variant, nodes", [("tcn", 102),
+                                                ("asformer", 205)])
     def test_stage2_loss_step_nodes(self, variant, nodes):
         """The default stage-2 models on a 40-row table: ASFormer's 12
         attention calls (9 windowed encoder, 3 decoder) record 5 nodes
-        each; the TCN records no attention, pad or window node."""
+        each; the TCN records no attention, pad or window node.  Each
+        stage's cross-entropy and smoothing term is one node."""
         cfg = TemporalConfig()
         model = build_temporal_model(variant, cfg, SessionRng(1))
         feats = SessionRng(2).normal(1.0, (40, cfg.feature_dim))
@@ -658,6 +663,77 @@ def _against_reference(op, reference, arrays, trainable, seed, record=True,
             assert leaf.grad is None
         elif leaf is not None:  # _accum casts to the leaf's dtype
             _bit_equal(leaf.grad, want_grad.astype(leaf.dtype))
+
+
+# (logits, targets, prev) draws for the loss kernels: 1 to 48 rows of 1 to 8
+# classes; targets drawn from a few classes, so most repeat; prev given or
+# not
+LOSS_SHAPES = st.tuples(st.integers(1, 48), st.integers(1, 8))
+
+
+class TestFusedLosses:
+    """cross_entropy and truncated_mse are one node each, with the value and
+    gradient of the compositions kept in tests/oracles.py, bit for bit."""
+
+    @staticmethod
+    def both(fused, composed, logits, weight, *args):
+        """(nodes, value, logits gradient) of each op on fresh leaves of
+        `logits`, backpropagated from `weight` times the loss."""
+        results = []
+        for op in (fused, composed):
+            x = Tensor(logits.copy(), requires_grad=True)
+            out = op(x, *args)
+            nodes = _tape_nodes(out)
+            (out * Tensor(np.asarray(weight, logits.dtype))).backward()
+            results.append((nodes, out.data, x.grad))
+        return results
+
+    def check(self, results, nodes):
+        (f_nodes, f_val, f_grad), (c_nodes, c_val, c_grad) = results
+        assert f_nodes == 1 and c_nodes == nodes
+        _bit_equal(f_val, c_val)
+        _bit_equal(f_grad, c_grad)
+
+    @DTYPE
+    @given(shape=LOSS_SHAPES, seed=st.integers(0, 2 ** 16),
+           spread=st.sampled_from([0.1, 3.0, 30.0]))
+    @example(shape=(40, 6), seed=0, spread=3.0)
+    def test_cross_entropy_bit_equal_to_four_nodes(self, dtype, shape, seed,
+                                                   spread):
+        rng = SessionRng(seed)
+        logits = rng.normal(spread, shape, dtype)
+        targets = rng.integers(0, min(shape[1], 3), shape[0])
+        weight = rng.normal(1.0, (), np.float64)
+        self.check(self.both(ad.cross_entropy, composed_cross_entropy,
+                             logits, weight, targets), 4)
+
+    @DTYPE
+    @given(shape=LOSS_SHAPES, seed=st.integers(0, 2 ** 16),
+           spread=st.sampled_from([0.1, 3.0, 30.0]),
+           clamp=st.sampled_from([0.5, 16.0]), given_prev=st.booleans())
+    @example(shape=(40, 6), seed=0, spread=3.0, clamp=16.0, given_prev=False)
+    @example(shape=(40, 6), seed=1, spread=30.0, clamp=16.0, given_prev=True)
+    def test_truncated_mse_bit_equal_to_eight_nodes(self, dtype, shape, seed,
+                                                    spread, clamp, given_prev):
+        """Spreads and clamps where no, some or most squared steps reach the
+        clamp; one row gives NaN in both."""
+        rng = SessionRng(seed)
+        logits = rng.normal(spread, shape, dtype)
+        prev = (rng.normal(1.0, (shape[0] - 1, shape[1]), dtype) - 2.0
+                if given_prev else None)
+        weight = rng.normal(1.0, (), np.float64)
+        with warnings.catch_warnings():
+            if shape[0] == 1:  # the mean over no elements
+                warnings.simplefilter("ignore", RuntimeWarning)
+            self.check(self.both(ad.truncated_mse, composed_truncated_mse,
+                                 logits, weight, clamp, prev), 8)
+
+    def test_smoothing_penalty_is_the_kernel(self):
+        """temporal.smoothing_penalty records the one truncated_mse node."""
+        logits = rand64(SessionRng(55), (5, 3))
+        out = smoothing_penalty(logits, 16.0)
+        assert _tape_nodes(out) == 1
+        _bit_equal(out.data, ad.truncated_mse(logits, 16.0).data)
 
 
 class TestPad:
@@ -1350,6 +1426,8 @@ RECORDING_OPS = {
                   [(2, 3, 4), (2, 5, 4), (2, 5, 2)]),
     "conv1d": (lambda x, k, b: ad.conv1d(x, k, b, dilation=2),
                [(6, 3), (3, 3, 2), (2,)]),
+    "cross_entropy": (lambda a: ad.cross_entropy(a, [0, 3, 3]), [(3, 4)]),
+    "truncated_mse": (lambda a: ad.truncated_mse(a, 1.0), [(3, 4)]),
 }
 OPS = pytest.mark.parametrize("op", sorted(RECORDING_OPS))
 

@@ -183,10 +183,11 @@ def _reductions(tree):
 
 
 # The sums in autodiff.py left to NumPy.  `_unbroadcast` undoes broadcasting
-# over leading and unit axes; `_sum_kept` and `reduce_mean` take their axis
+# over leading and unit axes; `_sum_kept` and `_mean_kept` take their axis
 # as an argument and send the last axis to the helpers instead.
+# `reduce_mean` and the fused loss kernels take their means from `_mean_kept`.
 NUMPY_SUMS = sorted([("_unbroadcast", "0"), ("_unbroadcast", "axis"),
-                     ("_sum_kept", "axis"), ("reduce_mean", "axis")])
+                     ("_sum_kept", "axis"), ("_mean_kept", "axis")])
 
 
 class TestOneSumRule:

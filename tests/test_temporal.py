@@ -273,6 +273,19 @@ class TestTraining:
         for name, value in model.state_dict().items():
             np.testing.assert_array_equal(value, before[name])
 
+    def test_one_row_table_stops_at_step_zero(self):
+        """One row has no consecutive pair: the TCN smoothing mean is over
+        no elements, NaN, so training stops before any update."""
+        model = build_temporal_model("tcn", TOY, SessionRng(20))
+        seq = FeatureSequence(toy_features(SessionRng(21), 1))
+        before = model.state_dict()
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(NumericError, match="step 0"):
+            train_temporal(model, [(seq, np.zeros(1, np.int64))],
+                           TrainTemporalConfig(epochs=1))
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
     def test_label_length_checked(self):
         model = build_temporal_model("tcn", TOY, SessionRng(16))
         seq = FeatureSequence(toy_features(SessionRng(17), 5))
