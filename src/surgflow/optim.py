@@ -46,19 +46,19 @@ def clip_global_norm(params: Dict[str, Tensor],
                      max_norm: float = CLIP_NORM) -> float:
     """Scale all gradients so their global L2 norm is at most `max_norm`.
 
-    Returns the pre-clipping norm: per tensor, the float64 sum of squares of
-    its grad read in memory order, summed in parameter order.  The squares
-    are taken in one float64 scratch array per group of `_grad_groups`.
+    Returns the pre-clipping norm: the square root of the sum, in order, of
+    one float64 sum of squares per group of `_grad_groups`.  A group's
+    grads are read in memory order into one float64 scratch array, squared
+    in place and summed by NumPy's pairwise `np.add.reduce`.  (A BLAS dot
+    product would split the sum across threads, so its bits would depend
+    on the thread count.)
     """
     total = 0.0
     for group in _grad_groups(params):
         sq = np.concatenate([p.grad.ravel(order="K") for _, p, _ in group],
                             dtype=np.float64)
         np.multiply(sq, sq, out=sq)
-        start = 0
-        for _, _, size in group:
-            total += float(np.add.reduce(sq[start:start + size]))
-            start += size
+        total += float(np.add.reduce(sq))
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
@@ -105,7 +105,15 @@ class AdamW:
     grads and weights into flat arrays, updates the moments in place with
     scratch the size of the group, and copies the new weights back into
     each parameter's `data`.  It never writes into a `grad` array, which
-    autodiff may share between tensors.
+    autodiff may share between tensors; the gathered copy of the grads
+    becomes the update once the moments have read it.
+
+    The moments are the true (biased) ones.  The bias corrections bc1 and
+    bc2 are folded into two scalars, each taken in float64 and cast once:
+    lr m_hat / (sqrt(v_hat) + eps) is step_size m / (sqrt(v) + eps_hat)
+    with step_size = lr sqrt(bc2) / bc1 and eps_hat = eps sqrt(bc2).  The
+    decoupled decay lr wd w is added to the update.  That is 14 passes over
+    a group's elements.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -133,8 +141,10 @@ class AdamW:
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        root_bc2 = math.sqrt(1.0 - b2 ** self.t)
+        step_size = self.lr * root_bc2 / (1.0 - b1 ** self.t)
+        eps_hat = self.eps * root_bc2
+        decay = self.lr * self.weight_decay
         for group in _grad_groups(self.params):
             ps = [p for _, p, _ in group]
             dtype = ps[0].data.dtype
@@ -152,16 +162,15 @@ class AdamW:
             s *= g
             v *= b2
             v += s
-            # w -= lr (m / bc1 / (sqrt(v / bc2) + eps) + weight_decay w)
-            np.divide(v, bc2, out=s)
-            np.sqrt(s, out=s)
-            s += self.eps
-            u = m / bc1
-            u /= s
-            np.multiply(w, self.weight_decay, out=s)
-            u += s
-            u *= np.asarray(self.lr, dtype)
-            w -= u
+            # w -= step_size m / (sqrt(v) + eps_hat) + decay w, with the
+            # update in g
+            np.sqrt(v, out=s)
+            s += np.asarray(eps_hat, dtype)
+            np.divide(m, s, out=g)
+            g *= np.asarray(step_size, dtype)
+            np.multiply(w, np.asarray(decay, dtype), out=s)
+            g += s
+            w -= g
             start = 0
             for _, p, size in group:
                 np.copyto(p.data, w[start:start + size].reshape(p.data.shape))

@@ -276,16 +276,49 @@ def reference_multihead_attention(q, k, v, g, bias=None, heads=1):
 
 
 def reference_clip_global_norm(params, max_norm):
-    """Gradient clipping one tensor at a time, out of place: the pre-clip
+    """Gradient clipping one tensor at a time, out of place, with the norm
+    optim.clip_global_norm took before it summed per group: the pre-clip
     norm is the square root of each grad's float64 sum of squares, summed
-    in parameter order, as optim.clip_global_norm computes it over groups
-    of tensors.  Rebinds each grad to its scaled copy when the norm exceeds
-    `max_norm`, and returns the norm."""
+    in parameter order.  Rebinds each grad to its scaled copy when the norm
+    exceeds `max_norm`, and returns the norm."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    norm = math.sqrt(total)
+    return _clip_to(params, max_norm, math.sqrt(total))
+
+
+def reference_grouped_clip_global_norm(params, max_norm, group_size):
+    """Gradient clipping one tensor at a time, out of place, with the
+    per-group norm optim.clip_global_norm computes in place: a group is a
+    run of consecutive tensors that have a grad and whose weights share a
+    dtype, with at most `group_size` elements in all or one larger tensor;
+    a tensor without a grad ends a run.  The pre-clip norm is the square
+    root of the sum, in order, of each group's float64 squares summed as
+    one array, each grad read in memory order.  Rebinds each grad to its
+    scaled copy when the norm exceeds `max_norm`, and returns the norm."""
+    groups, run, size, dtype = [], [], 0, None
+    for p in params.values():
+        if run and (p.grad is None or p.dtype != dtype
+                    or size + p.size > group_size):
+            groups.append(run)
+            run, size = [], 0
+        if p.grad is not None:
+            run.append(p.grad)
+            size += p.size
+            dtype = p.dtype
+    if run:
+        groups.append(run)
+    total = 0.0
+    for run in groups:
+        total += float(np.sum(np.concatenate(
+            [(g.astype(np.float64) ** 2).ravel(order="K") for g in run])))
+    return _clip_to(params, max_norm, math.sqrt(total))
+
+
+def _clip_to(params, max_norm, norm):
+    """Rebind each grad of `params` to its copy scaled by max_norm / norm
+    when `norm` exceeds `max_norm`; return `norm`."""
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params.values():
@@ -294,27 +327,57 @@ def reference_clip_global_norm(params, max_norm):
     return norm
 
 
+def _adamw_moments(p, m, v, b1, b2):
+    """Update the moments `m` and `v` of tensor `p` in place for its grad,
+    in the out-of-place arithmetic of optim.AdamW.step, and return them."""
+    g = p.grad.astype(p.dtype)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    return m, v
+
+
 def reference_adamw_step(params, m, v, step, lr, betas=(0.9, 0.999),
                          eps=1e-8, weight_decay=0.01):
-    """AdamW step number `step` (from 1) in its out-of-place arithmetic, one
-    tensor at a time: the update optim.AdamW.step computes in place over
-    groups of tensors.  Updates the moment arrays of `m` and `v` in place
-    and rebinds the `data` of each tensor in `params` that has a gradient;
-    a tensor whose grad is None is left untouched."""
+    """AdamW step number `step` (from 1) one tensor at a time, out of place,
+    in the arithmetic optim.AdamW.step used before it folded the bias
+    corrections: w - lr (m / bc1 / (sqrt(v / bc2) + eps) + wd w).  Updates
+    the moment arrays of `m` and `v` in place and rebinds the `data` of
+    each tensor in `params` that has a gradient; a tensor whose grad is
+    None is left untouched."""
     b1, b2 = betas
     bc1 = 1.0 - b1 ** step
     bc2 = 1.0 - b2 ** step
     for name, p in params.items():
         if p.grad is None:
             continue
-        g = p.grad.astype(p.dtype)
-        m[name] *= b1
-        m[name] += (1.0 - b1) * g
-        v[name] *= b2
-        v[name] += (1.0 - b2) * g * g
-        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        mt, vt = _adamw_moments(p, m[name], v[name], b1, b2)
+        update = (mt / bc1) / (np.sqrt(vt / bc2) + eps)
         p.data = p.data - np.asarray(lr, p.dtype) * (
             update + weight_decay * p.data)
+
+
+def reference_folded_adamw_step(params, m, v, step, lr, betas=(0.9, 0.999),
+                                eps=1e-8, weight_decay=0.01):
+    """AdamW step number `step` (from 1) one tensor at a time, out of place,
+    in the arithmetic optim.AdamW.step computes in place over groups of
+    tensors: the bias corrections folded into a step size
+    lr sqrt(bc2) / bc1 and a denominator sqrt(v) + eps sqrt(bc2), each
+    scalar taken in float64 and cast once to the tensor's dtype, and the
+    decay lr wd w added to the update.  Updates `m`, `v` and the `data` of
+    `params` as reference_adamw_step does."""
+    b1, b2 = betas
+    bc1 = 1.0 - b1 ** step
+    root_bc2 = math.sqrt(1.0 - b2 ** step)
+    for name, p in params.items():
+        if p.grad is None:
+            continue
+        dt = p.dtype
+        mt, vt = _adamw_moments(p, m[name], v[name], b1, b2)
+        update = (mt / (np.sqrt(vt) + np.asarray(eps * root_bc2, dt))
+                  * np.asarray(lr * root_bc2 / bc1, dt))
+        p.data = p.data - (update + p.data * np.asarray(lr * weight_decay, dt))
 
 
 def uncached_generate(model, video, prompt_ids, max_len=16):
