@@ -108,10 +108,7 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _is_last(axis, ndim: int) -> bool:
-    """True when `axis` (an int, a tuple or None) names exactly the last of
-    `ndim` axes."""
-    if type(axis) is tuple:
-        axis = axis[0] if len(axis) == 1 else None
+    """True when `axis` (an int or None) names the last of `ndim` axes."""
     return ndim > 0 and axis in (-1, ndim - 1)
 
 
@@ -170,9 +167,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # -- autodiff ------------------------------------------------------------
 
     def backward(self) -> None:
@@ -214,12 +208,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.dtype))
-
     def __rsub__(self, other):
         return sub(_wrap(other, self.dtype), self)
 
@@ -231,12 +219,6 @@ class Tensor:
     def __truediv__(self, other):
         other = _wrap(other, self.dtype)
         return mul(self, power(other, -1.0))
-
-    def __rtruediv__(self, other):
-        return mul(_wrap(other, self.dtype), power(self, -1.0))
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __getitem__(self, index):
         return getitem(self, index)
@@ -565,7 +547,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 # -- reductions --------------------------------------------------------------
 
 
-def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
+def reduce_sum(a: Tensor, axis: int | None = None, keepdims=False) -> Tensor:
     """Sum over `axis` (all axes when None), by the sum rule along the last
     axis."""
     a = _wrap(a)
@@ -577,13 +559,12 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return _node(val if keepdims else np.squeeze(val, axis), (a,), bwd)
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
+def reduce_mean(a: Tensor, axis: int | None = None, keepdims=False) -> Tensor:
     """Mean over `axis` (all axes when None), by the sum rule along the last
     axis."""
     a = _wrap(a)
     def bwd(g):
-        count = a.size if axis is None else np.prod(
-            [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
+        count = a.size if axis is None else a.shape[axis]
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape) / count)
@@ -591,15 +572,10 @@ def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return _node(val if keepdims else np.squeeze(val, axis), (a,), bwd)
 
 
-def reduce_max(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    """Max reduction; gradient routes to the first argmax."""
+def reduce_max(a: Tensor, axis: int, keepdims=False) -> Tensor:
+    """Max reduction along `axis`; gradient routes to the first argmax."""
     a = _wrap(a)
     def bwd(g):
-        if axis is None:
-            mask = np.zeros_like(a.data)
-            mask.flat[np.argmax(a.data)] = 1.0
-            _accum(a, mask * g)
-            return
         idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
         full = np.zeros_like(a.data)
         gg = g if keepdims else np.expand_dims(g, axis)

@@ -189,14 +189,14 @@ class MultimodalDecoder(Module):
     with dedicated cross-attention into video tokens."""
 
     def __init__(self, cfg: ModelConfig, text_encoder: TextEncoder,
-                 vocab_size: int, rng: SessionRng):
+                 rng: SessionRng):
         self.cfg = cfg
         self._text_encoder = text_encoder  # shared weights, not re-registered
         self.cross_ln = [LayerNorm(cfg.dim) for _ in range(cfg.n_layers)]
         self.cross_attn = [MultiHeadAttention(cfg.dim, cfg.n_heads, rng)
                            for _ in range(cfg.n_layers)]
         self.ln_out = LayerNorm(cfg.dim)
-        self.to_logits = Linear(cfg.dim, vocab_size, rng)
+        self.to_logits = Linear(cfg.dim, cfg.vocab_size, rng)
         self._causal = causal_mask(cfg.max_text_len)
 
     def __call__(self, ids: np.ndarray, pad_mask: np.ndarray,
@@ -282,15 +282,11 @@ class Stage1Model(Module):
 
     def __init__(self, cfg: ModelConfig, vocab: Vocabulary, rng: SessionRng):
         self.cfg = cfg = replace(cfg, vocab_size=len(vocab))
-        self._vocab = vocab
+        self.vocab = vocab
         self.video_encoder = VideoEncoder(cfg, rng)
         self.text_encoder = TextEncoder(cfg, vocab, rng)
-        self.decoder = MultimodalDecoder(cfg, self.text_encoder, len(vocab), rng)
+        self.decoder = MultimodalDecoder(cfg, self.text_encoder, rng)
         self.head = SimilarityHead(cfg, rng)
-
-    @property
-    def vocab(self) -> Vocabulary:
-        return self._vocab
 
     # -- encoding -----------------------------------------------------------
 
@@ -310,7 +306,7 @@ class Stage1Model(Module):
 
     def pad_batch(self, ids_list: Sequence[Sequence[int]]) -> tuple:
         n_t = max(len(ids) for ids in ids_list)
-        batch = np.full((len(ids_list), n_t), self._vocab.pad_id, np.int64)
+        batch = np.full((len(ids_list), n_t), self.vocab.pad_id, np.int64)
         pad = np.ones((len(ids_list), n_t), bool)
         for i, ids in enumerate(ids_list):
             batch[i, :len(ids)] = ids
@@ -325,7 +321,7 @@ class Stage1Model(Module):
                  prompt_len: int) -> np.ndarray:
         """True where a token may be masked: not padding, not a reserved
         id, and not in the leading prompt."""
-        flags = ~pad & ~np.isin(ids, sorted(self._vocab.reserved_ids))
+        flags = ~pad & ~np.isin(ids, sorted(self.vocab.reserved_ids))
         flags[:, :prompt_len] = False
         return flags
 
@@ -348,7 +344,7 @@ class Stage1Model(Module):
         if max_len < 1:
             raise InputError("max_len must be >= 1")
         generated: List[int] = []
-        mask_id = self._vocab.mask_id
+        mask_id = self.vocab.mask_id
         budget = self.cfg.max_text_len - len(prompt_ids) - 1
         cache = DecodeCache()
         step = list(prompt_ids)
@@ -359,7 +355,7 @@ class Stage1Model(Module):
                     ids, np.zeros_like(ids, bool), video, True, cache)
                 cache.length -= 1  # the MASK slot is decoded again next step
                 nxt = int(np.argmax(logits.data[0, -1]))
-                if nxt == self._vocab.eos_id:
+                if nxt == self.vocab.eos_id:
                     break
                 generated.append(nxt)
                 step = [nxt]
@@ -368,4 +364,4 @@ class Stage1Model(Module):
     # -- prompts ------------------------------------------------------------
 
     def prompt_ids(self, prompt: str) -> List[int]:
-        return self._vocab.encode(prompt, strict=True)
+        return self.vocab.encode(prompt, strict=True)

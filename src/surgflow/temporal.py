@@ -123,9 +123,6 @@ class TemporalModel(Module):
     def __init__(self, cfg: TemporalConfig):
         self.cfg = cfg
 
-    def forward(self, features: np.ndarray) -> List[Tensor]:
-        raise NotImplementedError
-
     def __call__(self, seq: FeatureSequence) -> List[FramePrediction]:
         return [FramePrediction(t.data.copy()) for t in self.forward(seq.features)]
 
@@ -259,25 +256,15 @@ def soft_dice(logits: Tensor, labels: np.ndarray) -> Tensor:
     return ad.reduce_mean(dice)
 
 
-def smoothing_penalty(logits: Tensor, clamp: float,
-                      prev: np.ndarray | None = None) -> Tensor:
-    """Truncated MSE between consecutive frame log-probabilities
-    (`autodiff.truncated_mse`).
-
-    The previous frame is detached, as in the cited formulation; `prev`
-    fixes its log-probabilities instead of taking them from `logits`.
-    """
-    return ad.truncated_mse(logits, clamp, prev)
-
-
 def stage2_loss(outputs: Sequence[Tensor], labels: np.ndarray, variant: str,
                 cfg: TemporalConfig,
                 prev: Sequence[np.ndarray] | None = None) -> Tensor:
-    """TCN: summed frame-wise CE plus truncated-MSE smoothing.
-    ASFormer: summed equally weighted CE and soft dice.
+    """TCN: summed frame-wise CE plus truncated-MSE smoothing
+    (`autodiff.truncated_mse`), whose previous frame is detached, as in the
+    cited formulation.  ASFormer: summed equally weighted CE and soft dice.
 
     `prev` holds one fixed previous-frame log-probability array per stage
-    for the TCN smoothing term (see smoothing_penalty).
+    for the TCN smoothing term, in place of the one taken from the logits.
     """
     labels = np.asarray(labels)
     prev = [None] * len(outputs) if prev is None else prev
@@ -287,7 +274,7 @@ def stage2_loss(outputs: Sequence[Tensor], labels: np.ndarray, variant: str,
             raise InputError("prediction/label length mismatch")
         ce = ad.cross_entropy(logits, labels)
         if variant == "tcn":
-            term = ce + cfg.smoothing_weight * smoothing_penalty(
+            term = ce + cfg.smoothing_weight * ad.truncated_mse(
                 logits, cfg.smoothing_clamp, stage_prev)
         elif variant == "asformer":
             term = 0.5 * ce + 0.5 * soft_dice(logits, labels)

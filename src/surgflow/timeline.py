@@ -37,10 +37,6 @@ class PhaseTimeline:
     def duration(self) -> float:
         return self.segments[-1].end_s if self.segments else 0.0
 
-    @property
-    def labels(self) -> List[str]:
-        return sorted({s.label for s in self.segments})
-
     def label_at(self, t: float) -> str:
         """The label at time t: IDLE in a gap, the last label past the end."""
         for seg in self.segments:

@@ -9,6 +9,8 @@ from .errors import VocabError
 from .serialization import write_text
 
 PAD, MASK, BOS, EOS, UNK = "<pad>", "<mask>", "<bos>", "<eos>", "<unk>"
+# No code emits BOS, but it keeps id 2: dropping it would renumber every
+# vocabulary and so change every checkpoint.
 RESERVED = [PAD, MASK, BOS, EOS, UNK]
 
 
@@ -40,10 +42,6 @@ class Vocabulary:
     @property
     def mask_id(self) -> int:
         return self.token_to_id[MASK]
-
-    @property
-    def bos_id(self) -> int:
-        return self.token_to_id[BOS]
 
     @property
     def eos_id(self) -> int:

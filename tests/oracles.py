@@ -6,7 +6,8 @@ import numpy as np
 
 from surgflow.autodiff import (GELU_F32_POLY, Tensor, concat, getitem,
                                linear, log_softmax, matmul, mul, pad, power,
-                               reduce_mean, relu, reshape, softmax, transpose)
+                               reduce_mean, relu, reshape, softmax, sub,
+                               transpose)
 from surgflow.corpus import detect_static, median_filter_validity
 from surgflow.errors import ConfigError, DimensionError, NumericError
 from surgflow.models import DecodeCache
@@ -132,7 +133,7 @@ def unfused_layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     affine tape ops: the formulation autodiff.layer_norm computes as a
     single node."""
     mu = reduce_mean(x, axis=-1, keepdims=True)
-    centered = x - mu
+    centered = sub(x, mu)
     var = reduce_mean(centered * centered, axis=-1, keepdims=True)
     inv = power(var + eps, -0.5)
     return centered * inv * gain + bias
@@ -163,13 +164,12 @@ def composed_cross_entropy(logits: Tensor, targets) -> Tensor:
 def composed_truncated_mse(logits: Tensor, clamp: float,
                            prev: np.ndarray | None = None) -> Tensor:
     """The truncated MSE smoothing term as eight tape nodes (log_softmax,
-    getitem, sub, mul, sub, relu, sub, reduce_mean), as
-    temporal.smoothing_penalty composed it: the composition
+    getitem, sub, mul, sub, relu, sub, reduce_mean): the composition
     autodiff.truncated_mse computes as one node."""
     logp = log_softmax(logits, axis=1)
     if prev is None:
         prev = logp.data[:-1]
-    diff = logp[1:] - Tensor(prev)
+    diff = sub(logp[1:], Tensor(prev))
     sq = diff * diff
     capped = clamp - relu(clamp - sq)
     return reduce_mean(capped)

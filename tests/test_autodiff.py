@@ -27,7 +27,7 @@ from surgflow.objectives import valor_loss
 from surgflow.optim import AdamW, clip_global_norm
 from surgflow.rng import SessionRng
 from surgflow.temporal import (TemporalConfig, build_temporal_model,
-                               smoothing_penalty, stage2_loss)
+                               stage2_loss)
 
 
 def t64(data, requires_grad=True):
@@ -124,7 +124,7 @@ class TestForward:
 
     def test_reduce_max_first_argmax_gradient(self):
         x = t64([1.0, 3.0, 3.0, 2.0])
-        out = ad.reduce_max(x)
+        out = ad.reduce_max(x, axis=0)
         out.backward()
         np.testing.assert_allclose(x.grad, [0, 1, 0, 0])
 
@@ -188,7 +188,7 @@ class TestBackward:
     def test_batched_matmul_gradient(self):
         rng = SessionRng(12)
         a, b = rand64(rng, (2, 2, 3, 4)), rand64(rng, (2, 2, 4, 2))
-        f = lambda: ad.reduce_sum(ad.matmul(a, b) ** 2)
+        f = lambda: ad.reduce_sum(ad.power(ad.matmul(a, b), 2))
         assert grad_check(f, [a, b]) < 1e-5
 
     def test_shape_ops_gradient(self):
@@ -200,14 +200,14 @@ class TestBackward:
             h = ad.reshape(h, (3, 8))
             h = ad.concat([h, h * 2.0], axis=1)
             h = ad.pad(h, ((1, 1), (0, 0)))
-            return ad.reduce_sum(h[1:3] ** 2)
+            return ad.reduce_sum(ad.power(h[1:3], 2))
 
         assert grad_check(f, [x]) < 1e-6
 
     def test_stack_getitem_gradient(self):
         rng = SessionRng(14)
         xs = [rand64(rng, (3,)) for _ in range(4)]
-        f = lambda: ad.reduce_sum(ad.stack(xs, axis=0)[1:] ** 2)
+        f = lambda: ad.reduce_sum(ad.power(ad.stack(xs, axis=0)[1:], 2))
         assert grad_check(f, xs) < 1e-6
 
     def test_reduce_ops_gradient(self):
@@ -216,7 +216,8 @@ class TestBackward:
 
         def f():
             return (ad.reduce_sum(ad.reduce_mean(x, axis=0)) +
-                    ad.reduce_sum(ad.reduce_sum(x ** 2, axis=1, keepdims=True)) +
+                    ad.reduce_sum(ad.reduce_sum(ad.power(x, 2), axis=1,
+                                                 keepdims=True)) +
                     ad.reduce_sum(ad.reduce_max(x, axis=1)))
 
         assert grad_check(f, [x]) < 1e-5
@@ -226,14 +227,14 @@ class TestBackward:
         x = rand64(rng, (3, 6))
         gain = rand64(rng, (6,))
         bias = rand64(rng, (6,))
-        f = lambda: ad.reduce_sum(ad.layer_norm(x, gain, bias) ** 2)
+        f = lambda: ad.reduce_sum(ad.power(ad.layer_norm(x, gain, bias), 2))
         assert grad_check(f, [x, gain, bias]) < 1e-5
 
     def test_embedding_gradient(self):
         rng = SessionRng(17)
         weight = rand64(rng, (5, 3))
         ids = np.array([[0, 2, 2, 4]])
-        f = lambda: ad.reduce_sum(ad.embedding(weight, ids) ** 2)
+        f = lambda: ad.reduce_sum(ad.power(ad.embedding(weight, ids), 2))
         assert grad_check(f, [weight]) < 1e-6
 
     def test_conv1d_gradient(self):
@@ -241,7 +242,8 @@ class TestBackward:
         x = rand64(rng, (7, 3))
         kernel = rand64(rng, (3, 3, 2))
         bias = rand64(rng, (2,))
-        f = lambda: ad.reduce_sum(ad.conv1d(x, kernel, bias, dilation=2) ** 2)
+        f = lambda: ad.reduce_sum(ad.power(
+            ad.conv1d(x, kernel, bias, dilation=2), 2))
         assert grad_check(f, [x, kernel, bias]) < 1e-5
 
     def test_softmax_log_softmax_cross_entropy_gradient(self):
@@ -251,7 +253,7 @@ class TestBackward:
 
         def f():
             return (ad.cross_entropy(logits, targets) +
-                    ad.reduce_sum(ad.softmax(logits, axis=1) ** 3) +
+                    ad.reduce_sum(ad.power(ad.softmax(logits, axis=1), 3)) +
                     ad.reduce_sum(ad.log_softmax(logits, axis=0) * 0.1))
 
         assert grad_check(f, [logits]) < 1e-5
@@ -728,13 +730,6 @@ class TestFusedLosses:
             self.check(self.both(ad.truncated_mse, composed_truncated_mse,
                                  logits, weight, clamp, prev), 8)
 
-    def test_smoothing_penalty_is_the_kernel(self):
-        """temporal.smoothing_penalty records the one truncated_mse node."""
-        logits = rand64(SessionRng(55), (5, 3))
-        out = smoothing_penalty(logits, 16.0)
-        assert _tape_nodes(out) == 1
-        _bit_equal(out.data, ad.truncated_mse(logits, 16.0).data)
-
 
 class TestPad:
     """pad builds zeros and copies `a` into the interior: the value (and
@@ -1195,13 +1190,14 @@ def _two(like):
 
 
 class TestSub:
-    """a - b is one node with the value and gradients of the two-node
-    add(a, mul(b, -1.0)): a + b * (-1) equals a - b in IEEE arithmetic."""
+    """sub(a, b) is one node with the value and gradients of the two-node
+    add(a, mul(b, -1.0)): a + b * (-1) equals a - b in IEEE arithmetic.
+    A number minus a tensor goes through `Tensor.__rsub__`."""
 
-    CASES = {  # the operator, and the two-node form it replaced
-        "tensor - tensor": (lambda a, b: a - b,
+    CASES = {  # the subtraction, and the two-node form it replaced
+        "tensor - tensor": (lambda a, b: ad.sub(a, b),
                             lambda a, b: ad.add(a, ad.mul(b, -1.0))),
-        "tensor - scalar": (lambda a, b: a - 2.0,
+        "tensor - scalar": (lambda a, b: ad.sub(a, 2.0),
                             lambda a, b: ad.add(a, ad.mul(_two(a), -1.0))),
         "scalar - tensor": (lambda a, b: 2.0 - a,
                             lambda a, b: ad.add(_two(a), ad.mul(a, -1.0))),
@@ -1417,7 +1413,7 @@ RECORDING_OPS = {
     "getitem": (lambda a: ad.getitem(a, (np.array([0, 0, 2]), slice(1, 3))),
                 [(3, 4)]),
     "reduce_sum": (lambda a: ad.reduce_sum(a, axis=1), [(3, 4)]),
-    "reduce_mean": (lambda a: ad.reduce_mean(a, axis=(0, 2)), [(2, 3, 4)]),
+    "reduce_mean": (lambda a: ad.reduce_mean(a, axis=1), [(2, 3, 4)]),
     "reduce_max": (lambda a: ad.reduce_max(a, axis=0, keepdims=True), [(3, 4)]),
     "softmax": (ad.softmax, [(3, 4)]),
     "log_softmax": (lambda a: ad.log_softmax(a, axis=0), [(3, 4)]),

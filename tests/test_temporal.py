@@ -12,8 +12,8 @@ from surgflow.rng import SessionRng
 from surgflow.temporal import (ASFormer, Conv1d, FeatureSequence,
                                FramePrediction, MSTCN, TemporalConfig,
                                TrainTemporalConfig, WindowedSelfAttention,
-                               build_temporal_model, smoothing_penalty,
-                               soft_dice, stage2_loss, train_temporal)
+                               build_temporal_model, soft_dice, stage2_loss,
+                               train_temporal)
 
 TOY = TemporalConfig(num_classes=3, feature_dim=4, hidden=8, tcn_layers=2,
                      tcn_refinements=1, asf_encoder_layers=2,
@@ -157,12 +157,12 @@ class TestLosses:
 
     def test_smoothing_zero_for_constant_logits(self):
         logits = Tensor(np.tile(np.array([1.0, -2.0, 0.5], np.float32), (6, 1)))
-        assert smoothing_penalty(logits, clamp=16.0).item() == pytest.approx(0.0, abs=1e-10)
+        assert ad.truncated_mse(logits, 16.0).item() == pytest.approx(0.0, abs=1e-10)
 
     def test_smoothing_clamped(self):
         # huge jumps: every squared difference exceeds the clamp
         logits = Tensor(np.array([[100.0, -100.0], [-100.0, 100.0]], np.float32))
-        assert smoothing_penalty(logits, clamp=16.0).item() == pytest.approx(16.0)
+        assert ad.truncated_mse(logits, 16.0).item() == pytest.approx(16.0)
 
     def test_tcn_loss_composition(self):
         rng = SessionRng(10)
@@ -170,7 +170,7 @@ class TestLosses:
         labels = np.array([0, 1, 2, 1, 0])
         got = stage2_loss(outputs, labels, "tcn", TOY).item()
         want = sum(ad.cross_entropy(o, labels).item() +
-                   TOY.smoothing_weight * smoothing_penalty(
+                   TOY.smoothing_weight * ad.truncated_mse(
                        o, TOY.smoothing_clamp).item()
                    for o in outputs)
         assert got == pytest.approx(want, abs=1e-5)
@@ -188,7 +188,7 @@ class TestLosses:
         for o, p in zip(outputs, shifted):
             diff = ad.log_softmax(o, axis=1).data[1:] - p
             want = np.minimum(diff * diff, TOY.smoothing_clamp).mean()
-            assert smoothing_penalty(o, TOY.smoothing_clamp, p).item() == \
+            assert ad.truncated_mse(o, TOY.smoothing_clamp, p).item() == \
                 pytest.approx(want, rel=1e-6)
         with pytest.raises(ValueError):
             stage2_loss(outputs, labels, "tcn", TOY, prev=own[:1])

@@ -3,7 +3,7 @@
 import pytest
 
 from surgflow.errors import VocabError
-from surgflow.vocab import RESERVED, Vocabulary, tokenize
+from surgflow.vocab import BOS, RESERVED, Vocabulary, tokenize
 
 
 class TestTokenize:
@@ -18,7 +18,7 @@ class TestVocabulary:
     def test_reserved_occupy_first_ids(self):
         v = Vocabulary.build(["alpha beta"])
         assert v.id_to_token[:5] == RESERVED
-        assert v.pad_id == 0 and v.mask_id == 1 and v.bos_id == 2
+        assert v.pad_id == 0 and v.mask_id == 1 and v.token_to_id[BOS] == 2
         assert v.eos_id == 3 and v.unk_id == 4
         assert v.reserved_ids == {0, 1, 2, 3, 4}
 
@@ -42,7 +42,8 @@ class TestVocabulary:
 
     def test_decode_skips_reserved(self):
         v = Vocabulary.build(["word"])
-        assert v.decode([v.bos_id, v.encode("word")[0], v.eos_id]) == "word"
+        assert v.decode([v.token_to_id[BOS], v.encode("word")[0],
+                         v.eos_id]) == "word"
 
     def test_decode_bad_id(self):
         v = Vocabulary.build(["word"])
