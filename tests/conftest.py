@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from chain import calls_under, run_chain
 from surgflow.models import (CAPTION_PROMPT, MGA_PROMPT, ModelConfig,
                              Stage1Model)
 from surgflow.rng import SessionRng
@@ -54,3 +55,11 @@ def traced_bytes(fn):
 @pytest.fixture
 def tiny_model():
     return make_tiny_model()
+
+
+@pytest.fixture(scope="session")
+def chain_run(tmp_path_factory):
+    """One seeded CLI chain (tests/chain.py) under its call-only hook:
+    (each run's (arguments, output), the code objects that ran)."""
+    workdir = tmp_path_factory.mktemp("chain") / "run"
+    return calls_under(lambda: run_chain(workdir))
